@@ -60,7 +60,7 @@ def main() -> None:
         ),
     )
     print(f"{2 * PER_TENANT} arrivals from 2 tenants over "
-          f"{stream[-1].time_s:.1f} s\n")
+          f"{stream.times[-1]:.1f} s\n")
 
     policies = [
         ("spread (round-robin)", RoundRobinRouter(), {}),

@@ -38,9 +38,10 @@ Runs four comparisons and records them in one artifact:
   always-awake spread while the copies are in flight, every shard is
   restored to its replica target, and no query is silently lost.
 
-Every artifact refresh also appends a ``history`` entry (timestamp +
-gated speedups), so the perf trajectory stays machine-readable --
-``scripts/check_bench_trend.py`` gates CI on it.
+Every artifact refresh also appends a ``history`` entry (timestamp,
+git revision, run ids, configuration, gated speedups, the 1M-arrival
+tier's walls), so the perf trajectory stays machine-readable --
+``scripts/check_bench_trend.py`` gates CI on the best of it.
 
 ``--check`` re-validates the *recorded* gates of an existing artifact
 without measuring anything (used by the CI workflow): every speedup

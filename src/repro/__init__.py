@@ -75,6 +75,7 @@ from repro.measurement.protocol import MeasurementProtocol
 from repro.measurement.report import ComparisonTable
 from repro.workloads.arrivals import (
     Arrival,
+    ArrivalStream,
     bursty_arrivals,
     merge_arrivals,
     poisson_arrivals,
@@ -103,6 +104,7 @@ __all__ = [
     "AdaptiveController",
     "AdaptiveOutcome",
     "Arrival",
+    "ArrivalStream",
     "BatchPolicy",
     "ClusterMeasurement",
     "ClusterSimulator",

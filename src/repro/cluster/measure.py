@@ -246,11 +246,6 @@ class ResponseColumns:
     def __len__(self) -> int:
         return len(self.arrival_s)
 
-    @property
-    def response_s(self) -> np.ndarray:
-        """Full sojourn time per query: arrival to completion."""
-        return self.completion_s - self.arrival_s
-
     def iter_responses(self):
         """Materialize :class:`QueryResponse` objects row by row.
 
@@ -271,12 +266,12 @@ class ResponseColumns:
 class NodeUsage:
     """One node's share of a cluster run.
 
-    The span fields carry the node's timeline shape (busy windows,
-    sleep spans, wake transitions, each as ``(start_s, end_s)`` pairs)
-    plus its linear power envelope, so phase-sliced reporting can
-    attribute modeled energy to arbitrary time windows after the fact.
-    A vectorized run carries its busy windows as a ``(starts, ends)``
-    array pair in ``busy_columns`` instead of materializing tuples.
+    The span fields carry the node's timeline shape plus its linear
+    power envelope, so phase-sliced reporting can attribute modeled
+    energy to arbitrary time windows after the fact: sleep spans and
+    wake transitions as ``(start_s, end_s)`` pairs, the busy windows
+    -- one per served piece, on either engine -- as one
+    ``(starts, ends)`` array pair.
     """
 
     name: str
@@ -288,13 +283,14 @@ class NodeUsage:
     playback: RunMeasurement
     sleep_joules: float
     re_sleeps: int = 0
-    busy_windows: tuple[tuple[float, float], ...] = ()
     sleep_spans: tuple[tuple[float, float], ...] = ()
     wake_spans: tuple[tuple[float, float], ...] = ()
     idle_wall_w: float = 0.0
     busy_wall_w: float = 0.0
     sleep_wall_w: float = 0.0
-    busy_columns: tuple[np.ndarray, np.ndarray] | None = None
+    busy_columns: tuple[np.ndarray, np.ndarray] = field(
+        default_factory=lambda: span_columns(())
+    )
 
     @property
     def idle_s(self) -> float:
@@ -375,22 +371,71 @@ class PhaseWindow:
         return self.awake_node_s / self.span_s if self.span_s else 0.0
 
 
-def _overlap(spans, lo: float, hi: float) -> float:
-    """Total length of ``spans`` clipped to the window ``[lo, hi)``."""
-    return sum(
-        max(0.0, min(end, hi) - max(start, lo)) for start, end in spans
-    )
+def _window_of(
+    t: np.ndarray, los: np.ndarray, his: np.ndarray
+) -> np.ndarray:
+    """The window each time falls in, ``-1`` for none.
+
+    Windows are half-open except the last, which closes at the horizon
+    -- the horizon IS the final completion time, so an exclusive bound
+    would drop the last query served.
+    """
+    k = np.searchsorted(los, t, side="right") - 1
+    closes = (k == len(los) - 1) & (t == his[k])
+    return np.where((k >= 0) & ((t < his[k]) | closes), k, -1)
 
 
-def _overlap_columns(
-    starts: np.ndarray, ends: np.ndarray, lo: float, hi: float
-) -> float:
-    """Vectorized :func:`_overlap` for SoA ``(starts, ends)`` windows."""
-    return float(
-        np.clip(
-            np.minimum(ends, hi) - np.maximum(starts, lo), 0.0, None
-        ).sum()
+def _count_per_window(t, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+    """How many of the times ``t`` fall in each window."""
+    k = _window_of(np.asarray(t, dtype=np.float64), los, his)
+    return np.bincount(k[k >= 0], minlength=len(los))
+
+
+def span_columns(spans) -> tuple[np.ndarray, np.ndarray]:
+    """``(start_s, end_s)`` pairs as a ``(starts, ends)`` array pair."""
+    pairs = np.asarray(spans, dtype=np.float64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _overlap_per_window(
+    columns: list[tuple[np.ndarray, np.ndarray]],
+    los: np.ndarray, his: np.ndarray,
+) -> np.ndarray:
+    """``(nodes, windows)`` seconds of each node's spans (one
+    ``(starts, ends)`` pair per node) inside each window, in one pass:
+    a span is charged to the window it starts in, and the few that
+    cross a window edge also to the one they end in and, whole, to
+    every window between (a running count of spans opened minus spans
+    closed, times the window length)."""
+    n_nodes, count = len(columns), len(los)
+    cells = n_nodes * count
+    if not cells:
+        return np.zeros((n_nodes, count))
+    start = np.clip(np.concatenate([s for s, _ in columns]), 0.0, his[-1])
+    end = np.clip(np.concatenate([e for _, e in columns]), 0.0, his[-1])
+    row = count * np.repeat(
+        np.arange(n_nodes), [len(s) for s, _ in columns]
     )
+    first = np.searchsorted(los, start, side="right") - 1
+    final = np.maximum(np.searchsorted(los, end, side="left") - 1, first)
+    seconds = np.zeros(cells)  # bincount of nothing is int, not float
+    seconds += np.bincount(
+        row + first, weights=np.minimum(end, his[first]) - start,
+        minlength=cells,
+    )
+    crosses = np.flatnonzero(final > first)
+    if crosses.size:
+        row, first, final = row[crosses], first[crosses], final[crosses]
+        seconds += np.bincount(
+            row + final, weights=end[crosses] - los[final],
+            minlength=cells,
+        )
+        covering = np.cumsum(
+            np.bincount(row + first + 1, minlength=cells + 1)
+            - np.bincount(row + final, minlength=cells + 1)
+        )[:cells]
+        seconds += covering * np.tile(his - los, n_nodes)
+    return seconds.reshape(n_nodes, count)
 
 
 @dataclass
@@ -482,13 +527,22 @@ class ClusterMeasurement:
             yield from self.responses
 
     @cached_property
-    def _response_values(self) -> np.ndarray:
-        """Response times as one array (memoized; every percentile and
-        mean reads it, and the measurement is effectively immutable
-        once composed)."""
+    def _response_times(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(arrival_s, completion_s)`` per served query as arrays,
+        whichever form the run produced (memoized; the measurement is
+        effectively immutable once composed)."""
         if self.response_columns is not None:
-            return self.response_columns.response_s
-        return np.array([r.response_s for r in self.responses])
+            return (self.response_columns.arrival_s,
+                    self.response_columns.completion_s)
+        return (np.array([r.arrival_s for r in self.responses]),
+                np.array([r.completion_s for r in self.responses]))
+
+    @cached_property
+    def _response_values(self) -> np.ndarray:
+        """Response times as one array (every percentile and mean
+        reads it)."""
+        r_arrival, r_completion = self._response_times
+        return r_completion - r_arrival
 
     def response_percentile(self, q: float) -> float:
         if self.served == 0:
@@ -610,90 +664,83 @@ class ClusterMeasurement:
         final window.  A zero-horizon measurement (nothing ever ran)
         still reports one well-formed ``[0, 0]`` window rather than
         silently dropping the run.
+
+        One binning pass on either engine's measurement, O(responses +
+        spans + windows x nodes): every time and span is placed in its
+        window(s) once, never rescanned per window.
         """
         if window_s <= 0:
             raise ValueError("window_s must be positive")
+        horizon = max(0.0, self.horizon_s)
         count = (
             max(1, int(np.ceil(self.horizon_s / window_s - 1e-9)))
             if self.horizon_s > 0 else 1
         )
-        # Response times as arrays once, outside the window sweep
-        # (columnar runs already carry them; legacy lists convert
-        # here), so slicing is O(windows x nodes + responses).
-        if self.response_columns is not None:
-            r_arrival = self.response_columns.arrival_s
-            r_completion = self.response_columns.completion_s
-        else:
-            r_arrival = np.array([r.arrival_s for r in self.responses])
-            r_completion = np.array(
-                [r.completion_s for r in self.responses]
-            )
-        r_values = r_completion - r_arrival
-        out: list[PhaseWindow] = []
-        for k in range(count):
-            lo = k * window_s
-            last = k == count - 1
-            hi = (
-                max(0.0, self.horizon_s) if last
-                else min((k + 1) * window_s, self.horizon_s)
-            )
-            span = hi - lo
+        los = np.arange(count) * window_s
+        his = np.minimum(np.arange(1, count + 1) * window_s, horizon)
+        his[-1] = horizon
+        spans = his - los
 
-            # Windows are half-open except the last, which closes at
-            # the horizon -- the horizon IS the final completion time,
-            # so an exclusive bound would drop the last query served.
-            def inside(t: float) -> bool:
-                return lo <= t < hi or (last and t == hi)
+        r_arrival, r_completion = self._response_times
+        arrivals = _count_per_window(r_arrival, los, his)
+        arrivals += _count_per_window(
+            [q.arrival_s for q in self.shed], los, his
+        )
+        # Response times grouped by completion window: a stable sort on
+        # the window index (the -1s, in no window, sort first), then
+        # one slice per window.
+        completed_in = _window_of(r_completion, los, his)
+        served = np.bincount(
+            completed_in[completed_in >= 0], minlength=count
+        )
+        by_window = np.argsort(completed_in, kind="stable")
+        by_window = by_window[len(by_window) - served.sum():]
+        responses = np.split(
+            self._response_values[by_window], np.cumsum(served)[:-1]
+        )
 
-            def inside_mask(t: np.ndarray) -> np.ndarray:
-                mask = (t >= lo) & (t < hi)
-                if last:
-                    mask |= t == hi
-                return mask
-            busy = wake = sleep = joules = 0.0
-            re_sleeps = 0
-            for n in self.nodes:
-                if n.busy_columns is not None:
-                    b = _overlap_columns(*n.busy_columns, lo, hi)
-                else:
-                    b = _overlap(n.busy_windows, lo, hi)
-                w = _overlap(n.wake_spans, lo, hi)
-                s = _overlap(n.sleep_spans, lo, hi)
-                busy += b
-                wake += w
-                sleep += s
-                awake = span - s
-                joules += (
-                    n.sleep_wall_w * s
-                    + n.idle_wall_w * (awake - b)
-                    + n.busy_wall_w * b
-                )
-                re_sleeps += sum(
-                    1 for start, _ in n.sleep_spans
-                    if start > 0.0 and inside(start)
-                )
-            completed = inside_mask(r_completion)
-            window_responses = r_values[completed]
-            arrivals = int(inside_mask(r_arrival).sum()) + sum(
-                1 for q in self.shed if inside(q.arrival_s)
+        nodes = self.nodes
+        busy = _overlap_per_window(
+            [n.busy_columns for n in nodes], los, his
+        )
+        wake, sleep = (
+            _overlap_per_window(
+                [span_columns(getattr(n, kind)) for n in nodes], los, his
             )
-            out.append(PhaseWindow(
-                start_s=lo,
-                end_s=hi,
-                arrivals=arrivals,
-                served=int(completed.sum()),
-                modeled_joules=joules,
-                awake_node_s=len(self.nodes) * span - sleep,
-                busy_node_s=busy,
-                wake_node_s=wake,
-                sleep_node_s=sleep,
-                re_sleeps=re_sleeps,
+            for kind in ("wake_spans", "sleep_spans")
+        )
+        re_sleeps = _count_per_window([
+            start for n in nodes for start, _ in n.sleep_spans
+            if start > 0.0
+        ], los, his)
+        sleep_w, idle_w, busy_w = (
+            np.array([getattr(n, f"{state}_wall_w") for n in nodes])
+            for state in ("sleep", "idle", "busy")
+        )
+        joules = (
+            sleep_w @ sleep + idle_w @ ((spans - sleep) - busy)
+            + busy_w @ busy
+        )
+        busy, wake, sleep = (m.sum(axis=0) for m in (busy, wake, sleep))
+        return [
+            PhaseWindow(
+                start_s=float(los[k]),
+                end_s=float(his[k]),
+                arrivals=int(arrivals[k]),
+                served=int(served[k]),
+                modeled_joules=float(joules[k]),
+                awake_node_s=float(len(nodes) * spans[k] - sleep[k]),
+                busy_node_s=float(busy[k]),
+                wake_node_s=float(wake[k]),
+                sleep_node_s=float(sleep[k]),
+                re_sleeps=int(re_sleeps[k]),
                 p95_response_s=(
-                    float(np.percentile(window_responses, 95.0))
-                    if window_responses.size else 0.0
+                    float(np.percentile(responses[k], 95.0))
+                    if served[k] else 0.0
                 ),
-            ))
-        return out
+            )
+            for k in range(count)
+        ]
 
     def summary(self) -> dict[str, float]:
         """Flat scalar summary (CLI table / benchmark artifacts).

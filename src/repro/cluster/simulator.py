@@ -36,7 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from repro.cluster.measure import (
     QueryResponse,
     ResponseColumns,
     ShedQuery,
+    span_columns,
 )
 from repro.cluster.node import (
     NodeSpec,
@@ -78,7 +79,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import MASTER_TRACK, NULL_TRACER, Tracer
 from repro.hardware.system import SystemUnderTest
 from repro.hardware.trace import CompiledTrace
-from repro.workloads.arrivals import Arrival
+from repro.workloads.arrivals import Arrival, ArrivalStream
 from repro.workloads.client import ClientModel
 from repro.workloads.runner import TraceCache, WorkloadRunner
 
@@ -359,12 +360,12 @@ class ClusterSimulator:
         raise KeyError(hw)  # pragma: no cover - keys come from nodes
 
     def _execute_once_table(
-        self, arrivals: list[Arrival]
+        self, distinct: Sequence[str]
     ) -> dict[str, CompiledTrace]:
         """Execute-once: each distinct statement hits the database once;
         row data is evicted as soon as the trace is compiled."""
         table: dict[str, CompiledTrace] = {}
-        for i, sql in enumerate(dict.fromkeys(a.sql for a in arrivals)):
+        for i, sql in enumerate(distinct):
             execution = self.runner.cached_execution(
                 sql, label=f"c{i}", keep_result=False
             )
@@ -537,9 +538,13 @@ class ClusterSimulator:
                     constrained = True
         return rows if constrained else None
 
-    def schedule(self, arrivals: list[Arrival],
+    def schedule(self, arrivals: Iterable[Arrival],
                  vectorized: bool | None = None) -> ClusterSchedule:
         """Route every arrival; returns the fleet's scheduled timelines.
+
+        ``arrivals`` is an :class:`ArrivalStream` (anything else is
+        coerced and validated once, here); both engines work on its
+        columns, time-sorted only when they are not already.
 
         ``vectorized=None`` (the default) takes the chunked fast path
         whenever the configuration is eligible (see
@@ -554,13 +559,9 @@ class ClusterSimulator:
             raise ValueError(
                 f"vectorized scheduling unavailable: {reason}"
             )
-        if not arrivals:
-            # NHPP generators legitimately produce empty streams in
-            # low-rate windows; an empty stream is an empty schedule
-            # (zero energy, zero horizon), not an error.
-            return self._schedule_empty()
         use_fast = (reason is None) if vectorized is None else vectorized
-        arrivals = sorted(arrivals, key=lambda a: a.time_s)
+        arrivals = ArrivalStream.coerce(arrivals).in_time_order()
+        distinct = list(arrivals.distinct)
         workload_class = self.db.workload_class
         self._install_placement()
         if use_fast and self.placement is not None:
@@ -568,8 +569,7 @@ class ClusterSimulator:
             # eligible node (no node holds all its shards) needs the
             # loop's degrade policy.
             unroutable = any(
-                self._eligible_nodes(sql) == []
-                for sql in dict.fromkeys(a.sql for a in arrivals)
+                self._eligible_nodes(sql) == [] for sql in distinct
             )
             if unroutable and vectorized is True:
                 raise ValueError(
@@ -590,7 +590,10 @@ class ClusterSimulator:
             placement=self.placement,
         )
         run_id = run_id_for(fingerprint)
-        if use_fast:
+        # NHPP generators legitimately produce empty streams in low-rate
+        # windows; an empty stream is an empty schedule (zero energy,
+        # zero horizon) off the event loop, not an error.
+        if use_fast and len(arrivals):
             return self._schedule_vectorized(
                 arrivals, workload_class, fingerprint, run_id
             )
@@ -605,8 +608,7 @@ class ClusterSimulator:
             metrics.begin_run(run_id)
             self._next_sample_s = 0.0
 
-        table = self._execute_once_table(arrivals)
-        distinct = list(table)
+        table = self._execute_once_table(distinct)
         durations, _costed = self._precost(table, workload_class)
 
         # Per-distinct-SQL live service views, shared across arrivals
@@ -656,7 +658,7 @@ class ClusterSimulator:
 
         self.router.prepare(self.nodes)
         qed: QedReport | None = None
-        end_of_arrivals = arrivals[-1].time_s
+        end_of_arrivals = float(arrivals.times[-1]) if len(arrivals) else 0.0
         if self.master_queue is not None:
             qed = QedReport(mode="master")
             self._run_master_loop(
@@ -667,10 +669,9 @@ class ClusterSimulator:
             queued = [n for n in self.nodes if n.queue is not None]
             if queued:
                 qed = QedReport(mode="node")
-            for arrival in arrivals:
-                now = arrival.time_s
+            for sql, now in arrivals.pairs():
                 if tracing:
-                    tracer.arrival(arrival.sql, now)
+                    tracer.arrival(sql, now)
                 if metrics is not None:
                     self._sample_metrics_until(now)
                     metrics.counter("arrivals").inc()
@@ -683,20 +684,19 @@ class ClusterSimulator:
                             node, batch, table, durations,
                             workload_class, qed,
                         )
-                service_by_node = service_views[arrival.sql]
-                decision = self._route(arrival.sql, now, service_by_node)
+                service_by_node = service_views[sql]
+                decision = self._route(sql, now, service_by_node)
                 if decision.node is None:
                     if active:
                         # No serviceable node right now; the retry
                         # policy re-offers the query after backoff.
-                        self._push_retry(arrival.sql, now, now, 1,
-                                         requeue=False)
+                        self._push_retry(sql, now, now, 1, requeue=False)
                     else:
-                        shed.append(ShedQuery(arrival.sql, now))
+                        shed.append(ShedQuery(sql, now))
                     continue
                 node = decision.node
                 if node.queue is not None:
-                    batch = node.queue.submit(arrival.sql, now)
+                    batch = node.queue.submit(sql, now)
                     if batch is not None:
                         self._dispatch_node_batch(
                             node, batch, table, durations,
@@ -708,13 +708,12 @@ class ClusterSimulator:
                         tracer.span(
                             "queue-wait", MASTER_TRACK, now,
                             decision.dispatch_s,
-                            parent=tracer.parent_of(arrival.sql, now),
-                            sql=arrival.sql,
+                            parent=tracer.parent_of(sql, now),
+                            sql=sql,
                         )
                     node.assign(
-                        arrival.sql, decision.dispatch_s,
-                        service_by_node[node.spec.name],
-                        ((arrival.sql, now),),
+                        sql, decision.dispatch_s,
+                        service_by_node[node.spec.name], ((sql, now),),
                     )
             for node in queued:  # trailing partial batches drain
                 batch = node.queue.drain(end_of_arrivals)
@@ -804,22 +803,24 @@ class ClusterSimulator:
 
     def _schedule_vectorized(
         self,
-        arrivals: list[Arrival],
+        arrivals: ArrivalStream,
         workload_class: str,
         fingerprint: dict,
         run_id: str,
     ) -> ClusterSchedule:
         """The chunked fast path: arrivals as structure-of-arrays.
 
-        Arrival times, template indices, and pre-costed service
-        durations become numpy arrays; the router places whole chunks
-        at once (``route_chunk``), and the outcome stays columnar all
-        the way into playback -- no per-arrival Python objects exist at
-        any point, which is what makes 1M arrivals x 100 nodes a
+        The stream's time and statement-code columns (already sorted,
+        codes in first-arrival order) are used as they are; pre-costed
+        service durations become a ``(distinct, nodes)`` matrix, the
+        router places whole chunks at once (``route_chunk``), and the
+        outcome stays columnar all the way into playback.  From the
+        generator to the measurement no per-arrival Python object
+        exists, which is what makes 1M arrivals x 100 nodes a
         seconds-scale run.
         """
-        table = self._execute_once_table(arrivals)
-        distinct = list(table)
+        distinct = list(arrivals.distinct)
+        table = self._execute_once_table(distinct)
         durations, costed = self._precost(table, workload_class)
         self._fault_active = False
         self._fault_report = None
@@ -827,13 +828,7 @@ class ClusterSimulator:
 
         n = len(arrivals)
         n_nodes = len(self.nodes)
-        times = np.fromiter(
-            (a.time_s for a in arrivals), np.float64, count=n
-        )
-        index_of = {sql: d for d, sql in enumerate(distinct)}
-        sql_idx = np.fromiter(
-            (index_of[a.sql] for a in arrivals), np.int64, count=n
-        )
+        times, sql_idx = arrivals.times, arrivals.sql_idx
         service = np.empty((len(distinct), n_nodes), dtype=np.float64)
         for j, node in enumerate(self.nodes):
             per = durations[(node.spec.hw, node.spec.setting)]
@@ -910,55 +905,6 @@ class ClusterSimulator:
         if running.size == 0:
             return baseline
         return baseline + max(0.0, float(running.max()))
-
-    def _schedule_empty(self) -> ClusterSchedule:
-        """A well-formed zero-arrival schedule: zero energy, zero
-        horizon, empty trace table (the measurement side renders one
-        ``[0, 0]`` phase window, mirroring the zero-horizon report)."""
-        workload_class = self.db.workload_class
-        self._install_placement()
-        fingerprint = config_fingerprint(
-            [node.spec for node in self.nodes], self.router,
-            master_queue=self.master_queue, faults=self.faults,
-            retry=self.retry, arrivals=[],
-            workload_class=workload_class,
-            scale_factor=getattr(self.db, "scale_factor", None),
-            placement=self.placement,
-        )
-        run_id = run_id_for(fingerprint)
-        self._fault_active = False
-        self._fault_report = None
-        self.router.prepare(self.nodes)
-        if self.tracer.enabled:
-            self.tracer.begin_run(
-                {"run_id": run_id, "fingerprint": fingerprint}
-            )
-            self.tracer.finish(0.0)
-        if self.metrics is not None:
-            self.metrics.begin_run(run_id)
-            self._next_sample_s = 0.0
-            self._sample_metrics_until(0.0)
-        qed: QedReport | None = None
-        if self.master_queue is not None:
-            qed = QedReport(mode="master")
-        elif any(n.queue is not None for n in self.nodes):
-            qed = QedReport(mode="node")
-        active = self.faults is not None and not self.faults.empty
-        return ClusterSchedule(
-            nodes=[NodeTimeline.snapshot(n) for n in self.nodes],
-            table={},
-            pieces_by_node={n.spec.name: [] for n in self.nodes},
-            settings_by_node={n.spec.name: [] for n in self.nodes},
-            horizon_s=0.0,
-            shed=[],
-            peak_power_w=self._peak_model_power_w(0.0),
-            cap_w=getattr(self.router, "cap_w", None),
-            workload_class=workload_class,
-            qed=qed,
-            faults=FaultReport() if active else None,
-            run_id=run_id,
-            fingerprint=fingerprint,
-        )
 
     def _expire_queue(self, node: SimulatedNode, now_s: float):
         """Dispatch a timed-out batch *at its expiry*, not at ``now``.
@@ -1265,7 +1211,7 @@ class ClusterSimulator:
 
     def _run_master_loop(
         self,
-        arrivals: list[Arrival],
+        arrivals: ArrivalStream,
         end_of_arrivals: float,
         table: dict[str, CompiledTrace],
         durations: dict[CostKey, dict[str, float]],
@@ -1287,10 +1233,9 @@ class ClusterSimulator:
         placement.prepare(self.router, self.nodes)
         tracer = self.tracer
         metrics = self.metrics
-        for arrival in arrivals:
-            now = arrival.time_s
+        for sql, now in arrivals.pairs():
             if tracer.enabled:
-                tracer.arrival(arrival.sql, now)
+                tracer.arrival(sql, now)
             if metrics is not None:
                 self._sample_metrics_until(now)
                 metrics.counter("arrivals").inc()
@@ -1301,7 +1246,7 @@ class ClusterSimulator:
                     dispatched, table, durations, service_views,
                     workload_class, shed, qed,
                 )
-            for dispatched in self.master_queue.submit(arrival.sql, now):
+            for dispatched in self.master_queue.submit(sql, now):
                 self._place_dispatched(
                     dispatched, table, durations, service_views,
                     workload_class, shed, qed,
@@ -1639,8 +1584,8 @@ class ClusterSimulator:
                 playback=measurements[name],
                 sleep_joules=node.spec.sleep_wall_w * sleep_s,
                 re_sleeps=node.re_sleeps,
-                busy_windows=tuple(
-                    (w.start_s, w.end_s) for w in node.scheduled
+                busy_columns=span_columns(
+                    [(w.start_s, w.end_s) for w in node.scheduled]
                 ),
                 sleep_spans=tuple(node.sleep_spans(schedule.horizon_s)),
                 wake_spans=tuple(node.wake_log),
@@ -1701,7 +1646,6 @@ class ClusterSimulator:
                 playback=measurements[name],
                 sleep_joules=0.0,
                 re_sleeps=0,
-                busy_windows=(),
                 sleep_spans=(),
                 wake_spans=(),
                 idle_wall_w=envelope.idle_wall_w,
@@ -1733,7 +1677,7 @@ class ClusterSimulator:
             response_columns=response_columns,
         )
 
-    def run(self, arrivals: list[Arrival], mode: str = "batched",
+    def run(self, arrivals: Iterable[Arrival], mode: str = "batched",
             vectorized: bool | None = None) -> ClusterMeasurement:
         """Schedule and play an arrival stream end to end.
 

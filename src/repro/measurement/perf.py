@@ -36,6 +36,7 @@ from repro.db.engine import Database
 from repro.hardware.profiles import pvc_settings_grid
 from repro.hardware.system import SystemUnderTest
 from repro.measurement.protocol import MeasurementProtocol
+from repro.workloads.arrivals import ArrivalStream
 from repro.workloads.runner import TraceCache, WorkloadRunner
 
 
@@ -189,7 +190,7 @@ CLUSTER_MEAN_INTERARRIVAL_S = 0.01
 CLUSTER_ARRIVAL_SEED = 7
 
 
-def cluster_scaling_scenario() -> tuple[list, object, list]:
+def cluster_scaling_scenario() -> tuple[list, object, ArrivalStream]:
     """(specs, router, arrivals) for the canonical scaling comparison.
 
     16 nodes x 10k arrivals by default; ``REPRO_BENCH_CLUSTER_NODES`` /
@@ -284,7 +285,7 @@ def compare_cluster_playback(
     db: Database,
     specs,
     router,
-    arrivals,
+    arrivals: ArrivalStream,
     scale_factor: float | None = None,
     trace_cache: TraceCache | None = None,
 ) -> ClusterPerfComparison:
@@ -341,7 +342,7 @@ def compare_cluster_playback(
         nodes=len(specs),
         arrivals=len(arrivals),
         scale_factor=scale_factor,
-        distinct_queries=len({a.sql for a in arrivals}),
+        distinct_queries=len(arrivals.first_seen()),
         scheduled_pieces=schedule.scheduled_pieces,
         schedule_wall_s=schedule_wall,
         batched_wall_s=batched_wall,
@@ -371,7 +372,7 @@ SCALING_COMPARE_ARRIVALS = 100_000
 
 def scheduler_scaling_scenario(
     count: int | None = None, nodes: int | None = None,
-) -> tuple[list, object, list]:
+) -> tuple[list, object, ArrivalStream]:
     """(specs, router, arrivals) for the scheduler-scaling comparison.
 
     Round-robin routing: its chunked fast path is pure array math, so
@@ -463,7 +464,7 @@ def compare_cluster_scheduling(
     db: Database,
     specs,
     router_factory,
-    arrivals,
+    arrivals: ArrivalStream,
     scale_factor: float | None = None,
     trace_cache: TraceCache | None = None,
 ) -> SchedulingComparison:
@@ -512,7 +513,7 @@ def compare_cluster_scheduling(
         nodes=len(specs),
         arrivals=len(arrivals),
         scale_factor=scale_factor,
-        distinct_queries=len({a.sql for a in arrivals}),
+        distinct_queries=len(arrivals.first_seen()),
         legacy_schedule_wall_s=legacy_schedule_wall,
         vectorized_schedule_wall_s=vec_schedule_wall,
         legacy_playback_wall_s=legacy_playback_wall,
@@ -557,7 +558,7 @@ def time_vectorized_tier(
     db: Database,
     specs,
     router,
-    arrivals,
+    arrivals: ArrivalStream,
     scale_factor: float | None = None,
     trace_cache: TraceCache | None = None,
 ) -> VectorizedTier:
@@ -1202,7 +1203,7 @@ def run_fault_ablation(
                         backoff_s=FAULT_RETRY_BACKOFF_S * scale)
     specs = uniform_fleet(FAULT_NODES,
                           wake_latency_s=FAULT_WAKE_LATENCY_S * scale)
-    expected = sorted((a.sql, a.time_s) for a in stream)
+    expected = sorted(stream.pairs())
 
     def router_for(name: str):
         if name == "spread":
@@ -1430,7 +1431,7 @@ def run_replication_ablation(
     specs = uniform_fleet(FAULT_NODES,
                           wake_latency_s=FAULT_WAKE_LATENCY_S * scale)
     placement = replication_placement(specs)
-    expected = sorted((a.sql, a.time_s) for a in stream)
+    expected = sorted(stream.pairs())
 
     def router_for(name: str):
         if name == "spread":

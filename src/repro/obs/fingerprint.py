@@ -20,10 +20,10 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from typing import Any
 
-import numpy as np
+from repro.workloads.arrivals import ArrivalStream
 
 
 def describe_policy(obj: Any) -> dict | None:
@@ -72,16 +72,17 @@ def describe_fleet(specs: Iterable[Any]) -> list[dict]:
     return out
 
 
-def arrivals_digest(arrivals: Sequence[Any]) -> dict:
-    """Cheap change-detecting digest of one arrival stream."""
-    times = np.fromiter(
-        (a.time_s for a in arrivals), dtype=np.float64,
-        count=len(arrivals),
+def arrivals_digest(arrivals: Iterable[Any]) -> dict:
+    """Cheap change-detecting digest of one arrival stream: read off
+    the :class:`~repro.workloads.arrivals.ArrivalStream` columns (any
+    other sequence of arrivals is coerced once)."""
+    stream = ArrivalStream.coerce(arrivals)
+    distinct = sorted(
+        stream.distinct[d] for d in stream.first_seen().tolist()
     )
-    distinct = sorted(set(a.sql for a in arrivals))
     return {
-        "count": len(arrivals),
-        "times_crc": zlib.crc32(times.tobytes()),
+        "count": len(stream),
+        "times_crc": zlib.crc32(stream.times.tobytes()),
         "distinct": len(distinct),
         "sql_crc": zlib.crc32("\n".join(distinct).encode()),
     }
@@ -93,7 +94,7 @@ def config_fingerprint(
     master_queue: Any = None,
     faults: Any = None,
     retry: Any = None,
-    arrivals: Sequence[Any] | None = None,
+    arrivals: Iterable[Any] | None = None,
     workload_class: str = "",
     scale_factor: float | None = None,
     placement: Any = None,

@@ -2,6 +2,7 @@
 
 from repro.workloads.arrivals import (
     Arrival,
+    ArrivalStream,
     bursty_arrivals,
     drain_through_queue,
     poisson_arrivals,
@@ -13,6 +14,7 @@ from repro.workloads.selection import selection_query, selection_workload
 
 __all__ = [
     "Arrival",
+    "ArrivalStream",
     "ClientModel",
     "WorkloadRunner",
     "bursty_arrivals",

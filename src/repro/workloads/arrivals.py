@@ -8,19 +8,23 @@ tests -- including the *time-varying* load profiles (diurnal, ramp,
 arbitrary rate schedules) the fleet's dynamic re-consolidation policies
 are measured against.
 
-Every generator returns a list of :class:`Arrival` that is sorted by
-``time_s``, respects its ``start_s`` offset, and is empty when the
-``queries`` list is empty -- the shared :func:`_finalize` helper
-enforces this uniformly, so any stream can feed ``merge_arrivals`` or
-the cluster simulator without per-generator caveats.
+Every generator returns one :class:`ArrivalStream` -- arrival times and
+statement codes as numpy columns, never one Python object per arrival
+-- that is sorted by ``time_s``, respects its ``start_s`` offset, and
+is empty when the ``queries`` list is empty.  The shared
+:func:`_finalize` helper enforces this uniformly, so any stream can
+feed ``merge_arrivals`` or the cluster simulator without per-generator
+caveats.  The columns hold exactly the floats the per-draw scalar
+loops produced (``tests/workloads/reference_arrivals.py`` keeps those
+loops as the oracle), so run ids pinned before the columnar form hold.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import starmap
+from typing import Callable, Iterable, Iterator, Sequence, overload
 
 import numpy as np
 
@@ -33,72 +37,302 @@ class Arrival:
     time_s: float
 
 
-def _finalize(out: list[Arrival], start_s: float) -> list[Arrival]:
+class ArrivalStream(Sequence[Arrival]):
+    """An arrival stream as structure-of-arrays.
+
+    ``times`` (float64 seconds) and ``sql_idx`` (int64 codes into the
+    ``distinct`` statement tuple) are the stream; ``Arrival`` objects
+    exist only when a caller indexes or iterates.  It behaves as an
+    immutable ``Sequence[Arrival]``: ``len``, indexing, slicing (a
+    stream over column views), iteration, ``+`` and ``==`` against any
+    sequence of arrivals.  Construction validates the columns, so every
+    stream the simulator sees has finite non-negative times and ``str``
+    statements; order is *not* required here (``merge_arrivals`` and
+    ``ClusterSimulator.schedule`` sort when needed).
+    """
+
+    __slots__ = ("times", "sql_idx", "distinct")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, times, sql_idx, distinct: Iterable[str]) -> None:
+        try:
+            self.times = np.asarray(times, dtype=np.float64)
+            self.sql_idx = np.asarray(sql_idx, dtype=np.int64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"arrival columns are not numeric: {exc}"
+            ) from None
+        self.distinct = tuple(distinct)
+        self._validate()
+
+    def _validate(self) -> None:
+        times, sql_idx, distinct = self.times, self.sql_idx, self.distinct
+        if times.ndim != 1 or times.shape != sql_idx.shape:
+            raise ValueError(
+                "arrival columns differ in shape: times "
+                f"{times.shape} vs sql_idx {sql_idx.shape}"
+            )
+        bad = ~np.isfinite(times) | (times < 0.0)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(
+                f"arrival #{i} has time_s {times[i]!r}; arrival times "
+                "must be finite and non-negative"
+            )
+        bad = (sql_idx < 0) | (sql_idx >= len(distinct))
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(
+                f"arrival #{i} has statement code {int(sql_idx[i])} "
+                f"outside the {len(distinct)} distinct statements"
+            )
+        for d, sql in enumerate(distinct):
+            if not isinstance(sql, str):
+                users = np.flatnonzero(sql_idx == d)
+                where = (
+                    f"arrival #{int(users[0])}" if users.size
+                    else f"distinct statement {d}"
+                )
+                raise ValueError(
+                    f"{where} has non-str SQL {sql!r}"
+                )
+        if len(set(distinct)) != len(distinct):
+            raise ValueError("distinct statements must be unique")
+
+    @classmethod
+    def coerce(cls, arrivals: Iterable[Arrival]) -> "ArrivalStream":
+        """``arrivals`` as a stream: itself when it already is one,
+        else one validated pass over ``(sql, time_s)`` objects."""
+        if isinstance(arrivals, cls):
+            return arrivals
+        index_of: dict[str, int] = {}
+        times: list[float] = []
+        sql_idx: list[int] = []
+        for i, arrival in enumerate(arrivals):
+            try:
+                sql, time_s = arrival.sql, arrival.time_s
+                sql_idx.append(index_of.setdefault(sql, len(index_of)))
+            except (AttributeError, TypeError):
+                raise ValueError(
+                    f"arrival #{i} is not an Arrival(sql, time_s): "
+                    f"{arrival!r}"
+                ) from None
+            times.append(time_s)
+        return cls(times, sql_idx, index_of)
+
+    @classmethod
+    def concat(cls, streams: Iterable[Iterable[Arrival]]) -> "ArrivalStream":
+        """All ``streams`` end to end, over one shared statement table
+        (statements keep their first-seen order)."""
+        parts = [cls.coerce(s) for s in streams]
+        if not parts:
+            return cls((), (), ())
+        index_of: dict[str, int] = {}
+        codes = []
+        for part in parts:
+            remap = np.array(
+                [index_of.setdefault(s, len(index_of))
+                 for s in part.distinct],
+                dtype=np.int64,
+            )
+            codes.append(remap[part.sql_idx])
+        return cls(
+            np.concatenate([p.times for p in parts]),
+            np.concatenate(codes), index_of,
+        )
+
+    # -- Sequence[Arrival] --------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    @overload
+    def __getitem__(self, key: int) -> Arrival: ...
+    @overload
+    def __getitem__(self, key: slice) -> "ArrivalStream": ...
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return ArrivalStream(
+                self.times[key], self.sql_idx[key], self.distinct
+            )
+        return Arrival(
+            self.distinct[self.sql_idx[key]], float(self.times[key])
+        )
+
+    def pairs(self) -> Iterator[tuple[str, float]]:
+        """``(sql, time_s)`` per arrival, in stream order, without
+        building :class:`Arrival` objects (the per-arrival event loop's
+        view of the columns)."""
+        return zip(
+            map(self.distinct.__getitem__, self.sql_idx.tolist()),
+            self.times.tolist(),
+        )
+
+    def __iter__(self) -> Iterator[Arrival]:
+        return starmap(Arrival, self.pairs())
+
+    def __add__(self, other: Iterable[Arrival]) -> "ArrivalStream":
+        return ArrivalStream.concat((self, other))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ArrivalStream):
+            return (
+                np.array_equal(self.times, other.times)
+                and np.array_equal(self._sql_column(), other._sql_column())
+            )
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and all(
+                mine == theirs for mine, theirs in zip(self, other)
+            )
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        span = (
+            f", {self.times[0]:.6g}..{self.times[-1]:.6g} s"
+            if len(self) else ""
+        )
+        return (
+            f"ArrivalStream({len(self)} arrivals, "
+            f"{len(self.distinct)} distinct{span})"
+        )
+
+    # -- column views the simulator and the fingerprint read ----------------
+
+    def _sql_column(self) -> np.ndarray:
+        return np.array(self.distinct, dtype=object)[self.sql_idx]
+
+    @property
+    def is_sorted(self) -> bool:
+        """Whether ``times`` is non-decreasing."""
+        return bool((self.times[1:] >= self.times[:-1]).all())
+
+    def first_seen(self) -> np.ndarray:
+        """Codes of the statements that occur, in first-arrival order."""
+        used = np.flatnonzero(
+            np.bincount(self.sql_idx, minlength=len(self.distinct))
+        )
+        # Streams that cycle through their statements show every one of
+        # them within a short prefix; only stragglers pay for the sort.
+        head = list(dict.fromkeys(
+            self.sql_idx[:8 * len(self.distinct) + 64].tolist()
+        ))
+        if len(head) == len(used):
+            return np.array(head, dtype=np.int64)
+        _, first = np.unique(self.sql_idx, return_index=True)
+        return used[np.argsort(first, kind="stable")]
+
+    def in_time_order(self) -> "ArrivalStream":
+        """The stream sorted by ``time_s`` (stable: simultaneous
+        arrivals keep their order) over exactly the statements that
+        occur, in first-arrival order -- the canonical form
+        ``ClusterSimulator.schedule`` works on.  Returns ``self`` when
+        it already is in that form."""
+        stream = self
+        if not stream.is_sorted:
+            order = np.argsort(stream.times, kind="stable")
+            stream = ArrivalStream(
+                stream.times[order], stream.sql_idx[order], stream.distinct
+            )
+        seen = stream.first_seen()
+        if np.array_equal(seen, np.arange(len(stream.distinct))):
+            return stream
+        remap = np.full(len(stream.distinct), -1, dtype=np.int64)
+        remap[seen] = np.arange(len(seen))
+        return ArrivalStream(
+            stream.times, remap[stream.sql_idx],
+            [stream.distinct[d] for d in seen.tolist()],
+        )
+
+
+def _encode(queries: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Statement codes and the distinct-statement table (first-seen
+    order) for one ``queries`` list."""
+    try:
+        index_of = {sql: d for d, sql in enumerate(dict.fromkeys(queries))}
+    except TypeError:  # unhashable, so certainly not a str
+        at = next(i for i, q in enumerate(queries) if not isinstance(q, str))
+        raise ValueError(
+            f"queries[{at}] is not a str: {queries[at]!r}"
+        ) from None
+    sql_idx = np.fromiter(
+        map(index_of.__getitem__, queries), np.int64, count=len(queries)
+    )
+    return sql_idx, tuple(index_of)
+
+
+def _accumulate(start_s: float, gaps: np.ndarray) -> np.ndarray:
+    """``start_s + gaps[0] + gaps[1] + ...`` as running sums, added in
+    exactly the order a scalar ``now += gap`` loop adds them."""
+    seeded = np.empty(len(gaps) + 1, dtype=np.float64)
+    seeded[0] = start_s
+    seeded[1:] = gaps
+    return np.cumsum(seeded)[1:]
+
+
+def _finalize(times: np.ndarray, sql_idx: np.ndarray,
+              distinct: Iterable[str], start_s: float) -> ArrivalStream:
     """Shared stream validation: sorted, never before ``start_s``.
 
     Each generator funnels its output through here so the whole module
     upholds one contract (the cluster event loop and ``merge_arrivals``
-    both rely on it).  Violations are generator bugs, hence asserts
-    rather than ``ValueError``.
+    both rely on it).  These are real checks, not ``assert``s: they
+    must survive ``python -O``.
     """
-    assert all(b.time_s >= a.time_s for a, b in zip(out, out[1:])), \
-        "generator produced an unsorted stream"
-    assert all(a.time_s >= start_s for a in out), \
-        "generator produced arrivals before start_s"
-    return out
+    stream = ArrivalStream(times, sql_idx, distinct)
+    if not stream.is_sorted:
+        raise ValueError("generator produced an unsorted stream")
+    if len(stream) and stream.times[0] < start_s:
+        raise ValueError("generator produced arrivals before start_s")
+    return stream
 
 
 def poisson_arrivals(queries: list[str], mean_interarrival_s: float,
                      seed: int = 0, start_s: float = 0.0,
-                     rng: np.random.Generator | None = None) -> list[Arrival]:
+                     rng: np.random.Generator | None = None) -> ArrivalStream:
     """Exponential inter-arrival times (a Poisson process).
 
     Passing ``rng`` threads one shared generator through arrivals (and,
     via :meth:`FaultPlan.begin_run`, fault outcomes) so a whole run's
-    randomness hangs off a single seed; ``seed`` is ignored then.
+    randomness hangs off a single seed; ``seed`` is ignored then.  One
+    sized draw consumes the generator exactly as one scalar draw per
+    query would, so the times -- and the state ``rng`` is left in --
+    are those of the per-draw loop.
     """
     if mean_interarrival_s <= 0:
         raise ValueError("mean_interarrival_s must be positive")
     if rng is None:
         rng = np.random.default_rng(seed)
-    now = start_s
-    out: list[Arrival] = []
-    for sql in queries:
-        now += float(rng.exponential(mean_interarrival_s))
-        out.append(Arrival(sql, now))
-    return _finalize(out, start_s)
+    sql_idx, distinct = _encode(queries)
+    gaps = rng.exponential(mean_interarrival_s, size=len(queries))
+    return _finalize(_accumulate(start_s, gaps), sql_idx, distinct, start_s)
 
 
 def uniform_arrivals(queries: list[str], interarrival_s: float,
-                     start_s: float = 0.0) -> list[Arrival]:
+                     start_s: float = 0.0) -> ArrivalStream:
     """Evenly spaced arrivals (closed-loop clients with fixed think
     time, the deterministic limit of the Poisson stream)."""
     if interarrival_s <= 0:
         raise ValueError("interarrival_s must be positive")
-    return _finalize([
-        Arrival(sql, start_s + (i + 1) * interarrival_s)
-        for i, sql in enumerate(queries)
-    ], start_s)
+    sql_idx, distinct = _encode(queries)
+    times = start_s + np.arange(1, len(queries) + 1) * interarrival_s
+    return _finalize(times, sql_idx, distinct, start_s)
 
 
 def bursty_arrivals(queries: list[str], burst_size: int,
                     burst_gap_s: float, within_burst_s: float = 0.01,
-                    start_s: float = 0.0) -> list[Arrival]:
+                    start_s: float = 0.0) -> ArrivalStream:
     """Clients arriving in bursts separated by quiet gaps -- the shape
     under which a threshold batch policy fires immediately."""
     if burst_size < 1:
         raise ValueError("burst_size must be >= 1")
     if burst_gap_s < 0 or within_burst_s < 0:
         raise ValueError("gaps must be non-negative")
-    out: list[Arrival] = []
-    now = start_s
-    for i, sql in enumerate(queries):
-        if i and i % burst_size == 0:
-            now += burst_gap_s
-        else:
-            now += within_burst_s
-        out.append(Arrival(sql, now))
-    return _finalize(out, start_s)
+    sql_idx, distinct = _encode(queries)
+    position = np.arange(len(queries))
+    opens_burst = (position > 0) & (position % burst_size == 0)
+    gaps = np.where(opens_burst, burst_gap_s, within_burst_s)
+    return _finalize(_accumulate(start_s, gaps), sql_idx, distinct, start_s)
 
 
 # -- time-varying load profiles -------------------------------------------
@@ -212,7 +446,7 @@ def piecewise_schedule(
 def rate_schedule_arrivals(queries: list[str], schedule: RateSchedule,
                            seed: int = 0, start_s: float = 0.0,
                            rng: np.random.Generator | None = None,
-                           ) -> list[Arrival]:
+                           ) -> ArrivalStream:
     """Nonhomogeneous Poisson arrivals following ``schedule``, by
     thinning (Lewis & Shedler): candidate events fire at ``peak_rate``
     and survive with probability ``lambda(t) / peak_rate``.
@@ -222,24 +456,27 @@ def rate_schedule_arrivals(queries: list[str], schedule: RateSchedule,
     ``queries`` in order, so any non-empty ``queries`` list serves any
     schedule.  Seeded and sorted, hence ``merge_arrivals``-compatible.
     An explicit ``rng`` (shared, e.g., with a fault plan) overrides
-    ``seed``.
+    ``seed``.  The candidate draws stay one at a time -- each
+    acceptance draw is interleaved with the next gap on one generator,
+    so a sized draw would leave a shared ``rng`` in a different state
+    -- but only the accepted offsets are kept, as one column.
     """
     if not queries:
-        return []
+        return ArrivalStream((), (), ())
     if rng is None:
         rng = np.random.default_rng(seed)
-    out: list[Arrival] = []
+    code_of, distinct = _encode(queries)
+    accepted: list[float] = []
     elapsed = 0.0
-    index = 0
     while True:
         elapsed += float(rng.exponential(1.0 / schedule.peak_rate))
         if elapsed > schedule.horizon_s:
             break
         if rng.uniform() * schedule.peak_rate <= schedule.rate_at(elapsed):
-            out.append(Arrival(queries[index % len(queries)],
-                               start_s + elapsed))
-            index += 1
-    return _finalize(out, start_s)
+            accepted.append(elapsed)
+    sql_idx = code_of[np.arange(len(accepted)) % len(queries)]
+    times = start_s + np.array(accepted, dtype=np.float64)
+    return _finalize(times, sql_idx, distinct, start_s)
 
 
 def diurnal_arrivals(queries: list[str], base_rate: float,
@@ -247,7 +484,7 @@ def diurnal_arrivals(queries: list[str], base_rate: float,
                      seed: int = 0, start_s: float = 0.0,
                      phase_s: float = 0.0,
                      rng: np.random.Generator | None = None,
-                     ) -> list[Arrival]:
+                     ) -> ArrivalStream:
     """Sinusoidal day/night arrival stream (see :func:`diurnal_schedule`)."""
     return rate_schedule_arrivals(
         queries,
@@ -259,7 +496,7 @@ def diurnal_arrivals(queries: list[str], base_rate: float,
 
 def ramp_arrivals(queries: list[str], start_rate: float, end_rate: float,
                   horizon_s: float, seed: int = 0, start_s: float = 0.0,
-                  rng: np.random.Generator | None = None) -> list[Arrival]:
+                  rng: np.random.Generator | None = None) -> ArrivalStream:
     """Linearly ramping arrival stream (see :func:`ramp_schedule`)."""
     return rate_schedule_arrivals(
         queries, ramp_schedule(start_rate, end_rate, horizon_s),
@@ -267,29 +504,31 @@ def ramp_arrivals(queries: list[str], start_rate: float, end_rate: float,
     )
 
 
-def merge_arrivals(*streams: list[Arrival]) -> list[Arrival]:
+def merge_arrivals(*streams: Iterable[Arrival]) -> ArrivalStream:
     """Time-ordered merge of several tenants' arrival streams.
 
-    Each input stream must already be sorted by ``time_s`` (every
+    Each input stream (an :class:`ArrivalStream` or any sequence of
+    :class:`Arrival`) must already be sorted by ``time_s`` (every
     generator in this module produces sorted streams).  The merge is
     *stable* for ties: simultaneous arrivals keep the order of the
     stream arguments, and within one stream their original order --
     which makes multi-tenant cluster scenarios reproducible.
     """
-    for stream in streams:
-        for a, b in zip(stream, stream[1:]):
-            if b.time_s < a.time_s:
-                raise ValueError("each stream must be sorted by time_s")
-    return list(heapq.merge(*streams, key=lambda a: a.time_s))
+    parts = [ArrivalStream.coerce(stream) for stream in streams]
+    if not all(part.is_sorted for part in parts):
+        raise ValueError("each stream must be sorted by time_s")
+    # End to end the arrivals sit in (stream argument, in-stream)
+    # order, which is exactly the tie order a stable sort preserves.
+    return ArrivalStream.concat(parts).in_time_order()
 
 
-def drain_through_queue(arrivals: list[Arrival], queue) -> list:
+def drain_through_queue(arrivals: Iterable[Arrival], queue) -> list:
     """Feed arrivals into a :class:`~repro.core.qed.queue.QueryQueue`;
     returns the dispatched batches (a trailing partial batch stays
     queued, as in a live system)."""
     batches = []
-    for arrival in arrivals:
-        batch = queue.submit(arrival.sql, arrival.time_s)
+    for sql, time_s in ArrivalStream.coerce(arrivals).pairs():
+        batch = queue.submit(sql, time_s)
         if batch is not None:
             batches.append(batch)
     return batches

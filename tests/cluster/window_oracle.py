@@ -1,0 +1,106 @@
+"""The per-window scan ``ClusterMeasurement.window_report`` used to be
+(test oracle).
+
+For every window it rescans every response and every busy/wake/sleep
+span of every node -- O(windows x (responses + spans)) -- which is what
+made the report cost more than the schedule it reports on.  The binned
+one-pass report in ``repro.cluster.measure`` must agree with it to
+<= 1e-9 on every field of every window.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.cluster.measure import ClusterMeasurement, PhaseWindow
+
+
+def _overlap(spans, lo: float, hi: float) -> float:
+    """Total length of ``spans`` clipped to the window ``[lo, hi)``."""
+    return sum(
+        max(0.0, min(end, hi) - max(start, lo)) for start, end in spans
+    )
+
+
+def _overlap_columns(starts, ends, lo: float, hi: float) -> float:
+    return float(
+        np.clip(
+            np.minimum(ends, hi) - np.maximum(starts, lo), 0.0, None
+        ).sum()
+    )
+
+
+def window_report_scan(
+    m: ClusterMeasurement, window_s: float
+) -> list[PhaseWindow]:
+    count = (
+        max(1, int(np.ceil(m.horizon_s / window_s - 1e-9)))
+        if m.horizon_s > 0 else 1
+    )
+    if m.response_columns is not None:
+        r_arrival = m.response_columns.arrival_s
+        r_completion = m.response_columns.completion_s
+    else:
+        r_arrival = np.array([r.arrival_s for r in m.responses])
+        r_completion = np.array([r.completion_s for r in m.responses])
+    r_values = r_completion - r_arrival
+    out: list[PhaseWindow] = []
+    for k in range(count):
+        lo = k * window_s
+        last = k == count - 1
+        hi = (
+            max(0.0, m.horizon_s) if last
+            else min((k + 1) * window_s, m.horizon_s)
+        )
+        span = hi - lo
+
+        def inside(t: float) -> bool:
+            return lo <= t < hi or (last and t == hi)
+
+        def inside_mask(t: np.ndarray) -> np.ndarray:
+            mask = (t >= lo) & (t < hi)
+            if last:
+                mask |= t == hi
+            return mask
+
+        busy = wake = sleep = joules = 0.0
+        re_sleeps = 0
+        for n in m.nodes:
+            b = _overlap_columns(*n.busy_columns, lo, hi)
+            w = _overlap(n.wake_spans, lo, hi)
+            s = _overlap(n.sleep_spans, lo, hi)
+            busy += b
+            wake += w
+            sleep += s
+            awake = span - s
+            joules += (
+                n.sleep_wall_w * s
+                + n.idle_wall_w * (awake - b)
+                + n.busy_wall_w * b
+            )
+            re_sleeps += sum(
+                1 for start, _ in n.sleep_spans
+                if start > 0.0 and inside(start)
+            )
+        completed = inside_mask(r_completion)
+        window_responses = r_values[completed]
+        arrivals = int(inside_mask(r_arrival).sum()) + sum(
+            1 for q in m.shed if inside(q.arrival_s)
+        )
+        out.append(PhaseWindow(
+            start_s=lo,
+            end_s=hi,
+            arrivals=arrivals,
+            served=int(completed.sum()),
+            modeled_joules=joules,
+            awake_node_s=len(m.nodes) * span - sleep,
+            busy_node_s=busy,
+            wake_node_s=wake,
+            sleep_node_s=sleep,
+            re_sleeps=re_sleeps,
+            p95_response_s=(
+                float(np.percentile(window_responses, 95.0))
+                if window_responses.size else 0.0
+            ),
+        ))
+    return out
