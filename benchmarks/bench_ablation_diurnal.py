@@ -8,12 +8,12 @@ heterogeneous big+eco fleet) runs under four policies -- static spread,
 one-shot consolidate, dynamic re-consolidation, adaptive per-node PVC
 -- and the result is appended to ``BENCH_perf.json`` under ``diurnal``.
 
-Gates (PR acceptance criteria):
-
-* dynamic re-consolidation beats static spread on energy while both
-  hold the same SLA-miss budget (1% of arrivals at the 0.5 s SLA);
-* the heterogeneous-fleet batched playback path stays within 1e-9
-  relative energy of the per-query replay loop at >= 5x its speed.
+Gates: the ``diurnal.*`` rows of ``repro.measurement.gates``, enforced
+by the artifact writer -- dynamic re-consolidation beats static spread
+on energy while both hold the same SLA-miss budget (1% of arrivals at
+the 0.5 s SLA), and the heterogeneous-fleet batched playback path
+stays within 1e-9 relative energy of the per-query replay loop at
+>= 5x its speed.
 
 Smoke configuration: ``REPRO_BENCH_DIURNAL_HORIZON`` shrinks the
 stream for CI; ``REPRO_TRACE_CACHE`` persists compiled traces across
@@ -21,10 +21,6 @@ benchmark processes.
 """
 
 from repro.measurement.perf import run_diurnal_ablation
-from repro.measurement.report import ComparisonTable
-
-MIN_SPEEDUP = 5.0
-MAX_REL_DIFF = 1e-9
 
 
 def test_diurnal_policy_ablation(
@@ -39,18 +35,7 @@ def test_diurnal_policy_ablation(
         rounds=1, iterations=1,
     )
 
-    table = ComparisonTable(
-        f"Diurnal ablation: {ablation.arrivals} arrivals over "
-        f"{ablation.horizon_s:.0f} s"
-    )
-    for name, stats in ablation.policies.items():
-        table.add(f"{name}: energy (J)", None, stats["wall_joules"],
-                  unit="J")
-        table.add(f"{name}: awake node-s", None, stats["awake_node_s"])
-        table.add(f"{name}: SLA misses", None,
-                  float(stats["sla_misses"]))
-    table.add("hetero playback speedup", None, ablation.hetero_speedup)
-    table.print()
+    ablation.table().print()
 
     print("phase energy (modeled J):")
     for name, phases in ablation.phase_energy.items():
@@ -59,10 +44,8 @@ def test_diurnal_policy_ablation(
 
     bench_artifact({"diurnal": ablation.to_dict()})
 
-    # Dynamic re-consolidation actually re-consolidates...
+    # Dynamic re-consolidation actually re-consolidates.
     assert ablation.policies["dynamic"]["re_sleeps"] > 0
-    # ... and wins on energy at the shared SLA-miss budget.
-    assert ablation.dynamic_beats_spread
     # The one-shot packer never re-sleeps; the dynamic policy must not
     # spend more awake node-seconds than static spread.
     assert ablation.policies["consolidate"]["re_sleeps"] == 0
@@ -70,6 +53,3 @@ def test_diurnal_policy_ablation(
         ablation.policies["dynamic"]["awake_node_s"]
         < ablation.policies["spread"]["awake_node_s"]
     )
-    # Heterogeneous-fleet batched playback: exact and fast.
-    assert ablation.hetero_max_rel_diff <= MAX_REL_DIFF
-    assert ablation.hetero_speedup >= MIN_SPEEDUP

@@ -8,10 +8,11 @@ node behind a load balancer, and one master queue partitioned by
 mergeable template -- and the result is appended to ``BENCH_perf.json``
 under ``qed``.
 
-Gates (PR acceptance criteria):
+Gates: the ``qed.*`` rows of ``repro.measurement.gates``, enforced by
+the artifact writer -- master QED beats per-node QED on cluster energy,
+which in turn beats no QED, all at the equal SLA-miss budget (1% of
+arrivals).  Asserted here on top of them:
 
-* master QED beats per-node QED on cluster energy, which in turn beats
-  no QED, all at the equal SLA-miss budget (1% of arrivals);
 * the mixed-template workload completes without ``NotMergeableError``
   in every mode -- per-node queues exercise the singleton fallback
   (the former crash), the master queue partitions so it never needs it.
@@ -22,7 +23,6 @@ benchmark processes.
 """
 
 from repro.measurement.perf import run_qed_ablation
-from repro.measurement.report import ComparisonTable
 
 
 def test_qed_mode_ablation(
@@ -37,23 +37,7 @@ def test_qed_mode_ablation(
         rounds=1, iterations=1,
     )
 
-    table = ComparisonTable(
-        f"QED ablation: {ablation.arrivals} arrivals over "
-        f"{ablation.nodes} nodes (threshold {ablation.threshold}, "
-        f"max wait {ablation.max_wait_s:g} s)"
-    )
-    for name, stats in ablation.modes.items():
-        table.add(f"{name}: energy (J)", None, stats["wall_joules"],
-                  unit="J")
-        table.add(f"{name}: SLA misses", None,
-                  float(stats["sla_misses"]))
-        if "qed_mean_batch_size" in stats:
-            table.add(f"{name}: mean batch", None,
-                      stats["qed_mean_batch_size"])
-    table.add("master vs node saving", None,
-              ablation.master_vs_node_saving)
-    table.add("node vs off saving", None, ablation.node_vs_off_saving)
-    table.print()
+    ablation.table().print()
 
     bench_artifact({"qed": ablation.to_dict()})
 
@@ -72,6 +56,3 @@ def test_qed_mode_ablation(
         ablation.modes["master"]["qed_mean_batch_size"]
         > ablation.modes["node"]["qed_mean_batch_size"]
     )
-    # The acceptance ordering at the equal SLA budget.
-    assert ablation.master_beats_node
-    assert ablation.node_beats_off

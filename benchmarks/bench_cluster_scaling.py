@@ -32,10 +32,10 @@ from repro.measurement.perf import (
     scheduler_scaling_scenario,
     time_vectorized_tier,
 )
-from repro.measurement.report import ComparisonTable
 
-#: Gates from the PR acceptance criteria.
-MIN_SPEEDUP = 5.0
+#: The recorded gates (``cluster_scaling.*`` in
+#: ``repro.measurement.gates``) are enforced by the artifact writer;
+#: this bound covers the deviations that are asserted but not recorded.
 MAX_REL_DIFF = 1e-9
 #: "Seconds, not minutes" for the full 1M x 100 tier; generous enough
 #: to absorb a loaded CI machine without letting a regression to the
@@ -61,30 +61,11 @@ def test_cluster_batched_playback_speedup(
         rounds=1, iterations=1,
     )
 
-    table = ComparisonTable(
-        f"Cluster playback: {comparison.nodes} nodes x "
-        f"{comparison.arrivals} arrivals"
-    )
-    table.add("schedule phase (s)", None, comparison.schedule_wall_s,
-              unit="s")
-    table.add("batched playback (s)", None, comparison.batched_wall_s,
-              unit="s")
-    table.add("per-query loop (s)", None, comparison.loop_wall_s,
-              unit="s")
-    table.add("playback speedup", None, comparison.speedup)
-    table.add("end-to-end speedup", None, comparison.end_to_end_speedup)
-    table.add("scheduled pieces", None,
-              float(comparison.scheduled_pieces))
-    table.add("cluster energy (J)", None,
-              comparison.batched_wall_joules, unit="J")
-    table.add("tracing overhead", None, comparison.tracing_overhead)
-    table.print()
-    print(f"run id: {comparison.run_id}")
+    comparison.table().print()
 
     bench_artifact({"cluster_scaling": comparison.to_dict()})
 
-    # Identical energy, to float-summation order.
-    assert comparison.max_rel_diff <= MAX_REL_DIFF
+    # Identical energy in total too, to float-summation order.
     total_rel = abs(
         comparison.batched_wall_joules - comparison.loop_wall_joules
     ) / comparison.batched_wall_joules
@@ -93,8 +74,6 @@ def test_cluster_batched_playback_speedup(
     # playback energies match the untraced run to the same bound.
     assert comparison.traced_max_rel_diff <= MAX_REL_DIFF
     assert comparison.traced_spans > 0
-    # The acceptance gate: batched playback >= 5x over the replay loop.
-    assert comparison.speedup >= MIN_SPEEDUP
 
 
 def run_scheduler_comparison(runner, scale_factor, trace_cache):
@@ -117,40 +96,12 @@ def test_vectorized_scheduler_speedup(
         rounds=1, iterations=1,
     )
 
-    table = ComparisonTable(
-        f"Event core: {comparison.nodes} nodes x "
-        f"{comparison.arrivals} arrivals"
-    )
-    table.add("legacy schedule (s)", None,
-              comparison.legacy_schedule_wall_s, unit="s")
-    table.add("vectorized schedule (s)", None,
-              comparison.vectorized_schedule_wall_s, unit="s")
-    table.add("scheduler speedup", None, comparison.sched_speedup)
-    table.add("end-to-end speedup", None, comparison.end_to_end_speedup)
-    table.add("cluster energy (J)", None,
-              comparison.vectorized_wall_joules, unit="J")
-    table.print()
-    print(f"run id: {comparison.run_id}")
+    comparison.table().print()
 
-    bench_artifact({"cluster_scaling": {
-        "sched_speedup": comparison.sched_speedup,
-        "sched_end_to_end_speedup": comparison.end_to_end_speedup,
-        "sched_nodes": comparison.nodes,
-        "sched_arrivals": comparison.arrivals,
-        "sched_legacy_wall_s": comparison.legacy_schedule_wall_s,
-        "sched_vectorized_wall_s": comparison.vectorized_schedule_wall_s,
-        "sched_max_rel_diff": comparison.max_rel_diff,
-        "sched_run_id": comparison.run_id,
-        "scale_factor": comparison.scale_factor,
-    }})
-
-    # Same dispatch, same energy: per-node totals identical to
-    # float-summation order and query counts exactly equal.
-    assert comparison.dispatch_match
-    assert comparison.max_rel_diff <= MAX_REL_DIFF
-    # The acceptance gate: the chunked event core >= 5x over the
+    # Gated on write: same dispatch, per-node energies identical to
+    # float-summation order, and the chunked event core >= 5x over the
     # per-arrival loop on the scheduling phase.
-    assert comparison.sched_speedup >= MIN_SPEEDUP
+    bench_artifact({"cluster_scaling": comparison.to_record()})
 
 
 def test_million_arrival_tier(
@@ -166,24 +117,9 @@ def test_million_arrival_tier(
         rounds=1, iterations=1,
     )
 
-    table = ComparisonTable(
-        f"Vectorized tier: {tier.nodes} nodes x {tier.arrivals} arrivals"
-    )
-    table.add("schedule phase (s)", None, tier.schedule_wall_s, unit="s")
-    table.add("playback phase (s)", None, tier.playback_wall_s, unit="s")
-    table.add("total (s)", None, tier.total_wall_s, unit="s")
-    table.add("cluster energy (J)", None, tier.wall_joules, unit="J")
-    table.print()
-    print(f"run id: {tier.run_id}")
+    tier.table().print()
 
-    bench_artifact({"cluster_scaling": {
-        "tier_nodes": tier.nodes,
-        "tier_arrivals": tier.arrivals,
-        "tier_schedule_wall_s": tier.schedule_wall_s,
-        "tier_playback_wall_s": tier.playback_wall_s,
-        "tier_total_wall_s": tier.total_wall_s,
-        "tier_run_id": tier.run_id,
-    }})
+    bench_artifact({"cluster_scaling": tier.to_record()})
 
     assert tier.served == tier.arrivals
     assert tier.total_wall_s <= MAX_TIER_WALL_S

@@ -11,11 +11,10 @@ speedup gate, checks the curves agree to <= 1e-9 relative, and writes
 """
 
 from repro.measurement.perf import compare_sweep_paths
-from repro.measurement.report import ComparisonTable
 from repro.workloads.selection import SelectionWorkload
 
-#: Gate from the PR acceptance criteria.
-MIN_SPEEDUP = 5.0
+#: Every sweep path must produce the same curve, not only the gated
+#: cold-cache one.
 MAX_REL_DIFF = 1e-9
 
 
@@ -34,45 +33,20 @@ def test_perf_replay_speedup(benchmark, lineitem_runner, bench_sf,
         rounds=1, iterations=1,
     )
 
-    table = ComparisonTable(
-        "Execute-once/replay-many: 7-setting x 5-repeat sweep wall time"
-    )
-    table.add("naive sweep, rerun repeats (s)", None,
-              comparison.naive.wall_s, unit="s")
-    table.add("pre-refactor sweep, reuse repeats (s)", None,
-              comparison.naive_reuse.wall_s, unit="s")
-    table.add("replay sweep, cold cache (s)", None,
-              comparison.replay_cold.wall_s, unit="s")
-    table.add("replay sweep, warm cache (s)", None,
-              comparison.replay_cached.wall_s, unit="s")
-    table.add("speedup vs naive (cold)", None, comparison.speedup_cold)
-    table.add("speedup vs naive (cached)", None,
-              comparison.speedup_cached)
-    table.add("speedup vs pre-refactor (cold)", None,
-              comparison.speedup_vs_prerefactor)
-    table.add("db executions: naive", None,
-              float(comparison.naive.db_executions))
-    table.add("db executions: pre-refactor", None,
-              float(comparison.naive_reuse.db_executions))
-    table.add("db executions: replay", None,
-              float(comparison.replay_cold.db_executions))
-    table.print()
+    comparison.table().print()
 
     bench_artifact(comparison.to_dict())
 
-    # Every path produces the same curve, numerically.
+    # The artifact writer has enforced the gate-table rows (>= 5x vs
+    # the naive path cold and warm, cold curve identical); the other
+    # paths produce the same curve too.
     assert comparison.max_rel_diff_reuse <= MAX_REL_DIFF
-    assert comparison.max_rel_diff_cold <= MAX_REL_DIFF
     assert comparison.max_rel_diff_cached <= MAX_REL_DIFF
     # Execute-once: 10 distinct queries run once, vs 350 naive /
     # 70 pre-refactor runs.
     assert comparison.replay_cold.db_executions == 10
     assert comparison.naive.db_executions == 350
     assert comparison.naive_reuse.db_executions == 70
-    # The acceptance gate: >= 5x end-to-end vs the naive re-execute
-    # path (ISSUE 1 criterion), cold cache included.
-    assert comparison.speedup_cold >= MIN_SPEEDUP
-    assert comparison.speedup_cached >= MIN_SPEEDUP
     # Honest win over the actual pre-refactor pipeline too (which
     # already reused the deterministic run across protocol repeats).
     # The margin grows with scale factor as execution dominates

@@ -19,6 +19,7 @@ import pytest
 
 from repro.db.profiles import commercial_profile, mysql_profile
 from repro.hardware.profiles import paper_sut
+from repro.measurement import gates
 from repro.workloads.runner import WorkloadRunner
 from repro.workloads.tpch.generator import tpch_database
 from repro.workloads.tpch.queries import Q5_TABLES
@@ -37,6 +38,10 @@ def write_bench_artifact(updates: dict) -> Path:
     Dict values merge one level deep, so two tests contributing to the
     same top-level record (e.g. ``cluster_scaling``'s playback and
     scheduler halves) extend it instead of clobbering each other.
+
+    Writing is also where a bench's gates are enforced: once the record
+    is on disk, every gate-table row whose key ``updates`` holds must
+    pass (the benches assert only what is not a recorded gate).
     """
     out = (
         BENCH_JSON if BENCH_SF >= ARTIFACT_MIN_SF
@@ -49,6 +54,12 @@ def write_bench_artifact(updates: dict) -> Path:
         else:
             record[key] = value
     out.write_text(json.dumps(record, indent=2))
+    failing = [
+        f"{gate.key} = {value} violates {gate.describe()}"
+        for gate, value, passed in gates.verdicts(updates, gates.GATES)
+        if value is not None and not passed
+    ]
+    assert not failing, "; ".join(failing)
     return out
 
 

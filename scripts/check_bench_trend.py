@@ -2,11 +2,15 @@
 
     PYTHONPATH=src python scripts/check_bench_trend.py \
         [--fresh SMOKE.json] [--baseline BENCH_perf.json] \
-        [--keys speedup_cached cluster_scaling.speedup ...] \
+        [--keys speedup_cached qed cluster ...] \
         [--max-regression 0.20] [--record]
 
 Compares freshly measured speedups (the artifact the benchmark suite
-just wrote) against the committed ``BENCH_perf.json``:
+just wrote) against the committed ``BENCH_perf.json``.  The keys, their
+floors and the configuration fields that must match all come from the
+trend-gated rows of ``repro.measurement.gates``; ``--keys`` takes gate
+keys, artifact section names (``qed``) or ``ci.sh`` stage names
+(``cluster``), and defaults to every trend-gated row:
 
 * a key may not regress by more than ``--max-regression`` (20% by
   default) from the *best* value on record at the fresh run's
@@ -16,8 +20,9 @@ just wrote) against the committed ``BENCH_perf.json``:
   (``speedup_cached`` went 53.7 -> 35.4 over four entries, each step
   inside the 20%);
 * when no record matches (the CI smoke runs shrink the scenarios),
-  only the absolute floor applies (every gated speedup must stay
-  >= 5x; the QED ablation's energy savings must stay positive),
+  only the row's absolute floor applies (every gated speedup must
+  stay >= 5x; the ablations' energy savings must stay positive, or
+  non-negative where the gate is "spends no more than"),
   because a smaller scenario legitimately amortizes less --
   a smoke run failing a full-size trend threshold would be noise,
   not signal.
@@ -39,30 +44,10 @@ import sys
 import time
 from pathlib import Path
 
+from repro.measurement import gates
+from repro.measurement.gates import dig
+
 ROOT = Path(__file__).resolve().parent.parent
-
-DEFAULT_KEYS = (
-    "speedup_cached",
-    "cluster_scaling.speedup",
-    "cluster_scaling.sched_speedup",
-    "diurnal.hetero_speedup",
-    "qed.master_vs_node_saving",
-    "qed.node_vs_off_saving",
-    "faults.consolidate_vs_spread_saving",
-    "replication.consolidate_vs_spread_saving",
-)
-#: Absolute floor every gated speedup must clear regardless of config.
-SPEEDUP_FLOOR = 5.0
-#: Keys that are not speedups get their own absolute floor (the QED
-#: and fault ablations gate energy *savings* -- fractions that must
-#: stay positive, not 5x multipliers).
-FLOORS = {
-    "qed.master_vs_node_saving": 0.0,
-    "qed.node_vs_off_saving": 0.0,
-    "faults.consolidate_vs_spread_saving": 0.0,
-    "replication.consolidate_vs_spread_saving": 0.0,
-}
-
 
 #: Absolute host-time figures recorded with every history entry but not
 #: gated: the vectorized-only 1M-arrival tier (lower is better, and
@@ -81,50 +66,6 @@ def fmt_value(key: str, value: float) -> str:
     return f"{value:.1f}x"
 
 
-def dig(record: dict, dotted: str):
-    """Resolve ``a.b.c`` in nested dicts (None when absent)."""
-    node = record
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return None
-        node = node[part]
-    return node
-
-
-#: Per-key-family configuration fields that must match for the trend
-#: (regression-vs-baseline) rule to be meaningful.
-CONFIG_FIELDS = {
-    "speedup_cached": ("scale_factor", "num_queries", "repeats"),
-    "cluster_scaling.speedup": (
-        "cluster_scaling.nodes", "cluster_scaling.arrivals",
-        "cluster_scaling.scale_factor",
-    ),
-    "cluster_scaling.sched_speedup": (
-        "cluster_scaling.sched_nodes", "cluster_scaling.sched_arrivals",
-        "cluster_scaling.scale_factor",
-    ),
-    "diurnal.hetero_speedup": (
-        "diurnal.arrivals", "diurnal.horizon_s", "diurnal.scale_factor",
-    ),
-    "qed.master_vs_node_saving": (
-        "qed.arrivals", "qed.nodes", "qed.threshold",
-        "qed.scale_factor",
-    ),
-    "qed.node_vs_off_saving": (
-        "qed.arrivals", "qed.nodes", "qed.threshold",
-        "qed.scale_factor",
-    ),
-    "faults.consolidate_vs_spread_saving": (
-        "faults.arrivals", "faults.nodes", "faults.scale_factor",
-    ),
-    "replication.consolidate_vs_spread_saving": (
-        "replication.arrivals", "replication.nodes",
-        "replication.shards", "replication.replicas",
-        "replication.scale_factor",
-    ),
-}
-
-
 def best_on_record(key: str, fresh: dict, baseline: dict) -> float | None:
     """The best (every gated key is higher-is-better) value of ``key``
     the baseline holds at ``fresh``'s configuration: its committed
@@ -134,7 +75,7 @@ def best_on_record(key: str, fresh: dict, baseline: dict) -> float | None:
     the scale factor; ``perf_report.py`` wrote them from full-size
     runs, so they count as being at the committed record's config.
     """
-    want = {f: dig(fresh, f) for f in CONFIG_FIELDS.get(key, ())}
+    want = {f: dig(fresh, f) for f in gates.row(key).config_fields}
     committed = all(dig(baseline, f) == v for f, v in want.items())
     values = [dig(baseline, key)] if committed else []
     for entry in baseline.get("history", ()):
@@ -177,10 +118,12 @@ def run_ids(record: dict, prefix: str = "") -> dict:
     return found
 
 
-def history_entry(record: dict, keys=DEFAULT_KEYS) -> dict:
+def history_entry(record: dict, keys=None) -> dict:
     """One machine-readable trajectory point from an artifact: when,
     from which code, which exact runs (config-fingerprint run ids), at
-    which configuration, and the gated and recorded values."""
+    which configuration, and the gated (every trend-gated key unless
+    ``keys`` narrows it) and recorded values."""
+    keys = gates.trend_keys() if keys is None else keys
     entry = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "scale_factor": record.get("scale_factor"),
@@ -188,7 +131,7 @@ def history_entry(record: dict, keys=DEFAULT_KEYS) -> dict:
         **run_ids(record),
         "config": {
             field: dig(record, field)
-            for key in keys for field in CONFIG_FIELDS.get(key, ())
+            for key in keys for field in gates.row(key).config_fields
         },
     }
     for key in (*keys, *RECORDED_KEYS):
@@ -199,7 +142,7 @@ def history_entry(record: dict, keys=DEFAULT_KEYS) -> dict:
 
 
 def append_history(baseline_path: Path, record: dict,
-                   keys=DEFAULT_KEYS) -> None:
+                   keys=None) -> None:
     """Append ``record``'s gated values to the baseline's history."""
     baseline = (
         json.loads(baseline_path.read_text())
@@ -218,12 +161,18 @@ def main(argv: list[str] | None = None) -> int:
                         help="freshly measured artifact")
     parser.add_argument("--baseline", type=Path,
                         default=Path("BENCH_perf.json"))
-    parser.add_argument("--keys", nargs="+", default=list(DEFAULT_KEYS))
+    parser.add_argument("--keys", nargs="+", default=[],
+                        help="gate keys, section names or ci.sh stage "
+                             "names (default: every trend-gated key)")
     parser.add_argument("--max-regression", type=float, default=0.20)
     parser.add_argument("--record", action="store_true",
                         help="append the fresh values to the baseline's "
                              "history array")
     args = parser.parse_args(argv)
+    try:
+        keys = gates.trend_keys(args.keys)
+    except KeyError as exc:
+        parser.error(exc.args[0])
 
     if not args.fresh.exists():
         print(f"error: fresh artifact {args.fresh} not found "
@@ -236,20 +185,18 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     failures = []
-    for key in args.keys:
+    for key in keys:
+        gate = gates.row(key)
         value = dig(fresh, key)
         if value is None:
             failures.append(f"{key}: missing from fresh artifact")
             continue
-        floor = FLOORS.get(key, SPEEDUP_FLOOR)
         status = f"{key}: fresh {fmt_value(key, value)}"
-        # Savings gate strictly (a 0% saving means the win is gone);
-        # speedups only need to reach their floor.
-        too_low = value <= floor if key in FLOORS else value < floor
-        if too_low:
+        if not gate.passes(value):
             failures.append(
                 f"{key}: {fmt_value(key, value)} is under the "
-                f"{fmt_value(key, floor)} floor"
+                f"{fmt_value(key, gate.bound)} floor "
+                f"(needs {gate.describe()})"
             )
             continue
         best = best_on_record(key, fresh, baseline)
@@ -271,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         print(status)
 
     if args.record:
-        append_history(args.baseline, fresh, args.keys)
+        append_history(args.baseline, fresh, keys)
         print(f"recorded history entry in {args.baseline}")
 
     if failures:

@@ -15,7 +15,8 @@
 # commit the real artifact only from a full-size run).  After the
 # benches, scripts/check_bench_trend.py compares the freshly measured
 # speedups against the committed BENCH_perf.json and fails on a > 20%
-# regression.
+# regression; each stage passes its own name as --keys, which expands
+# to the stage's trend-gated rows of src/repro/measurement/gates.py.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,6 +31,27 @@ done
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 SMOKE_JSON="${TMPDIR:-/tmp}/BENCH_perf_smoke.json"
+
+# Run one bench command at the CI smoke sizes (each overridable from
+# the caller's environment).  Scoped to the command rather than
+# exported: the tier-1 suite pins the full-size canonical scenarios.
+smoke() {
+    env REPRO_BENCH_SF="${REPRO_BENCH_SF:-0.01}" \
+        REPRO_BENCH_CLUSTER_NODES="${REPRO_BENCH_CLUSTER_NODES:-16}" \
+        REPRO_BENCH_CLUSTER_ARRIVALS="${REPRO_BENCH_CLUSTER_ARRIVALS:-2000}" \
+        REPRO_BENCH_SCALING_NODES="${REPRO_BENCH_SCALING_NODES:-32}" \
+        REPRO_BENCH_SCALING_ARRIVALS="${REPRO_BENCH_SCALING_ARRIVALS:-100000}" \
+        REPRO_BENCH_SCALING_COMPARE_ARRIVALS="${REPRO_BENCH_SCALING_COMPARE_ARRIVALS:-20000}" \
+        REPRO_BENCH_DIURNAL_HORIZON="${REPRO_BENCH_DIURNAL_HORIZON:-120}" \
+        REPRO_BENCH_QED_ARRIVALS="${REPRO_BENCH_QED_ARRIVALS:-300}" \
+        REPRO_BENCH_FAULT_ARRIVALS="${REPRO_BENCH_FAULT_ARRIVALS:-200}" \
+        REPRO_BENCH_REPLICATION_ARRIVALS="${REPRO_BENCH_REPLICATION_ARRIVALS:-200}" \
+        "$@"
+}
+
+trend_gate() {
+    python scripts/check_bench_trend.py --fresh "$SMOKE_JSON" "$@"
+}
 
 run_lint() {
     echo "== lint (compile + pyflakes + mypy + repro analysis) =="
@@ -70,65 +92,37 @@ run_tests() {
 
 run_perf() {
     echo "== perf smoke bench (SF ${REPRO_BENCH_SF:-0.01}) =="
-    REPRO_BENCH_SF="${REPRO_BENCH_SF:-0.01}" \
-        python -m pytest benchmarks/bench_perf_pipeline.py -x -q
+    smoke python -m pytest benchmarks/bench_perf_pipeline.py -x -q
     echo "== vectorized event core smoke bench =="
-    REPRO_BENCH_SF="${REPRO_BENCH_SF:-0.01}" \
-    REPRO_BENCH_SCALING_NODES="${REPRO_BENCH_SCALING_NODES:-32}" \
-    REPRO_BENCH_SCALING_ARRIVALS="${REPRO_BENCH_SCALING_ARRIVALS:-100000}" \
-    REPRO_BENCH_SCALING_COMPARE_ARRIVALS="${REPRO_BENCH_SCALING_COMPARE_ARRIVALS:-20000}" \
-        python -m pytest benchmarks/bench_cluster_scaling.py -x -q \
-            -k "scheduler or million"
+    smoke python -m pytest benchmarks/bench_cluster_scaling.py -x -q \
+        -k "scheduler or million"
     echo "== perf trend gate (sweep + event core) =="
-    python scripts/check_bench_trend.py \
-        --fresh "$SMOKE_JSON" \
-        --keys speedup_cached cluster_scaling.sched_speedup
+    trend_gate --keys perf
 }
 
 run_cluster() {
     echo "== cluster scaling smoke bench =="
-    REPRO_BENCH_SF="${REPRO_BENCH_SF:-0.01}" \
-    REPRO_BENCH_CLUSTER_NODES="${REPRO_BENCH_CLUSTER_NODES:-16}" \
-    REPRO_BENCH_CLUSTER_ARRIVALS="${REPRO_BENCH_CLUSTER_ARRIVALS:-2000}" \
-    REPRO_BENCH_SCALING_NODES="${REPRO_BENCH_SCALING_NODES:-32}" \
-    REPRO_BENCH_SCALING_ARRIVALS="${REPRO_BENCH_SCALING_ARRIVALS:-100000}" \
-    REPRO_BENCH_SCALING_COMPARE_ARRIVALS="${REPRO_BENCH_SCALING_COMPARE_ARRIVALS:-20000}" \
-        python -m pytest benchmarks/bench_cluster_scaling.py -x -q
+    smoke python -m pytest benchmarks/bench_cluster_scaling.py -x -q
     echo "== diurnal ablation smoke bench =="
-    REPRO_BENCH_SF="${REPRO_BENCH_SF:-0.01}" \
-    REPRO_BENCH_DIURNAL_HORIZON="${REPRO_BENCH_DIURNAL_HORIZON:-120}" \
-        python -m pytest benchmarks/bench_ablation_diurnal.py -x -q
+    smoke python -m pytest benchmarks/bench_ablation_diurnal.py -x -q
     echo "== qed ablation smoke bench =="
-    REPRO_BENCH_SF="${REPRO_BENCH_SF:-0.01}" \
-    REPRO_BENCH_QED_ARRIVALS="${REPRO_BENCH_QED_ARRIVALS:-300}" \
-        python -m pytest benchmarks/bench_ablation_qed.py -x -q
+    smoke python -m pytest benchmarks/bench_ablation_qed.py -x -q
     echo "== fault recovery smoke bench =="
-    REPRO_BENCH_SF="${REPRO_BENCH_SF:-0.01}" \
-    REPRO_BENCH_FAULT_ARRIVALS="${REPRO_BENCH_FAULT_ARRIVALS:-200}" \
-        python -m pytest benchmarks/bench_fault_recovery.py -x -q
+    smoke python -m pytest benchmarks/bench_fault_recovery.py -x -q
     echo "== perf trend gate (cluster) =="
-    python scripts/check_bench_trend.py \
-        --fresh "$SMOKE_JSON" \
-        --keys cluster_scaling.speedup cluster_scaling.sched_speedup \
-               diurnal.hetero_speedup \
-               qed.master_vs_node_saving qed.node_vs_off_saving \
-               faults.consolidate_vs_spread_saving
+    trend_gate --keys cluster
 }
 
 run_replication() {
     echo "== replication smoke bench =="
-    REPRO_BENCH_SF="${REPRO_BENCH_SF:-0.01}" \
-    REPRO_BENCH_REPLICATION_ARRIVALS="${REPRO_BENCH_REPLICATION_ARRIVALS:-200}" \
-        python -m pytest benchmarks/bench_replication.py -x -q
+    smoke python -m pytest benchmarks/bench_replication.py -x -q
     echo "== placement-routed cluster smoke run =="
     python -m repro cluster --sf 0.002 --nodes 4 --arrivals 60 \
         --distinct 8 --policy least --shards 4 --replicas 2 \
         --faults examples/fault_plan.json --retry-max 4 \
         --retry-backoff 0.05 --sla 1.0
     echo "== perf trend gate (replication) =="
-    python scripts/check_bench_trend.py \
-        --fresh "$SMOKE_JSON" \
-        --keys replication.consolidate_vs_spread_saving
+    trend_gate --keys replication
 }
 
 run_obs() {
@@ -173,19 +167,11 @@ EOF
     echo "== tracing-overhead trend gate (cluster_scaling) =="
     if [ ! -f "$SMOKE_JSON" ]; then
         echo "no fresh smoke artifact; running cluster scaling bench"
-        REPRO_BENCH_SF="${REPRO_BENCH_SF:-0.01}" \
-        REPRO_BENCH_CLUSTER_NODES="${REPRO_BENCH_CLUSTER_NODES:-16}" \
-        REPRO_BENCH_CLUSTER_ARRIVALS="${REPRO_BENCH_CLUSTER_ARRIVALS:-2000}" \
-        REPRO_BENCH_SCALING_NODES="${REPRO_BENCH_SCALING_NODES:-32}" \
-        REPRO_BENCH_SCALING_ARRIVALS="${REPRO_BENCH_SCALING_ARRIVALS:-100000}" \
-        REPRO_BENCH_SCALING_COMPARE_ARRIVALS="${REPRO_BENCH_SCALING_COMPARE_ARRIVALS:-20000}" \
-            python -m pytest benchmarks/bench_cluster_scaling.py -x -q
+        smoke python -m pytest benchmarks/bench_cluster_scaling.py -x -q
     fi
     # The tracing-disabled hooks ride the schedule()/playback() hot
     # path; gate them at <= 5% against the committed baseline speedup.
-    python scripts/check_bench_trend.py \
-        --fresh "$SMOKE_JSON" --keys cluster_scaling.speedup \
-        --max-regression 0.05
+    trend_gate --keys obs --max-regression 0.05
 }
 
 case "$STAGE" in

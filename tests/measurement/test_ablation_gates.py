@@ -1,0 +1,308 @@
+"""The ablation record and the gate table.
+
+``ablation_pins.json`` is what the four per-scenario ablation classes
+wrote at SF 0.005 before they became one :class:`Ablation` record
+(host timings stripped); the rest pins that every consumer of a gate
+-- the artifact check, the trend gate, the CI stage key lists, the
+ablation's own derived flags -- reads the one table.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.cluster import ClusterSimulator, RoundRobinRouter, uniform_fleet
+from repro.db.profiles import mysql_profile
+from repro.measurement import gates, perf
+from repro.measurement.gates import Gate
+from repro.workloads.tpch.generator import tpch_database
+
+ROOT = Path(__file__).resolve().parents[2]
+ARTIFACT = ROOT / "BENCH_perf.json"
+PINS = json.loads(
+    (Path(__file__).parent / "ablation_pins.json").read_text()
+)
+RUNNERS = {
+    "diurnal": perf.run_diurnal_ablation,
+    "qed": perf.run_qed_ablation,
+    "faults": perf.run_fault_ablation,
+    "replication": perf.run_replication_ablation,
+}
+HOST_TIMINGS = {
+    "diurnal": {"hetero_batched_wall_s", "hetero_loop_wall_s",
+                "hetero_speedup"},
+}
+
+
+def _script(name: str):
+    # perf_report imports its sibling by bare name, as when run as a script.
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        spec = importlib.util.spec_from_file_location(
+            name, ROOT / "scripts" / f"{name}.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    return module
+
+
+@pytest.fixture(scope="module")
+def db():
+    return tpch_database(0.005, mysql_profile(), seed=0,
+                         tables=["lineitem"])
+
+
+@pytest.fixture
+def canonical_sizes(monkeypatch):
+    """The sizes the pins were recorded at, whatever the environment
+    (``examples/master_qed.py`` sets one of these process-wide)."""
+    for name in ("QED", "FAULT", "REPLICATION"):
+        monkeypatch.delenv(f"REPRO_BENCH_{name}_ARRIVALS", raising=False)
+    monkeypatch.setenv("REPRO_BENCH_DIURNAL_HORIZON", "120")
+
+
+def _assert_matches(got, pinned, path):
+    if isinstance(pinned, dict):
+        assert isinstance(got, dict) and set(got) == set(pinned), path
+        for key, value in pinned.items():
+            _assert_matches(got[key], value, f"{path}.{key}")
+    elif isinstance(pinned, float):
+        assert got == pytest.approx(pinned, rel=0, abs=1e-9), path
+    else:  # run ids, counts, booleans, None: exactly, type included
+        assert got == pinned and type(got) is type(pinned), path
+
+
+@pytest.mark.parametrize("section", sorted(RUNNERS))
+def test_ablation_record_is_what_the_old_class_wrote(
+    section, db, canonical_sizes,
+):
+    record = RUNNERS[section](db, scale_factor=0.005).to_dict()
+    timings = HOST_TIMINGS.get(section, set())
+    assert timings <= set(record)
+    assert all(record[key] > 0.0 for key in timings)
+    simulated = {k: v for k, v in record.items() if k not in timings}
+    _assert_matches(simulated, PINS[section], section)
+    json.dumps(record)  # the artifact writer's only requirement
+
+
+def test_record_keys_read_as_attributes(db, canonical_sizes):
+    ablation = perf.run_fault_ablation(db, scale_factor=0.005)
+    assert ablation.arrivals == 300 and ablation.retry_max == 4
+    assert ablation.conserved is True
+    assert ablation.consolidate_vs_spread_saving == ablation.saving(
+        "consolidate", "spread"
+    )
+    with pytest.raises(AttributeError):
+        ablation.no_such_key
+
+
+def _ablation(joules_a, joules_b, misses_a=0, misses_b=0):
+    return perf.Ablation(
+        "qed", config={"arrivals": 100, "sla_budget": 0.01},
+        modes={"a": {"wall_joules": joules_a, "sla_misses": misses_a},
+               "b": {"wall_joules": joules_b, "sla_misses": misses_b}},
+    )
+
+
+@pytest.mark.parametrize("joules_a, joules_b, misses_a, misses_b, "
+                         "strict, expected", [
+    (90.0, 100.0, 0, 0, True, True),
+    (90.0, 100.0, 1, 1, True, True),      # exactly on the budget
+    (90.0, 100.0, 2, 0, True, False),     # winner over budget
+    (90.0, 100.0, 0, 2, True, False),     # baseline over budget
+    (90.0, 100.0, 2, 0, False, False),
+    (100.0, 100.0, 0, 0, True, False),    # equal energy, strict
+    (100.0, 100.0, 0, 0, False, True),    # equal energy, "no more than"
+    (100.0, 100.0, 0, 2, False, False),
+    (110.0, 100.0, 0, 0, False, False),
+])
+def test_beats_truth_table(joules_a, joules_b, misses_a, misses_b,
+                           strict, expected):
+    ablation = _ablation(joules_a, joules_b, misses_a, misses_b)
+    assert ablation.beats("a", "b", strict=strict) is expected
+
+
+def test_within_budget_and_missing_modes():
+    ablation = _ablation(90.0, 100.0, misses_a=1, misses_b=2)
+    assert ablation.within_budget("a") and not ablation.within_budget("b")
+    assert ablation.saving("a", "b") == pytest.approx(0.1)
+    for call in (lambda: ablation.within_budget("c"),
+                 lambda: ablation.beats("a", "c"),
+                 lambda: ablation.beats("c", "b", strict=False),
+                 lambda: ablation.saving("c", "a")):
+        with pytest.raises(KeyError, match="c"):
+            call()
+
+
+def test_derived_flags_take_their_strictness_from_the_table(monkeypatch):
+    tie = _ablation(100.0, 100.0)
+    rows = (Gate("qed.a_beats_b", "true", strict=True),
+            Gate("qed.b_beats_a", "true", strict=False),
+            Gate("qed.a_vs_b_saving", "min", 0.0, check=False))
+    monkeypatch.setattr(gates, "GATES", rows)
+    record = tie.to_dict()
+    assert record["a_beats_b"] is False and record["b_beats_a"] is True
+    assert record["a_vs_b_saving"] == 0.0
+
+
+def test_a_beats_row_and_its_saving_row_agree_on_strictness():
+    by_key = {gate.key: gate for gate in gates.GATES}
+    pairs = 0
+    for gate in gates.GATES:
+        match = perf._BEATS.fullmatch(gate.leaf)
+        saving = match and by_key.get(
+            f"{gate.section}.{match[1]}_vs_{match[2]}_saving"
+        )
+        if saving:
+            pairs += 1
+            assert saving.strict == gate.strict, gate.key
+            assert (saving.kind, saving.bound) == ("min", 0.0)
+    assert pairs == 4
+    assert by_key["replication.consolidate_beats_spread"].strict is False
+
+
+def test_every_gate_resolves_in_the_committed_artifact():
+    record = json.loads(ARTIFACT.read_text())
+    for gate, value, passed in gates.verdicts(record, gates.GATES):
+        assert value is not None, f"{gate.key} is not recorded"
+        assert passed, f"{gate.key} = {value} violates {gate.describe()}"
+        for field in gate.config_fields:
+            assert gates.dig(record, field) is not None, field
+
+
+def test_committed_artifact_passes_its_own_gates(capsys):
+    assert _script("perf_report").main(["--check", "0.05", str(ARTIFACT)]) == 0
+    assert _script("check_bench_trend").main(
+        ["--fresh", str(ARTIFACT), "--baseline", str(ARTIFACT)]
+    ) == 0
+    assert "perf trend OK" in capsys.readouterr().out
+
+
+def test_the_gate_set():
+    """19 recorded gates and 8 trend keys, with the bounds and floors
+    the hand-written tables had."""
+    checked = {(g.key, g.kind, g.bound) for g in gates.GATES if g.check}
+    assert len(checked) == 19
+    assert {key for key, kind, _ in checked if kind == "true"} == {
+        "cluster_scaling.sched_dispatch_match",
+        "diurnal.dynamic_beats_spread",
+        "qed.master_beats_node", "qed.node_beats_off",
+        "faults.consolidate_beats_spread", "faults.conserved",
+        "faults.faults_active",
+        "replication.consolidate_beats_spread", "replication.conserved",
+        "replication.re_replicated", "replication.restored",
+    }
+    assert {(key, bound) for key, kind, bound in checked
+            if kind == "min"} == {
+        ("speedup_cold", 5.0), ("cluster_scaling.speedup", 5.0),
+        ("cluster_scaling.sched_speedup", 5.0),
+        ("diurnal.hetero_speedup", 5.0),
+    }
+    assert {(key, bound) for key, kind, bound in checked
+            if kind == "max"} == {
+        ("max_rel_diff_cold", 1e-9),
+        ("cluster_scaling.max_rel_diff", 1e-9),
+        ("cluster_scaling.sched_max_rel_diff", 1e-9),
+        ("diurnal.hetero_max_rel_diff", 1e-9),
+    }
+    floors = {key: (gates.row(key).bound, gates.row(key).strict)
+              for key in gates.trend_keys()}
+    assert floors == {
+        "speedup_cached": (5.0, False),
+        "cluster_scaling.speedup": (5.0, False),
+        "cluster_scaling.sched_speedup": (5.0, False),
+        "diurnal.hetero_speedup": (5.0, False),
+        "qed.master_vs_node_saving": (0.0, True),
+        "qed.node_vs_off_saving": (0.0, True),
+        "faults.consolidate_vs_spread_saving": (0.0, True),
+        "replication.consolidate_vs_spread_saving": (0.0, False),
+    }
+    assert set(gates.row("replication.consolidate_vs_spread_saving")
+               .config_fields) == {
+        "replication.arrivals", "replication.nodes",
+        "replication.shards", "replication.replicas",
+        "replication.scale_factor",
+    }
+    assert gates.row("speedup_cached").config_fields == (
+        "scale_factor", "num_queries", "repeats",
+    )
+
+
+def test_keys_expand_stage_and_section_names():
+    assert gates.trend_keys(["perf"]) == [
+        "speedup_cached", "cluster_scaling.sched_speedup",
+    ]
+    assert gates.trend_keys(["cluster"]) == [
+        "cluster_scaling.speedup", "cluster_scaling.sched_speedup",
+        "diurnal.hetero_speedup", "qed.master_vs_node_saving",
+        "qed.node_vs_off_saving", "faults.consolidate_vs_spread_saving",
+    ]
+    assert gates.trend_keys(["obs"]) == ["cluster_scaling.speedup"]
+    assert gates.trend_keys(["qed", "qed.node_vs_off_saving"]) == [
+        "qed.master_vs_node_saving", "qed.node_vs_off_saving",
+    ]
+    assert gates.trend_keys(["replication"]) == [
+        "replication.consolidate_vs_spread_saving",
+    ]
+    with pytest.raises(KeyError):
+        gates.trend_keys(["speedup_cold"])  # recorded, not trend-gated
+
+
+def test_one_new_row_reaches_every_consumer(monkeypatch, tmp_path, capsys):
+    row = Gate("qed.master_vs_off_saving", "min", 0.0, strict=True,
+               stages=("cluster",), config=("arrivals",))
+    monkeypatch.setattr(gates, "GATES", (*gates.GATES, row))
+    record = json.loads(ARTIFACT.read_text())
+    ablation = perf.Ablation(
+        "qed", modes=record["qed"]["modes"],
+        config={"arrivals": record["qed"]["arrivals"],
+                "sla_budget": record["qed"]["sla_budget"]},
+    )
+    value = ablation.to_dict()["master_vs_off_saving"]
+    assert value == ablation.saving("master", "off") > 0.0
+
+    record["qed"]["master_vs_off_saving"] = value
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text(json.dumps(record))
+    assert _script("perf_report").main(["--check", "0.05", str(artifact)]) == 0
+    assert "qed.master_vs_off_saving" in capsys.readouterr().out
+    record["qed"]["master_vs_off_saving"] = 0.0
+    artifact.write_text(json.dumps(record))
+    assert _script("perf_report").main(["--check", "0.05", str(artifact)]) == 1
+
+    trend = _script("check_bench_trend")
+    assert "qed.master_vs_off_saving" in gates.trend_keys()
+    assert gates.trend_keys(["cluster"])[-1] == "qed.master_vs_off_saving"
+    entry = trend.history_entry(record)
+    assert entry["qed.master_vs_off_saving"] == 0.0
+    assert "qed.arrivals" in entry["config"]
+    assert trend.main(["--fresh", str(artifact), "--baseline",
+                       str(artifact), "--keys", "qed"]) == 1
+    assert "qed.master_vs_off_saving" in capsys.readouterr().err
+
+
+def test_gate_rows_are_well_formed():
+    keys = [gate.key for gate in gates.GATES]
+    assert len(keys) == len(set(keys))
+    for gate in gates.GATES:
+        assert gate.kind in ("min", "max", "true")
+        assert (gate.bound is None) == (gate.kind == "true")
+        assert gate.check or gate.stages, f"{gate.key} is enforced nowhere"
+        assert not gate.config or gate.stages
+
+
+def test_conservation_reads_the_vectorized_engine(db):
+    """A fault-free stream takes the columnar engine, where
+    ``responses`` is empty; the check must read the columns."""
+    stream = perf.fault_ablation_stream(0.005)
+    m = ClusterSimulator(db, uniform_fleet(4), RoundRobinRouter()).run(stream)
+    assert m.response_columns is not None and not m.responses
+    assert m.faults is None
+    assert perf.conserved(m, stream)
+    assert not perf.conserved(m, stream[:-1])
+    assert not perf.conserved(m, stream + stream[-1:])
