@@ -82,9 +82,6 @@ class MasterQueue:
         self.placement = (
             placement if placement is not None else LeastLoadedPlacement()
         )
-        #: SQL text -> partition key; parsing is deterministic, so the
-        #: cache survives reset() across runs.
-        self._key_cache: dict[str, PartitionKey | None] = {}
         self.reset()
 
     def reset(self) -> None:
@@ -109,15 +106,6 @@ class MasterQueue:
             for key, queue in self._queues.items()
         }
 
-    def partition_of(self, sql: str) -> PartitionKey | None:
-        """The query's partition key (memoized parse; None: pass-through)."""
-        try:
-            return self._key_cache[sql]
-        except KeyError:
-            key = partition_key(sql)
-            self._key_cache[sql] = key
-            return key
-
     # -- event-loop hooks -------------------------------------------------
 
     def submit(self, sql: str, now_s: float) -> list[DispatchedBatch]:
@@ -127,7 +115,7 @@ class MasterQueue:
         pass-through query never waits on a threshold it cannot help
         reach.
         """
-        key = self.partition_of(sql)
+        key = partition_key(sql)
         if key is None:
             query = QueuedQuery(sql, now_s, self._next_passthrough_id)
             self._next_passthrough_id += 1

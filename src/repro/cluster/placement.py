@@ -449,16 +449,16 @@ def quorum_wake_candidates(placement, fleet, now_s: float) -> list:
     minimal, not the whole sleeping holder set."""
     if placement is None:
         return []
+    # Liveness is per node, not per (shard, node): ask each node once.
+    serving = [
+        node for node in fleet if node.awake and node.can_serve(now_s)
+    ]
     deficits: dict[tuple[str, int], int] = {}
     for name in sorted(placement.tables):
         tp = placement.tables[name]
         for shard in range(tp.shards):
             key = (tp.table, shard)
-            awake = sum(
-                1 for node in fleet
-                if node.awake and node.can_serve(now_s)
-                and _holds(node, key)
-            )
+            awake = sum(1 for node in serving if _holds(node, key))
             if awake < tp.quorum:
                 deficits[key] = tp.quorum - awake
     if not deficits:

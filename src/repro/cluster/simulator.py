@@ -70,7 +70,7 @@ from repro.cluster.routing import (
     Router,
 )
 from repro.core.qed.aggregator import NotMergeableError, merge_queries
-from repro.core.qed.executor import merged_batch_execution
+from repro.core.qed.executor import merged_batch_trace
 from repro.core.qed.queue import Batch, QueuedQuery
 from repro.db.engine import Database
 from repro.hardware.cpu import PvcSetting
@@ -1276,21 +1276,23 @@ class ClusterSimulator:
         if self.metrics is not None:
             self.metrics.counter("qed_batches").inc()
             self.metrics.histogram("batch_size").observe(batch.size)
-        merged = None
-        if dispatched.mergeable and batch.size > 1:
-            merged = merge_queries(batch.sqls)
         # Under a placement map the batch first splits by shard
         # signature -- each piece is servable by one replica set -- and
         # each piece is placed over its owning replicas only.  With no
         # map there is a single unconstrained group (the seed path).
         if self.placement is None:
-            groups = [(batch, merged, None)]
+            groups = [(batch, None)]
         else:
-            groups = self._shard_groups(batch, merged)
-        for group_batch, group_merged, pool in groups:
+            groups = self._shard_groups(batch)
+        for group_batch, pool in groups:
+            group_merged = None
             if pool is not None and not pool:
                 assignments = []  # no live node holds all its shards
             else:
+                # Merged after the split, so only a piece that is
+                # actually placed pays for its disjunction.
+                if dispatched.mergeable and group_batch.size > 1:
+                    group_merged = merge_queries(group_batch.sqls)
                 assignments = self.master_queue.placement.place(
                     group_batch, group_merged, group_batch.dispatch_s,
                     service_views[group_batch.queries[0].sql],
@@ -1340,32 +1342,25 @@ class ClusterSimulator:
             return None
         return pool
 
-    def _shard_groups(self, batch: Batch, merged):
+    def _shard_groups(self, batch: Batch):
         """Split one dispatched batch by shard signature.
 
         Queries sharing a signature stay one (still mergeable) piece;
-        a single-signature batch passes through whole, keeping its
-        pre-computed merged form.  Returns ``[(batch, merged, pool),
-        ...]`` where ``pool`` is the piece's eligible replica set (None
-        = unconstrained).
+        a single-signature batch passes through whole.  Returns
+        ``[(batch, pool), ...]`` where ``pool`` is the piece's eligible
+        replica set (None = unconstrained).
         """
-        order: list = []
         buckets: dict = {}
         for q in batch.queries:
-            key = self.placement.required_shards(q.sql)
-            if key not in buckets:
-                order.append(key)
-                buckets[key] = []
-            buckets[key].append(q)
-        if len(order) == 1:
-            return [(batch, merged, self._pool_for_shards(order[0]))]
+            buckets.setdefault(
+                self.placement.required_shards(q.sql), []
+            ).append(q)
+        if len(buckets) == 1:
+            (key,) = buckets
+            return [(batch, self._pool_for_shards(key))]
         return [
-            (
-                Batch(list(buckets[key]), batch.dispatch_s),
-                None,
-                self._pool_for_shards(key),
-            )
-            for key in order
+            (Batch(queries, batch.dispatch_s), self._pool_for_shards(key))
+            for key, queries in buckets.items()
         ]
 
     def _dispatch_node_batch(
@@ -1400,10 +1395,11 @@ class ClusterSimulator:
     ) -> None:
         """Serve queries back-to-back as plain single executions.
 
-        Each query reuses its cached per-query compiled trace -- no
-        re-rendered "merged" SQL, no re-parse, no re-compile -- and its
-        pre-costed duration under the node's current setting (costed on
-        demand for settings the pre-pass could not know about).
+        Each query reuses the per-query compiled trace already in
+        ``table`` -- nothing is rendered, executed or compiled -- and
+        its pre-costed duration under the node's current setting
+        (costed on demand for settings the pre-pass could not know
+        about).
         """
         for query in queries:
             service = self._duration_for(
@@ -1460,11 +1456,15 @@ class ClusterSimulator:
 
         Two degradations keep the schedule alive and cheap: a size-1
         batch bypasses merging entirely (its per-query trace is already
-        in ``table``; re-rendering a "merged" singleton would re-parse
-        and re-compile identical work), and a batch the aggregator
-        rejects (mixed templates routed to one queue) is served as
-        back-to-back singleton executions instead of crashing the whole
-        ``schedule()``.
+        in ``table``; a "merged" singleton would execute and compile
+        the same work a second time under another key), and a batch the
+        aggregator rejects (mixed templates routed to one queue) is
+        served as back-to-back singleton executions instead of crashing
+        the whole ``schedule()``.
+
+        A merged statement's trace is built once per ``schedule()``
+        (``table``, keyed by the merged SQL) and once per runner across
+        schedules (:func:`~repro.core.qed.executor.merged_batch_trace`).
         """
         if batch.size == 1:
             self._assign_singletons(
@@ -1488,11 +1488,7 @@ class ClusterSimulator:
                 return
         key = merged.sql
         if key not in table:
-            execution, trace = merged_batch_execution(
-                self.runner, merged
-            )
-            table[key] = trace.compiled()
-            execution.release_result()
+            table[key] = merged_batch_trace(self.runner, merged)
         service = self._duration_for(
             node, key, table, durations, workload_class
         )

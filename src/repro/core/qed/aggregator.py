@@ -12,9 +12,11 @@ merged SQL.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
+from repro.db.errors import DatabaseError
 from repro.db.sql import ast
-from repro.db.sql.parser import parse
+from repro.db.sql.parser import PARSE_MEMO_SIZE, parse
 
 
 class NotMergeableError(ValueError):
@@ -39,7 +41,7 @@ class MergedQuery:
     routing_column: str | None = None
     routing_values: tuple[object, ...] = field(default=())
 
-    @property
+    @cached_property
     def sql(self) -> str:
         return self.select.to_sql()
 
@@ -76,15 +78,11 @@ def _equality_parts(pred: ast.Expr) -> tuple[str, object] | None:
     return None
 
 
-def parse_batch(sqls: list[str]) -> list[ast.Select]:
-    return [parse(sql) for sql in sqls]
-
-
 def _shape_violation(select: ast.Select) -> str | None:
     """Why ``select`` can never join a merged batch (None: it can).
 
     These are exactly the per-query preconditions :func:`merge_queries`
-    enforces; :func:`mergeable_key` derives partition keys from the
+    enforces; :func:`partition_key` derives partition keys from the
     same checks so a master queue can only group queries the merger
     will accept.
     """
@@ -98,72 +96,96 @@ def _shape_violation(select: ast.Select) -> str | None:
     return None
 
 
-def mergeable_key(select: ast.Select) -> PartitionKey | None:
-    """The query's mergeable-template identity (None: not mergeable).
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
+def _interned(value):
+    """The first-seen object structurally equal to ``value``.
 
-    Equal keys guarantee :func:`merge_queries` accepts the batch: the
-    key captures the select list and the table, and only plain
-    single-table selections with a WHERE clause get one.
+    Equal templates from different statements become one object, so the
+    per-batch comparisons below are identity checks instead of walks
+    over frozen-dataclass trees.  Eviction can only cost a walk: every
+    identity check falls back to ``==``.
     """
-    if _shape_violation(select) is not None:
-        return None
-    return (select.items, select.tables)
+    return value
 
 
+@dataclass(frozen=True, eq=False)
+class _Statement:
+    """What :func:`merge_queries` needs to know about one statement."""
+
+    #: :func:`_shape_violation` of the statement
+    violation: str | None
+    #: interned ``(items, tables)`` template
+    template: PartitionKey
+    where: ast.Expr | None
+    #: :func:`_equality_parts` of ``where``
+    equality: tuple[str, object] | None
+
+
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
+def _statement(sql: str) -> _Statement:
+    """The per-statement facts, derived once per distinct text beside
+    the parse."""
+    select = parse(sql)
+    return _Statement(
+        _shape_violation(select),
+        _interned((select.items, select.tables)),
+        select.where,
+        _equality_parts(select.where),
+    )
+
+
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
 def partition_key(sql: str) -> PartitionKey | None:
-    """Parse ``sql`` and return its mergeable-template key.
+    """``sql``'s mergeable-template key (memoized on the SQL text).
 
     ``None`` routes the query to a pass-through (singleton) partition:
     unparseable text, multi-table queries, and any non-plain-selection
-    shape all land there rather than poisoning a merged batch.
+    shape all land there rather than poisoning a merged batch.  The
+    ``None`` is memoized too, so pass-through text is lexed once, not
+    once per arrival.
     """
-    from repro.db.errors import DatabaseError
-
     try:
-        select = parse(sql)
+        statement = _statement(sql)
     except DatabaseError:
         return None
-    return mergeable_key(select)
+    return None if statement.violation is not None else statement.template
 
 
 def merge_queries(sqls: list[str]) -> MergedQuery:
-    """Aggregate a batch of selections into one disjunctive query."""
+    """Aggregate a batch of selections into one disjunctive query.
+
+    Everything per-statement comes from :func:`_statement`, so a batch
+    of known statements costs a lookup per query plus building and
+    rendering the merged ``Select``.
+    """
     if not sqls:
         raise NotMergeableError("empty batch")
-    selects = parse_batch(sqls)
-    template = selects[0]
-    for select in selects:
-        violation = _shape_violation(select)
-        if violation is not None:
-            raise NotMergeableError(violation)
-        if select.items != template.items:
+    statements = [_statement(sql) for sql in sqls]
+    first = statements[0]
+    for statement in statements:
+        if statement.violation is not None:
+            raise NotMergeableError(statement.violation)
+        if statement.template is first.template:
+            continue
+        if statement.template[0] != first.template[0]:
             raise NotMergeableError("select lists differ across the batch")
-        if select.tables != template.tables:
+        if statement.template[1] != first.template[1]:
             raise NotMergeableError("tables differ across the batch")
-    predicates: list[ast.Expr] = [select.where for select in selects]
+    items, tables = first.template
 
     # Dedup shared disjuncts (the overlap generalization): keep the first
     # occurrence of each structurally-identical predicate.
-    seen: set[ast.Expr] = set()
-    unique: list[ast.Expr] = []
-    for pred in predicates:
-        if pred not in seen:
-            seen.add(pred)
-            unique.append(pred)
+    unique = list(dict.fromkeys(s.where for s in statements))
 
-    merged_where = ast.or_all(unique)
     merged = ast.Select(
-        items=template.items,
-        tables=template.tables,
-        where=merged_where,
+        items=items, tables=tables, where=ast.or_all(unique),
     )
 
     routing_column: str | None = None
-    routing_values: list[object] = []
-    parts = [_equality_parts(p) for p in predicates]
+    routing_values: tuple[object, ...] = ()
+    parts = [statement.equality for statement in statements]
     if all(p is not None for p in parts):
         columns = {p[0] for p in parts}  # type: ignore[index]
-        values = [p[1] for p in parts]   # type: ignore[index]
         # Duplicate values stay hash-routable: the splitter hands a row
         # to *every* query sharing its value (identical queries in a
         # batch share their result).  Hash routing does require the
@@ -173,14 +195,16 @@ def merge_queries(sqls: list[str]) -> MergedQuery:
         # every column and stays routable.
         column = columns.pop() if len(columns) == 1 else None
         if column is not None and any(
-            _exposes_column(item, column) for item in template.items
+            _exposes_column(item, column) for item in items
         ):
             routing_column = column
-            routing_values = values
+            routing_values = tuple(
+                p[1] for p in parts  # type: ignore[index]
+            )
 
     return MergedQuery(
         select=merged,
-        predicates=tuple(predicates),
+        predicates=tuple(s.where for s in statements),
         routing_column=routing_column,
-        routing_values=tuple(routing_values),
+        routing_values=routing_values,
     )

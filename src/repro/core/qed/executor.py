@@ -21,7 +21,7 @@ from repro.core.metrics import edp
 from repro.core.qed.aggregator import MergedQuery, merge_queries
 from repro.core.qed.splitter import SplitOutcome, split_cost_rows, split_result
 from repro.hardware.system import RunMeasurement
-from repro.hardware.trace import Trace
+from repro.hardware.trace import CompiledTrace, Trace
 from repro.workloads.runner import QueryExecution, WorkloadRunner
 
 
@@ -155,6 +155,36 @@ def merged_batch_execution(
         split_cost_rows(merged, execution.result), label="qed:split"
     ))
     return execution, trace
+
+
+def merged_batch_trace(
+    runner: WorkloadRunner, merged: MergedQuery
+) -> CompiledTrace:
+    """:func:`merged_batch_execution`'s compiled trace, built once.
+
+    What a caller needs when it only *costs* the batch (the cluster
+    simulator): no result rows are kept.  The memo sits beside the
+    runner's execution cache (``clear_execution_cache`` empties both)
+    and is keyed on everything the trace depends on: the merged SQL,
+    the inputs of :func:`split_cost_rows` besides the result --
+    ``routing_values`` when hash-routable, ``batch_size`` otherwise;
+    the merged SQL is the *deduplicated* disjunction, so batches with
+    different multiplicities share it -- and the database generation.
+    """
+    key = (
+        merged.sql,
+        merged.routing_values if merged.hash_routable
+        else merged.batch_size,
+    )
+    generation = runner.db.generation
+    cached = runner.merged_trace_cache.get(key)
+    if cached is not None and cached[0] == generation:
+        return cached[1]
+    execution, trace = merged_batch_execution(runner, merged)
+    compiled = trace.compiled()
+    execution.release_result()
+    runner.merged_trace_cache[key] = (generation, compiled)
+    return compiled
 
 
 class QedExecutor:

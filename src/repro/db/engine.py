@@ -133,7 +133,8 @@ class Database:
         if not isinstance(query, str):
             return plan_query(query, self.catalog)
         if not self.plan_cache_enabled:
-            return plan_query(parse(query), self.catalog)
+            # the cache-free pipeline pays the parse too, not only the plan
+            return plan_query(parse.__wrapped__(query), self.catalog)
         cached = self._plan_cache.get(query)
         if cached is not None and cached[0] == self.generation:
             self.plan_cache_hits += 1

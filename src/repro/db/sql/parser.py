@@ -24,6 +24,8 @@ planner consumes.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.db.errors import SqlSyntaxError
 from repro.db.sql.ast import (
     And,
@@ -52,9 +54,22 @@ from repro.db.sql.lexer import Token, TokenType, tokenize
 _CMP_OPS = {"=", "<>", "!=", "<", "<=", ">", ">="}
 _FUNC_NAMES = {"sum", "count", "avg", "min", "max", "abs"}
 
+#: Distinct statement texts :func:`parse` keeps parsed (least recently
+#: used evicted first).  A constant, not a setting: text -> AST is a pure
+#: function, so an entry can never go stale and eviction only costs a
+#: re-parse.
+PARSE_MEMO_SIZE = 1024
 
+
+@lru_cache(maxsize=PARSE_MEMO_SIZE)
 def parse(sql: str) -> Select:
-    """Parse a SELECT statement."""
+    """Parse a SELECT statement (memoized on the SQL text).
+
+    Every AST node is a frozen dataclass over tuples, so all callers of
+    one text safely share one ``Select``.  Only successful parses are
+    kept: bad text raises its :class:`SqlSyntaxError` afresh on every
+    call.  ``parse.__wrapped__`` is the unmemoized parser.
+    """
     return _Parser(tokenize(sql)).parse_select_statement()
 
 

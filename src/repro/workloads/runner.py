@@ -269,6 +269,13 @@ class WorkloadRunner:
             f"include={self.include_client_work}\x00"
         )
         self._execution_cache: dict[str, tuple[int, QueryExecution]] = {}
+        #: compiled QED work traces of merged batches, filled and read by
+        #: :func:`repro.core.qed.executor.merged_batch_trace`: (merged
+        #: SQL, split signature) -> (database generation, trace).  No
+        #: result rows are held.
+        self.merged_trace_cache: dict[
+            tuple, tuple[int, CompiledTrace]
+        ] = {}
         self.execution_cache_hits = 0
         self.execution_cache_misses = 0
 
@@ -357,6 +364,7 @@ class WorkloadRunner:
 
     def clear_execution_cache(self) -> None:
         self._execution_cache.clear()
+        self.merged_trace_cache.clear()
 
     def run_execution(self, execution: QueryExecution,
                       with_timeline: bool = False) -> RunMeasurement:

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 from repro.db.errors import SqlSyntaxError
 from repro.db.sql import ast
 from repro.db.sql.lexer import TokenType, tokenize
-from repro.db.sql.parser import parse, parse_expression
+from repro.db.sql import parser as parser_module
+from repro.db.sql.parser import PARSE_MEMO_SIZE, parse, parse_expression
 
 
 class TestLexer:
@@ -121,6 +122,50 @@ class TestParser:
     def test_star(self):
         select = parse("SELECT * FROM t")
         assert select.items[0].expr == ast.ColumnRef("*")
+
+
+class TestParseMemo:
+    def test_same_text_returns_the_same_object(self):
+        sql = "SELECT a, b FROM t WHERE a = 17"
+        assert parse(sql) is parse(sql)
+        assert parse(sql) == parse.__wrapped__(sql)
+
+    def test_known_text_is_lexed_once(self, monkeypatch):
+        lexed = []
+
+        def counting_tokenize(sql):
+            lexed.append(sql)
+            return tokenize(sql)
+
+        monkeypatch.setattr(parser_module, "tokenize", counting_tokenize)
+        sql = "SELECT a FROM t WHERE a = 4711"
+        for _ in range(5):
+            parse(sql)
+        assert lexed == [sql]
+
+    def test_syntax_error_raised_on_every_call(self):
+        bad = "SELECT a FROM t WHERE"
+        errors = []
+        for _ in range(3):
+            with pytest.raises(SqlSyntaxError) as excinfo:
+                parse(bad)
+            errors.append(excinfo.value)
+        assert len({id(e) for e in errors}) == 3  # raised afresh
+        assert len({str(e) for e in errors}) == 1
+        assert {e.position for e in errors} == {len(bad)}
+
+    def test_parse_expression_is_not_memoized(self):
+        first = parse_expression("a + 1")
+        second = parse_expression("a + 1")
+        assert first == second
+        assert first is not second
+
+    def test_memo_stays_within_its_bound(self):
+        for i in range(10 * PARSE_MEMO_SIZE):
+            parse(f"SELECT a FROM t WHERE a = {i}")
+        info = parse.cache_info()
+        assert info.maxsize == PARSE_MEMO_SIZE
+        assert info.currsize <= PARSE_MEMO_SIZE
 
 
 # -- hypothesis round-trips ------------------------------------------------
