@@ -109,6 +109,19 @@ run_cluster() {
     smoke python -m pytest benchmarks/bench_ablation_qed.py -x -q
     echo "== fault recovery smoke bench =="
     smoke python -m pytest benchmarks/bench_fault_recovery.py -x -q
+    echo "== trace store shared by two cluster processes =="
+    # The store exists to be read by a later process: the second run
+    # must find every compiled trace on disk and report the same run.
+    local store_dir
+    store_dir="$(mktemp -d "${TMPDIR:-/tmp}/repro-store.XXXXXX")"
+    for run in first second; do
+        python -m repro cluster --sf 0.002 --nodes 4 --arrivals 60 \
+            --distinct 8 --policy least --trace-cache "$store_dir" \
+            | grep -E "run id|wall energy" > "$store_dir/$run.txt"
+    done
+    test -s "$store_dir/first.txt"
+    diff "$store_dir/first.txt" "$store_dir/second.txt"
+    rm -rf "$store_dir"
     echo "== perf trend gate (cluster) =="
     trend_gate --keys cluster
 }

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -226,13 +225,14 @@ class FaultReport:
 
 @dataclass(frozen=True)
 class ResponseColumns:
-    """Served queries in structure-of-arrays form (vectorized playback).
+    """Served queries in structure-of-arrays form, on either engine.
 
-    The columnar analogue of a measurement's ``responses`` list, sorted
-    by (arrival, completion): per-query arrays plus the distinct-template
-    and node-name tables the index columns point into.  A 1M-arrival run
-    cannot afford per-query objects, so every consumer -- percentiles,
-    SLA accounting, phase windows -- reads these arrays directly.
+    The one form a measurement stores, sorted by (arrival, completion):
+    per-query arrays plus the distinct-template and node-name tables
+    the index columns point into.  A 1M-arrival run cannot afford
+    per-query objects, so every consumer -- percentiles, SLA
+    accounting, phase windows -- reads these arrays directly;
+    :attr:`ClusterMeasurement.responses` derives the object view.
     """
 
     distinct: tuple[str, ...]
@@ -246,20 +246,23 @@ class ResponseColumns:
     def __len__(self) -> int:
         return len(self.arrival_s)
 
-    def iter_responses(self):
-        """Materialize :class:`QueryResponse` objects row by row.
-
-        For identity tests and small-run inspection only -- the point
-        of the columnar form is that large runs never do this.
-        """
-        for k in range(len(self.arrival_s)):
-            yield QueryResponse(
-                sql=self.distinct[int(self.sql_idx[k])],
-                node=self.node_names[int(self.node_idx[k])],
-                arrival_s=float(self.arrival_s[k]),
-                start_s=float(self.start_s[k]),
-                completion_s=float(self.completion_s[k]),
-            )
+    @classmethod
+    def in_arrival_order(
+        cls, distinct, node_names, sql_idx, node_idx,
+        arrival_s, start_s, completion_s,
+    ) -> "ResponseColumns":
+        """Columns from per-query sequences in any order, stably sorted
+        by (arrival, completion)."""
+        columns = [
+            np.asarray(sql_idx, dtype=np.int64),
+            np.asarray(node_idx, dtype=np.int64),
+            np.asarray(arrival_s, dtype=np.float64),
+            np.asarray(start_s, dtype=np.float64),
+            np.asarray(completion_s, dtype=np.float64),
+        ]
+        order = np.lexsort((columns[4], columns[2]))
+        return cls(tuple(distinct), tuple(node_names),
+                   *(column[order] for column in columns))
 
 
 @dataclass
@@ -444,7 +447,7 @@ class ClusterMeasurement:
 
     horizon_s: float
     nodes: list[NodeUsage]
-    responses: list[QueryResponse]
+    response_columns: ResponseColumns
     shed: list[ShedQuery] = field(default_factory=list)
     peak_power_w: float = 0.0
     cap_w: float | None = None
@@ -455,10 +458,6 @@ class ClusterMeasurement:
     #: simulator so reports and bench history are attributable.
     run_id: str | None = None
     fingerprint: dict | None = None
-    #: Vectorized runs keep served queries columnar here and leave
-    #: ``responses`` empty; every consumer below reads whichever form
-    #: is present.
-    response_columns: ResponseColumns | None = None
 
     # -- energy -----------------------------------------------------------
 
@@ -513,36 +512,30 @@ class ClusterMeasurement:
 
     @property
     def served(self) -> int:
-        if self.response_columns is not None:
-            return len(self.response_columns)
-        return len(self.responses)
+        return len(self.response_columns)
 
-    def iter_responses(self) -> Iterator[QueryResponse]:
-        """Every served query as a :class:`QueryResponse`, whichever
-        form the run produced (columnar runs materialize row by row --
-        identity tests and small-run inspection only)."""
-        if self.response_columns is not None:
-            yield from self.response_columns.iter_responses()
-        else:
-            yield from self.responses
-
-    @cached_property
-    def _response_times(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(arrival_s, completion_s)`` per served query as arrays,
-        whichever form the run produced (memoized; the measurement is
-        effectively immutable once composed)."""
-        if self.response_columns is not None:
-            return (self.response_columns.arrival_s,
-                    self.response_columns.completion_s)
-        return (np.array([r.arrival_s for r in self.responses]),
-                np.array([r.completion_s for r in self.responses]))
+    @property
+    def responses(self) -> list[QueryResponse]:
+        """Every served query as a :class:`QueryResponse`, derived from
+        the columns on each read (identity tests and small-run
+        inspection -- large runs read the columns)."""
+        c = self.response_columns
+        return [
+            QueryResponse(c.distinct[sql], c.node_names[node], *times)
+            for sql, node, *times in zip(
+                c.sql_idx.tolist(), c.node_idx.tolist(),
+                c.arrival_s.tolist(), c.start_s.tolist(),
+                c.completion_s.tolist(),
+            )
+        ]
 
     @cached_property
     def _response_values(self) -> np.ndarray:
         """Response times as one array (every percentile and mean
-        reads it)."""
-        r_arrival, r_completion = self._response_times
-        return r_completion - r_arrival
+        reads it; memoized -- the measurement is effectively immutable
+        once composed)."""
+        c = self.response_columns
+        return c.completion_s - c.arrival_s
 
     def response_percentile(self, q: float) -> float:
         if self.served == 0:
@@ -587,19 +580,19 @@ class ClusterMeasurement:
         if sla_s < 0:
             raise ValueError("sla_s must be non-negative")
         affected = self.faults.affected if self.faults else set()
-        totals = {True: 0, False: 0}
-        met = {True: 0, False: 0}
-        if self.response_columns is not None:
-            # Vectorized runs never carry a fault plan, so every served
-            # query sits on the unaffected side.
-            values = self._response_values
-            totals[False] = int(values.size)
-            met[False] = int((values <= sla_s).sum())
-        else:
-            for r in self.responses:
-                side = (r.sql, r.arrival_s) in affected
-                totals[side] += 1
-                met[side] += r.response_s <= sla_s
+        c = self.response_columns
+        hit = np.zeros(len(c), dtype=bool)
+        if affected:
+            hit[:] = [
+                (c.distinct[sql], arrival_s) in affected
+                for sql, arrival_s in zip(
+                    c.sql_idx.tolist(), c.arrival_s.tolist()
+                )
+            ]
+        on_time = self._response_values <= sla_s
+        totals = {True: int(hit.sum()), False: int((~hit).sum())}
+        met = {True: int((hit & on_time).sum()),
+               False: int((~hit & on_time).sum())}
         for q in self.shed:
             totals[(q.sql, q.arrival_s) in affected] += 1
         return {
@@ -681,7 +674,8 @@ class ClusterMeasurement:
         his[-1] = horizon
         spans = his - los
 
-        r_arrival, r_completion = self._response_times
+        r_arrival = self.response_columns.arrival_s
+        r_completion = self.response_columns.completion_s
         arrivals = _count_per_window(r_arrival, los, his)
         arrivals += _count_per_window(
             [q.arrival_s for q in self.shed], los, his

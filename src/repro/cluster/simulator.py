@@ -48,7 +48,6 @@ from repro.cluster.measure import (
     NodeUsage,
     QedPartitionStats,
     QedReport,
-    QueryResponse,
     ResponseColumns,
     ShedQuery,
     span_columns,
@@ -1543,63 +1542,91 @@ class ClusterSimulator:
     def playback(self, schedule: ClusterSchedule,
                  mode: str = "batched") -> ClusterMeasurement:
         """Turn scheduled timelines into energy: the vectorized hot path
-        (``batched``) or the per-query replay loop (``loop``)."""
-        if schedule.columnar is not None:
+        (``batched``) or the per-query replay loop (``loop``).
+
+        The engines differ only in how node energies are costed and
+        where the busy windows and served queries are read from -- a
+        vectorized schedule's own arrays (no per-query object is ever
+        materialized), or the loop schedule's windows, one response
+        row per query a window answers.  Both compose the same
+        measurement from there.
+        """
+        nodes = schedule.nodes
+        names = [node.spec.name for node in nodes]
+        col = schedule.columnar
+        if col is not None:
             if mode != "batched":
                 raise ValueError(
                     "a vectorized (columnar) schedule has no per-piece "
                     "timeline to replay in loop mode; schedule with "
                     "vectorized=False for the legacy loop"
                 )
-            return self._playback_columnar(schedule)
-        if mode == "batched":
-            measurements = play_batched(
-                schedule.nodes, schedule.pieces_by_node,
+            measurements = play_columnar(
+                nodes, col, schedule.horizon_s, schedule.workload_class
+            )
+            busy = [
+                (col.start_s[rows], col.end_s[rows])
+                for rows in map(col.rows_for, range(len(nodes)))
+            ]
+            busy_s = [float((ends - starts).sum()) for starts, ends in busy]
+            responses = ResponseColumns.in_arrival_order(
+                col.distinct, names, col.sql_idx, col.node_idx,
+                col.arrival_s, col.start_s, col.end_s,
+            )
+        elif mode in ("batched", "loop"):
+            play = play_batched if mode == "batched" else play_loop
+            measurements = play(
+                nodes, schedule.pieces_by_node,
                 schedule.workload_class, schedule.settings_by_node,
             )
-        elif mode == "loop":
-            measurements = play_loop(
-                schedule.nodes, schedule.pieces_by_node,
-                schedule.workload_class, schedule.settings_by_node,
+            busy = [
+                span_columns([(w.start_s, w.end_s) for w in node.scheduled])
+                for node in nodes
+            ]
+            busy_s = [node.busy_s for node in nodes]
+            code: dict[str, int] = {}
+            sql_idx, node_idx, arrival_s, start_s, end_s = (
+                [], [], [], [], []
+            )
+            for j, node in enumerate(nodes):
+                for work in node.scheduled:
+                    for sql, arrived_s in work.queries:
+                        sql_idx.append(code.setdefault(sql, len(code)))
+                        node_idx.append(j)
+                        arrival_s.append(arrived_s)
+                        start_s.append(work.start_s)
+                        end_s.append(work.end_s)
+            responses = ResponseColumns.in_arrival_order(
+                code, names, sql_idx, node_idx, arrival_s, start_s, end_s
             )
         else:
             raise ValueError(f"unknown playback mode {mode!r}")
+        queries = np.bincount(responses.node_idx, minlength=len(nodes))
         usages: list[NodeUsage] = []
-        responses: list[QueryResponse] = []
-        for node in schedule.nodes:
-            name = node.spec.name
+        for j, node in enumerate(nodes):
             sleep_s = node.sleep_s(schedule.horizon_s)
             envelope = node.power_estimate()
             usages.append(NodeUsage(
-                name=name,
-                queries=sum(len(w.queries) for w in node.scheduled),
-                busy_s=node.busy_s,
+                name=names[j],
+                queries=int(queries[j]),
+                busy_s=busy_s[j],
                 wake_s=node.wake_s,
                 sleep_s=sleep_s,
                 horizon_s=schedule.horizon_s,
-                playback=measurements[name],
+                playback=measurements[names[j]],
                 sleep_joules=node.spec.sleep_wall_w * sleep_s,
                 re_sleeps=node.re_sleeps,
-                busy_columns=span_columns(
-                    [(w.start_s, w.end_s) for w in node.scheduled]
-                ),
+                busy_columns=busy[j],
                 sleep_spans=tuple(node.sleep_spans(schedule.horizon_s)),
                 wake_spans=tuple(node.wake_log),
                 idle_wall_w=envelope.idle_wall_w,
                 busy_wall_w=envelope.busy_wall_w,
                 sleep_wall_w=node.spec.sleep_wall_w,
             ))
-            for work in node.scheduled:
-                for sql, arrival_s in work.queries:
-                    responses.append(QueryResponse(
-                        sql=sql, node=name, arrival_s=arrival_s,
-                        start_s=work.start_s, completion_s=work.end_s,
-                    ))
-        responses.sort(key=lambda r: (r.arrival_s, r.completion_s))
         return ClusterMeasurement(
             horizon_s=schedule.horizon_s,
             nodes=usages,
-            responses=responses,
+            response_columns=responses,
             shed=list(schedule.shed),
             peak_power_w=schedule.peak_power_w,
             cap_w=schedule.cap_w,
@@ -1607,70 +1634,6 @@ class ClusterSimulator:
             faults=schedule.faults,
             run_id=schedule.run_id,
             fingerprint=schedule.fingerprint,
-        )
-
-    def _playback_columnar(
-        self, schedule: ClusterSchedule
-    ) -> ClusterMeasurement:
-        """Measurement for a vectorized schedule, staying columnar.
-
-        Node energies come from :func:`play_columnar` (counts dot
-        pre-costed measurements + linear idle); responses stay as
-        arrays on the measurement (:class:`ResponseColumns`), which
-        serves percentiles, SLA accounting, and phase windows without
-        ever materializing per-query objects.
-        """
-        col = schedule.columnar
-        measurements = play_columnar(
-            schedule.nodes, col, schedule.horizon_s,
-            schedule.workload_class,
-        )
-        usages: list[NodeUsage] = []
-        for j, node in enumerate(schedule.nodes):
-            name = node.spec.name
-            rows = col.rows_for(j)
-            starts = col.start_s[rows]
-            ends = col.end_s[rows]
-            envelope = node.power_estimate()
-            usages.append(NodeUsage(
-                name=name,
-                queries=int(len(rows)),
-                busy_s=float((ends - starts).sum()),
-                wake_s=0.0,
-                sleep_s=0.0,
-                horizon_s=schedule.horizon_s,
-                playback=measurements[name],
-                sleep_joules=0.0,
-                re_sleeps=0,
-                sleep_spans=(),
-                wake_spans=(),
-                idle_wall_w=envelope.idle_wall_w,
-                busy_wall_w=envelope.busy_wall_w,
-                sleep_wall_w=node.spec.sleep_wall_w,
-                busy_columns=(starts, ends),
-            ))
-        order = np.lexsort((col.end_s, col.arrival_s))
-        response_columns = ResponseColumns(
-            distinct=tuple(col.distinct),
-            node_names=tuple(n.spec.name for n in schedule.nodes),
-            sql_idx=col.sql_idx[order],
-            node_idx=col.node_idx[order],
-            arrival_s=col.arrival_s[order],
-            start_s=col.start_s[order],
-            completion_s=col.end_s[order],
-        )
-        return ClusterMeasurement(
-            horizon_s=schedule.horizon_s,
-            nodes=usages,
-            responses=[],
-            shed=list(schedule.shed),
-            peak_power_w=schedule.peak_power_w,
-            cap_w=schedule.cap_w,
-            qed=schedule.qed,
-            faults=schedule.faults,
-            run_id=schedule.run_id,
-            fingerprint=schedule.fingerprint,
-            response_columns=response_columns,
         )
 
     def run(self, arrivals: Iterable[Arrival], mode: str = "batched",

@@ -30,7 +30,6 @@ Segment kinds
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -229,37 +228,7 @@ class CompiledTrace:
             labels=tuple(labels),
         )
 
-    # -- persistence (execute once, replay in another process) ----------
-
-    def save(self, path: str | Path) -> None:
-        """Write the packed arrays to ``path`` as an ``.npz`` archive.
-
-        The literal ``path`` is written (``np.savez`` would append an
-        ``.npz`` suffix to a bare name, which :meth:`load` -- opening
-        the literal path -- could then not find).
-        """
-        with open(Path(path), "wb") as f:
-            np.savez(
-                f,
-                kinds=self.kinds, cycles=self.cycles,
-                utilization=self.utilization, num_ops=self.num_ops,
-                bytes_total=self.bytes_total, sequential=self.sequential,
-                write=self.write, seconds=self.seconds,
-                labels=np.asarray(self.labels, dtype=np.str_),
-            )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CompiledTrace":
-        """Read a trace previously written by :meth:`save`."""
-        with np.load(Path(path), allow_pickle=False) as data:
-            return cls(
-                kinds=data["kinds"], cycles=data["cycles"],
-                utilization=data["utilization"], num_ops=data["num_ops"],
-                bytes_total=data["bytes_total"],
-                sequential=data["sequential"], write=data["write"],
-                seconds=data["seconds"],
-                labels=tuple(str(s) for s in data["labels"]),
-            )
+    # -- persistence: the row form the columnar trace store holds ---------
 
     def to_rows(self) -> np.ndarray:
         """Pack the trace into a contiguous :data:`ROW_DTYPE` record array.

@@ -1,19 +1,15 @@
 """Shared columnar trace store: one memory-mapped file per namespace.
 
-The per-entry ``.npz`` cache (:class:`~repro.workloads.runner.TraceCache`)
-pays an archive open + decompress + array copy for every ``get``.  At
-fleet scale that read path dominates: 100 nodes replaying the same 50
-distinct traces re-read the same bytes over and over, and every process
-holds its own copy.
-
-:class:`ColumnarTraceStore` instead keeps *one append-only container
-file per namespace* holding :data:`~repro.hardware.trace.ROW_DTYPE`
-records -- the :class:`~repro.hardware.trace.CompiledTrace` arrays laid
-out row-major -- plus a small JSON index mapping each cache key to its
+The only persisted form of a compiled trace.  :class:`ColumnarTraceStore`
+keeps *one append-only container file per namespace* holding
+:data:`~repro.hardware.trace.ROW_DTYPE` records -- the
+:class:`~repro.hardware.trace.CompiledTrace` arrays laid out row-major
+-- plus a small JSON index mapping each cache key to its
 ``(offset, count)`` row span and segment labels.  Reads memory-map the
 container (``np.memmap``), so a loaded trace is a zero-copy view: every
 reader in every process shares one physical copy through the page
-cache, and loading is O(index lookup), not O(trace bytes).
+cache, and loading is O(index lookup), not O(trace bytes) -- 100 nodes
+replaying the same 50 distinct traces never re-read or copy them.
 
 Concurrency model (crash-safe by construction):
 
@@ -165,8 +161,14 @@ class ColumnarTraceStore:
         if entry is None:
             # Another process may have published since our last stat.
             entry = self._index_view(refresh=True).get(digest)
-            if entry is None:
-                return None
+        return self._resolve(entry)
+
+    def _resolve(self, entry: object) -> CompiledTrace | None:
+        """The trace an index entry points at, ``None`` when it points
+        at nothing readable (malformed entry, span past the container
+        end, label/row-count mismatch)."""
+        if not isinstance(entry, dict):
+            return None
         try:
             offset = int(entry["offset"])
             count = int(entry["count"])
@@ -186,11 +188,16 @@ class ColumnarTraceStore:
             return None
 
     def put(self, key: str, compiled: CompiledTrace) -> None:
-        """Append ``compiled`` under ``key`` (first writer wins)."""
+        """Append ``compiled`` under ``key``.
+
+        First writer wins for an entry that still resolves; an indexed
+        entry that no longer does (see :meth:`_resolve`) counts as
+        absent, so the append + republish below heals it.
+        """
         digest = _digest(self.namespace, key)
         with self._writer_lock():
             entries = dict(self._index_view(refresh=True))
-            if digest in entries:
+            if self._resolve(entries.get(digest)) is not None:
                 return
             rows = compiled.to_rows()
             with open(self.rows_path, "ab") as f:

@@ -821,9 +821,9 @@ def _mode_stats(m, sla_s: float) -> dict:
 def conserved(m, stream: ArrivalStream) -> bool:
     """No query silently lost: every arrival of ``stream`` is served
     exactly once or visibly shed, and what was shed is exactly what the
-    fault report dead-lettered.  Reads either engine's responses."""
+    fault report dead-lettered.  Works on either engine's measurement."""
     outcomes = sorted(
-        [(r.sql, r.arrival_s) for r in m.iter_responses()]
+        [(r.sql, r.arrival_s) for r in m.responses]
         + [(s.sql, s.arrival_s) for s in m.shed]
     )
     dead_lettered = m.faults.dead_lettered if m.faults is not None else 0

@@ -26,16 +26,12 @@ to QED's splitter.  Cache entries therefore drop their
 :class:`~repro.db.results.QueryResult` row data once the trace is
 compiled unless the caller asks to keep it (``keep_result=True``), so
 long sweeps and fleet-scale cluster runs do not pin every result set.
-A :class:`TraceCache` can additionally persist compiled traces to disk
-(``.npz``) so benchmarks reuse executions across processes.
+A :class:`TraceCache` can additionally persist compiled traces in the
+shared memory-mapped trace store so later processes reuse executions.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import tempfile
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,6 +39,7 @@ from repro.db.engine import Database
 from repro.db.results import QueryResult
 from repro.hardware.system import RunMeasurement, SystemUnderTest
 from repro.hardware.trace import CompiledTrace, Trace
+from repro.hardware.trace_store import ColumnarTraceStore
 from repro.workloads.client import ClientModel
 
 
@@ -52,8 +49,9 @@ class QueryExecution:
 
     ``result`` is ``None`` once the row data has been evicted (replay
     needs only the compiled trace) or when the execution was restored
-    from a :class:`TraceCache` in a later process.  ``trace`` is ``None``
-    only in the restored case; the compiled form is always available.
+    from a :class:`TraceCache`, this process's or an earlier one's.
+    ``trace`` is ``None`` only in the restored case; the compiled form
+    is always available.
     """
 
     sql: str
@@ -89,23 +87,23 @@ class QueryExecution:
         return cls(sql, result=None, trace=None, _compiled=compiled)
 
 
-class TraceCache:
-    """Directory-backed store of compiled traces, keyed by opaque strings.
+class TraceCache(ColumnarTraceStore):
+    """The on-disk compiled-trace store, with hit/miss accounting.
 
-    Entries are ``.npz`` archives (see :meth:`CompiledTrace.save`) named
-    by a SHA-256 of ``namespace`` + key (the runner keys entries by its
-    client-model fingerprint plus the SQL text).  The namespace must
-    identify everything else the trace depends on -- engine profile,
-    scale factor, seed, warm/cold state -- because unlike the in-process
-    execution cache there is no generation counter to invalidate stale
-    entries across processes.  Intended for steady-state benchmark
-    workloads (warmed or memory-engine databases).
+    One append-only memory-mapped container per ``namespace`` under
+    ``directory`` (see :class:`ColumnarTraceStore`); the runner keys
+    entries by its client-model fingerprint plus the SQL text.  The
+    namespace must identify everything else the trace depends on --
+    engine profile, scale factor, seed, warm/cold state -- because
+    unlike the in-process execution cache there is no generation
+    counter to invalidate stale entries across processes, and the store
+    keeps the *first* trace written under a key.  Intended for
+    steady-state benchmark workloads (warmed or memory-engine
+    databases).
     """
 
     def __init__(self, directory: str | Path, namespace: str = ""):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.namespace = namespace
+        super().__init__(directory, namespace)
         self.hits = 0
         self.misses = 0
 
@@ -117,100 +115,26 @@ class TraceCache:
         scale_factor: float,
         seed: int = 0,
         tables: tuple[str, ...] | list[str] | None = None,
-        columnar: bool = False,
     ) -> "TraceCache":
         """A cache namespaced by everything a TPC-H trace depends on.
 
         Every entry point that shares a cache directory (cluster CLI,
         ``scripts/perf_report.py``, the benchmark suite) must build the
         namespace through here, or equal workloads silently miss each
-        other's entries.  ``columnar=True`` returns the memory-mapped
-        :class:`ColumnarTraceCache` over the same namespace (the two
-        backends store entries separately: per-entry ``.npz`` files vs
-        one shared container file).
+        other's entries.
         """
         tables_key = "-".join(tables) if tables else "all"
-        namespace = f"{engine}-sf{scale_factor}-seed{seed}-{tables_key}"
-        if columnar:
-            return ColumnarTraceCache(directory, namespace=namespace)
-        return cls(directory, namespace=namespace)
-
-    def _path(self, key: str) -> Path:
-        digest = hashlib.sha256(
-            f"{self.namespace}\x00{key}".encode()
-        ).hexdigest()
-        return self.directory / f"{digest}.npz"
-
-    def get(self, key: str) -> CompiledTrace | None:
-        path = self._path(key)
-        if not path.exists():
-            self.misses += 1
-            return None
-        try:
-            compiled = CompiledTrace.load(path)
-        except (OSError, ValueError, KeyError, EOFError,
-                zipfile.BadZipFile):
-            # A truncated or corrupt entry (e.g. a writer killed before
-            # the atomic rename existed) is a miss, not a crash: heal
-            # the cache by dropping the bad file so the caller's
-            # recompile can replace it.
-            self.misses += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self.hits += 1
-        return compiled
-
-    def put(self, key: str, compiled: CompiledTrace) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Write-then-rename so a concurrent reader sharing the cache
-        # directory can never observe a half-written archive.
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+        return cls(
+            directory, f"{engine}-sf{scale_factor}-seed{seed}-{tables_key}"
         )
-        os.close(fd)
-        tmp = Path(tmp_name)
-        try:
-            compiled.save(tmp)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
-
-
-class ColumnarTraceCache(TraceCache):
-    """A :class:`TraceCache` backed by the shared columnar trace store.
-
-    Same interface and hit/miss accounting, but entries live as row
-    spans in one append-only memory-mapped container per namespace
-    (:class:`~repro.hardware.trace_store.ColumnarTraceStore`) instead of
-    per-entry ``.npz`` archives: ``get`` returns zero-copy views, so a
-    100-node playback -- or several processes -- share one physical copy
-    of every trace.
-    """
-
-    def __init__(self, directory: str | Path, namespace: str = ""):
-        super().__init__(directory, namespace)
-        from repro.hardware.trace_store import ColumnarTraceStore
-
-        self.store = ColumnarTraceStore(directory, namespace)
 
     def get(self, key: str) -> CompiledTrace | None:
-        compiled = self.store.get(key)
+        compiled = super().get(key)
         if compiled is None:
             self.misses += 1
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return compiled
-
-    def put(self, key: str, compiled: CompiledTrace) -> None:
-        self.store.put(key, compiled)
 
 
 @dataclass
@@ -331,7 +255,9 @@ class WorkloadRunner:
         cached = self._execution_cache.get(sql)
         #: a generation mismatch means this process *knows* the disk
         #: entry (written by us at the old generation) is stale too --
-        #: bypass the trace cache and re-execute/overwrite it.
+        #: bypass the trace cache and re-execute.  The store keeps its
+        #: first trace (the ``put`` below is then a no-op): the cache
+        #: namespace, not the store, must encode warm/cold state.
         stale = cached is not None and cached[0] != generation
         if cached is not None and not stale:
             execution = cached[1]

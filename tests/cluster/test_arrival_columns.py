@@ -74,8 +74,8 @@ class TestScheduleCoercion:
         assert got.run_id == want.run_id
         assert got.summary() == want.summary()
         assert [
-            (r.sql, r.arrival_s, r.node) for r in got.iter_responses()
-        ] == [(r.sql, r.arrival_s, r.node) for r in want.iter_responses()]
+            (r.sql, r.arrival_s, r.node) for r in got.responses
+        ] == [(r.sql, r.arrival_s, r.node) for r in want.responses]
 
     def test_only_statements_that_occur_are_executed(self, mysql_db):
         """A slice keeps the parent's statement table; execute-once

@@ -280,6 +280,80 @@ class TestCrashRecovery:
         assert misses == m.sla_violations(sla_s)
 
 
+def _sla_split_by_scan(m, sla_s):
+    """``sla_split`` the per-response way: one object at a time."""
+    affected = m.faults.affected if m.faults else set()
+    out = dict.fromkeys(
+        ("affected_total", "affected_met",
+         "unaffected_total", "unaffected_met"), 0.0
+    )
+    for r in m.responses:
+        side = "affected" if (r.sql, r.arrival_s) in affected else (
+            "unaffected"
+        )
+        out[f"{side}_total"] += 1
+        out[f"{side}_met"] += r.response_s <= sla_s
+    for q in m.shed:
+        side = "affected" if (q.sql, q.arrival_s) in affected else (
+            "unaffected"
+        )
+        out[f"{side}_total"] += 1
+    for side in ("affected", "unaffected"):
+        total = out[f"{side}_total"]
+        out[f"{side}_attainment"] = (
+            out[f"{side}_met"] / total if total else 1.0
+        )
+    return out
+
+
+class TestSlaSplit:
+    def test_fault_free_split_is_engine_independent(self, mysql_db):
+        sim = ClusterSimulator(mysql_db, uniform_fleet(3),
+                               RoundRobinRouter())
+        stream = _stream(count=90, mean_s=0.01)
+        fast = sim.run(stream, vectorized=True)
+        loop = sim.run(stream, vectorized=False)
+        for sla_s in (0.0, fast.p50_response_s, fast.p95_response_s, 60.0):
+            split = fast.sla_split(sla_s)
+            assert split == loop.sla_split(sla_s)
+            assert split == _sla_split_by_scan(fast, sla_s)
+            assert split["affected_total"] == 0.0
+            assert split["unaffected_total"] == 90.0
+
+    def test_split_under_every_fault_kind_matches_a_scan(self, mysql_db):
+        """All four fault kinds live, retried *and* dead-lettered
+        queries on the affected side: the columnar split equals the
+        per-response scan."""
+        plan = FaultPlan([
+            FaultSpec("unavailable", "node02", start_s=1.0, end_s=1.6),
+            FaultSpec("crash", "node00", at_s=0.9, recover_s=2.0),
+            FaultSpec("crash", "node01", at_s=1.0, recover_s=2.0),
+            FaultSpec("wake-failure", "node03", start_s=0.0, end_s=1.5,
+                      probability=1.0),
+            FaultSpec("straggler", "node01", start_s=2.0, end_s=4.0,
+                      slowdown=4.0),
+        ], seed=7)
+        stream = _stream(count=200, mean_s=0.02, seed=3)
+        m = ClusterSimulator(
+            mysql_db, uniform_fleet(4, wake_latency_s=0.2),
+            DynamicConsolidateRouter(max_backlog_s=0.1), faults=plan,
+            retry=RetryPolicy(max_attempts=2, backoff_s=0.05),
+        ).run(stream)
+        assert m.shed and m.faults.failed_wakes and m.faults.crashes == 2
+        served_affected = sum(
+            (r.sql, r.arrival_s) in m.faults.affected for r in m.responses
+        )
+        assert 0 < served_affected < len(m.faults.affected)
+        for sla_s in (0.0, m.p50_response_s, m.p95_response_s, 60.0):
+            split = m.sla_split(sla_s)
+            assert split == _sla_split_by_scan(m, sla_s)
+            assert split["affected_total"] == len(m.faults.affected)
+            assert split["affected_total"] + split[
+                "unaffected_total"
+            ] == len(stream)
+        assert 0 < m.sla_split(60.0)["affected_met"] == served_affected
+
+
 class TestWakeFailureAndStraggler:
     def test_wake_failures_are_survived_and_counted(self, mysql_db):
         plan = FaultPlan([

@@ -69,7 +69,7 @@ def _observed(sim, schedule):
     return (
         m.run_id,
         [node.wall_joules for node in m.nodes],
-        [r.response_s for r in m.iter_responses()],
+        [r.response_s for r in m.responses],
     )
 
 

@@ -47,6 +47,7 @@ from repro.obs import (
 )
 from repro.workloads.arrivals import poisson_arrivals
 from repro.workloads.selection import selection_workload
+from window_oracle import response_columns
 
 
 def _stream(count=60, distinct=10, mean_s=0.05, seed=1):
@@ -371,7 +372,7 @@ class TestMetrics:
 
 class TestWindowReportRegressions:
     def test_zero_horizon_emits_one_well_formed_window(self):
-        m = ClusterMeasurement(horizon_s=0.0, nodes=[], responses=[])
+        m = ClusterMeasurement(0.0, [], response_columns())
         windows = m.window_report(30.0)
         assert len(windows) == 1
         w = windows[0]
@@ -383,7 +384,7 @@ class TestWindowReportRegressions:
         # 3 x 0.1 accumulates to 0.30000000000000004; the report must
         # tile it as 3 windows, not 3 plus a zero-width tail.
         horizon = 0.1 + 0.1 + 0.1
-        m = ClusterMeasurement(horizon_s=horizon, nodes=[], responses=[])
+        m = ClusterMeasurement(horizon, [], response_columns())
         windows = m.window_report(0.1)
         assert len(windows) == 3
         assert windows[-1].end_s == horizon
@@ -393,7 +394,9 @@ class TestWindowReportRegressions:
         horizon = 0.30000000000000004
         m = ClusterMeasurement(
             horizon_s=horizon, nodes=[],
-            responses=[QueryResponse("q", "n", 0.0, 0.0, horizon)],
+            response_columns=response_columns(
+                QueryResponse("q", "n", 0.0, 0.0, horizon)
+            ),
         )
         windows = m.window_report(0.1)
         assert sum(w.served for w in windows) == 1

@@ -40,7 +40,7 @@ class TestScheduling:
         m = sim.run(stream)
         assert m.served == len(stream)
         answered = sorted(
-            (r.sql, r.arrival_s) for r in m.iter_responses()
+            (r.sql, r.arrival_s) for r in m.responses
         )
         expected = sorted((a.sql, a.time_s) for a in stream)
         assert answered == expected
@@ -50,7 +50,7 @@ class TestScheduling:
                                LeastLoadedRouter())
         m = sim.run(_stream(mean_s=0.005))
         assert m.served > 0
-        for r in m.iter_responses():
+        for r in m.responses:
             assert r.start_s >= r.arrival_s - 1e-12
             assert r.completion_s > r.start_s
             assert r.response_s > 0
@@ -297,16 +297,63 @@ class TestClusterCli:
         assert "power cap" in out
         assert "overshoot 0.00" in out
 
-    def test_cluster_trace_cache_flag(self, capsys, tmp_path):
+    def test_cluster_trace_cache_flag(self, capsys, tmp_path,
+                                      monkeypatch):
+        """A second run against a warm ``--trace-cache`` never touches
+        the database and reports the same run."""
+        from repro.db.engine import Database
+
+        executed = []
+        execute = Database.execute
+        monkeypatch.setattr(
+            Database, "execute",
+            lambda db, sql: executed.append(sql) or execute(db, sql),
+        )
         argv = [
             "cluster", "--sf", "0.002", "--nodes", "2",
             "--arrivals", "20", "--distinct", "5",
             "--trace-cache", str(tmp_path),
         ]
+        (tmp_path / "stale.npz").write_bytes(b"an older layout's entry")
+
+        def identity(out):
+            return [line for line in out.splitlines()
+                    if "run id" in line or "wall energy" in line]
+
         assert main(argv) == 0
-        assert list(tmp_path.glob("*.npz"))  # traces persisted
-        capsys.readouterr()
-        assert main(argv) == 0  # second run loads them
+        assert len(executed) == 5  # each distinct statement, once
+        first = identity(capsys.readouterr().out)
+        assert len(first) == 2
+        assert main(argv) == 0
+        assert len(executed) == 5  # second run: 0 Database.execute calls
+        assert identity(capsys.readouterr().out) == first
+
+    def test_header_says_the_vectorized_engine_ran(self, capsys):
+        assert main([
+            "cluster", "--sf", "0.002", "--nodes", "2",
+            "--arrivals", "20", "--distinct", "5", "--policy", "spread",
+        ]) == 0
+        assert "policy=spread, engine=vectorized\n" in (
+            capsys.readouterr().out
+        )
+
+    def test_header_says_why_the_loop_engine_ran(self, capsys):
+        assert main([
+            "cluster", "--sf", "0.002", "--nodes", "2",
+            "--arrivals", "20", "--distinct", "5",
+            "--policy", "consolidate",
+        ]) == 0
+        assert (
+            "policy=consolidate, engine=loop (router ConsolidateRouter "
+            "has no route_chunk fast path)\n"
+        ) in capsys.readouterr().out
+
+    def test_reference_path_switches_are_gone(self, capsys):
+        for flag in (["--playback", "loop"], ["--scheduler", "legacy"],
+                     ["--trace-store", "columnar"]):
+            with pytest.raises(SystemExit):
+                main(["cluster", *flag])
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_uniform_fleet_names_and_validation():

@@ -29,7 +29,7 @@ from repro.measurement.perf import fault_plan
 from repro.obs import MetricsRegistry
 from repro.workloads.arrivals import poisson_arrivals
 from repro.workloads.selection import selection_workload
-from window_oracle import window_report_scan
+from window_oracle import response_columns, window_report_scan
 
 REL = 1e-9
 
@@ -73,7 +73,6 @@ class TestAgainstThePerWindowScan:
     def test_columnar_run(self, mysql_db):
         sim = ClusterSimulator(mysql_db, uniform_fleet(5), RoundRobinRouter())
         m = sim.run(_stream(count=600, mean_s=0.01), vectorized=True)
-        assert m.response_columns is not None
         for window_s in _window_sizes(m):
             assert_matches_scan(m, window_s)
 
@@ -151,7 +150,7 @@ def _node(name="n0", horizon_s=1.0, busy=(), sleep=(), wake=()) -> NodeUsage:
 class TestEdges:
     def test_zero_horizon(self):
         m = ClusterMeasurement(
-            horizon_s=0.0, nodes=[_node(horizon_s=0.0)], responses=[]
+            0.0, [_node(horizon_s=0.0)], response_columns()
         )
         (w,) = assert_matches_scan(m, 30.0)
         assert (w.start_s, w.end_s, w.arrivals, w.served) == (0.0, 0.0, 0, 0)
@@ -162,10 +161,10 @@ class TestEdges:
         m = ClusterMeasurement(
             horizon_s=horizon,
             nodes=[_node(horizon_s=horizon, busy=[(0.05, horizon)])],
-            responses=[
+            response_columns=response_columns(
                 QueryResponse("q", "n0", 0.0, 0.05, 0.1),  # on an edge
                 QueryResponse("q", "n0", 0.2, 0.2, horizon),
-            ],
+            ),
             shed=[ShedQuery("q", horizon), ShedQuery("q", 0.0)],
         )
         windows = assert_matches_scan(m, 0.1)
@@ -187,7 +186,7 @@ class TestEdges:
                   sleep=[(0.0, 4.0), (5.0, horizon)], wake=[(4.0, 4.05)]),
             _node("n2", horizon, sleep=[(0.0, horizon)]),
         ]
-        m = ClusterMeasurement(horizon_s=horizon, nodes=nodes, responses=[])
+        m = ClusterMeasurement(horizon, nodes, response_columns())
         for window_s in (1.0, 2.0, 0.3, 3.7, 10.0, 25.0):
             windows = assert_matches_scan(m, window_s)
             assert sum(w.busy_node_s for w in windows) == pytest.approx(
@@ -213,7 +212,7 @@ class TestEdges:
         assert w.p95_response_s == pytest.approx(m.p95_response_s, rel=REL)
 
     def test_bad_window_rejected(self):
-        m = ClusterMeasurement(horizon_s=1.0, nodes=[], responses=[])
+        m = ClusterMeasurement(1.0, [], response_columns())
         with pytest.raises(ValueError, match="window_s must be positive"):
             m.window_report(0.0)
 

@@ -12,7 +12,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.measure import ClusterMeasurement, PhaseWindow
+from repro.cluster.measure import (
+    ClusterMeasurement,
+    PhaseWindow,
+    QueryResponse,
+    ResponseColumns,
+)
+
+
+def response_columns(*responses: QueryResponse) -> ResponseColumns:
+    """Hand-written responses in the stored (columnar) form."""
+    sqls = list(dict.fromkeys(r.sql for r in responses))
+    nodes = list(dict.fromkeys(r.node for r in responses))
+    return ResponseColumns.in_arrival_order(
+        sqls, nodes,
+        [sqls.index(r.sql) for r in responses],
+        [nodes.index(r.node) for r in responses],
+        [r.arrival_s for r in responses],
+        [r.start_s for r in responses],
+        [r.completion_s for r in responses],
+    )
 
 
 def _overlap(spans, lo: float, hi: float) -> float:
@@ -37,12 +56,8 @@ def window_report_scan(
         max(1, int(np.ceil(m.horizon_s / window_s - 1e-9)))
         if m.horizon_s > 0 else 1
     )
-    if m.response_columns is not None:
-        r_arrival = m.response_columns.arrival_s
-        r_completion = m.response_columns.completion_s
-    else:
-        r_arrival = np.array([r.arrival_s for r in m.responses])
-        r_completion = np.array([r.completion_s for r in m.responses])
+    r_arrival = m.response_columns.arrival_s
+    r_completion = m.response_columns.completion_s
     r_values = r_completion - r_arrival
     out: list[PhaseWindow] = []
     for k in range(count):

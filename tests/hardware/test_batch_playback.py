@@ -12,6 +12,7 @@ from repro.hardware.trace import (
     Idle,
     Trace,
 )
+from repro.hardware.trace_store import ColumnarTraceStore
 
 REL = 1e-9
 
@@ -83,11 +84,16 @@ class TestRunCompiledBatch:
 
 
 class TestCompiledTracePersistence:
+    """The trace store is the one persisted form of a compiled trace."""
+
     def test_save_load_roundtrip(self, tmp_path):
-        for compiled in _traces():
-            path = tmp_path / "trace.npz"
-            compiled.save(path)
-            loaded = CompiledTrace.load(path)
+        traces = _traces()
+        store = ColumnarTraceStore(tmp_path)
+        for k, compiled in enumerate(traces):
+            store.put(f"t{k}", compiled)
+        reader = ColumnarTraceStore(tmp_path)
+        for k, compiled in enumerate(traces):
+            loaded = reader.get(f"t{k}")
             assert loaded.labels == compiled.labels
             for name in ("kinds", "cycles", "utilization", "num_ops",
                          "bytes_total", "sequential", "write", "seconds"):
@@ -97,9 +103,8 @@ class TestCompiledTracePersistence:
 
     def test_loaded_trace_plays_identically(self, sut, tmp_path):
         compiled = _traces()[0]
-        path = tmp_path / "trace.npz"
-        compiled.save(path)
-        loaded = CompiledTrace.load(path)
+        ColumnarTraceStore(tmp_path).put("t", compiled)
+        loaded = ColumnarTraceStore(tmp_path).get("t")
         a = sut.run_compiled(compiled)
         b = sut.run_compiled(loaded)
         assert b.duration_s == a.duration_s

@@ -297,11 +297,13 @@ def test_gate_rows_are_well_formed():
 
 
 def test_conservation_reads_the_vectorized_engine(db):
-    """A fault-free stream takes the columnar engine, where
-    ``responses`` is empty; the check must read the columns."""
+    """A fault-free stream takes the columnar engine, whose derived
+    ``responses`` view is never silently empty."""
     stream = perf.fault_ablation_stream(0.005)
-    m = ClusterSimulator(db, uniform_fleet(4), RoundRobinRouter()).run(stream)
-    assert m.response_columns is not None and not m.responses
+    sim = ClusterSimulator(db, uniform_fleet(4), RoundRobinRouter())
+    assert sim.vectorized_ineligibility() is None
+    m = sim.run(stream)
+    assert len(m.responses) == m.served == len(stream)
     assert m.faults is None
     assert perf.conserved(m, stream)
     assert not perf.conserved(m, stream[:-1])

@@ -103,14 +103,10 @@ class TestTraceCache:
         assert db.executions == 1  # disk entry has no result rows
         assert execution.result is not None
 
-    def test_generation_bump_bypasses_stale_disk_entry(
-        self, sut, tmp_path
-    ):
-        """An in-process generation change (warm/cool/DDL) must force a
-        fresh execution even when the old trace sits on disk."""
+    def _warm_then_cool(self, sut, cache):
+        """One runner's warm execution, a ``cool()``, its cold one."""
         from repro.db.profiles import commercial_profile
 
-        cache = TraceCache(tmp_path, namespace="gen")
         db = tpch_database(0.002, commercial_profile(0.002), seed=0,
                            tables=["lineitem"])
         db.warm()
@@ -119,43 +115,67 @@ class TestTraceCache:
         db.cool()  # bumps the generation; disk entry is now stale
         cold_exec = runner.cached_execution(self.SQL, keep_result=False)
         assert db.executions == 2  # re-executed, not served from disk
-        assert (
-            cold_exec.compiled_trace().bytes_total.sum()
-            > warm_exec.compiled_trace().bytes_total.sum()
+        return warm_exec.compiled_trace(), cold_exec.compiled_trace()
+
+    def test_generation_bump_bypasses_stale_disk_entry(
+        self, sut, tmp_path
+    ):
+        """An in-process generation change (warm/cool/DDL) must force a
+        fresh execution even when the old trace sits on disk."""
+        warm, cold = self._warm_then_cool(
+            sut, TraceCache(tmp_path, namespace="gen")
         )
+        assert cold.bytes_total.sum() > warm.bytes_total.sum()
+
+    def test_later_process_reads_the_first_trace_after_a_bump(
+        self, sut, tmp_path
+    ):
+        """First writer wins on disk: the cold re-execution's ``put`` is
+        ignored, so a later process under the *same* namespace is handed
+        the warm trace.  The namespace -- not the store -- must encode
+        warm/cold state."""
+        warm, cold = self._warm_then_cool(
+            sut, TraceCache(tmp_path, namespace="gen")
+        )
+        db = self._db()
+        later = WorkloadRunner(
+            db, sut, trace_cache=TraceCache(tmp_path, namespace="gen")
+        ).cached_execution(self.SQL, keep_result=False).compiled_trace()
+        assert db.executions == 0
+        assert later.bytes_total.sum() == warm.bytes_total.sum()
+        assert later.bytes_total.sum() != cold.bytes_total.sum()
 
     def test_corrupt_entry_reads_as_miss_and_heals(self, sut, tmp_path):
-        """A truncated/garbage .npz (crashed writer, torn copy) must
-        come back as a miss -- and the bad file must be evicted so the
-        recompute's put can heal it."""
+        """An entry whose rows are gone (crashed writer, torn copy)
+        must come back as a miss -- and the recompute's put must heal
+        it, not leave the key failing forever."""
         cache = TraceCache(tmp_path, namespace="corrupt")
         runner = WorkloadRunner(self._db(), sut, trace_cache=cache)
         runner.cached_execution(self.SQL, keep_result=False)
         key = runner._trace_key_prefix + self.SQL
-        path = cache._path(key)
-        assert path.exists()
-        path.write_bytes(b"PK\x03\x04 this is not a real zip")
-        misses = cache.misses
-        assert cache.get(key) is None
-        assert cache.misses == misses + 1
-        assert not path.exists()  # evicted, not left to fail forever
+        assert cache.get(key) is not None
+        cache.rows_path.write_bytes(b"")
+        fresh = TraceCache(tmp_path, namespace="corrupt")
+        assert fresh.get(key) is None
+        assert (fresh.hits, fresh.misses) == (0, 1)
         db = self._db()
-        WorkloadRunner(db, sut, trace_cache=cache
+        WorkloadRunner(db, sut, trace_cache=fresh
                        ).cached_execution(self.SQL, keep_result=False)
         assert db.executions == 1  # recomputed ...
         db2 = self._db()
-        WorkloadRunner(db2, sut, trace_cache=cache
-                       ).cached_execution(self.SQL, keep_result=False)
+        WorkloadRunner(
+            db2, sut, trace_cache=TraceCache(tmp_path, namespace="corrupt")
+        ).cached_execution(self.SQL, keep_result=False)
         assert db2.executions == 0  # ... and the entry is whole again
 
     def test_put_is_atomic_leaves_no_temp_files(self, sut, tmp_path):
         cache = TraceCache(tmp_path, namespace="atomic")
         runner = WorkloadRunner(self._db(), sut, trace_cache=cache)
         runner.cached_execution(self.SQL, keep_result=False)
-        leftovers = [p for p in tmp_path.iterdir()
-                     if p.suffix != ".npz"]
-        assert leftovers == []
-        assert cache._path(runner._trace_key_prefix + self.SQL).exists()
+        assert runner._trace_key_prefix + self.SQL in cache
+        assert sorted(tmp_path.iterdir()) == sorted(
+            [cache.rows_path, cache.index_path, cache._lock_path]
+        )
 
     def test_namespaces_do_not_collide(self, sut, tmp_path):
         a = TraceCache(tmp_path, namespace="a")

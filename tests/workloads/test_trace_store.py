@@ -15,7 +15,7 @@ from repro.hardware.trace import (
     ROW_DTYPE,
     Trace,
 )
-from repro.hardware.trace_store import ColumnarTraceStore
+from repro.hardware.trace_store import ColumnarTraceStore, _digest
 from repro.workloads.runner import TraceCache, WorkloadRunner
 from repro.workloads.selection import selection_query
 from repro.workloads.tpch.generator import tpch_database
@@ -131,16 +131,40 @@ class TestColumnarTraceStore:
         assert store.get("x") is None
 
     def test_span_past_container_end_is_a_miss(self, tmp_path):
-        """An index pointing beyond the data (e.g. rows lost to a torn
-        copy) must read as a miss, never as garbage rows."""
-        store = ColumnarTraceStore(tmp_path, namespace="oob")
-        store.put("q0", make_trace(0))
-        doc = json.loads(store.index_path.read_text())
-        for entry in doc["entries"].values():
+        """An index entry that no longer resolves -- pointing beyond
+        the data (rows lost to a torn copy), labels that do not match
+        the row count, a malformed entry -- must read as a miss, never
+        as garbage rows, and the next put must heal it rather than
+        leave the key a miss forever."""
+        def shift(entry):
             entry["offset"] += 1000
-        store.index_path.write_text(json.dumps(doc))
-        fresh = ColumnarTraceStore(tmp_path, namespace="oob")
-        assert fresh.get("q0") is None
+
+        def drop_a_label(entry):
+            entry["labels"].pop()
+
+        def mangle(entry):
+            entry.clear()
+            entry["offset"] = "not a number"
+
+        for k, corrupt in enumerate((shift, drop_a_label, mangle)):
+            namespace = f"oob{k}"
+            store = ColumnarTraceStore(tmp_path, namespace=namespace)
+            store.put("q0", make_trace(0))
+            store.put("q1", make_trace(1))
+            doc = json.loads(store.index_path.read_text())
+            corrupt(doc["entries"][_digest(namespace, "q0")])
+            store.index_path.write_text(json.dumps(doc))
+            fresh = ColumnarTraceStore(tmp_path, namespace=namespace)
+            assert fresh.get("q0") is None
+            fresh.put("q0", make_trace(0))
+            assert_traces_equal(fresh.get("q0"), make_trace(0))
+            # ... for every reader, and without disturbing or
+            # overwriting entries that still resolve.
+            reader = ColumnarTraceStore(tmp_path, namespace=namespace)
+            assert_traces_equal(reader.get("q0"), make_trace(0))
+            reader.put("q1", make_trace(7))  # first writer still wins
+            assert_traces_equal(reader.get("q1"), make_trace(1))
+            assert len(reader) == 2
 
     def test_torn_trailing_append_is_truncated_by_next_put(
         self, tmp_path
@@ -218,30 +242,32 @@ class TestColumnarTraceStore:
 
 
 class TestColumnarTraceCache:
+    """``TraceCache`` is the columnar store plus the workload namespace
+    recipe and hit/miss accounting."""
+
     SQL = selection_query(4)
 
     def _db(self):
         return tpch_database(0.002, mysql_profile(), seed=0,
                              tables=["lineitem"])
 
-    def test_for_workload_columnar_backend(self, tmp_path):
-        cache = TraceCache.for_workload(
-            tmp_path, "mysql", 0.002, seed=0, tables=("lineitem",),
-            columnar=True,
+    def _cache(self, tmp_path, sf=0.002):
+        return TraceCache.for_workload(
+            tmp_path, "mysql", sf, seed=0, tables=("lineitem",)
         )
-        from repro.workloads.runner import ColumnarTraceCache
 
-        assert isinstance(cache, ColumnarTraceCache)
-        npz = TraceCache.for_workload(
-            tmp_path, "mysql", 0.002, seed=0, tables=("lineitem",)
-        )
-        assert npz.namespace == cache.namespace
+    def test_for_workload_columnar_backend(self, tmp_path):
+        cache = self._cache(tmp_path)
+        assert isinstance(cache, ColumnarTraceStore)
+        assert cache.namespace == "mysql-sf0.002-seed0-lineitem"
+        # Equal workloads share one container, different ones do not.
+        assert self._cache(tmp_path).rows_path == cache.rows_path
+        assert self._cache(tmp_path, sf=0.01).rows_path != cache.rows_path
+        everything = TraceCache.for_workload(tmp_path, "mysql", 0.002)
+        assert everything.namespace == "mysql-sf0.002-seed0-all"
 
     def test_second_process_skips_execution(self, sut, tmp_path):
-        cache = TraceCache.for_workload(
-            tmp_path, "mysql", 0.002, seed=0, tables=("lineitem",),
-            columnar=True,
-        )
+        cache = self._cache(tmp_path)
         db1 = self._db()
         WorkloadRunner(db1, sut, trace_cache=cache).cached_execution(
             self.SQL, keep_result=False
@@ -250,15 +276,12 @@ class TestColumnarTraceCache:
         assert cache.misses == 1
 
         db2 = self._db()
-        fresh = TraceCache.for_workload(
-            tmp_path, "mysql", 0.002, seed=0, tables=("lineitem",),
-            columnar=True,
-        )
+        fresh = self._cache(tmp_path)
         restored = WorkloadRunner(
             db2, sut, trace_cache=fresh
         ).cached_execution(self.SQL, keep_result=False)
         assert db2.executions == 0
-        assert fresh.hits == 1
+        assert (fresh.hits, fresh.misses) == (1, 0)
         assert restored.result is None
 
     def test_cluster_simulator_runs_on_columnar_cache(
@@ -272,32 +295,28 @@ class TestColumnarTraceCache:
         from repro.workloads.arrivals import poisson_arrivals
 
         cache = TraceCache(tmp_path, namespace="sim")
-        columnar = __import__(
-            "repro.workloads.runner", fromlist=["ColumnarTraceCache"]
-        ).ColumnarTraceCache(tmp_path, namespace="sim-col")
         queries = [selection_query(i) for i in range(1, 5)]
         stream = poisson_arrivals(
             [queries[i % 4] for i in range(40)], 0.05, seed=3
         )
         baseline = ClusterSimulator(
             mysql_db, uniform_fleet(2), RoundRobinRouter(),
+        ).run(stream)
+        via_cache = ClusterSimulator(
+            mysql_db, uniform_fleet(2), RoundRobinRouter(),
             trace_cache=cache,
         ).run(stream)
-        via_columnar = ClusterSimulator(
-            mysql_db, uniform_fleet(2), RoundRobinRouter(),
-            trace_cache=columnar,
-        ).run(stream)
-        assert via_columnar.wall_joules == pytest.approx(
+        assert via_cache.wall_joules == pytest.approx(
             baseline.wall_joules, rel=1e-9
         )
-        assert columnar.misses > 0
-        # A second simulator over the same columnar store replays from
-        # the shared container.
+        assert (cache.hits, cache.misses) == (0, 4)
+        # A second simulator over the same store replays from the
+        # shared container.
         again = ClusterSimulator(
             mysql_db, uniform_fleet(2), RoundRobinRouter(),
-            trace_cache=columnar,
+            trace_cache=cache,
         ).run(stream)
         assert again.wall_joules == pytest.approx(
             baseline.wall_joules, rel=1e-9
         )
-        assert columnar.hits > 0
+        assert (cache.hits, cache.misses) == (4, 4)
