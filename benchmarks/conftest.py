@@ -56,7 +56,7 @@ def write_bench_artifact(updates: dict) -> Path:
     out.write_text(json.dumps(record, indent=2))
     failing = [
         f"{gate.key} = {value} violates {gate.describe()}"
-        for gate, value, passed in gates.verdicts(updates, gates.GATES)
+        for gate, value, passed in gates.verdicts(updates)
         if value is not None and not passed
     ]
     assert not failing, "; ".join(failing)

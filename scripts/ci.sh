@@ -8,15 +8,15 @@
 #   scripts/ci.sh --stage cluster  # cluster + diurnal + qed smoke benches
 #   scripts/ci.sh --stage replication  # placement + re-replication smoke
 #   scripts/ci.sh --stage obs      # traced cluster smoke + trace schema
-#                                  # + tracing-overhead trend gate
+#                                  # + metrics export sanity
 #
-# The perf benches run at a tiny scale factor and enforce the >= 5x
-# speedup gates (they also refresh the smoke copy of BENCH_perf.json;
-# commit the real artifact only from a full-size run).  After the
-# benches, scripts/check_bench_trend.py compares the freshly measured
-# speedups against the committed BENCH_perf.json and fails on a > 20%
-# regression; each stage passes its own name as --keys, which expands
-# to the stage's trend-gated rows of src/repro/measurement/gates.py.
+# The perf benches run at a tiny scale factor and enforce, on write,
+# the rows of src/repro/measurement/gates.py they record: <= 1e-9
+# identities, savings, conservation flags and the loose >= 5x speedup
+# floors (they also refresh the smoke copy of BENCH_perf.json; commit
+# the real artifact only from a full-size run).  Host time is not
+# judged here: that is benchmarks/e2e/compare.py over ten alternating
+# run.py --out pairs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,7 +30,6 @@ while [ $# -gt 0 ]; do
 done
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
-SMOKE_JSON="${TMPDIR:-/tmp}/BENCH_perf_smoke.json"
 
 # Run one bench command at the CI smoke sizes (each overridable from
 # the caller's environment).  Scoped to the command rather than
@@ -40,17 +39,12 @@ smoke() {
         REPRO_BENCH_CLUSTER_NODES="${REPRO_BENCH_CLUSTER_NODES:-16}" \
         REPRO_BENCH_CLUSTER_ARRIVALS="${REPRO_BENCH_CLUSTER_ARRIVALS:-2000}" \
         REPRO_BENCH_SCALING_NODES="${REPRO_BENCH_SCALING_NODES:-32}" \
-        REPRO_BENCH_SCALING_ARRIVALS="${REPRO_BENCH_SCALING_ARRIVALS:-100000}" \
         REPRO_BENCH_SCALING_COMPARE_ARRIVALS="${REPRO_BENCH_SCALING_COMPARE_ARRIVALS:-20000}" \
         REPRO_BENCH_DIURNAL_HORIZON="${REPRO_BENCH_DIURNAL_HORIZON:-120}" \
         REPRO_BENCH_QED_ARRIVALS="${REPRO_BENCH_QED_ARRIVALS:-300}" \
         REPRO_BENCH_FAULT_ARRIVALS="${REPRO_BENCH_FAULT_ARRIVALS:-200}" \
         REPRO_BENCH_REPLICATION_ARRIVALS="${REPRO_BENCH_REPLICATION_ARRIVALS:-200}" \
         "$@"
-}
-
-trend_gate() {
-    python scripts/check_bench_trend.py --fresh "$SMOKE_JSON" "$@"
 }
 
 run_lint() {
@@ -95,9 +89,7 @@ run_perf() {
     smoke python -m pytest benchmarks/bench_perf_pipeline.py -x -q
     echo "== vectorized event core smoke bench =="
     smoke python -m pytest benchmarks/bench_cluster_scaling.py -x -q \
-        -k "scheduler or million"
-    echo "== perf trend gate (sweep + event core) =="
-    trend_gate --keys perf
+        -k scheduler
 }
 
 run_cluster() {
@@ -122,8 +114,6 @@ run_cluster() {
     test -s "$store_dir/first.txt"
     diff "$store_dir/first.txt" "$store_dir/second.txt"
     rm -rf "$store_dir"
-    echo "== perf trend gate (cluster) =="
-    trend_gate --keys cluster
 }
 
 run_replication() {
@@ -134,8 +124,6 @@ run_replication() {
         --distinct 8 --policy least --shards 4 --replicas 2 \
         --faults examples/fault_plan.json --retry-max 4 \
         --retry-backoff 0.05 --sla 1.0
-    echo "== perf trend gate (replication) =="
-    trend_gate --keys replication
 }
 
 run_obs() {
@@ -177,14 +165,6 @@ EOF
     if [ "$keep_dir" = 0 ]; then
         rm -rf "$obs_dir"
     fi
-    echo "== tracing-overhead trend gate (cluster_scaling) =="
-    if [ ! -f "$SMOKE_JSON" ]; then
-        echo "no fresh smoke artifact; running cluster scaling bench"
-        smoke python -m pytest benchmarks/bench_cluster_scaling.py -x -q
-    fi
-    # The tracing-disabled hooks ride the schedule()/playback() hot
-    # path; gate them at <= 5% against the committed baseline speedup.
-    trend_gate --keys obs --max-regression 0.05
 }
 
 case "$STAGE" in

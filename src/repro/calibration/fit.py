@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.calibration import targets
+from repro.core.pvc.sweep import PvcSweep
 from repro.core.qed.executor import QedExecutor
 from repro.db.profiles import commercial_profile, mysql_profile
-from repro.hardware.cpu import PvcSetting, STOCK_SETTING, VoltageDowngrade
 from repro.hardware.profiles import paper_sut
 from repro.workloads.runner import WorkloadRunner
 from repro.workloads.selection import selection_workload
@@ -50,29 +50,25 @@ def pvc_residuals(profile_name: str, scale_factor: float = 0.02,
         time_target = targets.mysql_time_ratio
     db = tpch_database(scale_factor, profile, seed=seed, tables=Q5_TABLES)
     db.warm()
-    sut = paper_sut()
-    runner = WorkloadRunner(db, sut)
-    queries = q5_paper_workload()
-    sut.apply_setting(STOCK_SETTING)
-    base = runner.run_queries(queries).total
+    # The default grid is the paper's: small then medium downgrade,
+    # each at 5/10/15% underclock.
+    curve = PvcSweep(
+        WorkloadRunner(db, paper_sut()), q5_paper_workload()
+    ).run()
     residuals: list[Residual] = []
-    for downgrade in (VoltageDowngrade.SMALL, VoltageDowngrade.MEDIUM):
-        for pct in (5, 10, 15):
-            sut.apply_setting(PvcSetting(pct, downgrade))
-            run = runner.run_queries(queries).total
-            residuals.append(Residual(
-                f"{profile_name} {downgrade.value} {pct}% energy",
-                targets.energy_ratio_target(
-                    profile_name, downgrade.value, pct
-                ),
-                run.cpu_joules / base.cpu_joules,
-            ))
-            residuals.append(Residual(
-                f"{profile_name} {downgrade.value} {pct}% time",
-                time_target(pct),
-                run.duration_s / base.duration_s,
-            ))
-    sut.apply_setting(STOCK_SETTING)
+    for ratio in curve.ratios()[1:]:  # [0] is the stock baseline
+        pct = ratio.setting.underclock_pct
+        downgrade = ratio.setting.downgrade.value
+        residuals.append(Residual(
+            f"{profile_name} {downgrade} {pct}% energy",
+            targets.energy_ratio_target(profile_name, downgrade, pct),
+            ratio.energy_ratio,
+        ))
+        residuals.append(Residual(
+            f"{profile_name} {downgrade} {pct}% time",
+            time_target(pct),
+            ratio.time_ratio,
+        ))
     return residuals
 
 

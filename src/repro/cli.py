@@ -29,87 +29,66 @@ playback (exits non-zero if a power-capped run overshoots its cap).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.calibration import fit, targets
 from repro.measurement.report import ComparisonTable
 
 
-def _table_from_residuals(title: str, residuals) -> ComparisonTable:
+def _report(title: str, residuals, error: str, tolerance: float) -> int:
+    """Print one experiment's paper-vs-measured table and name every
+    row whose ``error`` (``abs_error`` / ``rel_error``) exceeds
+    ``tolerance``; 1 if any does."""
     table = ComparisonTable(title)
     for r in residuals:
         table.add(r.label, r.paper, r.measured)
-    return table
-
-
-def cmd_table1(_args) -> int:
-    table = _table_from_residuals(
-        "Table 1: system power breakdown (wall W)",
-        fit.table1_residuals(),
-    )
     table.print()
-    bad = [
-        r for r in fit.table1_residuals()
-        if r.abs_error > targets.TABLE1_WATTS_TOLERANCE
-    ]
-    return 1 if bad else 0
-
-
-def cmd_pvc(args) -> int:
-    residuals = fit.pvc_residuals(args.profile, args.sf)
-    table = _table_from_residuals(
-        f"PVC sweep: {args.profile} profile (ratios vs stock)", residuals
-    )
-    table.print()
-    bad = [
-        r for r in residuals
-        if r.abs_error > targets.PVC_RATIO_TOLERANCE
-    ]
+    bad = [r for r in residuals if getattr(r, error) > tolerance]
     for r in bad:
         print(f"OUT OF TOLERANCE: {r.label} "
               f"(paper {r.paper:.3f}, measured {r.measured:.3f})")
     return 1 if bad else 0
 
 
+def cmd_table1(_args) -> int:
+    return _report(
+        "Table 1: system power breakdown (wall W)",
+        fit.table1_residuals(),
+        "abs_error", targets.TABLE1_WATTS_TOLERANCE,
+    )
+
+
+def cmd_pvc(args) -> int:
+    return _report(
+        f"PVC sweep: {args.profile} profile (ratios vs stock)",
+        fit.pvc_residuals(args.profile, args.sf),
+        "abs_error", targets.PVC_RATIO_TOLERANCE,
+    )
+
+
 def cmd_qed(args) -> int:
-    residuals = fit.qed_residuals(
-        args.sf, batch_sizes=tuple(args.batches)
+    return _report(
+        "QED vs sequential (Figure 6 ratios)",
+        fit.qed_residuals(args.sf, batch_sizes=tuple(args.batches)),
+        "abs_error", targets.QED_RATIO_TOLERANCE,
     )
-    table = _table_from_residuals(
-        "QED vs sequential (Figure 6 ratios)", residuals
-    )
-    table.print()
-    bad = [
-        r for r in residuals
-        if r.abs_error > targets.QED_RATIO_TOLERANCE
-    ]
-    return 1 if bad else 0
 
 
 def cmd_disk(_args) -> int:
-    residuals = fit.fig5_residuals()
-    table = _table_from_residuals(
-        "Figure 5: random-read improvement factors", residuals
+    return _report(
+        "Figure 5: random-read improvement factors",
+        fit.fig5_residuals(),
+        "rel_error", targets.FIG5_IMPROVEMENT_REL_TOLERANCE,
     )
-    table.print()
-    bad = [
-        r for r in residuals
-        if r.rel_error > targets.FIG5_IMPROVEMENT_REL_TOLERANCE
-    ]
-    return 1 if bad else 0
 
 
 def cmd_warmcold(args) -> int:
-    residuals = fit.warm_cold_residuals(args.sf)
-    table = _table_from_residuals(
-        "Section 3.5: warm vs cold (SF-1.0 magnitudes)", residuals
+    return _report(
+        "Section 3.5: warm vs cold (SF-1.0 magnitudes)",
+        fit.warm_cold_residuals(args.sf),
+        "rel_error", targets.WARMCOLD_REL_TOLERANCE,
     )
-    table.print()
-    bad = [
-        r for r in residuals
-        if r.rel_error > targets.WARMCOLD_REL_TOLERANCE
-    ]
-    return 1 if bad else 0
 
 
 def _load_fleet(path: str):
@@ -205,34 +184,14 @@ def cmd_cluster(args) -> int:
     from repro.workloads.selection import selection_workload
     from repro.workloads.tpch.generator import tpch_database
 
-    if args.qed_batch is not None and args.qed_threshold is not None:
-        print("error: --qed-batch is a deprecated alias of "
-              "--qed-threshold; pass one, not both", file=sys.stderr)
+    qed_mode = args.qed or "off"
+    if qed_mode == "off" and args.qed_threshold is not None:
+        # The threshold never implies a mode on its own, and an
+        # explicit --qed off contradicts it.
+        print("error: --qed-threshold needs --qed master|node",
+              file=sys.stderr)
         return 2
-    threshold = (
-        args.qed_threshold if args.qed_threshold is not None
-        else args.qed_batch
-    )
-    if args.qed is None:
-        # Back-compat: --qed-batch alone means per-node queues.  The
-        # canonical --qed-threshold never implies a mode on its own.
-        if args.qed_batch is None and args.qed_threshold is not None:
-            print("error: --qed-threshold needs --qed master|node",
-                  file=sys.stderr)
-            return 2
-        qed_mode = "node" if args.qed_batch is not None else "off"
-    else:
-        qed_mode = args.qed
-        if qed_mode != "node" and args.qed_batch is not None:
-            print("error: --qed-batch implies --qed node and "
-                  f"contradicts --qed {qed_mode}; use --qed-threshold",
-                  file=sys.stderr)
-            return 2
-        if qed_mode == "off" and threshold is not None:
-            print("error: --qed off contradicts --qed-threshold; "
-                  "drop one", file=sys.stderr)
-            return 2
-    if qed_mode != "off" and threshold is None:
+    if qed_mode != "off" and args.qed_threshold is None:
         print("error: --qed master|node needs --qed-threshold (the "
               "batch-dispatch threshold)", file=sys.stderr)
         return 2
@@ -286,6 +245,8 @@ def cmd_cluster(args) -> int:
     # Validate every flag-derived object *before* the expensive
     # database build so bad flags fail fast with a clean message.
     try:
+        if args.arrivals < 0:
+            raise ValueError("--arrivals must be non-negative")
         queries = selection_workload(args.distinct).queries
         stream, schedule = _build_stream(args, queries)
         if args.policy == "spread":
@@ -311,7 +272,7 @@ def cmd_cluster(args) -> int:
                 cap_w=args.cap_w, max_delay_s=args.max_delay
             )
         policy = (
-            BatchPolicy(threshold, max_wait_s=args.qed_max_wait)
+            BatchPolicy(args.qed_threshold, max_wait_s=args.qed_max_wait)
             if qed_mode != "off" else None
         )
         master_queue = None
@@ -494,22 +455,27 @@ def cmd_cluster(args) -> int:
                   f"{w.p95_response_s*1e3:8.1f}")
     if m.run_id is not None:
         print(f"  run id         : {m.run_id}")
-    if tracer is not None:
-        from repro.obs import write_trace
+    try:
+        if tracer is not None:
+            from repro.obs import write_trace
 
-        meta = write_trace(args.trace, tracer, measurement=m)
-        att = meta["attribution"]
-        print(f"  trace          : {args.trace} "
-              f"({len(tracer.spans)} spans)")
-        print(f"  energy reconcile: {att['reconciliation_abs_j']:.3e} J "
-              f"(rel {att['reconciliation_rel']:.3e})")
-    if metrics is not None:
-        from repro.obs import write_metrics
+            meta = write_trace(args.trace, tracer, measurement=m)
+            att = meta["attribution"]
+            print(f"  trace          : {args.trace} "
+                  f"({len(tracer.spans)} spans)")
+            print(f"  energy reconcile: "
+                  f"{att['reconciliation_abs_j']:.3e} J "
+                  f"(rel {att['reconciliation_rel']:.3e})")
+        if metrics is not None:
+            from repro.obs import write_metrics
 
-        write_metrics(args.metrics, metrics)
-        print(f"  metrics        : {args.metrics} "
-              f"({len(metrics.samples)} samples, "
-              f"{metrics.window_s:g} s windows)")
+            write_metrics(args.metrics, metrics)
+            print(f"  metrics        : {args.metrics} "
+                  f"({len(metrics.samples)} samples, "
+                  f"{metrics.window_s:g} s windows)")
+    except OSError as exc:  # an unwritable --trace / --metrics path
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if m.cap_w is not None:
         print(f"  power cap      : {m.cap_w:.1f} W "
               f"(overshoot {m.power_cap_overshoot_w:.2f} W)")
@@ -574,6 +540,16 @@ def cmd_experiments(args) -> int:
     return status
 
 
+def _scale_factor(text: str) -> float:
+    """argparse ``type=`` of every ``--sf``: positive and finite."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"scale factor must be positive and finite, got {text}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -587,12 +563,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pvc", help="PVC sweep (Figures 1-3)")
     p.add_argument("--profile", choices=("commercial", "mysql"),
                    default="commercial")
-    p.add_argument("--sf", type=float, default=0.02,
+    p.add_argument("--sf", type=_scale_factor, default=0.02,
                    help="TPC-H scale factor")
     p.set_defaults(func=cmd_pvc)
 
     p = sub.add_parser("qed", help="QED comparison (Figure 6)")
-    p.add_argument("--sf", type=float, default=0.05)
+    p.add_argument("--sf", type=_scale_factor, default=0.05)
     p.add_argument("--batches", type=int, nargs="+",
                    default=list(targets.QED_BATCH_SIZES))
     p.set_defaults(func=cmd_qed)
@@ -601,14 +577,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_disk)
 
     p = sub.add_parser("warmcold", help="warm vs cold runs (Sec 3.5)")
-    p.add_argument("--sf", type=float, default=0.02)
+    p.add_argument("--sf", type=_scale_factor, default=0.02)
     p.set_defaults(func=cmd_warmcold)
 
     p = sub.add_parser(
         "cluster",
         help="simulate an arrival stream across a fleet",
     )
-    p.add_argument("--sf", type=float, default=0.01,
+    p.add_argument("--sf", type=_scale_factor, default=0.01,
                    help="TPC-H scale factor")
     p.add_argument("--nodes", type=int, default=4)
     p.add_argument("--arrivals", type=int, default=200)
@@ -677,9 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "routing policy (cooperates with dynamic "
                         "consolidation), or hash-split one merged "
                         "batch across nodes")
-    p.add_argument("--qed-batch", type=int, default=None,
-                   help="deprecated alias: per-node threshold "
-                        "(implies --qed node)")
     p.add_argument("--sla", type=float, default=None,
                    help="report response-time SLA misses (s)")
     p.add_argument("--faults", default=None, metavar="PLAN.json",
@@ -746,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser("experiments", help="run everything")
-    p.add_argument("--sf", type=float, default=0.02)
+    p.add_argument("--sf", type=_scale_factor, default=0.02)
     p.set_defaults(func=cmd_experiments)
 
     return parser

@@ -1,16 +1,13 @@
 """Perf harness: execute-once/replay-many versus naive re-execution.
 
-Times the same PVC sweep four ways on one database/machine pair:
+Times the same PVC sweep three ways on one database/machine pair:
 
 * ``naive`` -- the full paper protocol with no caching anywhere:
   every operating point and every protocol repeat re-parses, re-plans,
   and re-executes the whole workload (``PvcSweep(replay=False)`` with
   per-repeat rerun; the "35x more expensive than necessary" pipeline).
-  The database's plan cache is disabled while the naive baselines run,
-  so they genuinely pay parse+plan per execution like the pre-PR code.
-* ``naive_reuse`` -- the historical pre-refactor pipeline: one
-  execution per operating point, readings reused across protocol
-  repeats (``replay=False, rerun_repeats=False``), plan cache off.
+  The database's plan cache is disabled while the naive baseline runs,
+  so it genuinely pays parse+plan per execution like the pre-PR code.
 * ``replay_cold`` -- the execute-once/replay-many pipeline starting
   from an empty execution cache: each distinct query executes once,
   then every point/repeat replays its compiled trace.
@@ -25,7 +22,7 @@ curve -- which must be ~1e-15-ish noise, never a real difference.
 ``scripts/perf_report.py`` serializes it to ``BENCH_perf.json``.
 
 The rest of the module is the canonical cluster scenarios behind the
-other ``BENCH_perf.json`` sections: three host-time comparisons and
+other ``BENCH_perf.json`` sections: two host-time comparisons and
 four energy ablations, every one of the latter an :class:`Ablation`
 whose gates live in :mod:`repro.measurement.gates`.  This is the only
 module under ``src/`` allowed to read the host clock, and it does so
@@ -66,7 +63,6 @@ from repro.hardware.system import SystemUnderTest
 from repro.measurement import gates
 from repro.measurement.protocol import MeasurementProtocol
 from repro.measurement.report import ComparisonTable
-from repro.obs import NULL_TRACER, SpanTracer
 from repro.workloads.arrivals import (
     ArrivalStream,
     diurnal_schedule,
@@ -77,8 +73,7 @@ from repro.workloads.runner import TraceCache, WorkloadRunner
 from repro.workloads.selection import selection_workload
 
 #: Every host timing is the best of this many back-to-back runs of the
-#: same callable.  A single shot of a 2 ms playback is timer noise (the
-#: ``diurnal.hetero_speedup`` trend gate went red on exactly that); the
+#: same callable.  A single shot of a 2 ms playback is timer noise; the
 #: minimum is the least-disturbed run.  Timed callables must therefore
 #: be repeatable, and what they report is the *warm* cost: the first
 #: repetition pays execute-once costing, later ones do not.  (Back to
@@ -141,10 +136,8 @@ class PerfComparison:
     repeats: int
     num_queries: int
     naive: SweepTiming
-    naive_reuse: SweepTiming
     replay_cold: SweepTiming
     replay_cached: SweepTiming
-    max_rel_diff_reuse: float
     max_rel_diff_cold: float
     max_rel_diff_cached: float
 
@@ -156,16 +149,10 @@ class PerfComparison:
     def speedup_cached(self) -> float:
         return self.naive.wall_s / self.replay_cached.wall_s
 
-    @property
-    def speedup_vs_prerefactor(self) -> float:
-        """Cold-cache replay vs the historical execute-per-point path."""
-        return self.naive_reuse.wall_s / self.replay_cold.wall_s
-
     def to_dict(self) -> dict:
         out = asdict(self)
         out["speedup_cold"] = self.speedup_cold
         out["speedup_cached"] = self.speedup_cached
-        out["speedup_vs_prerefactor"] = self.speedup_vs_prerefactor
         return out
 
     def table(self) -> ComparisonTable:
@@ -175,7 +162,6 @@ class PerfComparison:
         )
         for timing, what in (
             (self.naive, "naive sweep, rerun repeats"),
-            (self.naive_reuse, "pre-refactor sweep, reuse repeats"),
             (self.replay_cold, "replay sweep, cold cache"),
             (self.replay_cached, "replay sweep, warm cache"),
         ):
@@ -184,8 +170,6 @@ class PerfComparison:
                       float(timing.db_executions))
         table.add("speedup vs naive (cold)", None, self.speedup_cold)
         table.add("speedup vs naive (cached)", None, self.speedup_cached)
-        table.add("speedup vs pre-refactor (cold)", None,
-                  self.speedup_vs_prerefactor)
         table.add("max curve deviation (cold)", None,
                   self.max_rel_diff_cold)
         return table
@@ -228,14 +212,14 @@ def compare_sweep_paths(
             noise_sigma=0.0,
         )
 
-    def timed(label: str, runner: WorkloadRunner, before_each=None,
-              **mode) -> SweepTiming:
+    def timed(label: str, runner: WorkloadRunner, replay: bool,
+              before_each=None) -> SweepTiming:
         def sweep():
             if before_each is not None:
                 before_each()
             before = db.executions
             curve = PvcSweep(runner, queries, protocol=protocol(),
-                             **mode).run(grid)
+                             replay=replay).run(grid)
             return db.executions - before, curve
 
         wall, (executions, curve) = _timed(sweep)
@@ -244,22 +228,19 @@ def compare_sweep_paths(
             points=_curve_points(curve),
         )
 
-    # The naive baselines model the pre-plan-cache pipeline: pay
+    # The naive baseline models the pre-plan-cache pipeline: pay
     # parse+plan on every execution.
-    naive_runner = WorkloadRunner(db, sut)
     db.plan_cache_enabled = False
     try:
-        naive = timed("naive", naive_runner, replay=False)
-        reuse = timed("naive_reuse", naive_runner, replay=False,
-                      rerun_repeats=False)
+        naive = timed("naive", WorkloadRunner(db, sut), replay=False)
     finally:
         db.plan_cache_enabled = True
 
     # Cold means an empty *execution* cache on every repetition; the
     # cached sweep then runs on what the last cold one left behind.
     replay_runner = WorkloadRunner(db, sut)
-    cold = timed("replay_cold", replay_runner,
-                 replay_runner.clear_execution_cache, replay=True)
+    cold = timed("replay_cold", replay_runner, replay=True,
+                 before_each=replay_runner.clear_execution_cache)
     cached = timed("replay_cached", replay_runner, replay=True)
 
     return PerfComparison(
@@ -269,10 +250,8 @@ def compare_sweep_paths(
         repeats=repeats,
         num_queries=len(queries),
         naive=naive,
-        naive_reuse=reuse,
         replay_cold=cold,
         replay_cached=cached,
-        max_rel_diff_reuse=_max_rel_diff(naive.points, reuse.points),
         max_rel_diff_cold=_max_rel_diff(naive.points, cold.points),
         max_rel_diff_cached=_max_rel_diff(naive.points, cached.points),
     )
@@ -340,18 +319,9 @@ class ClusterPerfComparison:
     batched_wall_joules: float
     loop_wall_joules: float
     max_rel_diff: float
-    #: Config fingerprint hash of the scheduled run (bench history
-    #: entries become attributable to their exact configuration).
+    #: Config fingerprint hash of the scheduled run (the record is
+    #: attributable to its exact configuration).
     run_id: str | None = None
-    #: Re-run of the untraced schedule, timed right before the traced
-    #: one -- the denominator of the tracing-overhead ratio.
-    untraced_rerun_wall_s: float = 0.0
-    #: The same schedule with a SpanTracer attached.
-    traced_schedule_wall_s: float = 0.0
-    traced_spans: int = 0
-    #: Worst per-node playback deviation of the traced run vs the
-    #: untraced batched run -- tracing must never perturb energies.
-    traced_max_rel_diff: float = 0.0
 
     @property
     def speedup(self) -> float:
@@ -366,23 +336,10 @@ class ClusterPerfComparison:
             / (self.schedule_wall_s + self.batched_wall_s)
         )
 
-    @property
-    def tracing_overhead(self) -> float:
-        """Schedule-phase slowdown with tracing *enabled*, against the
-        untraced re-run (the disabled path is gated separately by the
-        ``cluster_scaling`` bench trend)."""
-        if self.untraced_rerun_wall_s <= 0:
-            return 0.0
-        return (
-            self.traced_schedule_wall_s / self.untraced_rerun_wall_s
-            - 1.0
-        )
-
     def to_dict(self) -> dict:
         out = asdict(self)
         out["speedup"] = self.speedup
         out["end_to_end_speedup"] = self.end_to_end_speedup
-        out["tracing_overhead"] = self.tracing_overhead
         return out
 
     def table(self) -> ComparisonTable:
@@ -401,7 +358,6 @@ class ClusterPerfComparison:
         table.add("cluster energy (J)", None, self.batched_wall_joules,
                   unit="J")
         table.add("max energy deviation", None, self.max_rel_diff)
-        table.add("tracing overhead", None, self.tracing_overhead)
         return table
 
 
@@ -419,27 +375,13 @@ def compare_cluster_playback(
     # This comparison isolates *playback* (batched vs loop) on one
     # legacy schedule; the vectorized scheduler has no per-piece
     # timeline for the loop to replay, so pin the event loop explicitly.
-    def legacy_schedule():
-        return sim.schedule(arrivals, vectorized=False)
-
-    schedule_wall, schedule = _timed(legacy_schedule)
+    schedule_wall, schedule = _timed(
+        lambda: sim.schedule(arrivals, vectorized=False)
+    )
     batched_wall, batched = _timed(
         lambda: sim.playback(schedule, mode="batched")
     )
     loop_wall, loop = _timed(lambda: sim.playback(schedule, mode="loop"))
-
-    # Tracing pass on the same simulator: schedule again with spans on
-    # (a fresh tracer per repetition, so the span count is one run's)
-    # and check playback is unperturbed.
-    untraced_rerun_wall, _ = _timed(legacy_schedule)
-
-    def traced_schedule():
-        sim.tracer = SpanTracer()
-        return legacy_schedule()
-
-    traced_schedule_wall, traced = _timed(traced_schedule)
-    traced_spans = len(sim.tracer.spans)
-    sim.tracer = NULL_TRACER
 
     return ClusterPerfComparison(
         nodes=len(specs),
@@ -454,46 +396,30 @@ def compare_cluster_playback(
         loop_wall_joules=loop.wall_joules,
         max_rel_diff=_max_node_rel_diff(batched, loop),
         run_id=schedule.run_id,
-        untraced_rerun_wall_s=untraced_rerun_wall,
-        traced_schedule_wall_s=traced_schedule_wall,
-        traced_spans=traced_spans,
-        traced_max_rel_diff=_max_node_rel_diff(
-            batched, sim.playback(traced, mode="batched")
-        ),
     )
 
 
 # -- cluster scheduling: vectorized event core vs per-arrival loop --------
 
-#: Canonical scheduler-scaling scenario: a 100-node fleet under a
-#: million-arrival stream.  ``REPRO_BENCH_SCALING_NODES`` /
-#: ``REPRO_BENCH_SCALING_ARRIVALS`` shrink the vectorized-only tier and
-#: ``REPRO_BENCH_SCALING_COMPARE_ARRIVALS`` the paired comparison (the
-#: legacy loop at the full million would dominate CI wall time).
+#: Canonical scheduler-scaling scenario: a 100-node fleet under 100k
+#: arrivals (the legacy loop it is paired against is the slow side).
+#: ``REPRO_BENCH_SCALING_NODES`` /
+#: ``REPRO_BENCH_SCALING_COMPARE_ARRIVALS`` shrink it for CI smoke runs.
 SCALING_SCHED_NODES = 100
-SCALING_SCHED_ARRIVALS = 1_000_000
 SCALING_COMPARE_ARRIVALS = 100_000
 
 
-def scheduler_scaling_scenario(
-    count: int | None = None, nodes: int | None = None,
-) -> tuple[list, object, ArrivalStream]:
+def scheduler_scaling_scenario() -> tuple[list, object, ArrivalStream]:
     """(specs, router, arrivals) for the scheduler-scaling comparison.
 
     Round-robin routing: its chunked fast path is pure array math, so
     the comparison isolates the event core (the legacy per-arrival loop
     versus closed-form FIFO sequencing), not router bookkeeping.
     """
-    if nodes is None:
-        nodes = _env("SCALING_NODES", SCALING_SCHED_NODES)
-    if count is None:
-        count = _env("SCALING_ARRIVALS", SCALING_SCHED_ARRIVALS)
-    return _scaling_scenario(nodes, count)
-
-
-def scheduler_compare_arrivals() -> int:
-    """Arrival count for the timed legacy-vs-vectorized pairing."""
-    return _env("SCALING_COMPARE_ARRIVALS", SCALING_COMPARE_ARRIVALS)
+    return _scaling_scenario(
+        _env("SCALING_NODES", SCALING_SCHED_NODES),
+        _env("SCALING_COMPARE_ARRIVALS", SCALING_COMPARE_ARRIVALS),
+    )
 
 
 @dataclass
@@ -628,79 +554,6 @@ def compare_cluster_scheduling(
                     for a, b in zip(vectorized.nodes, legacy.nodes))
         ),
         run_id=vec_schedule.run_id,
-    )
-
-
-@dataclass
-class VectorizedTier:
-    """The vectorized-only scaling tier: the event core at full size.
-
-    No legacy pairing (the per-arrival loop at a million arrivals is
-    minutes, not seconds); correctness rides on the
-    :class:`SchedulingComparison` gate at the comparison size.
-    """
-
-    nodes: int
-    arrivals: int
-    scale_factor: float | None
-    schedule_wall_s: float
-    playback_wall_s: float
-    wall_joules: float
-    served: int
-    run_id: str | None = None
-
-    @property
-    def total_wall_s(self) -> float:
-        return self.schedule_wall_s + self.playback_wall_s
-
-    def to_record(self) -> dict:
-        """The ``tier_*`` keys of the ``cluster_scaling`` section."""
-        return {
-            "tier_nodes": self.nodes,
-            "tier_arrivals": self.arrivals,
-            "tier_schedule_wall_s": self.schedule_wall_s,
-            "tier_playback_wall_s": self.playback_wall_s,
-            "tier_total_wall_s": self.total_wall_s,
-            "tier_run_id": self.run_id,
-        }
-
-    def table(self) -> ComparisonTable:
-        table = ComparisonTable(
-            f"Vectorized tier: {self.nodes} nodes x {self.arrivals} "
-            f"arrivals (run {self.run_id})"
-        )
-        table.add("schedule phase (s)", None, self.schedule_wall_s,
-                  unit="s")
-        table.add("playback phase (s)", None, self.playback_wall_s,
-                  unit="s")
-        table.add("total (s)", None, self.total_wall_s, unit="s")
-        table.add("cluster energy (J)", None, self.wall_joules, unit="J")
-        return table
-
-
-def time_vectorized_tier(
-    db: Database,
-    specs,
-    router,
-    arrivals: ArrivalStream,
-    scale_factor: float | None = None,
-    trace_cache: TraceCache | None = None,
-) -> VectorizedTier:
-    """Schedule and play one stream through the vectorized core only."""
-    sim = ClusterSimulator(db, specs, router, trace_cache=trace_cache)
-    schedule_wall, schedule = _timed(
-        lambda: sim.schedule(arrivals, vectorized=True)
-    )
-    playback_wall, measurement = _timed(lambda: sim.playback(schedule))
-    return VectorizedTier(
-        nodes=len(specs),
-        arrivals=len(arrivals),
-        scale_factor=scale_factor,
-        schedule_wall_s=schedule_wall,
-        playback_wall_s=playback_wall,
-        wall_joules=measurement.wall_joules,
-        served=measurement.served,
-        run_id=schedule.run_id,
     )
 
 

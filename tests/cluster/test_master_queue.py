@@ -309,24 +309,24 @@ class TestMasterQedCli:
 
         assert main(["cluster", "--qed", "master"]) == 2
         assert main(["cluster", "--qed-max-wait", "0.5"]) == 2
-        # An explicit --qed off contradicts a threshold flag.
-        assert main(["cluster", "--qed", "off", "--qed-batch", "5"]) == 2
+        # An explicit --qed off contradicts the threshold flag.
         assert main(
             ["cluster", "--qed", "off", "--qed-threshold", "5"]
         ) == 2
-        # The canonical threshold flag never implies a mode by itself,
-        # and placement only applies to the master queue.
+        # The threshold flag never implies a mode by itself, and
+        # placement only applies to the master queue.
         assert main(["cluster", "--qed-threshold", "5"]) == 2
         assert main([
             "cluster", "--qed", "node", "--qed-threshold", "5",
             "--qed-placement", "hash",
         ]) == 2
-        # The deprecated alias implies node; other modes reject it,
-        # and passing both threshold spellings is a contradiction.
-        assert main(["cluster", "--qed", "master", "--qed-batch", "5"]) == 2
-        assert main([
-            "cluster", "--qed-batch", "5", "--qed-threshold", "10",
-        ]) == 2
+        # --qed-threshold is the only spelling: the old per-node alias
+        # is not a flag any more.
+        with pytest.raises(SystemExit):
+            main(["cluster", "--qed", "node", "--qed-batch", "5"])
+        assert "unrecognized arguments: --qed-batch" in (
+            capsys.readouterr().err
+        )
         # A consolidate-family policy under the master queue needs the
         # cooperating placement.
         assert main([

@@ -441,6 +441,19 @@ class TestCli:
         doc = json.loads((tmp_path / "metrics.json").read_text())
         assert doc["counters"]["arrivals"] == 20.0
 
+    @pytest.mark.parametrize("flag", ["--trace", "--metrics"])
+    def test_unwritable_export_path_is_a_named_error(
+        self, flag, tmp_path, capsys,
+    ):
+        rc = main([
+            "cluster", "--sf", "0.002", "--nodes", "2",
+            "--arrivals", "20", "--distinct", "4",
+            flag, str(tmp_path / "no-such-dir" / "out.json"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no-such-dir" in err
+
     def test_report_rejects_garbage(self, tmp_path, capsys):
         path = tmp_path / "junk.json"
         path.write_text("not a trace")

@@ -57,3 +57,24 @@ class TestCli:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["nope"])
+
+    @pytest.mark.parametrize("command", ["pvc", "qed", "warmcold",
+                                         "cluster", "experiments"])
+    @pytest.mark.parametrize("sf", ["0", "-1", "nan", "inf"])
+    def test_scale_factor_must_be_positive_and_finite(
+        self, command, sf, capsys,
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--sf", sf])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --sf: scale factor must be positive" in (
+            captured.err
+        )
+        assert "building" not in captured.out  # before any database
+
+    def test_negative_arrivals_rejected(self, capsys):
+        assert main(["cluster", "--arrivals", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert "error: --arrivals must be non-negative" in captured.err
+        assert "building" not in captured.out
