@@ -355,10 +355,16 @@ class Linter:
 
 
 def _display_path(path: Path) -> str:
-    """Repo-relative posix path when possible (scopes match on it)."""
+    """The path rule scopes match on and findings report: relative to
+    the repository root -- the nearest ancestor holding a ``src/repro``
+    tree -- so neither depends on the directory the linter runs from.
+    A file outside any such tree is shown relative to the cwd."""
+    resolved = path.resolve()
+    for parent in resolved.parents:
+        if (parent / "src" / "repro").is_dir():
+            return resolved.relative_to(parent).as_posix()
     try:
-        rel = path.resolve().relative_to(Path.cwd().resolve())
-        return rel.as_posix()
+        return resolved.relative_to(Path.cwd().resolve()).as_posix()
     except ValueError:
         return path.as_posix()
 

@@ -19,7 +19,7 @@ from repro.core.qed.aggregator import MergedQuery
 from repro.db.exec.stats import ExprCounters
 from repro.db.expr import Batch, evaluate_predicate
 from repro.db.results import QueryResult
-from repro.db.types import DataType
+from repro.db.types import Column, DataType
 
 
 @dataclass
@@ -53,13 +53,6 @@ def split_result(merged: MergedQuery, result: QueryResult) -> SplitOutcome:
     return _split_by_predicates(merged, result)
 
 
-def _routing_array(result: QueryResult, column: str) -> np.ndarray:
-    col = result.column(column)
-    if col.dtype is DataType.STRING:
-        return col.values()
-    return col.raw()
-
-
 def _routing_slots(merged: MergedQuery) -> dict[object, list[int]]:
     """value -> positions of every query routing on it (duplicate
     queries in a batch share their rows)."""
@@ -69,28 +62,99 @@ def _routing_slots(merged: MergedQuery) -> dict[object, list[int]]:
     return slots
 
 
+def _routing_key(column: Column, literal: object) -> int | float | None:
+    """``literal`` in ``column``'s raw domain (dictionary code, days,
+    number); ``None`` when no stored value can equal it -- a string
+    absent from the dictionary, a type the column cannot hold, a
+    number its dtype cannot represent exactly."""
+    if column.dtype is DataType.STRING:
+        code = column.code_for(literal) if isinstance(literal, str) else -1
+        return code if code >= 0 else None
+    if isinstance(literal, str):
+        return None
+    try:
+        key = column.raw().dtype.type(literal).item()
+    except (OverflowError, ValueError, TypeError):
+        return None
+    return key if key == literal else None  # exact round trip; NaN never
+
+
+@dataclass(frozen=True)
+class _RoutingIndex:
+    """Which merged rows belong to which queries: the one account that
+    both the split and its simulated cost are read from.
+
+    A *group* is one distinct routing value some stored value can
+    equal; group ids run ``0..len(group_rows) - 1``.
+    """
+
+    #: per query: its value's group, -1 when nothing can equal it
+    query_group: np.ndarray
+    #: per merged row: its value's group, -1 when no query asked for it
+    row_group: np.ndarray
+    #: per group: how many rows carry its value
+    group_rows: np.ndarray
+
+    @property
+    def unmatched_rows(self) -> int:
+        return len(self.row_group) - int(self.group_rows.sum())
+
+    @property
+    def extra_deliveries(self) -> int:
+        """Row copies beyond the first: a row whose value ``k`` queries
+        share is delivered ``k`` times."""
+        queries = np.bincount(self.query_group[self.query_group >= 0],
+                              minlength=len(self.group_rows))
+        return int((self.group_rows * (queries - 1)).sum())
+
+
+def _routing_index(merged: MergedQuery, result: QueryResult
+                   ) -> _RoutingIndex:
+    column = result.column(merged.routing_column)
+    values = column.raw()
+    keyed = []
+    for literal, slots in _routing_slots(merged).items():
+        key = _routing_key(column, literal)
+        if key is not None:
+            keyed.append((key, slots))
+    keyed.sort(key=lambda pair: pair[0])
+    query_group = np.full(merged.batch_size, -1, dtype=np.int64)
+    for group, (_, slots) in enumerate(keyed):
+        query_group[slots] = group
+    if not keyed:
+        return _RoutingIndex(
+            query_group, np.full(len(values), -1, dtype=np.int64),
+            np.zeros(0, dtype=np.int64),
+        )
+    keys = np.asarray([key for key, _ in keyed], dtype=values.dtype)
+    nearest = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
+    row_group = np.where(keys[nearest] == values, nearest, -1)
+    group_rows = np.bincount(row_group + 1, minlength=len(keys) + 1)[1:]
+    return _RoutingIndex(query_group, row_group, group_rows)
+
+
 def _split_by_hash(merged: MergedQuery, result: QueryResult
                    ) -> SplitOutcome:
-    values = _routing_array(result, merged.routing_column)
-    slots_of = _routing_slots(merged)
-    buckets: list[list[int]] = [[] for _ in merged.routing_values]
-    unmatched = 0
-    for row, value in enumerate(values):
-        key = value.item() if isinstance(value, np.generic) else value
-        slots = slots_of.get(key)
-        if slots is None:
-            unmatched += 1
-        else:
-            for slot in slots:
-                buckets[slot].append(row)
+    index = _routing_index(merged, result)
+    # One stable sort buckets every row in result order: the unmatched
+    # rows, then each group's, then -- past the last cut -- nothing,
+    # which is what a query no stored value can equal receives.  Sorted
+    # on the narrowest integer that holds every group id, because numpy
+    # radix-sorts keys of up to 16 bits and a batch is tens of queries.
+    narrow = np.min_scalar_type(-len(index.group_rows) - 1)
+    order = np.argsort(index.row_group.astype(narrow), kind="stable")
+    cuts = index.unmatched_rows + np.concatenate(
+        ([0], np.cumsum(index.group_rows))
+    )
+    buckets = np.split(order, cuts)
     results = [
-        _take(result, np.asarray(bucket, dtype=np.int64))
-        for bucket in buckets
+        _take(result, buckets[group + 1 if group >= 0 else -1])
+        for group in index.query_group
     ]
     return SplitOutcome(
         results=results,
         rows_routed=result.row_count,
-        unmatched_rows=unmatched,
+        unmatched_rows=index.unmatched_rows,
     )
 
 
@@ -127,16 +191,8 @@ def split_cost_rows(merged: MergedQuery, result: QueryResult) -> int:
     row.
     """
     if merged.hash_routable:
-        slots_of = _routing_slots(merged)
-        if all(len(slots) == 1 for slots in slots_of.values()):
-            return result.row_count
-        values = _routing_array(result, merged.routing_column)
-        unique, counts = np.unique(values, return_counts=True)
-        extra = 0
-        for value, count in zip(unique, counts):
-            key = value.item() if isinstance(value, np.generic) else value
-            multiplicity = len(slots_of.get(key, ()))
-            if multiplicity > 1:
-                extra += int(count) * (multiplicity - 1)
-        return result.row_count + extra
+        if len(_routing_slots(merged)) == merged.batch_size:
+            return result.row_count  # no value shared: no extra copy
+        return (result.row_count
+                + _routing_index(merged, result).extra_deliveries)
     return result.row_count * merged.batch_size

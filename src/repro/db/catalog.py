@@ -54,7 +54,18 @@ class TableStats:
 
 
 def analyze(table: Table) -> TableStats:
-    """Collect statistics over a loaded table (full-scan ANALYZE)."""
+    """Statistics of a loaded table (full-scan ANALYZE).
+
+    Collected once per :class:`Table` and kept on it: a table's data
+    never changes once built, so every catalog that registers the same
+    table reads the same statistics.
+    """
+    if table.stats is None:
+        table.stats = _collect_stats(table)
+    return table.stats
+
+
+def _collect_stats(table: Table) -> TableStats:
     col_stats: dict[str, ColumnStats] = {}
     for cdef in table.schema.columns:
         col = table.column(cdef.name)
@@ -74,24 +85,21 @@ def analyze(table: Table) -> TableStats:
 
 
 class Catalog:
-    """Name -> (table, stats) registry."""
+    """Name -> table registry; statistics ride on the tables."""
 
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
-        self._stats: dict[str, TableStats] = {}
 
-    def register(self, table: Table, collect_stats: bool = True) -> None:
+    def register(self, table: Table) -> None:
         if table.name in self._tables:
             raise CatalogError(f"table {table.name!r} already exists")
         self._tables[table.name] = table
-        if collect_stats:
-            self._stats[table.name] = analyze(table)
+        analyze(table)  # at load, not inside the first plan
 
     def drop(self, name: str) -> None:
         if name not in self._tables:
             raise CatalogError(f"no table {name!r}")
         del self._tables[name]
-        self._stats.pop(name, None)
 
     def table(self, name: str) -> Table:
         try:
@@ -103,12 +111,7 @@ class Catalog:
         return self.table(name).schema
 
     def stats(self, name: str) -> TableStats:
-        if name not in self._stats:
-            if name in self._tables:
-                self._stats[name] = analyze(self._tables[name])
-            else:
-                raise CatalogError(f"no table {name!r}")
-        return self._stats[name]
+        return analyze(self.table(name))
 
     def has_table(self, name: str) -> bool:
         return name in self._tables

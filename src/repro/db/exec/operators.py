@@ -110,22 +110,57 @@ def _key_array(batch: Batch, ref: ast.ColumnRef) -> np.ndarray:
     return col.raw()
 
 
-def join_indices(build_keys: np.ndarray, probe_keys: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """All (build_idx, probe_idx) pairs with equal keys (inner join)."""
-    order = np.argsort(build_keys, kind="stable")
-    sorted_keys = build_keys[order]
+#: A direct-address table over the build keys' value range is used
+#: while it is at most this many slots per joined row.  Measured
+#: against the double binary search on build/probe sizes from 25/1k to
+#: 200k/50k rows: the table costs 0.16-0.73x the search at 4 slots per
+#: row and breaks even between 8 and 32, so 4 sits on the safe side in
+#: every shape and caps the table at four int64 per row.
+_DENSE_SLOTS_PER_ROW = 4
+
+
+def _probe_runs(sorted_keys: np.ndarray, probe_keys: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Per probe key, the ``(start, length)`` of its run of equal keys
+    in ``sorted_keys`` (``start`` is only meaningful where ``length``
+    is non-zero).
+
+    The method is chosen from the data.  Signed-integer keys over a
+    dense value range (TPC-H keys are 1..N) are counted into a
+    ``bincount`` table that answers every probe by address; any other
+    keys -- sparse integers, floats (where NaN sorts as equal to NaN),
+    objects -- are binary-searched from both sides.
+    """
+    if (len(sorted_keys) and sorted_keys.dtype.kind == "i"
+            and probe_keys.dtype.kind == "i"):
+        low, high = int(sorted_keys[0]), int(sorted_keys[-1])
+        slots = high - low + 1
+        rows = len(sorted_keys) + len(probe_keys)
+        if slots <= _DENSE_SLOTS_PER_ROW * rows:
+            run_lengths = np.bincount(sorted_keys - low, minlength=slots)
+            run_starts = np.cumsum(run_lengths) - run_lengths
+            in_range = (probe_keys >= low) & (probe_keys <= high)
+            slot = np.where(in_range, probe_keys, low) - low
+            return run_starts[slot], np.where(in_range, run_lengths[slot], 0)
     left = np.searchsorted(sorted_keys, probe_keys, side="left")
     right = np.searchsorted(sorted_keys, probe_keys, side="right")
-    counts = right - left
+    return left, right - left
+
+
+def join_indices(build_keys: np.ndarray, probe_keys: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """All (build_idx, probe_idx) pairs with equal keys (inner join),
+    ordered by probe row, then by build row among equal keys."""
+    order = np.argsort(build_keys, kind="stable")
+    left, counts = _probe_runs(build_keys[order], probe_keys)
     total = int(counts.sum())
     probe_idx = np.repeat(np.arange(len(probe_keys)), counts)
     if total == 0:
         return np.empty(0, dtype=np.int64), probe_idx
-    starts = np.repeat(left, counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    within = np.arange(total) - np.repeat(offsets, counts)
-    build_idx = order[starts + within]
+    # Output row j of probe row p reads sorted position
+    # left[p] + (j - first output row of p).
+    first_out = np.cumsum(counts) - counts
+    build_idx = order[np.arange(total) + np.repeat(left - first_out, counts)]
     return build_idx, probe_idx
 
 

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.db.errors import CatalogError, TypeMismatchError
 from repro.db.types import Column, DataType
+
+if TYPE_CHECKING:
+    from repro.db.catalog import TableStats
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,8 @@ class Table:
                 )
         self.columns = columns
         self.row_count = lengths.pop() if lengths else 0
+        #: set by :func:`repro.db.catalog.analyze` on first use
+        self.stats: TableStats | None = None
 
     @classmethod
     def from_arrays(cls, schema: TableSchema, data: dict[str, object]

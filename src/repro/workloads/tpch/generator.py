@@ -12,6 +12,7 @@ perform the same amount of work").
 from __future__ import annotations
 
 import zlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -185,9 +186,12 @@ def generate_lineitem(orders: Table, scale_factor: float,
     l_orderkey = np.repeat(order_keys, lines_per_order)
     base_date = np.repeat(order_dates, lines_per_order)
     n = len(l_orderkey)
-    linenumbers = np.concatenate(
-        [np.arange(1, c + 1) for c in lines_per_order]
-    ) if n else np.empty(0, dtype=np.int64)
+    # 1..c within each order: the global row number minus the number
+    # of rows before the order's first line.
+    first_line = np.cumsum(lines_per_order) - lines_per_order
+    linenumbers = np.arange(1, n + 1) - np.repeat(
+        first_line, lines_per_order
+    )
     quantity = rng.integers(1, sch.QUANTITY_MAX + 1, n, dtype=np.int64)
     ship_offset = rng.integers(1, 122, n)
     partkeys = rng.integers(1, n_part + 1, n, dtype=np.int64)
@@ -199,7 +203,7 @@ def generate_lineitem(orders: Table, scale_factor: float,
             DataType.INT64, rng.integers(1, n_supp + 1, n, dtype=np.int64)
         ),
         "l_linenumber": Column(
-            DataType.INT64, linenumbers.astype(np.int64)
+            DataType.INT64, linenumbers.astype(np.int64, copy=False)
         ),
         "l_quantity": Column(DataType.INT64, quantity),
         "l_extendedprice": Column(
@@ -235,6 +239,11 @@ def generate_lineitem(orders: Table, scale_factor: float,
     })
 
 
+#: every table, in the order a database registers them
+TABLE_NAMES = ("region", "nation", "supplier", "customer", "part",
+               "partsupp", "orders", "lineitem")
+
+
 def generate_tpch(scale_factor: float, seed: int = 0,
                   tables: list[str] | None = None) -> dict[str, Table]:
     """Generate the TPC-H tables at ``scale_factor``.
@@ -244,10 +253,7 @@ def generate_tpch(scale_factor: float, seed: int = 0,
     """
     if scale_factor <= 0:
         raise ValueError("scale_factor must be positive")
-    wanted = set(tables) if tables is not None else {
-        "region", "nation", "supplier", "customer", "part",
-        "partsupp", "orders", "lineitem",
-    }
+    wanted = set(TABLE_NAMES if tables is None else tables)
     out: dict[str, Table] = {}
     if "region" in wanted:
         out["region"] = generate_region()
@@ -270,10 +276,45 @@ def generate_tpch(scale_factor: float, seed: int = 0,
     return out
 
 
+#: Tables (not table sets) :func:`shared_tables` keeps, least recently
+#: used first out: two full sets' worth.  The bound counts tables, so
+#: a sweep of lineitem-only loads keeps up to 16 lineitem tables.
+TABLE_MEMO_SIZE = 2 * len(TABLE_NAMES)
+
+
+@lru_cache(maxsize=TABLE_MEMO_SIZE)
+def _shared_table(name: str, scale_factor: float, seed: int) -> Table:
+    # Generated on its own: a lineitem build derives its dates from a
+    # private orders table it does not keep.
+    table = generate_tpch(scale_factor, seed, [name])[name]
+    for column in table.columns.values():
+        column.data.flags.writeable = False
+    return table
+
+
+def shared_tables(scale_factor: float, seed: int = 0,
+                  tables: list[str] | None = None) -> dict[str, Table]:
+    """This process's one read-only copy of the tables at
+    ``(scale_factor, seed)``.
+
+    Generated data is immutable and a function of ``(table,
+    scale_factor, seed)`` alone, so every database loaded at the same
+    pair registers the same :class:`Table` objects (and shares their
+    ANALYZE statistics) instead of generating a private copy.  Tables
+    are memoized one by one -- a lineitem-only load neither generates
+    nor retains the rest, not even the orders its dates derive from --
+    and their arrays are made read-only, so a stray in-place write
+    raises instead of corrupting another database's data.
+    """
+    wanted = set(TABLE_NAMES if tables is None else tables)
+    return {name: _shared_table(name, scale_factor, seed)
+            for name in TABLE_NAMES if name in wanted}
+
+
 def load_tpch(db: Database, scale_factor: float, seed: int = 0,
               tables: list[str] | None = None) -> None:
-    """Generate and register TPC-H tables into ``db``."""
-    for table in generate_tpch(scale_factor, seed, tables).values():
+    """Register the (shared, read-only) TPC-H tables into ``db``."""
+    for table in shared_tables(scale_factor, seed, tables).values():
         db.register_table(table)
 
 

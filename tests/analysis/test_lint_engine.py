@@ -134,6 +134,19 @@ class TestCliExitCodes:
         assert proc.returncode == 1, proc.stdout + proc.stderr
         assert "DET-WALLCLOCK" in proc.stdout
 
+    def test_violation_is_caught_from_any_working_directory(
+        self, tmp_path,
+    ):
+        pkg = tmp_path / "project" / "src" / "repro"
+        pkg.mkdir(parents=True)
+        (pkg / "bad.py").write_text(VIOLATION)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        proc = self._run(str(tmp_path / "project" / "src"), cwd=elsewhere)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "src/repro/bad.py:" in proc.stdout
+        assert "DET-WALLCLOCK" in proc.stdout
+
     def test_missing_path_exits_two(self, tmp_path):
         proc = self._run("no/such/dir", cwd=tmp_path)
         assert proc.returncode == 2

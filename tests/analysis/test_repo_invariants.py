@@ -43,6 +43,25 @@ class TestRepoIsClean:
         assert errors == [], "\n".join(f.render() for f in errors)
 
 
+    def test_findings_do_not_depend_on_the_working_directory(
+        self, monkeypatch, tmp_path,
+    ):
+        """Scopes anchor on the repo root, not the cwd: an absolute
+        path linted from elsewhere gets the same rules applied, so the
+        justified ``noqa[FLOAT-EQ]`` in ``psu.py`` and ``tracer.py``
+        still suppress something instead of reading as unused."""
+        trees = ["src/repro/hardware", "src/repro/obs"]
+        monkeypatch.chdir(REPO_ROOT)
+        from_root = Linter().lint_paths(trees)
+        assert from_root == []
+        monkeypatch.chdir(tmp_path)
+        assert Linter().lint_paths(
+            [REPO_ROOT / tree for tree in trees]
+        ) == from_root
+        monkeypatch.chdir(REPO_ROOT / "src" / "repro")
+        assert Linter().lint_paths(["hardware", "obs"]) == from_root
+
+
 class TestSeededViolations:
     """Append a violation to the real module source and assert the
     matching rule fires -- the acceptance check for the CI lint gate."""

@@ -48,6 +48,19 @@ class TestResidualSets:
             "mysql headline energy", "mysql headline time",
         }
 
+    def test_headline_residuals_follow_the_seed(self):
+        at_seed = {r.label: r.measured
+                   for r in fit.headline_residuals(0.01, seed=3)}
+        sweep = {r.label: r.measured
+                 for r in fit.pvc_residuals("commercial", 0.01, seed=3)}
+        assert at_seed["commercial headline energy"] == sweep[
+            "commercial medium 5% energy"]
+        assert at_seed["commercial headline time"] == sweep[
+            "commercial medium 5% time"]
+        default = {r.label: r.measured
+                   for r in fit.headline_residuals(0.01)}
+        assert at_seed != default  # other data, other last digits
+
 
 class TestTargetHelpers:
     def test_energy_ratio_target_validates_keys(self):

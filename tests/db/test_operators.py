@@ -50,6 +50,93 @@ class TestJoinIndices:
         assert got == expected
 
 
+def join_indices_reference(build_keys, probe_keys):
+    """The probe ``join_indices`` used to run: two binary searches per
+    probe key.  The array pair -- values, order and dtype -- is the
+    contract: downstream float sums read rows in this order."""
+    order = np.argsort(build_keys, kind="stable")
+    sorted_keys = build_keys[order]
+    left = np.searchsorted(sorted_keys, probe_keys, side="left")
+    right = np.searchsorted(sorted_keys, probe_keys, side="right")
+    counts = right - left
+    total = int(counts.sum())
+    probe_idx = np.repeat(np.arange(len(probe_keys)), counts)
+    if total == 0:
+        return np.empty(0, dtype=np.int64), probe_idx
+    starts = np.repeat(left, counts)
+    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    within = np.arange(total) - np.repeat(offsets, counts)
+    return order[starts + within], probe_idx
+
+
+def assert_same_join(build, probe):
+    got = join_indices(build, probe)
+    want = join_indices_reference(build, probe)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tolist() == w.tolist()
+
+
+#: dense keys (direct-address table), with negatives and probes that
+#: fall outside the build range
+DENSE = st.integers(-6, 9)
+#: a handful of values spread over the whole int64 range: no table can
+#: span them, so they are binary-searched like floats and objects
+SPARSE = st.sampled_from([
+    -2 ** 63, -2 ** 40, -7, 0, 1, 3, 10 ** 6, 2 ** 40, 2 ** 63 - 1,
+])
+
+
+class TestJoinIndicesMatchReference:
+    @given(build=st.lists(DENSE, max_size=40),
+           probe=st.lists(st.integers(-12, 15), max_size=40),
+           build_dtype=st.sampled_from([np.int64, np.int32]),
+           probe_dtype=st.sampled_from([np.int64, np.int32]))
+    @settings(max_examples=200, derandomize=True, database=None)
+    def test_dense_integer_keys(self, build, probe, build_dtype,
+                                probe_dtype):
+        assert_same_join(np.asarray(build, dtype=build_dtype),
+                         np.asarray(probe, dtype=probe_dtype))
+
+    @given(build=st.lists(SPARSE, max_size=30),
+           probe=st.lists(SPARSE | st.integers(-9, 9), max_size=30))
+    @settings(max_examples=200, derandomize=True, database=None)
+    def test_sparse_integer_keys(self, build, probe):
+        assert_same_join(np.asarray(build, dtype=np.int64),
+                         np.asarray(probe, dtype=np.int64))
+
+    @given(build=st.lists(st.sampled_from(
+               [-1.5, -0.0, 0.0, 2.0, 2.5, float("inf"), float("nan")]
+           ), max_size=30),
+           probe=st.lists(st.sampled_from(
+               [-1.5, 0.0, 2.0, 3.0, float("-inf"), float("nan")]
+           ), max_size=30))
+    @settings(max_examples=100, derandomize=True, database=None)
+    def test_float_keys(self, build, probe):
+        assert_same_join(np.asarray(build, dtype=np.float64),
+                         np.asarray(probe, dtype=np.float64))
+
+    @given(build=st.lists(st.sampled_from(["a", "b", "bb", ""]),
+                          max_size=30),
+           probe=st.lists(st.sampled_from(["a", "bb", "c", ""]),
+                          max_size=30))
+    @settings(max_examples=100, derandomize=True, database=None)
+    def test_object_keys(self, build, probe):
+        assert_same_join(np.asarray(build, dtype=object),
+                         np.asarray(probe, dtype=object))
+
+    def test_integer_keys_against_float_keys(self):
+        assert_same_join(np.array([1, 2, 2, 5]),
+                         np.array([2.0, 2.5, 5.0, 1.0]))
+
+    def test_tpch_shaped_keys(self):
+        rng = np.random.default_rng(3)
+        build = rng.permutation(np.arange(1, 2001))[:700]  # filtered PK
+        probe = rng.integers(1, 2001, 5000)                # FK
+        assert_same_join(build, probe)
+        assert_same_join(probe, build)                     # duplicate build
+
+
 @pytest.fixture()
 def db() -> Database:
     rng = np.random.default_rng(7)
