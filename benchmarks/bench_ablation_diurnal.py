@@ -20,7 +20,7 @@ stream for CI; ``REPRO_TRACE_CACHE`` persists compiled traces across
 benchmark processes.
 """
 
-from repro.measurement.perf import run_diurnal_ablation
+from repro.measurement.ablations import run_diurnal_ablation
 
 
 def test_diurnal_policy_ablation(

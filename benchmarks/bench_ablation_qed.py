@@ -22,7 +22,7 @@ for CI; ``REPRO_TRACE_CACHE`` persists compiled traces across
 benchmark processes.
 """
 
-from repro.measurement.perf import run_qed_ablation
+from repro.measurement.ablations import run_qed_ablation
 
 
 def test_qed_mode_ablation(

@@ -25,7 +25,7 @@ for CI; ``REPRO_TRACE_CACHE`` persists compiled traces across
 benchmark processes.
 """
 
-from repro.measurement.perf import run_fault_ablation
+from repro.measurement.ablations import run_fault_ablation
 
 
 def test_fault_recovery_ablation(

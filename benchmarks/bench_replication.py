@@ -30,7 +30,7 @@ stream for CI; ``REPRO_TRACE_CACHE`` persists compiled traces across
 benchmark processes.
 """
 
-from repro.measurement.perf import run_replication_ablation
+from repro.measurement.ablations import run_replication_ablation
 
 
 def test_replication_ablation(

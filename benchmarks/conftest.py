@@ -3,7 +3,7 @@
 Benchmarks run the paper's experiments at ``BENCH_SF`` (0.05 by
 default -- override with ``REPRO_BENCH_SF``) and extrapolate absolute
 magnitudes to the paper's scale factor where relevant; all *ratios* are
-scale-invariant (see DESIGN.md).  Each bench prints a paper-vs-measured
+scale-invariant.  Each bench prints a paper-vs-measured
 table via ``repro.measurement.report.ComparisonTable``; run with ``-s``
 to see them.
 """

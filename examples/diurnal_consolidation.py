@@ -5,7 +5,7 @@ nonhomogeneous Poisson arrival stream from a nighttime trough up
 through a midday peak and back, served by a fleet mixing full-power
 "big" nodes with underclocked, GPU-less "eco" nodes.  The scenario and
 policies are the *canonical* ones from
-:mod:`repro.measurement.perf` -- the same configuration
+:mod:`repro.measurement.ablations` -- the same configuration
 ``benchmarks/bench_ablation_diurnal.py`` gates and
 ``BENCH_perf.json``'s ``diurnal`` record tracks -- so these numbers
 are directly comparable to the committed artifact.  Four policies face
@@ -34,7 +34,7 @@ import sys
 
 from repro.cluster import ClusterSimulator, DynamicConsolidateRouter
 from repro.db.profiles import mysql_profile
-from repro.measurement.perf import (
+from repro.measurement.ablations import (
     DIURNAL_REFERENCE_SF,
     DIURNAL_SLA_S,
     diurnal_policies,

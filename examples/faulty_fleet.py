@@ -3,7 +3,7 @@ stragglers -- and the recovery layer that absorbs them.
 
 The consolidation savings in every other example assume a perfectly
 obedient fleet.  This scenario runs the *canonical* fault plan from
-:mod:`repro.measurement.perf` -- the same configuration
+:mod:`repro.measurement.ablations` -- the same configuration
 ``benchmarks/bench_fault_recovery.py`` gates and ``BENCH_perf.json``'s
 ``faults`` record tracks -- against the same Poisson stream in two
 fleet modes:
@@ -37,7 +37,7 @@ The same plan is available as JSON for the CLI
 import sys
 
 from repro.db.profiles import mysql_profile
-from repro.measurement.perf import run_fault_ablation
+from repro.measurement.ablations import run_fault_ablation
 from repro.workloads.tpch.generator import tpch_database
 
 

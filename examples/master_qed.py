@@ -36,7 +36,7 @@ from repro.cluster import (
 )
 from repro.core.qed.policy import BatchPolicy
 from repro.db.profiles import mysql_profile
-from repro.measurement.perf import (
+from repro.measurement.ablations import (
     QED_NODES,
     QED_REFERENCE_SF,
     QED_THRESHOLD,

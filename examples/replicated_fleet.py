@@ -3,7 +3,7 @@
 Every other example assumes full replication: any node can serve any
 query.  This scenario hash-partitions lineitem into replicated shards
 chained across the fleet (`repro.cluster.placement`) and runs the
-*canonical* replication fault plan from :mod:`repro.measurement.perf`
+*canonical* replication fault plan from :mod:`repro.measurement.ablations`
 -- the same configuration ``benchmarks/bench_replication.py`` gates
 and ``BENCH_perf.json``'s ``replication`` record tracks -- against the
 same Poisson stream in two fleet modes:
@@ -38,7 +38,7 @@ The same layout is available as JSON for the CLI
 import sys
 
 from repro.db.profiles import mysql_profile
-from repro.measurement.perf import run_replication_ablation
+from repro.measurement.ablations import run_replication_ablation
 from repro.workloads.tpch.generator import tpch_database
 
 

@@ -4,19 +4,19 @@
 #   scripts/ci.sh                  # everything (lint -> tests -> perf -> cluster -> obs)
 #   scripts/ci.sh --stage lint     # compile + pyflakes + mypy + repro lint
 #   scripts/ci.sh --stage tests    # tier-1 pytest suite
-#   scripts/ci.sh --stage perf     # sweep perf smoke bench
-#   scripts/ci.sh --stage cluster  # cluster + diurnal + qed smoke benches
+#   scripts/ci.sh --stage perf     # event-core identity smoke bench
+#   scripts/ci.sh --stage cluster  # diurnal + qed + fault smoke benches
+#                                  # + a trace store shared by two runs
 #   scripts/ci.sh --stage replication  # placement + re-replication smoke
 #   scripts/ci.sh --stage obs      # traced cluster smoke + trace schema
 #                                  # + metrics export sanity
 #
-# The perf benches run at a tiny scale factor and enforce, on write,
-# the rows of src/repro/measurement/gates.py they record: <= 1e-9
-# identities, savings, conservation flags and the loose >= 5x speedup
-# floors (they also refresh the smoke copy of BENCH_perf.json; commit
-# the real artifact only from a full-size run).  Host time is not
-# judged here: that is benchmarks/e2e/compare.py over ten alternating
-# run.py --out pairs.
+# The benches run at a tiny scale factor and enforce, on write, the
+# rows of src/repro/measurement/gates.py they record: <= 1e-9
+# identities, savings and conservation flags, all simulated (they also
+# refresh the smoke copy of BENCH_perf.json; commit the real artifact
+# only from a full-size run).  Host time is not judged here: that is
+# benchmarks/e2e/compare.py over ten alternating run.py --out pairs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,8 +36,6 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 # exported: the tier-1 suite pins the full-size canonical scenarios.
 smoke() {
     env REPRO_BENCH_SF="${REPRO_BENCH_SF:-0.01}" \
-        REPRO_BENCH_CLUSTER_NODES="${REPRO_BENCH_CLUSTER_NODES:-16}" \
-        REPRO_BENCH_CLUSTER_ARRIVALS="${REPRO_BENCH_CLUSTER_ARRIVALS:-2000}" \
         REPRO_BENCH_SCALING_NODES="${REPRO_BENCH_SCALING_NODES:-32}" \
         REPRO_BENCH_SCALING_COMPARE_ARRIVALS="${REPRO_BENCH_SCALING_COMPARE_ARRIVALS:-20000}" \
         REPRO_BENCH_DIURNAL_HORIZON="${REPRO_BENCH_DIURNAL_HORIZON:-120}" \
@@ -85,16 +83,11 @@ run_tests() {
 }
 
 run_perf() {
-    echo "== perf smoke bench (SF ${REPRO_BENCH_SF:-0.01}) =="
-    smoke python -m pytest benchmarks/bench_perf_pipeline.py -x -q
-    echo "== vectorized event core smoke bench =="
-    smoke python -m pytest benchmarks/bench_cluster_scaling.py -x -q \
-        -k scheduler
+    echo "== event core vs loop scheduler smoke bench (SF ${REPRO_BENCH_SF:-0.01}) =="
+    smoke python -m pytest benchmarks/bench_cluster_scaling.py -x -q
 }
 
 run_cluster() {
-    echo "== cluster scaling smoke bench =="
-    smoke python -m pytest benchmarks/bench_cluster_scaling.py -x -q
     echo "== diurnal ablation smoke bench =="
     smoke python -m pytest benchmarks/bench_ablation_diurnal.py -x -q
     echo "== qed ablation smoke bench =="

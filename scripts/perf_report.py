@@ -1,25 +1,22 @@
-"""Time the perf pipelines and run the energy ablations, and write
-``BENCH_perf.json``.
+"""Run the canonical cluster scenarios and write ``BENCH_perf.json``.
 
     PYTHONPATH=src python scripts/perf_report.py [sf] [out.json] \
         [--trace-cache DIR]
     PYTHONPATH=src python scripts/perf_report.py --check [sf out.json]
 
-Runs every canonical scenario of ``repro.measurement.perf`` and
-records each under its own key of the one artifact: the PVC sweep
-(naive re-execution vs execute-once/replay-many) at the top level,
-batched playback and the vectorized event core under
-``cluster_scaling``, and the four energy ablations under ``diurnal``,
-``qed``, ``faults`` and ``replication``.  What each section must
-satisfy is the gate table, ``repro.measurement.gates``: the run ends by
-printing every row against the record it just wrote, and exits 1 if
-any fails.  ``--check`` prints and enforces the same rows on an
-existing artifact without measuring anything (the CI workflow runs it
-on the committed one).
+Runs every canonical scenario of ``repro.measurement.ablations`` and
+records each under its own key of the one artifact: the vectorized
+event core against the per-arrival loop under ``cluster_scaling``, and
+the four energy ablations under ``diurnal``, ``qed``, ``faults`` and
+``replication``.  What each section must satisfy is the gate table,
+``repro.measurement.gates``: the run ends by printing every row against
+the record it just wrote, and exits 1 if any fails.  ``--check`` prints
+and enforces the same rows on an existing artifact without running
+anything (the CI workflow runs it on the committed one).
 
-The record is a deterministic-gate record with loose >= 5x floors, not
-a host-time ledger: wall time is judged by ``benchmarks/e2e/compare.py``
-over ten alternating ``run.py --out`` pairs, and nowhere else.
+Every value in the record is simulated, so a re-run reproduces it bit
+for bit; wall time is judged by ``benchmarks/e2e/compare.py`` over ten
+alternating ``run.py --out`` pairs, and nowhere else.
 
 ``--trace-cache DIR`` persists compiled traces across processes: a
 second invocation pointed at the same directory skips the cluster
@@ -74,13 +71,9 @@ def main(argv: list[str] | None = None) -> int:
         return check_gates(json.loads(args.out.read_text()))
 
     from repro.db.profiles import mysql_profile
-    from repro.hardware.profiles import paper_sut
     from repro.cluster import RoundRobinRouter
-    from repro.measurement.perf import (
-        cluster_scaling_scenario,
-        compare_cluster_playback,
+    from repro.measurement.ablations import (
         compare_cluster_scheduling,
-        compare_sweep_paths,
         run_diurnal_ablation,
         run_fault_ablation,
         run_qed_ablation,
@@ -88,7 +81,6 @@ def main(argv: list[str] | None = None) -> int:
         scheduler_scaling_scenario,
     )
     from repro.workloads.runner import TraceCache
-    from repro.workloads.selection import SelectionWorkload
     from repro.workloads.tpch.generator import tpch_database
 
     if args.out == COMMITTED_ARTIFACT and args.sf < ARTIFACT_MIN_SF:
@@ -112,15 +104,6 @@ def main(argv: list[str] | None = None) -> int:
         result.table().print()
         return result
 
-    workload = SelectionWorkload(tuple(range(1, 11)))
-    sweep = shown(compare_sweep_paths(
-        db, paper_sut(), workload.queries, repeats=5,
-        scale_factor=args.sf,
-    ))
-    specs, router, stream = cluster_scaling_scenario()
-    cluster = shown(compare_cluster_playback(
-        db, specs, router, stream, **shared
-    ))
     specs, _router, stream = scheduler_scaling_scenario()
     sched = shown(compare_cluster_scheduling(
         db, specs, RoundRobinRouter, stream, **shared
@@ -132,8 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     ]
 
     record = {
-        **sweep.to_dict(),
-        "cluster_scaling": {**cluster.to_dict(), **sched.to_record()},
+        "cluster_scaling": sched.to_record(),
         **{ablation.section: ablation.to_dict() for ablation in ablations},
     }
     args.out.write_text(json.dumps(record, indent=2))

@@ -29,14 +29,13 @@ class WallClockRule(Rule):
     ``cluster/``, ``obs/``, and ``core/`` advance on arrival
     timestamps; a ``time.time()`` read anywhere in the library makes a
     run depend on the host, breaking run-id reproducibility.  Real
-    timing belongs in ``benchmarks/`` and ``measurement/perf.py``.
+    timing belongs in ``benchmarks/``; no file under ``src/`` is exempt.
     """
 
     rule_id = "DET-WALLCLOCK"
     invariant = ("simulated time only: wall-clock reads are confined "
-                 "to benchmarks/ and measurement/perf.py")
+                 "to benchmarks/")
     include = ("src/repro/*",)
-    exclude = ("src/repro/measurement/perf.py",)
 
     _BANNED = {
         "time.time", "time.time_ns",
@@ -63,7 +62,7 @@ class WallClockRule(Rule):
                         module, node,
                         f"wall-clock read {name}() -- simulated time "
                         "only (arrival timestamps); real timing "
-                        "belongs in benchmarks/ or measurement/perf.py",
+                        "belongs in benchmarks/",
                     )
             elif isinstance(node, ast.ImportFrom):
                 banned = self._BANNED_IMPORTS.get(node.module or "")

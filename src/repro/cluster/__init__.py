@@ -58,7 +58,6 @@ from repro.cluster.node import (
 from repro.cluster.playback import (
     play_batched,
     play_columnar,
-    play_loop,
     playback_groups,
 )
 from repro.cluster.routing import (
@@ -126,7 +125,6 @@ __all__ = [
     "load_placement",
     "play_batched",
     "play_columnar",
-    "play_loop",
     "playback_groups",
     "uniform_fleet",
 ]

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -86,19 +86,32 @@ class FaultSpec:
             raise ValueError("a fault needs a target node name")
         if self.kind == "crash":
             if self.at_s < 0:
-                raise ValueError("crash at_s must be non-negative")
+                raise ValueError(
+                    f"crash at_s must be non-negative, got {self.at_s!r}"
+                )
             if self.recover_s is not None and self.recover_s <= self.at_s:
-                raise ValueError("recover_s must be after at_s")
+                raise ValueError(
+                    f"recover_s must be after at_s={self.at_s!r}, "
+                    f"got {self.recover_s!r}"
+                )
         else:
             if self.start_s < 0:
-                raise ValueError("start_s must be non-negative")
+                raise ValueError(
+                    f"start_s must be non-negative, got {self.start_s!r}"
+                )
             if self.end_s is not None and self.end_s <= self.start_s:
-                raise ValueError("end_s must be after start_s")
+                raise ValueError(
+                    f"end_s must be after start_s={self.start_s!r}, "
+                    f"got {self.end_s!r}"
+                )
         if self.kind == "wake-failure":
             if not 0.0 < self.probability <= 1.0:
-                raise ValueError("probability must be in (0, 1]")
+                raise ValueError(
+                    f"probability must be in (0, 1], "
+                    f"got {self.probability!r}"
+                )
         if self.kind == "straggler" and self.slowdown <= 1.0:
-            raise ValueError("slowdown must be > 1")
+            raise ValueError(f"slowdown must be > 1, got {self.slowdown!r}")
 
     def in_window(self, t: float) -> bool:
         """Whether ``t`` falls inside the fault's active window."""
@@ -193,20 +206,25 @@ class FaultPlan:
     def from_dict(cls, doc: dict) -> "FaultPlan":
         """Build a plan from the ``--faults plan.json`` schema:
         ``{"seed": 0, "faults": [{"kind": "crash", "node": "node01",
-        "at_s": 30.0}, ...]}``."""
-        known = {
-            "kind", "node", "at_s", "recover_s", "start_s", "end_s",
-            "probability", "slowdown",
-        }
-        specs = []
-        for i, raw in enumerate(doc.get("faults", [])):
-            extra = set(raw) - known
-            if extra:
-                raise ValueError(
-                    f"fault {i}: unknown keys {sorted(extra)}"
-                )
-            specs.append(FaultSpec(**raw))
-        return cls(specs, seed=int(doc.get("seed", 0)))
+        "at_s": 30.0}, ...]}``.
+
+        A malformed document is a ``ValueError`` naming the fault's
+        index, the key and the offending value, raised here rather
+        than as a ``TypeError`` once scheduling compares the value.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError(
+                "expected an object with a 'faults' list, got a "
+                f"{type(doc).__name__}"
+            )
+        faults = doc.get("faults", [])
+        if not isinstance(faults, list):
+            raise ValueError(f"'faults' must be a list, got {faults!r}")
+        seed = doc.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"'seed' must be an integer, got {seed!r}")
+        return cls([_spec_from_dict(i, raw) for i, raw in enumerate(faults)],
+                   seed=seed)
 
     def to_dict(self) -> dict:
         """The plan back in its JSON schema (fingerprinting, exports)."""
@@ -216,10 +234,46 @@ class FaultPlan:
         }
 
 
+def _spec_from_dict(i: int, raw) -> FaultSpec:
+    """Fault ``i`` of a plan document, type-checked key by key."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"fault {i}: expected an object, got {raw!r}")
+    known = {f.name for f in fields(FaultSpec)}
+    extra = set(raw) - known
+    if extra:
+        raise ValueError(f"fault {i}: unknown keys {sorted(extra)}")
+    for key in ("kind", "node"):
+        if key not in raw:
+            raise ValueError(f"fault {i}: missing key {key!r}")
+        if not isinstance(raw[key], str):
+            raise ValueError(
+                f"fault {i}: {key!r} must be a string, got {raw[key]!r}"
+            )
+    for key, value in raw.items():
+        if key in ("kind", "node") or (
+            value is None and key in ("recover_s", "end_s")
+        ):
+            continue
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ValueError(
+                f"fault {i}: {key!r} must be a finite number, "
+                f"got {value!r}"
+            )
+    try:
+        return FaultSpec(**raw)
+    except ValueError as exc:
+        raise ValueError(f"fault {i}: {exc}") from None
+
+
 def load_fault_plan(path: str) -> FaultPlan:
-    """Load a :class:`FaultPlan` from a JSON file."""
+    """Load a :class:`FaultPlan` from a JSON file; any malformed
+    content is a ``ValueError`` that names the file."""
     with open(path) as handle:
-        return FaultPlan.from_dict(json.load(handle))
+        try:
+            return FaultPlan.from_dict(json.load(handle))
+        except ValueError as exc:
+            raise ValueError(f"fault plan {path}: {exc}") from None
 
 
 @dataclass(frozen=True)

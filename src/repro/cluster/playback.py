@@ -13,10 +13,9 @@ played under one setting -- so the number of playback calls stays
 ``O(distinct (hw, setting) pairs)`` and the number of stacked traces
 stays ``O(nodes + setting changes)``, not ``O(pieces)``.
 
-``play_loop`` keeps the per-query replay loop (one ``run_compiled``
-call per scheduled piece) as the reference implementation and perf
-baseline; both paths agree on every node's energy to float-summation
-order.
+The per-query replay loop (one ``run_compiled`` call per scheduled
+piece) is the test oracle, ``tests/cluster/loop_playback.py``; both
+agree on every node's energy to float-summation order.
 """
 
 from __future__ import annotations
@@ -200,31 +199,3 @@ def play_columnar(
         )
     return out
 
-
-def play_loop(
-    nodes: list[SimulatedNode],
-    pieces_by_node: dict[str, list[CompiledTrace]],
-    workload_class: str,
-    settings_by_node: dict[str, list[PvcSetting]] | None = None,
-) -> dict[str, RunMeasurement]:
-    """The per-query replay loop: one playback call per scheduled piece.
-
-    This is the naive path batched playback replaces -- kept as the
-    regression baseline for the conservation tests and the cluster
-    scaling benchmark.
-    """
-    out: dict[str, RunMeasurement] = {}
-    for node in nodes:
-        pieces = pieces_by_node[node.spec.name]
-        settings = _node_settings(node, pieces, settings_by_node)
-        total = zero_measurement()
-        original = node.sut.setting
-        try:
-            for piece, setting in zip(pieces, settings):
-                if node.sut.setting != setting:
-                    node.sut.apply_setting(setting)
-                total = total + node.sut.run_compiled(piece, workload_class)
-        finally:
-            node.sut.apply_setting(original)
-        out[node.spec.name] = total
-    return out

@@ -26,9 +26,10 @@ of array operations:
    pieces, each tagged with the setting it was scheduled under.
 2. :meth:`ClusterSimulator.playback` -- play every node's whole timeline
    with one stacked array call per distinct (hw, setting) pair
-   (:func:`~repro.cluster.playback.play_batched`), or per piece
-   (:func:`~repro.cluster.playback.play_loop`, the perf baseline), and
-   compose the :class:`~repro.cluster.measure.ClusterMeasurement`.
+   (:func:`~repro.cluster.playback.play_batched`), or cost a vectorized
+   schedule's counts directly
+   (:func:`~repro.cluster.playback.play_columnar`), and compose the
+   :class:`~repro.cluster.measure.ClusterMeasurement`.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from repro.cluster.node import (
     node_timeline_pieces,
 )
 from repro.cluster.placement import PlacementMap, replication_copy_trace
-from repro.cluster.playback import play_batched, play_columnar, play_loop
+from repro.cluster.playback import play_batched, play_columnar
 from repro.cluster.routing import (
     AdaptivePvcRouter,
     ConsolidatePlacement,
@@ -549,9 +550,9 @@ class ClusterSimulator:
         whenever the configuration is eligible (see
         :meth:`vectorized_ineligibility`) and falls back to the exact
         per-arrival loop otherwise; ``False`` forces the loop (the
-        oracle for identity tests, and the only form ``playback`` can
-        replay in ``loop`` mode); ``True`` demands the fast path and
-        raises when the configuration cannot take it.
+        oracle for identity tests, and the only form with per-piece
+        timelines); ``True`` demands the fast path and raises when the
+        configuration cannot take it.
         """
         reason = self.vectorized_ineligibility()
         if vectorized is True and reason is not None:
@@ -1539,28 +1540,20 @@ class ClusterSimulator:
 
     # -- phase 2: playback -------------------------------------------------
 
-    def playback(self, schedule: ClusterSchedule,
-                 mode: str = "batched") -> ClusterMeasurement:
-        """Turn scheduled timelines into energy: the vectorized hot path
-        (``batched``) or the per-query replay loop (``loop``).
+    def playback(self, schedule: ClusterSchedule) -> ClusterMeasurement:
+        """Turn scheduled timelines into energy.
 
-        The engines differ only in how node energies are costed and
-        where the busy windows and served queries are read from -- a
-        vectorized schedule's own arrays (no per-query object is ever
-        materialized), or the loop schedule's windows, one response
-        row per query a window answers.  Both compose the same
-        measurement from there.
+        The two schedule shapes differ only in how node energies are
+        costed and where the busy windows and served queries are read
+        from -- a vectorized schedule's own arrays (no per-query object
+        is ever materialized), or the loop schedule's stacked pieces
+        and windows, one response row per query a window answers.  Both
+        compose the same measurement from there.
         """
         nodes = schedule.nodes
         names = [node.spec.name for node in nodes]
         col = schedule.columnar
         if col is not None:
-            if mode != "batched":
-                raise ValueError(
-                    "a vectorized (columnar) schedule has no per-piece "
-                    "timeline to replay in loop mode; schedule with "
-                    "vectorized=False for the legacy loop"
-                )
             measurements = play_columnar(
                 nodes, col, schedule.horizon_s, schedule.workload_class
             )
@@ -1573,9 +1566,8 @@ class ClusterSimulator:
                 col.distinct, names, col.sql_idx, col.node_idx,
                 col.arrival_s, col.start_s, col.end_s,
             )
-        elif mode in ("batched", "loop"):
-            play = play_batched if mode == "batched" else play_loop
-            measurements = play(
+        else:
+            measurements = play_batched(
                 nodes, schedule.pieces_by_node,
                 schedule.workload_class, schedule.settings_by_node,
             )
@@ -1599,8 +1591,6 @@ class ClusterSimulator:
             responses = ResponseColumns.in_arrival_order(
                 code, names, sql_idx, node_idx, arrival_s, start_s, end_s
             )
-        else:
-            raise ValueError(f"unknown playback mode {mode!r}")
         queries = np.bincount(responses.node_idx, minlength=len(nodes))
         usages: list[NodeUsage] = []
         for j, node in enumerate(nodes):
@@ -1636,16 +1626,7 @@ class ClusterSimulator:
             fingerprint=schedule.fingerprint,
         )
 
-    def run(self, arrivals: Iterable[Arrival], mode: str = "batched",
+    def run(self, arrivals: Iterable[Arrival],
             vectorized: bool | None = None) -> ClusterMeasurement:
-        """Schedule and play an arrival stream end to end.
-
-        ``loop`` playback needs the legacy piece-based schedule, so it
-        implies ``vectorized=False`` unless the caller forced the fast
-        path explicitly (which then fails in :meth:`playback`).
-        """
-        if mode == "loop" and vectorized is None:
-            vectorized = False
-        return self.playback(
-            self.schedule(arrivals, vectorized=vectorized), mode=mode
-        )
+        """Schedule and play an arrival stream end to end."""
+        return self.playback(self.schedule(arrivals, vectorized=vectorized))

@@ -5,24 +5,14 @@ underclock x small/medium downgrade, each point's CPU energy and
 response time becoming an :class:`OperatingPoint` on a
 :class:`TradeoffCurve`.
 
-By default the sweep uses the execute-once / replay-many pipeline: the
-workload (ten TPC-H Q5 queries) is executed against the database once
-for the *whole* sweep, and every operating point (and every protocol
-repeat) replays the cached traces under its setting via vectorized
-playback.  ``replay=False`` keeps the naive path -- re-parse, re-plan,
-re-execute per point and per repeat -- which exists as the regression
-baseline and for the perf benchmark's cold/cached comparison;
-``replay=False, rerun_repeats=False`` reproduces the historical
-execute-once-per-point pipeline exactly.
-
-Path-identity caveat: on a *cold* disk-engine database, re-executing
-genuinely changes the work (the first run warms the buffer pool), so
-the full-protocol ``replay=False`` baseline measures warm-up across
-its repeats while replay preserves each point's first-execution trace.
-Replay is numerically identical to the historical pipeline in all
-cases, and to the full protocol on the memory engine or a warmed disk
-database (``db.warm()`` first) -- the configurations every figure
-uses.
+The sweep uses the execute-once / replay-many pipeline: the workload
+(ten TPC-H Q5 queries) is executed against the database once for the
+*whole* sweep, and every operating point (and every protocol repeat)
+replays the cached traces under its setting via vectorized playback.
+It equals the historical pipeline -- one ``run_queries`` per operating
+point, the reading reused across protocol repeats -- on every
+database, a cold disk engine included;
+``tests/core/reference_sweep.py`` keeps that pipeline as the oracle.
 """
 
 from __future__ import annotations
@@ -45,34 +35,16 @@ class PvcSweep:
     runner: WorkloadRunner
     queries: list[str]
     protocol: MeasurementProtocol | None = None
-    #: execute each distinct query once and replay cached traces per
-    #: setting/repeat; False re-executes the workload every time.
-    replay: bool = True
-    #: whether protocol repeats re-invoke the workload.  None derives it
-    #: from ``replay`` (replaying repeats is free; a non-replay sweep
-    #: models the paper's full protocol and re-executes per repeat).
-    #: ``replay=False, rerun_repeats=False`` reproduces the historical
-    #: pipeline exactly: one execution per operating point, readings
-    #: reused across repeats.
-    rerun_repeats: bool | None = None
 
     def _run_workload(self):
-        if self.replay:
-            return self.runner.replay_queries(self.queries).total
-        return self.runner.run_queries(self.queries).total
+        return self.runner.replay_queries(self.queries).total
 
     def measure_at(self, setting: PvcSetting) -> OperatingPoint:
         """Run the workload at one setting (paper's 5-run trimmed mean)."""
-        rerun = (
-            not self.replay if self.rerun_repeats is None
-            else self.rerun_repeats
-        )
         controller = PvcController(self.runner.sut)
         with controller.applied(setting):
             if self.protocol is not None:
-                sample = self.protocol.measure(
-                    self._run_workload, rerun=rerun
-                )
+                sample = self.protocol.measure(self._run_workload)
                 time_s, energy_j = sample.duration_s, sample.cpu_joules
             else:
                 total = self._run_workload()

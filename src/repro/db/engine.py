@@ -60,8 +60,6 @@ class Database:
             )
         self._generation = 0
         self._plan_cache: dict[str, tuple[int, PhysNode]] = {}
-        #: disabled by perf baselines that model the cache-free pipeline
-        self.plan_cache_enabled = True
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
         #: total queries actually executed (not served from any cache)
@@ -132,9 +130,6 @@ class Database:
         """Plan a query, serving repeated SQL text from the plan cache."""
         if not isinstance(query, str):
             return plan_query(query, self.catalog)
-        if not self.plan_cache_enabled:
-            # the cache-free pipeline pays the parse too, not only the plan
-            return plan_query(parse.__wrapped__(query), self.catalog)
         cached = self._plan_cache.get(query)
         if cached is not None and cached[0] == self.generation:
             self.plan_cache_hits += 1

@@ -26,7 +26,7 @@ energy ratio.  The resulting voltages are *effective* values: they
 absorb the sensor's idiosyncrasies and are lower than plausible VID
 levels for the commercial workload -- which is exactly the gap between
 the paper's measured -49% CPU energy at a 5% underclock and what pure
-``C.V^2.F`` physics would allow.  See DESIGN.md Sec. 5.
+``C.V^2.F`` physics would allow.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ DISK_OVERLAP_UTILIZATION = 0.10
 #: commercial workload (disk overlap at ~0.17 duty for ~10% of wall,
 #: stalls at idle duty ~0.08 for ~29%, a sliver of client work), used by
 #: the io_mixed voltage inversion.  Derived from the simulated Q5
-#: composition; see DESIGN.md Sec. 5.
+#: composition.
 IO_MIXED_NONBUSY_DUTY = 0.126
 
 

@@ -1,41 +1,21 @@
-"""Perf harness: execute-once/replay-many versus naive re-execution.
+"""The canonical cluster scenarios behind ``BENCH_perf.json``.
 
-Times the same PVC sweep three ways on one database/machine pair:
-
-* ``naive`` -- the full paper protocol with no caching anywhere:
-  every operating point and every protocol repeat re-parses, re-plans,
-  and re-executes the whole workload (``PvcSweep(replay=False)`` with
-  per-repeat rerun; the "35x more expensive than necessary" pipeline).
-  The database's plan cache is disabled while the naive baseline runs,
-  so it genuinely pays parse+plan per execution like the pre-PR code.
-* ``replay_cold`` -- the execute-once/replay-many pipeline starting
-  from an empty execution cache: each distinct query executes once,
-  then every point/repeat replays its compiled trace.
-* ``replay_cached`` -- the same sweep again on the now-warm cache:
-  zero database executions, pure vectorized playback.
-
-The resulting :class:`PerfComparison` carries wall-clock numbers, the
-speedups, and the maximum relative deviation of the replayed
-:class:`~repro.core.metrics.OperatingPoint` values from the naive
-curve -- which must be ~1e-15-ish noise, never a real difference.
-``benchmarks/bench_perf_pipeline.py`` asserts on it and
-``scripts/perf_report.py`` serializes it to ``BENCH_perf.json``.
-
-The rest of the module is the canonical cluster scenarios behind the
-other ``BENCH_perf.json`` sections: two host-time comparisons and
-four energy ablations, every one of the latter an :class:`Ablation`
-whose gates live in :mod:`repro.measurement.gates`.  This is the only
-module under ``src/`` allowed to read the host clock, and it does so
-in exactly one place, :func:`_timed`.
+Four energy ablations -- diurnal policies on a heterogeneous fleet, QED
+queue placement, fault recovery, and recovery on a replicated fleet --
+each run one scenario under several named modes and come back as one
+:class:`Ablation` record whose gates live in
+:mod:`repro.measurement.gates`.  Beside them,
+:func:`compare_cluster_scheduling` holds the vectorized event core to
+the per-arrival scheduling loop on one stream (the ``cluster_scaling``
+section).  Every recorded value is simulated, so a re-run reproduces
+the record bit for bit; nothing here reads the host clock.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import re
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.cluster import (
     AdaptivePvcRouter,
@@ -53,15 +33,10 @@ from repro.cluster import (
     hetero_fleet,
     uniform_fleet,
 )
-from repro.core.pvc.sweep import PvcSweep
 from repro.core.qed.policy import BatchPolicy
-from repro.core.tradeoff import TradeoffCurve
 from repro.db.engine import Database
 from repro.hardware.cpu import PvcSetting, VoltageDowngrade
-from repro.hardware.profiles import pvc_settings_grid
-from repro.hardware.system import SystemUnderTest
 from repro.measurement import gates
-from repro.measurement.protocol import MeasurementProtocol
 from repro.measurement.report import ComparisonTable
 from repro.workloads.arrivals import (
     ArrivalStream,
@@ -69,28 +44,8 @@ from repro.workloads.arrivals import (
     poisson_arrivals,
     rate_schedule_arrivals,
 )
-from repro.workloads.runner import TraceCache, WorkloadRunner
+from repro.workloads.runner import TraceCache
 from repro.workloads.selection import selection_workload
-
-#: Every host timing is the best of this many back-to-back runs of the
-#: same callable.  A single shot of a 2 ms playback is timer noise; the
-#: minimum is the least-disturbed run.  Timed callables must therefore
-#: be repeatable, and what they report is the *warm* cost: the first
-#: repetition pays execute-once costing, later ones do not.  (Back to
-#: back on purpose: alternating the two sides of a ratio was tried and
-#: times the fast side cache-cold -- a 2 ms batched playback right
-#: after a 50 ms object-churning loop reads 30% slower.)
-TIMING_REPS = 5
-
-
-def _timed(fn):
-    """``(best wall seconds, last result)`` over ``TIMING_REPS`` calls."""
-    best = math.inf
-    for _ in range(TIMING_REPS):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def _env(name: str, default, cast=int):
@@ -116,152 +71,10 @@ def _max_node_rel_diff(reference, other) -> float:
     return worst
 
 
-@dataclass
-class SweepTiming:
-    """One timed sweep: wall time plus the curve it produced."""
+# -- cluster scheduling: vectorized event core vs per-arrival loop --------
 
-    label: str
-    wall_s: float
-    db_executions: int
-    points: list[dict] = field(default_factory=list)
-
-
-@dataclass
-class PerfComparison:
-    """Naive vs replay timings for one sweep configuration."""
-
-    scale_factor: float | None
-    engine: str
-    num_settings: int
-    repeats: int
-    num_queries: int
-    naive: SweepTiming
-    replay_cold: SweepTiming
-    replay_cached: SweepTiming
-    max_rel_diff_cold: float
-    max_rel_diff_cached: float
-
-    @property
-    def speedup_cold(self) -> float:
-        return self.naive.wall_s / self.replay_cold.wall_s
-
-    @property
-    def speedup_cached(self) -> float:
-        return self.naive.wall_s / self.replay_cached.wall_s
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["speedup_cold"] = self.speedup_cold
-        out["speedup_cached"] = self.speedup_cached
-        return out
-
-    def table(self) -> ComparisonTable:
-        table = ComparisonTable(
-            f"Execute-once/replay-many: {self.num_settings}-setting x "
-            f"{self.repeats}-repeat sweep wall time"
-        )
-        for timing, what in (
-            (self.naive, "naive sweep, rerun repeats"),
-            (self.replay_cold, "replay sweep, cold cache"),
-            (self.replay_cached, "replay sweep, warm cache"),
-        ):
-            table.add(f"{what} (s)", None, timing.wall_s, unit="s")
-            table.add(f"{what}: db executions", None,
-                      float(timing.db_executions))
-        table.add("speedup vs naive (cold)", None, self.speedup_cold)
-        table.add("speedup vs naive (cached)", None, self.speedup_cached)
-        table.add("max curve deviation (cold)", None,
-                  self.max_rel_diff_cold)
-        return table
-
-
-def _curve_points(curve: TradeoffCurve) -> list[dict]:
-    return [
-        {"label": p.label, "time_s": p.time_s, "energy_j": p.energy_j}
-        for p in curve.all_points
-    ]
-
-
-def _max_rel_diff(reference: list[dict], other: list[dict]) -> float:
-    worst = 0.0
-    for a, b in zip(reference, other):
-        for key in ("time_s", "energy_j"):
-            denom = abs(a[key]) or 1.0
-            worst = max(worst, abs(a[key] - b[key]) / denom)
-    return worst
-
-
-def compare_sweep_paths(
-    db: Database,
-    sut: SystemUnderTest,
-    queries: list[str],
-    repeats: int = 5,
-    settings=None,
-    scale_factor: float | None = None,
-) -> PerfComparison:
-    """Time the naive and replay sweep pipelines on identical inputs."""
-    grid = (
-        settings if settings is not None
-        else pvc_settings_grid(include_stock=False)
-    )
-
-    def protocol() -> MeasurementProtocol:
-        # Noise-free so the two paths are comparable value-for-value.
-        return MeasurementProtocol(
-            runs=repeats, drop_extremes=min(1, repeats // 3),
-            noise_sigma=0.0,
-        )
-
-    def timed(label: str, runner: WorkloadRunner, replay: bool,
-              before_each=None) -> SweepTiming:
-        def sweep():
-            if before_each is not None:
-                before_each()
-            before = db.executions
-            curve = PvcSweep(runner, queries, protocol=protocol(),
-                             replay=replay).run(grid)
-            return db.executions - before, curve
-
-        wall, (executions, curve) = _timed(sweep)
-        return SweepTiming(
-            label=label, wall_s=wall, db_executions=executions,
-            points=_curve_points(curve),
-        )
-
-    # The naive baseline models the pre-plan-cache pipeline: pay
-    # parse+plan on every execution.
-    db.plan_cache_enabled = False
-    try:
-        naive = timed("naive", WorkloadRunner(db, sut), replay=False)
-    finally:
-        db.plan_cache_enabled = True
-
-    # Cold means an empty *execution* cache on every repetition; the
-    # cached sweep then runs on what the last cold one left behind.
-    replay_runner = WorkloadRunner(db, sut)
-    cold = timed("replay_cold", replay_runner, replay=True,
-                 before_each=replay_runner.clear_execution_cache)
-    cached = timed("replay_cached", replay_runner, replay=True)
-
-    return PerfComparison(
-        scale_factor=scale_factor,
-        engine=db.profile.name,
-        num_settings=len(grid) + 1,  # grid plus the stock baseline
-        repeats=repeats,
-        num_queries=len(queries),
-        naive=naive,
-        replay_cold=cold,
-        replay_cached=cached,
-        max_rel_diff_cold=_max_rel_diff(naive.points, cold.points),
-        max_rel_diff_cached=_max_rel_diff(naive.points, cached.points),
-    )
-
-
-# -- cluster playback: batched stack vs per-query replay loop -------------
-
-#: Canonical cluster-scaling scenario, shared by
-#: ``benchmarks/bench_cluster_scaling.py`` and ``scripts/perf_report.py``
-#: so both write comparable ``cluster_scaling`` records.
+#: The canonical scheduling stream: Poisson arrivals cycling through the
+#: first ``CLUSTER_DISTINCT`` selection statements.
 CLUSTER_DISTINCT = 50
 CLUSTER_MEAN_INTERARRIVAL_S = 0.01
 CLUSTER_ARRIVAL_SEED = 7
@@ -279,154 +92,33 @@ def _cyclic_poisson_stream(count: int, distinct: int,
     )
 
 
-def _scaling_scenario(nodes: int, count: int):
-    return uniform_fleet(nodes), RoundRobinRouter(), _cyclic_poisson_stream(
-        count, CLUSTER_DISTINCT, CLUSTER_MEAN_INTERARRIVAL_S,
-        CLUSTER_ARRIVAL_SEED,
-    )
-
-
-def cluster_scaling_scenario() -> tuple[list, object, ArrivalStream]:
-    """(specs, router, arrivals) for the canonical scaling comparison.
-
-    16 nodes x 10k arrivals by default; ``REPRO_BENCH_CLUSTER_NODES`` /
-    ``REPRO_BENCH_CLUSTER_ARRIVALS`` shrink it for CI smoke runs.
-    """
-    return _scaling_scenario(_env("CLUSTER_NODES", 16),
-                             _env("CLUSTER_ARRIVALS", 10000))
-
-
-@dataclass
-class ClusterPerfComparison:
-    """Batched fleet playback vs the per-query replay loop.
-
-    Both paths play the *same* schedule (same routed timelines), so the
-    comparison isolates playback: one stacked array call per distinct
-    PVC setting versus one ``run_compiled`` call per scheduled piece.
-    ``max_rel_diff`` is the worst per-node relative deviation in wall
-    energy, CPU energy, and duration -- float-summation noise, never a
-    real difference.
-    """
-
-    nodes: int
-    arrivals: int
-    scale_factor: float | None
-    distinct_queries: int
-    scheduled_pieces: int
-    schedule_wall_s: float
-    batched_wall_s: float
-    loop_wall_s: float
-    batched_wall_joules: float
-    loop_wall_joules: float
-    max_rel_diff: float
-    #: Config fingerprint hash of the scheduled run (the record is
-    #: attributable to its exact configuration).
-    run_id: str | None = None
-
-    @property
-    def speedup(self) -> float:
-        """Playback-phase speedup of the batched stack over the loop."""
-        return self.loop_wall_s / self.batched_wall_s
-
-    @property
-    def end_to_end_speedup(self) -> float:
-        """Schedule + playback, both paths paying the same event loop."""
-        return (
-            (self.schedule_wall_s + self.loop_wall_s)
-            / (self.schedule_wall_s + self.batched_wall_s)
-        )
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["speedup"] = self.speedup
-        out["end_to_end_speedup"] = self.end_to_end_speedup
-        return out
-
-    def table(self) -> ComparisonTable:
-        table = ComparisonTable(
-            f"Cluster playback: {self.nodes} nodes x "
-            f"{self.arrivals} arrivals (run {self.run_id})"
-        )
-        table.add("schedule phase (s)", None, self.schedule_wall_s,
-                  unit="s")
-        table.add("batched playback (s)", None, self.batched_wall_s,
-                  unit="s")
-        table.add("per-query loop (s)", None, self.loop_wall_s, unit="s")
-        table.add("playback speedup", None, self.speedup)
-        table.add("end-to-end speedup", None, self.end_to_end_speedup)
-        table.add("scheduled pieces", None, float(self.scheduled_pieces))
-        table.add("cluster energy (J)", None, self.batched_wall_joules,
-                  unit="J")
-        table.add("max energy deviation", None, self.max_rel_diff)
-        return table
-
-
-def compare_cluster_playback(
-    db: Database,
-    specs,
-    router,
-    arrivals: ArrivalStream,
-    scale_factor: float | None = None,
-    trace_cache: TraceCache | None = None,
-) -> ClusterPerfComparison:
-    """Time batched vs per-query-loop playback of one cluster schedule."""
-    sim = ClusterSimulator(db, specs, router, trace_cache=trace_cache)
-
-    # This comparison isolates *playback* (batched vs loop) on one
-    # legacy schedule; the vectorized scheduler has no per-piece
-    # timeline for the loop to replay, so pin the event loop explicitly.
-    schedule_wall, schedule = _timed(
-        lambda: sim.schedule(arrivals, vectorized=False)
-    )
-    batched_wall, batched = _timed(
-        lambda: sim.playback(schedule, mode="batched")
-    )
-    loop_wall, loop = _timed(lambda: sim.playback(schedule, mode="loop"))
-
-    return ClusterPerfComparison(
-        nodes=len(specs),
-        arrivals=len(arrivals),
-        scale_factor=scale_factor,
-        distinct_queries=len(arrivals.first_seen()),
-        scheduled_pieces=schedule.scheduled_pieces,
-        schedule_wall_s=schedule_wall,
-        batched_wall_s=batched_wall,
-        loop_wall_s=loop_wall,
-        batched_wall_joules=batched.wall_joules,
-        loop_wall_joules=loop.wall_joules,
-        max_rel_diff=_max_node_rel_diff(batched, loop),
-        run_id=schedule.run_id,
-    )
-
-
-# -- cluster scheduling: vectorized event core vs per-arrival loop --------
-
 #: Canonical scheduler-scaling scenario: a 100-node fleet under 100k
-#: arrivals (the legacy loop it is paired against is the slow side).
-#: ``REPRO_BENCH_SCALING_NODES`` /
+#: arrivals.  ``REPRO_BENCH_SCALING_NODES`` /
 #: ``REPRO_BENCH_SCALING_COMPARE_ARRIVALS`` shrink it for CI smoke runs.
 SCALING_SCHED_NODES = 100
 SCALING_COMPARE_ARRIVALS = 100_000
 
 
 def scheduler_scaling_scenario() -> tuple[list, object, ArrivalStream]:
-    """(specs, router, arrivals) for the scheduler-scaling comparison.
+    """(specs, router, arrivals) for the scheduler identity.
 
     Round-robin routing: its chunked fast path is pure array math, so
-    the comparison isolates the event core (the legacy per-arrival loop
+    the comparison isolates the event core (the per-arrival loop
     versus closed-form FIFO sequencing), not router bookkeeping.
     """
-    return _scaling_scenario(
-        _env("SCALING_NODES", SCALING_SCHED_NODES),
+    stream = _cyclic_poisson_stream(
         _env("SCALING_COMPARE_ARRIVALS", SCALING_COMPARE_ARRIVALS),
+        CLUSTER_DISTINCT, CLUSTER_MEAN_INTERARRIVAL_S, CLUSTER_ARRIVAL_SEED,
     )
+    return (uniform_fleet(_env("SCALING_NODES", SCALING_SCHED_NODES)),
+            RoundRobinRouter(), stream)
 
 
 @dataclass
 class SchedulingComparison:
     """Vectorized chunked scheduling vs the per-arrival event loop.
 
-    Both paths schedule and play the *same* arrival stream on
+    Both engines schedule and play the *same* arrival stream on
     identically-configured fleets; ``max_rel_diff`` is the worst
     per-node relative deviation in wall energy, CPU energy, and busy
     duration between the two playbacks -- float-summation noise, never
@@ -436,48 +128,20 @@ class SchedulingComparison:
     nodes: int
     arrivals: int
     scale_factor: float | None
-    distinct_queries: int
-    legacy_schedule_wall_s: float
-    vectorized_schedule_wall_s: float
-    legacy_playback_wall_s: float
-    vectorized_playback_wall_s: float
-    legacy_wall_joules: float
-    vectorized_wall_joules: float
+    wall_joules: float
     max_rel_diff: float
     dispatch_match: bool
     run_id: str | None = None
 
-    @property
-    def sched_speedup(self) -> float:
-        """Schedule-phase speedup of the chunked event core."""
-        return (
-            self.legacy_schedule_wall_s
-            / self.vectorized_schedule_wall_s
-        )
-
-    @property
-    def end_to_end_speedup(self) -> float:
-        """Schedule + playback, each path on its native playback."""
-        return (
-            (self.legacy_schedule_wall_s + self.legacy_playback_wall_s)
-            / (self.vectorized_schedule_wall_s
-               + self.vectorized_playback_wall_s)
-        )
-
     def to_record(self) -> dict:
-        """The ``sched_*`` keys this comparison contributes to the
-        shared ``cluster_scaling`` artifact section."""
+        """The ``cluster_scaling`` artifact section."""
         return {
-            "sched_speedup": self.sched_speedup,
-            "sched_end_to_end_speedup": self.end_to_end_speedup,
+            "scale_factor": self.scale_factor,
             "sched_nodes": self.nodes,
             "sched_arrivals": self.arrivals,
-            "sched_legacy_wall_s": self.legacy_schedule_wall_s,
-            "sched_vectorized_wall_s": self.vectorized_schedule_wall_s,
             "sched_max_rel_diff": self.max_rel_diff,
             "sched_dispatch_match": self.dispatch_match,
             "sched_run_id": self.run_id,
-            "scale_factor": self.scale_factor,
         }
 
     def table(self) -> ComparisonTable:
@@ -485,15 +149,9 @@ class SchedulingComparison:
             f"Event core: {self.nodes} nodes x {self.arrivals} arrivals "
             f"(run {self.run_id})"
         )
-        table.add("legacy schedule (s)", None,
-                  self.legacy_schedule_wall_s, unit="s")
-        table.add("vectorized schedule (s)", None,
-                  self.vectorized_schedule_wall_s, unit="s")
-        table.add("scheduler speedup", None, self.sched_speedup)
-        table.add("end-to-end speedup", None, self.end_to_end_speedup)
-        table.add("cluster energy (J)", None,
-                  self.vectorized_wall_joules, unit="J")
+        table.add("cluster energy (J)", None, self.wall_joules, unit="J")
         table.add("max energy deviation", None, self.max_rel_diff)
+        table.add("dispatch match", None, float(self.dispatch_match))
         return table
 
 
@@ -505,55 +163,33 @@ def compare_cluster_scheduling(
     scale_factor: float | None = None,
     trace_cache: TraceCache | None = None,
 ) -> SchedulingComparison:
-    """Time the vectorized and legacy schedulers on identical inputs.
+    """Schedule and play one stream on both engines and compare them.
 
-    ``router_factory`` builds a fresh router per path (``schedule``
-    re-prepares the fleet and the router, so one simulator serves both
-    and every repetition).  A warm-up schedule runs first: it fills
-    the runner's execution cache, the database plan cache, and any
-    trace cache, so the timed runs compare event cores warm-vs-warm
-    instead of measuring execute-once costing twice.
+    ``router_factory`` builds a fresh router per engine (``schedule``
+    re-prepares the fleet and the router, so one simulator serves both).
     """
     sim = ClusterSimulator(
         db, specs, router_factory(), trace_cache=trace_cache
     )
-    sim.schedule(arrivals, vectorized=True)  # warm-up
 
-    def timed_path(vectorized: bool):
+    def run(vectorized: bool):
         sim.router = router_factory()
-        schedule_wall, schedule = _timed(
-            lambda: sim.schedule(arrivals, vectorized=vectorized)
-        )
-        playback_wall, measurement = _timed(
-            lambda: sim.playback(schedule, mode="batched")
-        )
-        return schedule_wall, playback_wall, schedule, measurement
+        return sim.playback(sim.schedule(arrivals, vectorized=vectorized))
 
-    legacy_schedule_wall, legacy_playback_wall, _, legacy = (
-        timed_path(False)
-    )
-    vec_schedule_wall, vec_playback_wall, vec_schedule, vectorized = (
-        timed_path(True)
-    )
-
+    legacy = run(False)
+    vectorized = run(True)
     return SchedulingComparison(
         nodes=len(specs),
         arrivals=len(arrivals),
         scale_factor=scale_factor,
-        distinct_queries=len(arrivals.first_seen()),
-        legacy_schedule_wall_s=legacy_schedule_wall,
-        vectorized_schedule_wall_s=vec_schedule_wall,
-        legacy_playback_wall_s=legacy_playback_wall,
-        vectorized_playback_wall_s=vec_playback_wall,
-        legacy_wall_joules=legacy.wall_joules,
-        vectorized_wall_joules=vectorized.wall_joules,
+        wall_joules=vectorized.wall_joules,
         max_rel_diff=_max_node_rel_diff(vectorized, legacy),
         dispatch_match=(
             vectorized.served == legacy.served
             and all(a.queries == b.queries
                     for a, b in zip(vectorized.nodes, legacy.nodes))
         ),
-        run_id=vec_schedule.run_id,
+        run_id=vectorized.run_id,
     )
 
 
@@ -780,10 +416,7 @@ def run_diurnal_ablation(
     static spread hold the same SLA-miss budget.  ``phase_energy``
     slices each policy's *modeled* energy into the schedule's
     low/mid/peak phases (``window_s`` windows, classified by the
-    scheduled rate at their midpoint).  ``hetero_*`` record the
-    batched-vs-loop playback comparison on the dynamic schedule --
-    proving the heterogeneous-fleet hot path keeps both its exactness
-    and its speedup.
+    scheduled rate at their midpoint).
     """
     specs, schedule, stream = diurnal_scenario(scale_factor)
     # Service times grow ~linearly with SF; keep the SLA (and the
@@ -791,14 +424,10 @@ def run_diurnal_ablation(
     sla_s = DIURNAL_SLA_S * _sf_scale(scale_factor, DIURNAL_REFERENCE_SF)
     policies: dict[str, dict] = {}
     phase_energy: dict[str, dict[str, float]] = {}
-    hetero: dict[str, float] = {}
     for name, router in diurnal_policies(schedule, sla_s):
-        sim = ClusterSimulator(db, specs, router,
-                               trace_cache=trace_cache)
-        scheduled = sim.schedule(stream)
-        batched_wall, measurement = _timed(
-            lambda: sim.playback(scheduled, mode="batched")
-        )
+        measurement = ClusterSimulator(
+            db, specs, router, trace_cache=trace_cache
+        ).run(stream)
         policies[name] = {
             "run_id": measurement.run_id,
             "wall_joules": measurement.wall_joules,
@@ -817,17 +446,6 @@ def run_diurnal_ablation(
                               schedule.peak_rate)
             slices[phase] += window.modeled_joules
         phase_energy[name] = slices
-        if name == "dynamic":
-            loop_wall, loop = _timed(
-                lambda: sim.playback(scheduled, mode="loop")
-            )
-            hetero = {
-                "hetero_batched_wall_s": batched_wall,
-                "hetero_loop_wall_s": loop_wall,
-                "hetero_max_rel_diff": _max_node_rel_diff(measurement,
-                                                          loop),
-                "hetero_speedup": loop_wall / batched_wall,
-            }
 
     return Ablation(
         "diurnal",
@@ -840,7 +458,7 @@ def run_diurnal_ablation(
         },
         modes=policies,
         modes_key="policies",
-        extras={"phase_energy": phase_energy, **hetero},
+        extras={"phase_energy": phase_energy},
     )
 
 

@@ -54,21 +54,12 @@ class MeasurementProtocol:
             return value
         return value * (1.0 + self._rng.normal(0.0, self.noise_sigma))
 
-    def measure(self, run_fn: Callable[[], RunMeasurement],
-                rerun: bool = False) -> ProtocolSample:
-        """Measure ``run_fn`` with the paper's protocol.
-
-        With ``rerun`` False (default) the deterministic simulation runs
-        once and the noise model perturbs each reading; with True the
-        function is re-invoked per run (for callers with real
-        run-to-run variation).
-        """
-        readings: list[RunMeasurement] = []
-        base: RunMeasurement | None = None
-        for _ in range(self.runs):
-            if rerun or base is None:
-                base = run_fn()
-            readings.append(base)
+    def measure(self, run_fn: Callable[[], RunMeasurement]
+                ) -> ProtocolSample:
+        """Measure ``run_fn`` with the paper's protocol: the
+        deterministic simulation runs once and the noise model perturbs
+        each of the ``runs`` readings."""
+        readings = [run_fn()] * self.runs
         cpus = [self._noisy(r.cpu_joules) for r in readings]
         durations = [self._noisy(r.duration_s) for r in readings]
         disks = [self._noisy(r.disk_joules) for r in readings]

@@ -166,11 +166,14 @@ class TestRuleFixtures:
 
 class TestWallClockScope:
     def test_perf_module_is_exempt(self):
+        """No file under ``src/`` is exempt: a clock read in the
+        ablation module is flagged like anywhere else."""
+        assert WallClockRule.exclude == ()
         linter = Linter(rules=[WallClockRule()])
         findings = linter.lint_source(
-            WALLCLOCK_BAD, "src/repro/measurement/perf.py"
+            WALLCLOCK_BAD, "src/repro/measurement/ablations.py"
         )
-        assert findings == []
+        assert [f.rule_id for f in findings] == ["DET-WALLCLOCK"]
 
     def test_benchmarks_are_exempt(self):
         linter = Linter(rules=[WallClockRule()])

@@ -20,7 +20,7 @@ from repro.cluster import (
     uniform_fleet,
 )
 from repro.core.qed.policy import BatchPolicy
-from repro.measurement import perf
+from repro.measurement import ablations
 from repro.obs import (
     MetricsRegistry,
     SpanTracer,
@@ -104,7 +104,7 @@ class TestScheduleCoercion:
                 BatchPolicy(4, max_wait_s=0.2),
                 placement=ConsolidatePlacement(),
             ),
-            faults=perf.fault_plan(),
+            faults=ablations.fault_plan(),
             retry=RetryPolicy(max_attempts=4, backoff_s=0.05),
             tracer=tracer, metrics=registry,
         ).run([])
@@ -171,16 +171,17 @@ CANONICAL_DIGESTS = {
 
 class TestIdentitiesDidNotMove:
     def test_canonical_scenario_digests(self, monkeypatch):
-        for name in ("CLUSTER_ARRIVALS", "CLUSTER_NODES", "DIURNAL_HORIZON",
-                     "QED_ARRIVALS", "FAULT_ARRIVALS",
+        for name in ("DIURNAL_HORIZON", "QED_ARRIVALS", "FAULT_ARRIVALS",
                      "REPLICATION_ARRIVALS"):
             monkeypatch.delenv(f"REPRO_BENCH_{name}", raising=False)
         streams = {
-            "cluster_scaling": perf.cluster_scaling_scenario()[2],
-            "diurnal": perf.diurnal_scenario(0.05)[2],
-            "qed": perf.qed_ablation_stream(0.05),
-            "fault": perf.fault_ablation_stream(0.05),
-            "replication": perf.replication_stream(0.01),
+            "cluster_scaling": ablations._cyclic_poisson_stream(
+                10_000, 50, 0.01, 7
+            ),
+            "diurnal": ablations.diurnal_scenario(0.05)[2],
+            "qed": ablations.qed_ablation_stream(0.05),
+            "fault": ablations.fault_ablation_stream(0.05),
+            "replication": ablations.replication_stream(0.01),
         }
         for name, stream in streams.items():
             assert isinstance(stream, ArrivalStream), name

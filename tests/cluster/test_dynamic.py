@@ -13,6 +13,7 @@
 
 import pytest
 
+from loop_playback import loop_playback
 from repro.cluster import (
     AdaptivePvcRouter,
     ClusterSimulator,
@@ -123,8 +124,8 @@ class TestDynamicReconsolidation:
             _dynamic_router(),
         )
         schedule = sim.schedule(_wave_stream())
-        batched = sim.playback(schedule, mode="batched")
-        loop = sim.playback(schedule, mode="loop")
+        batched = sim.playback(schedule)
+        loop = loop_playback(sim, schedule)
         assert batched.wall_joules == pytest.approx(
             loop.wall_joules, rel=REL
         )
@@ -215,8 +216,8 @@ class TestAdaptivePvcRouter:
             AdaptivePvcRouter(deadline_s=0.08),
         )
         schedule = sim.schedule(_wave_stream())
-        batched = sim.playback(schedule, mode="batched")
-        loop = sim.playback(schedule, mode="loop")
+        batched = sim.playback(schedule)
+        loop = loop_playback(sim, schedule)
         for a, b in zip(batched.nodes, loop.nodes):
             assert a.playback.wall_joules == pytest.approx(
                 b.playback.wall_joules, rel=REL
@@ -271,8 +272,8 @@ class TestHeterogeneousFleet:
             mysql_db, _hetero_specs(), _dynamic_router()
         )
         schedule = sim.schedule(_wave_stream())
-        batched = sim.playback(schedule, mode="batched")
-        loop = sim.playback(schedule, mode="loop")
+        batched = sim.playback(schedule)
+        loop = loop_playback(sim, schedule)
         for a, b in zip(batched.nodes, loop.nodes):
             assert a.playback.wall_joules == pytest.approx(
                 b.playback.wall_joules, rel=REL

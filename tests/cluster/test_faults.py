@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.cluster import (
     ClusterSimulator,
     ConsolidateRouter,
@@ -153,6 +154,31 @@ class TestPlanSerialization:
         )
         with pytest.raises(ValueError, match="unknown nodes"):
             sim.run(_stream(count=10))
+
+    @pytest.mark.parametrize("doc, error", [
+        ({"faults": [{"node": "node01", "at_s": 1.0}]},
+         "fault 0: missing key 'kind'"),
+        ([{"kind": "crash"}],
+         "expected an object with a 'faults' list, got a list"),
+        ({"faults": [1]}, "fault 0: expected an object, got 1"),
+        ({"faults": [{"kind": "crash", "node": "node01", "at_s": "soon"}]},
+         "fault 0: 'at_s' must be a finite number, got 'soon'"),
+        ({"faults": [{"kind": "crash", "node": "node01", "at_s": 1.0}]},
+         None),
+    ], ids=["no-kind", "bare-list", "not-an-object", "string-time",
+            "valid"])
+    def test_malformed_plan_exits_2_naming_file_fault_key_value(
+        self, doc, error, tmp_path, capsys,
+    ):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["cluster", "--sf", "0.002", "--nodes", "2",
+                   "--arrivals", "5", "--faults", str(path)])
+        err = capsys.readouterr().err
+        if error is None:
+            assert (rc, err) == (0, "")
+        else:
+            assert (rc, err) == (2, f"error: fault plan {path}: {error}\n")
 
 
 class TestEmptyPlanIdentity:
@@ -466,7 +492,7 @@ class TestConservationUnderFaults:
         fleet modes: every arrival is served exactly once or visibly
         dead-lettered, and the dead-letter count reconciles with the
         shed ledger the SLA accounting reads."""
-        from repro.measurement.perf import fault_plan
+        from repro.measurement.ablations import fault_plan
 
         stream = _stream(count=80, mean_s=0.05, seed=3)
         for router in (

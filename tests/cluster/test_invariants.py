@@ -9,6 +9,7 @@
 
 import pytest
 
+from loop_playback import loop_playback
 from repro.cluster import (
     ClusterSimulator,
     ConsolidateRouter,
@@ -81,8 +82,8 @@ class TestEnergyConservation:
             mysql_db, heterogeneous_specs, RoundRobinRouter()
         )
         stream = _stream()
-        batched = sim.run(stream, mode="batched")
-        loop = sim.run(stream, mode="loop")
+        batched = sim.run(stream)
+        loop = loop_playback(sim, sim.schedule(stream, vectorized=False))
         assert batched.wall_joules == pytest.approx(
             loop.wall_joules, rel=REL
         )

@@ -10,6 +10,7 @@ template separation, pass-through singletons, and hash-split placement.
 
 import pytest
 
+from loop_playback import loop_playback
 from repro.cluster import (
     ClusterSimulator,
     ConsolidatePlacement,
@@ -220,8 +221,8 @@ class TestPlaybackIdentity:
             nodes=4, placement=HashSplitPlacement(),
         )
         schedule = sim.schedule(_mixed_stream(count=100))
-        batched = sim.playback(schedule, mode="batched")
-        loop = sim.playback(schedule, mode="loop")
+        batched = sim.playback(schedule)
+        loop = loop_playback(sim, schedule)
         assert batched.wall_joules == pytest.approx(
             loop.wall_joules, rel=REL
         )

@@ -29,7 +29,7 @@ from repro.cluster import (
 )
 from repro.cluster.measure import ClusterMeasurement, QueryResponse
 from repro.core.qed.policy import BatchPolicy
-from repro.measurement.perf import fault_plan
+from repro.measurement.ablations import fault_plan
 from repro.obs import (
     RECONCILE_TOLERANCE,
     TERMINAL_PHASES,

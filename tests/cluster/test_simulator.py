@@ -2,6 +2,7 @@
 
 import pytest
 
+from loop_playback import loop_playback
 from repro.cli import main
 from repro.cluster import (
     ClusterSimulator,
@@ -231,8 +232,8 @@ class TestQedNodes:
             RoundRobinRouter(),
         )
         stream = _stream(count=40, distinct=10)
-        batched = sim.run(stream, mode="batched")
-        loop = sim.run(stream, mode="loop")
+        batched = sim.run(stream)
+        loop = loop_playback(sim, sim.schedule(stream))
         assert batched.wall_joules == pytest.approx(
             loop.wall_joules, rel=1e-9
         )

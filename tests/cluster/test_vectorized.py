@@ -5,14 +5,14 @@ re-expression of the per-arrival loop for every ``route_chunk`` router
 (per-node energies, dispatch, peak power, and service quality agree to
 <= 1e-9 on homogeneous *and* heterogeneous fleets), configurations the
 fast path cannot express fall back to the loop under ``auto`` and fail
-loudly under ``vectorized=True``, empty arrival streams produce
-well-formed zero measurements instead of crashing, and columnar
-schedules refuse the loop playback they cannot replay.
+loudly under ``vectorized=True``, and empty arrival streams produce
+well-formed zero measurements instead of crashing.
 """
 
 import numpy as np
 import pytest
 
+from loop_playback import loop_playback
 from repro.cluster import (
     ClusterSimulator,
     ColumnarSchedule,
@@ -221,28 +221,17 @@ class TestFallbackAndErrors:
         )
         assert sim.vectorized_ineligibility() is None
 
-    def test_columnar_schedule_refuses_loop_playback(self, mysql_db):
-        sim = ClusterSimulator(mysql_db, uniform_fleet(2),
-                               RoundRobinRouter())
-        schedule = sim.schedule(_stream(count=20), vectorized=True)
-        with pytest.raises(ValueError, match="loop"):
-            sim.playback(schedule, mode="loop")
-
     def test_run_loop_mode_implies_legacy_schedule(self, mysql_db):
+        """The legacy schedule played by the per-query oracle loop is
+        the vectorized run."""
         stream = _stream(count=40)
         sim = ClusterSimulator(mysql_db, uniform_fleet(2),
                                RoundRobinRouter())
-        loop = sim.run(stream, mode="loop")
+        loop = loop_playback(sim, sim.schedule(stream, vectorized=False))
         batched = ClusterSimulator(
             mysql_db, uniform_fleet(2), RoundRobinRouter()
         ).run(stream, vectorized=True)
         assert_identical(batched, loop)
-
-    def test_run_loop_mode_rejects_forced_vectorized(self, mysql_db):
-        sim = ClusterSimulator(mysql_db, uniform_fleet(2),
-                               RoundRobinRouter())
-        with pytest.raises(ValueError):
-            sim.run(_stream(count=10), mode="loop", vectorized=True)
 
 
 class TestEmptyStream:

@@ -25,7 +25,7 @@ from repro.cluster.measure import (
     zero_measurement,
 )
 from repro.core.qed.policy import BatchPolicy
-from repro.measurement.perf import fault_plan
+from repro.measurement.ablations import fault_plan
 from repro.obs import MetricsRegistry
 from repro.workloads.arrivals import poisson_arrivals
 from repro.workloads.selection import selection_workload

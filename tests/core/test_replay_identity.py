@@ -2,12 +2,13 @@
 
 The replay pipeline (plan cache + execution cache + vectorized trace
 playback) must be numerically indistinguishable from the naive
-re-execute-everything path, and its caches must invalidate correctly on
-catalog and buffer-pool changes.
+re-execute-every-point path (``reference_sweep.py``), and its caches
+must invalidate correctly on catalog and buffer-pool changes.
 """
 
 import pytest
 
+from reference_sweep import reference_sweep
 from repro.core.pvc.sweep import PvcSweep
 from repro.db.engine import Database
 from repro.db.profiles import commercial_profile, mysql_profile
@@ -32,41 +33,37 @@ class TestSweepReplayIdentity:
     QUERIES = [selection_query(1), selection_query(2), selection_query(1)]
 
     def test_full_sweep_matches_naive_path(self, mysql_db, sut):
-        naive = PvcSweep(
-            WorkloadRunner(mysql_db, sut), self.QUERIES, replay=False
-        ).run()
+        naive = reference_sweep(WorkloadRunner(mysql_db, sut), self.QUERIES)
         replayed = PvcSweep(
-            WorkloadRunner(mysql_db, sut), self.QUERIES, replay=True
+            WorkloadRunner(mysql_db, sut), self.QUERIES
         ).run()
         _assert_curves_match(naive, replayed)
 
     def test_full_sweep_matches_on_disk_engine(self, commercial_db, sut):
-        naive = PvcSweep(
-            WorkloadRunner(commercial_db, sut), self.QUERIES, replay=False
-        ).run()
+        naive = reference_sweep(
+            WorkloadRunner(commercial_db, sut), self.QUERIES
+        )
         replayed = PvcSweep(
-            WorkloadRunner(commercial_db, sut), self.QUERIES, replay=True
+            WorkloadRunner(commercial_db, sut), self.QUERIES
         ).run()
         _assert_curves_match(naive, replayed)
 
     def test_protocol_sweep_matches_naive_path(self, mysql_db, sut):
-        naive = PvcSweep(
+        naive = reference_sweep(
             WorkloadRunner(mysql_db, sut), self.QUERIES,
             protocol=MeasurementProtocol(runs=5, noise_sigma=0.01, seed=11),
-            replay=False,
-        ).run()
+        )
         replayed = PvcSweep(
             WorkloadRunner(mysql_db, sut), self.QUERIES,
             protocol=MeasurementProtocol(runs=5, noise_sigma=0.01, seed=11),
-            replay=True,
         ).run()
         _assert_curves_match(naive, replayed)
 
     def test_replay_matches_historical_pipeline_on_cold_disk_db(self, sut):
-        """On a cold disk engine the full re-execute protocol measures
-        buffer-pool warm-up, so the meaningful identity is against the
-        historical pipeline (execute once per point, reuse repeats) --
-        replay must reproduce it exactly, first cold execution included."""
+        """On a cold disk engine the first execution warms the buffer
+        pool; replay must still reproduce the historical pipeline
+        (execute once per point, reuse repeats) exactly, first cold
+        execution included."""
         from repro.workloads.tpch.generator import tpch_database
 
         queries = [selection_query(1), selection_query(2)]
@@ -78,15 +75,13 @@ class TestSweepReplayIdentity:
                 tables=["lineitem"],
             )
 
-        historical = PvcSweep(
+        historical = reference_sweep(
             WorkloadRunner(cold_db(), sut), queries,
             protocol=MeasurementProtocol(**protocol_kwargs),
-            replay=False, rerun_repeats=False,
-        ).run()
+        )
         replayed = PvcSweep(
             WorkloadRunner(cold_db(), sut), queries,
             protocol=MeasurementProtocol(**protocol_kwargs),
-            replay=True,
         ).run()
         _assert_curves_match(historical, replayed)
 
@@ -94,11 +89,16 @@ class TestSweepReplayIdentity:
         self, mysql_db, sut
     ):
         runner = WorkloadRunner(mysql_db, sut)
-        PvcSweep(runner, self.QUERIES, replay=True).run()
+        before = mysql_db.executions
+        PvcSweep(runner, self.QUERIES).run()
         # 7 settings x 3 queries = 21 replays, but only 2 distinct
         # statements ever hit the database.
         assert runner.execution_cache_misses == 2
         assert runner.execution_cache_hits == 7 * 3 - 2
+        assert mysql_db.executions - before == 2
+        # A second sweep on the warm cache executes nothing.
+        PvcSweep(runner, self.QUERIES).run()
+        assert mysql_db.executions - before == 2
 
 
 def _tiny_db(profile) -> Database:
@@ -146,15 +146,6 @@ class TestPlanCacheInvalidation:
 
         db.plan(parse(self.SQL))
         assert self.SQL not in db._plan_cache
-
-    def test_plan_cache_can_be_disabled(self):
-        db = _tiny_db(mysql_profile())
-        db.plan_cache_enabled = False
-        db.execute(self.SQL)
-        db.execute(self.SQL)
-        assert self.SQL not in db._plan_cache
-        assert db.plan_cache_hits == 0
-        assert db.executions == 2
 
 
 class TestExecutionCacheInvalidation:
