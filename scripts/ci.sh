@@ -8,8 +8,9 @@
 #   scripts/ci.sh --stage cluster  # diurnal + qed + fault smoke benches
 #                                  # + a trace store shared by two runs
 #   scripts/ci.sh --stage replication  # placement + re-replication smoke
-#   scripts/ci.sh --stage obs      # traced cluster smoke + trace schema
-#                                  # + metrics export sanity
+#   scripts/ci.sh --stage obs      # traced cluster smoke in both trace
+#                                  # formats + trace schema + metrics
+#                                  # export sanity + truncated-trace exit
 #
 # The benches run at a tiny scale factor and enforce, on write, the
 # rows of src/repro/measurement/gates.py they record: <= 1e-9
@@ -134,13 +135,34 @@ run_obs() {
     fi
     trace="$obs_dir/trace.json"
     metrics="$obs_dir/metrics.json"
-    echo "== traced cluster smoke run =="
-    python -m repro cluster --sf 0.002 --nodes 4 --arrivals 60 \
-        --distinct 8 --policy dynamic --sla 1.0 \
-        --faults examples/fault_plan.json \
-        --trace "$trace" --metrics "$metrics" --window 1
-    echo "== trace schema + energy reconciliation =="
-    python -m repro obs report "$trace"
+    echo "== traced cluster smoke run (Chrome JSON, then JSONL) =="
+    for out in "$trace" "$obs_dir/trace.jsonl"; do
+        python -m repro cluster --sf 0.002 --nodes 4 --arrivals 60 \
+            --distinct 8 --policy dynamic --sla 1.0 \
+            --faults examples/fault_plan.json \
+            --trace "$out" --metrics "$metrics" --window 1 \
+            | tee "$out.run.txt"
+    done
+    echo "== same run id in both exports =="
+    diff <(grep "run id" "$trace.run.txt") \
+        <(grep "run id" "$obs_dir/trace.jsonl.run.txt")
+    echo "== trace schema + energy reconciliation, both formats =="
+    for out in "$trace" "$obs_dir/trace.jsonl"; do
+        python -m repro obs report "$out" | tee "$out.report.txt"
+        sed -n '/^  phase /,/^$/p' "$out.report.txt" > "$out.spans.txt"
+    done
+    test -s "$trace.spans.txt"
+    diff "$trace.spans.txt" "$obs_dir/trace.jsonl.spans.txt"
+    echo "== a truncated trace is a named error (exit 2) =="
+    { head -n 1 "$obs_dir/trace.jsonl"
+      sed -n 2p "$obs_dir/trace.jsonl" | head -c 40
+      echo; } > "$obs_dir/truncated.jsonl"
+    local status=0
+    python -m repro obs report "$obs_dir/truncated.jsonl" \
+        2> "$obs_dir/truncated.err" || status=$?
+    cat "$obs_dir/truncated.err"
+    test "$status" = 2
+    grep -q "truncated.jsonl: line 2:" "$obs_dir/truncated.err"
     echo "== metrics export sanity =="
     python - "$metrics" <<'EOF'
 import json

@@ -743,24 +743,10 @@ class ClusterSimulator:
             # (terminals already emitted at dead-letter time), so the
             # shed pass below covers fault-free refusals only.
             for node in self.nodes:
-                track = node.spec.name
-                for t in node.failed_wakes:
-                    tracer.instant("wake-failure", track, t)
-                for called, ready in node.wake_log:
-                    tracer.span("wake", track, called, ready)
-                for start, end in node.sleep_spans(horizon):
-                    tracer.span("sleep", track, start, end)
-                for work in node.scheduled:
-                    window_id = tracer.span(
-                        "playback", track, work.start_s, work.end_s,
-                        queries=len(work.queries),
-                        stretch_s=work.stretch_s,
-                    )
-                    for sql, arrival_s in work.queries:
-                        tracer.terminal(
-                            "served", sql, arrival_s, work.end_s,
-                            track=track, window=window_id,
-                        )
+                tracer.node_log(
+                    node.spec.name, node.failed_wakes, node.wake_log,
+                    node.sleep_spans(horizon), node.scheduled,
+                )
             if not active:
                 for q in shed:
                     tracer.terminal("shed", q.sql, q.arrival_s,

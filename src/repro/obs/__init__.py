@@ -14,6 +14,7 @@ the batched-playback speedup the perf gates enforce.
 """
 
 from repro.obs.export import (
+    TraceFormatError,
     export_chrome,
     export_jsonl,
     load_trace,
@@ -38,6 +39,7 @@ from repro.obs.report import (
 from repro.obs.tracer import (
     NULL_TRACER,
     Span,
+    SpanTable,
     SpanTracer,
     TERMINAL_PHASES,
     Tracer,
@@ -51,8 +53,10 @@ __all__ = [
     "NULL_TRACER",
     "RECONCILE_TOLERANCE",
     "Span",
+    "SpanTable",
     "SpanTracer",
     "TERMINAL_PHASES",
+    "TraceFormatError",
     "Tracer",
     "arrivals_digest",
     "config_fingerprint",

@@ -28,6 +28,10 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
+from repro.obs.tracer import SpanTable
+
 #: Max |sum-of-phases - modeled total| / max(1, total), relative.
 RECONCILE_TOLERANCE = 1e-9
 
@@ -99,16 +103,28 @@ def render_attribution(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def span_stats(spans: list[dict]) -> dict:
-    """Per-phase span counts and total durations from raw span dicts."""
-    stats: dict[str, dict] = {}
-    for span in spans:
-        entry = stats.setdefault(
-            span["name"], {"count": 0, "total_s": 0.0}
-        )
-        entry["count"] += 1
-        entry["total_s"] += span["end_s"] - span["start_s"]
-    return dict(sorted(stats.items()))
+def span_stats(spans: SpanTable) -> dict:
+    """Per-phase span counts and total durations, by phase name.
+
+    Computed from the table's columns; ``np.bincount`` adds each
+    phase's durations in row order, so ``total_s`` is bit-for-bit the
+    running sum over the spans.
+    """
+    names = sorted({name for name, _ in spans.kinds})
+    position = {name: i for i, name in enumerate(names)}
+    phase_of_kind = np.array(
+        [position[name] for name, _ in spans.kinds], dtype=np.intp
+    )
+    phase = phase_of_kind[np.asarray(spans.kind, dtype=np.intp)]
+    durations = (np.asarray(spans.end, dtype=np.float64)
+                 - np.asarray(spans.start, dtype=np.float64))
+    counts = np.bincount(phase, minlength=len(names)).tolist()
+    totals = np.bincount(phase, weights=durations,
+                         minlength=len(names)).tolist()
+    return {
+        name: {"count": count, "total_s": total}
+        for name, count, total in zip(names, counts, totals) if count
+    }
 
 
 def render_span_stats(stats: dict) -> str:

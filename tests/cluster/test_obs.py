@@ -282,7 +282,7 @@ class TestExporters:
         _, b = load_trace(str(tmp_path / "t.json"))
         # Chrome stores timestamps in microseconds; round away the
         # unit-conversion float noise before comparing.
-        key = lambda s: (s["track"], round(s["start_s"], 6), s["name"])  # noqa: E731
+        key = lambda s: (s.track, round(s.start_s, 6), s.name)  # noqa: E731
         assert sorted(map(key, a)) == sorted(map(key, b))
         assert span_stats(a).keys() == span_stats(b).keys()
 
@@ -300,10 +300,11 @@ class TestExporters:
     def test_validator_flags_missing_terminal_args(self):
         meta = {"format": "repro-obs-trace", "run_id": "x",
                 "fingerprint": {}, "horizon_s": 1.0}
-        spans = [{"name": "served", "track": "master",
-                  "start_s": 0.0, "end_s": 0.0, "args": {}}]
-        errors = validate_trace(meta, spans)
-        assert any("terminal" in e for e in errors)
+        tracer = SpanTracer()
+        arrival = tracer.arrival("q", 0.0)
+        tracer.instant("served", "master", 0.0, parent=arrival)
+        errors = validate_trace(meta, tracer.spans)
+        assert errors == ["span 1: terminal without sql/arrival_s"]
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.json"
