@@ -8,6 +8,7 @@
 #   scripts/ci.sh --stage cluster  # diurnal + qed + fault smoke benches
 #                                  # + a trace store shared by two runs
 #   scripts/ci.sh --stage replication  # placement + re-replication smoke
+#                                  # + malformed fleet/placement exits
 #   scripts/ci.sh --stage obs      # traced cluster smoke in both trace
 #                                  # formats + trace schema + metrics
 #                                  # export sanity + truncated-trace exit
@@ -118,6 +119,24 @@ run_replication() {
         --distinct 8 --policy least --shards 4 --replicas 2 \
         --faults examples/fault_plan.json --retry-max 4 \
         --retry-backoff 0.05 --sla 1.0
+    echo "== a malformed --fleet / --placement file is a named error (exit 2) =="
+    local bad_dir status
+    bad_dir="$(mktemp -d "${TMPDIR:-/tmp}/repro-inputs.XXXXXX")"
+    echo '{"groups": [{"count": 3.7}]}' > "$bad_dir/fleet.json"
+    echo '{"tables": [{"table": "lineitem", "column": "l_quantity",
+      "shards": "two", "replicas": 1, "replica_map": []}]}' \
+        > "$bad_dir/placement.json"
+    for kind in fleet placement; do
+        status=0
+        python -m repro cluster --sf 0.002 --nodes 4 --arrivals 5 \
+            "--$kind" "$bad_dir/$kind.json" 2> "$bad_dir/$kind.err" \
+            || status=$?
+        cat "$bad_dir/$kind.err"
+        test "$status" = 2
+        grep -q "$kind $bad_dir/$kind.json: .*'\(count\|shards\)' must be" \
+            "$bad_dir/$kind.err"
+    done
+    rm -rf "$bad_dir"
 }
 
 run_obs() {

@@ -91,44 +91,6 @@ def cmd_warmcold(args) -> int:
     )
 
 
-def _load_fleet(path: str):
-    """Node specs from a fleet-description JSON file.
-
-    Schema: ``{"groups": [{"count": 2, "prefix": "big", "hw": "paper",
-    "underclock_pct": 0, "downgrade": "none", "capacity": 1.0,
-    "sleep_wall_w": 3.5, "wake_latency_s": 30.0}, ...]}`` -- every key
-    but ``count`` optional.
-    """
-    import json
-
-    from repro.cluster import NodeGroup, hetero_fleet
-    from repro.hardware.cpu import PvcSetting, VoltageDowngrade
-
-    with open(path) as handle:
-        doc = json.load(handle)
-    groups = []
-    for i, raw in enumerate(doc.get("groups", [])):
-        extra = set(raw) - {
-            "count", "prefix", "hw", "underclock_pct", "downgrade",
-            "capacity", "sleep_wall_w", "wake_latency_s",
-        }
-        if extra:
-            raise ValueError(f"fleet group {i}: unknown keys {sorted(extra)}")
-        groups.append(NodeGroup(
-            count=int(raw["count"]),
-            prefix=raw.get("prefix", f"g{i}n"),
-            hw=raw.get("hw", "paper"),
-            setting=PvcSetting(
-                float(raw.get("underclock_pct", 0.0)),
-                VoltageDowngrade(raw.get("downgrade", "none")),
-            ),
-            capacity=float(raw.get("capacity", 1.0)),
-            sleep_wall_w=float(raw.get("sleep_wall_w", 3.5)),
-            wake_latency_s=float(raw.get("wake_latency_s", 30.0)),
-        ))
-    return hetero_fleet(groups)
-
-
 def _build_stream(args, queries: list[str]):
     """(arrivals, schedule-or-None) for the chosen load profile."""
     from repro.workloads.arrivals import (
@@ -284,7 +246,9 @@ def cmd_cluster(args) -> int:
             }[args.qed_placement or "least"]()
             master_queue = MasterQueue(policy, placement=placement)
         if args.fleet is not None:
-            specs = _load_fleet(args.fleet)
+            from repro.cluster import load_fleet
+
+            specs = load_fleet(args.fleet)
         else:
             specs = uniform_fleet(
                 args.nodes,
@@ -356,15 +320,16 @@ def cmd_cluster(args) -> int:
                                 seed=0, tables=("lineitem",))
         if args.trace_cache else None
     )
-    sim = ClusterSimulator(db, specs, router, trace_cache=trace_cache,
-                           master_queue=master_queue, faults=fault_plan,
-                           retry=retry, placement=placement_map,
-                           tracer=tracer, metrics=metrics)
     try:
+        sim = ClusterSimulator(db, specs, router, trace_cache=trace_cache,
+                               master_queue=master_queue, faults=fault_plan,
+                               retry=retry, placement=placement_map,
+                               tracer=tracer, metrics=metrics)
         scheduled = sim.schedule(stream)
         m = sim.playback(scheduled)
     except ValueError as exc:
-        # e.g. a power cap below the fleet's idle floor
+        # e.g. a placement map naming nodes outside the fleet, or a
+        # power cap below the fleet's idle floor
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

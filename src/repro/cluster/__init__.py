@@ -53,6 +53,7 @@ from repro.cluster.node import (
     SUT_FACTORIES,
     SimulatedNode,
     hetero_fleet,
+    load_fleet,
     uniform_fleet,
 )
 from repro.cluster.playback import (
@@ -122,6 +123,7 @@ __all__ = [
     "generate_placement",
     "hetero_fleet",
     "load_fault_plan",
+    "load_fleet",
     "load_placement",
     "play_batched",
     "play_columnar",

@@ -57,6 +57,28 @@ import numpy as np
 FAULT_KINDS = ("crash", "wake-failure", "straggler", "unavailable")
 
 
+# Key-by-key checks shared by the cluster's JSON loaders (fault plans
+# here, placement plans and fleet files), so each names the key, the
+# offending value and what is allowed the same way.
+
+def is_number(value) -> bool:
+    """A finite JSON number (not a bool)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def is_count(value) -> bool:
+    """A positive JSON integer (not a bool, not ``3.0``)."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= 1)
+
+
+def check_key(key: str, value, ok: bool, expected: str) -> None:
+    """The named error for ``key`` unless ``ok``."""
+    if not ok:
+        raise ValueError(f"{key!r} must be {expected}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """One injected fault on one node.
@@ -236,31 +258,22 @@ class FaultPlan:
 
 def _spec_from_dict(i: int, raw) -> FaultSpec:
     """Fault ``i`` of a plan document, type-checked key by key."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"fault {i}: expected an object, got {raw!r}")
-    known = {f.name for f in fields(FaultSpec)}
-    extra = set(raw) - known
-    if extra:
-        raise ValueError(f"fault {i}: unknown keys {sorted(extra)}")
-    for key in ("kind", "node"):
-        if key not in raw:
-            raise ValueError(f"fault {i}: missing key {key!r}")
-        if not isinstance(raw[key], str):
-            raise ValueError(
-                f"fault {i}: {key!r} must be a string, got {raw[key]!r}"
-            )
-    for key, value in raw.items():
-        if key in ("kind", "node") or (
-            value is None and key in ("recover_s", "end_s")
-        ):
-            continue
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value)):
-            raise ValueError(
-                f"fault {i}: {key!r} must be a finite number, "
-                f"got {value!r}"
-            )
     try:
+        if not isinstance(raw, dict):
+            raise ValueError(f"expected an object, got {raw!r}")
+        extra = set(raw) - {f.name for f in fields(FaultSpec)}
+        if extra:
+            raise ValueError(f"unknown keys {sorted(extra)}")
+        for key in ("kind", "node"):
+            if key not in raw:
+                raise ValueError(f"missing key {key!r}")
+            check_key(key, raw[key], isinstance(raw[key], str), "a string")
+        for key, value in raw.items():
+            if key in ("kind", "node") or (
+                value is None and key in ("recover_s", "end_s")
+            ):
+                continue
+            check_key(key, value, is_number(value), "a finite number")
         return FaultSpec(**raw)
     except ValueError as exc:
         raise ValueError(f"fault {i}: {exc}") from None

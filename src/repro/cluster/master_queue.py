@@ -11,8 +11,10 @@ WHERE clause) -- so a dispatched batch is mergeable *by construction*.
 
 Each partition runs its own
 :class:`~repro.core.qed.queue.QueryQueue` under the shared
-:class:`~repro.core.qed.policy.BatchPolicy` (threshold and/or timeout);
-queries no partition can hold (unparseable text, joins, aggregates,
+:class:`~repro.core.qed.policy.BatchPolicy` (threshold and/or timeout;
+a timeout fires at its own expiry, as one event in the cluster event
+loop's time-ordered heap, not at the next arrival); queries no
+partition can hold (unparseable text, joins, aggregates,
 ORDER BY/LIMIT shapes) flow through the **pass-through partition**:
 dispatched immediately as singletons, never waiting on a merge that
 cannot happen.
@@ -68,12 +70,14 @@ def partition_label(key: PartitionKey) -> str:
 class MasterQueue:
     """Fleet-wide admission queue on the coordinator.
 
-    Driven by explicit timestamps like the per-node
-    :class:`~repro.core.qed.queue.QueryQueue` it is built from; the
-    cluster event loop calls :meth:`expired` before each arrival (so
-    per-partition timeouts fire *at their expiry*, not at the next
-    arrival's clock), :meth:`submit` for the arrival itself, and
-    :meth:`drain` once the stream ends.
+    One :class:`~repro.core.qed.queue.QueryQueue` per mergeable
+    partition, in ``queues`` by creation order.  The cluster event loop
+    asks :meth:`partition` where each arrival queues and submits it to
+    that queue itself, so a partition's timeout is one expiry event in
+    the loop's time-ordered heap: it fires *at its expiry*, never at the
+    next arrival's clock, and same-instant expiries fire in partition
+    order.  A non-mergeable arrival leaves at once through
+    :meth:`passthrough`.
     """
 
     def __init__(self, policy: BatchPolicy,
@@ -86,78 +90,44 @@ class MasterQueue:
 
     def reset(self) -> None:
         """Fresh per-run state (pending queries, partition queues)."""
-        self._queues: dict[PartitionKey, QueryQueue] = {}
-        self._labels: dict[PartitionKey, str] = {}
+        self.queues: list[QueryQueue] = []
+        self._labels: list[str] = []
+        self._index: dict[PartitionKey, int] = {}
         self._next_passthrough_id = 0
-
-    def __len__(self) -> int:
-        return sum(len(queue) for queue in self._queues.values())
-
-    @property
-    def partitions(self) -> list[str]:
-        """Labels of the mergeable partitions seen so far this run."""
-        return [self._labels[key] for key in self._queues]
 
     def depths(self) -> dict[str, int]:
         """Pending queries per mergeable partition, by label (the
         streaming-metrics queue-depth gauge)."""
         return {
-            self._labels[key]: len(queue)
-            for key, queue in self._queues.items()
+            label: len(queue)
+            for label, queue in zip(self._labels, self.queues)
         }
 
     # -- event-loop hooks -------------------------------------------------
 
-    def submit(self, sql: str, now_s: float) -> list[DispatchedBatch]:
-        """Enqueue one arrival; returns any batch its partition fires.
-
-        Non-mergeable queries dispatch immediately as singletons -- a
-        pass-through query never waits on a threshold it cannot help
-        reach.
-        """
+    def partition(self, sql: str) -> int | None:
+        """The index in ``queues`` of ``sql``'s mergeable partition
+        (created on first sight), or None for a pass-through query."""
         key = partition_key(sql)
         if key is None:
-            query = QueuedQuery(sql, now_s, self._next_passthrough_id)
-            self._next_passthrough_id += 1
-            return [DispatchedBatch(
-                PASSTHROUGH, False, Batch([query], dispatch_s=now_s),
-            )]
-        queue = self._queues.get(key)
-        if queue is None:
-            queue = self._queues[key] = QueryQueue(self.policy)
-            self._labels[key] = partition_label(key)
-        batch = queue.submit(sql, now_s)
-        if batch is None:
-            return []
-        return [DispatchedBatch(self._labels[key], True, batch)]
+            return None
+        index = self._index.get(key)
+        if index is None:
+            index = self._index[key] = len(self.queues)
+            self.queues.append(QueryQueue(self.policy))
+            self._labels.append(partition_label(key))
+        return index
 
-    def expired(self, now_s: float) -> list[DispatchedBatch]:
-        """Batches whose partition timeout fired at or before ``now_s``,
-        dispatched *at their own expiry* (sorted by it), so sparse
-        streams never charge an inter-arrival gap to a batch."""
-        out: list[DispatchedBatch] = []
-        for key, queue in self._queues.items():
-            expiry = queue.expiry_s
-            if expiry is None or expiry > now_s:
-                continue
-            batch = queue.flush(expiry)
-            if batch is not None:
-                out.append(DispatchedBatch(self._labels[key], True, batch))
-        out.sort(key=lambda d: d.batch.dispatch_s)
-        return out
+    def passthrough(self, sql: str, now_s: float) -> DispatchedBatch:
+        """A non-mergeable arrival, dispatched immediately as a
+        singleton -- it never waits on a threshold it cannot help
+        reach."""
+        query = QueuedQuery(sql, now_s, self._next_passthrough_id)
+        self._next_passthrough_id += 1
+        return DispatchedBatch(
+            PASSTHROUGH, False, Batch([query], dispatch_s=now_s),
+        )
 
-    def drain(self, end_s: float) -> list[DispatchedBatch]:
-        """Flush every trailing partial batch once arrivals end.
-
-        A timeout partition fires at its own expiry (necessarily after
-        ``end_s``: earlier expiries were dispatched by :meth:`expired`
-        during the loop); threshold-only partitions flush at ``end_s``
-        (:meth:`~repro.core.qed.queue.QueryQueue.drain`).
-        """
-        out: list[DispatchedBatch] = []
-        for key, queue in self._queues.items():
-            batch = queue.drain(end_s)
-            if batch is not None:
-                out.append(DispatchedBatch(self._labels[key], True, batch))
-        out.sort(key=lambda d: d.batch.dispatch_s)
-        return out
+    def dispatched(self, index: int, batch: Batch) -> DispatchedBatch:
+        """``batch`` leaving partition ``index``, tagged with its label."""
+        return DispatchedBatch(self._labels[index], True, batch)

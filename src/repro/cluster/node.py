@@ -26,14 +26,16 @@ property batched playback exploits.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.cluster.measure import ScheduledWork
+from repro.cluster.faults import check_key, is_count, is_number
 from repro.core.fleet import ServerSpec, server_from_sut
 from repro.core.qed.policy import BatchPolicy
 from repro.core.qed.queue import QueryQueue
-from repro.hardware.cpu import PvcSetting, STOCK_SETTING
+from repro.hardware.cpu import PvcSetting, STOCK_SETTING, VoltageDowngrade
 from repro.hardware.profiles import paper_sut
 from repro.hardware.system import SystemUnderTest
 from repro.hardware.trace import CompiledTrace, Idle, Trace
@@ -126,8 +128,9 @@ def hetero_fleet(groups: list[NodeGroup]) -> list[NodeSpec]:
     if not groups:
         raise ValueError("a fleet needs at least one node group")
     specs: list[NodeSpec] = []
-    for group in groups:
-        specs.extend(uniform_fleet(
+    owner: dict[str, int] = {}
+    for i, group in enumerate(groups):
+        for spec in uniform_fleet(
             group.count,
             setting=group.setting,
             sleep_wall_w=group.sleep_wall_w,
@@ -136,11 +139,97 @@ def hetero_fleet(groups: list[NodeGroup]) -> list[NodeSpec]:
             prefix=group.prefix,
             hw=group.hw,
             capacity=group.capacity,
-        ))
-    names = [s.name for s in specs]
-    if len(set(names)) != len(names):
-        raise ValueError("node group prefixes collide; names must be unique")
+        ):
+            if spec.name in owner:
+                raise ValueError(
+                    f"group {i}: 'prefix' {group.prefix!r} names node "
+                    f"{spec.name!r} again (group {owner[spec.name]}); "
+                    "node names must be unique"
+                )
+            owner[spec.name] = i
+            specs.append(spec)
     return specs
+
+
+#: The keys a fleet-file group may carry.
+_GROUP_KEYS = frozenset((
+    "count", "prefix", "hw", "underclock_pct", "downgrade", "capacity",
+    "sleep_wall_w", "wake_latency_s",
+))
+
+
+def load_fleet(path: str) -> list[NodeSpec]:
+    """Node specs from a fleet-description JSON file.
+
+    Schema: ``{"groups": [{"count": 2, "prefix": "big", "hw": "paper",
+    "underclock_pct": 0, "downgrade": "none", "capacity": 1.0,
+    "sleep_wall_w": 3.5, "wake_latency_s": 30.0}, ...]}`` -- every key
+    but ``count`` optional (``prefix`` defaults to ``g<i>n``).  Any
+    malformed content is a ``ValueError`` naming the file, the group's
+    index, the key, the offending value and what is allowed.
+    """
+    try:
+        with open(path) as handle:
+            doc = json.load(handle)
+        if not isinstance(doc, dict):
+            raise ValueError(
+                "expected an object with a 'groups' list, got a "
+                f"{type(doc).__name__}"
+            )
+        if set(doc) - {"groups"}:
+            raise ValueError(f"unknown keys {sorted(set(doc) - {'groups'})}")
+        groups = doc.get("groups")
+        check_key("groups", groups, isinstance(groups, list) and bool(groups),
+                  "a non-empty list")
+        return hetero_fleet([_node_group(i, raw)
+                             for i, raw in enumerate(groups)])
+    except ValueError as exc:
+        raise ValueError(f"fleet {path}: {exc}") from None
+
+
+def _node_group(i: int, raw) -> NodeGroup:
+    """Group ``i`` of a fleet file, type-checked key by key."""
+    try:
+        if not isinstance(raw, dict):
+            raise ValueError(f"expected an object, got {raw!r}")
+        if set(raw) - _GROUP_KEYS:
+            raise ValueError(
+                f"unknown keys {sorted(set(raw) - _GROUP_KEYS)}"
+            )
+        if "count" not in raw:
+            raise ValueError("missing key 'count'")
+        count, prefix = raw["count"], raw.get("prefix", f"g{i}n")
+        hw = raw.get("hw", "paper")
+        underclock = raw.get("underclock_pct", 0.0)
+        downgrade = raw.get("downgrade", "none")
+        downgrades = [d.value for d in VoltageDowngrade]
+        capacity = raw.get("capacity", 1.0)
+        sleep_w = raw.get("sleep_wall_w", 3.5)
+        wake_s = raw.get("wake_latency_s", 30.0)
+        check_key("count", count, is_count(count), "a positive integer")
+        check_key("prefix", prefix, isinstance(prefix, str), "a string")
+        check_key("hw", hw, isinstance(hw, str) and hw in SUT_FACTORIES,
+                  f"one of {sorted(SUT_FACTORIES)}")
+        check_key("underclock_pct", underclock,
+                  is_number(underclock) and 0 <= underclock < 100,
+                  "a number in [0, 100)")
+        check_key("downgrade", downgrade, downgrade in downgrades,
+                  f"one of {downgrades}")
+        check_key("capacity", capacity, is_number(capacity) and capacity > 0,
+                  "a positive number")
+        for key, value in (("sleep_wall_w", sleep_w),
+                           ("wake_latency_s", wake_s)):
+            check_key(key, value, is_number(value) and value >= 0,
+                      "a non-negative number")
+        return NodeGroup(
+            count, prefix=prefix, hw=hw,
+            setting=PvcSetting(float(underclock),
+                               VoltageDowngrade(downgrade)),
+            capacity=float(capacity), sleep_wall_w=float(sleep_w),
+            wake_latency_s=float(wake_s),
+        )
+    except ValueError as exc:
+        raise ValueError(f"group {i}: {exc}") from None
 
 
 class TimelineAccounting:

@@ -27,6 +27,7 @@ import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
 
+from repro.cluster.faults import check_key, is_count, is_number
 from repro.db.errors import DatabaseError
 from repro.db.sql import ast
 from repro.db.sql.parser import parse
@@ -78,15 +79,12 @@ class TablePlacement:
     quorum: int = 1
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if self.kind not in PARTITION_KINDS:
-            raise ValueError(
-                f"unknown partition kind {self.kind!r}; "
-                f"known: {PARTITION_KINDS}"
-            )
+        check_key("shards", self.shards, self.shards >= 1,
+                  "a positive integer")
+        check_key("replicas", self.replicas, self.replicas >= 1,
+                  "a positive integer")
+        check_key("kind", self.kind, self.kind in PARTITION_KINDS,
+                  f"one of {list(PARTITION_KINDS)}")
         if self.kind == "range":
             if len(self.bounds) != self.shards - 1:
                 raise ValueError(
@@ -97,23 +95,16 @@ class TablePlacement:
                 raise ValueError("range bounds must be strictly ascending")
         elif self.bounds:
             raise ValueError("hash partitioning takes no bounds")
-        if len(self.replica_map) != self.shards:
-            raise ValueError(
-                f"replica_map covers {len(self.replica_map)} shards, "
-                f"expected {self.shards}"
-            )
+        check_key("replica_map", self.replica_map,
+                  len(self.replica_map) == self.shards,
+                  f"{self.shards} per-shard node lists")
         for shard, holders in enumerate(self.replica_map):
-            if len(holders) != self.replicas:
-                raise ValueError(
-                    f"shard {shard} of {self.table!r} has "
-                    f"{len(holders)} replicas, expected {self.replicas}"
-                )
-            if len(set(holders)) != len(holders):
-                raise ValueError(
-                    f"shard {shard} of {self.table!r} repeats a node"
-                )
-        if not 1 <= self.quorum <= self.replicas:
-            raise ValueError("quorum must be in [1, replicas]")
+            check_key(f"replica_map[{shard}]", holders,
+                      len(holders) == self.replicas
+                      and len(set(holders)) == len(holders),
+                      f"{self.replicas} distinct node names")
+        check_key("quorum", self.quorum, 1 <= self.quorum <= self.replicas,
+                  f"an integer in [1, {self.replicas}]")
 
     def shard_of(self, value: object) -> int:
         """The shard holding partition-column value ``value``."""
@@ -145,30 +136,46 @@ class TablePlacement:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TablePlacement":
+        """One table's layout from its plan entry, type-checked key by
+        key: a malformed entry is a ``ValueError`` naming the key, the
+        offending value and what is allowed."""
         if not isinstance(doc, dict):
-            raise ValueError(f"table placement must be an object: {doc!r}")
+            raise ValueError(f"expected an object, got {doc!r}")
         unknown = set(doc) - cls._KNOWN_KEYS
         if unknown:
             raise ValueError(
-                f"unknown placement keys: {sorted(unknown)}; "
+                f"unknown keys {sorted(unknown)}; "
                 f"known: {sorted(cls._KNOWN_KEYS)}"
             )
         for required in ("table", "column", "shards", "replicas",
                          "replica_map"):
             if required not in doc:
-                raise ValueError(f"table placement needs {required!r}")
+                raise ValueError(f"missing key {required!r}")
+        table, column = doc["table"], doc["column"]
+        replica_map = doc["replica_map"]
+        bounds = doc.get("bounds", [])
+        check_key("table", table, isinstance(table, str), "a string")
+        check_key("column", column, isinstance(column, str), "a string")
+        for key in ("shards", "replicas", "quorum"):
+            if key in doc:
+                check_key(key, doc[key], is_count(doc[key]),
+                          "a positive integer")
+        check_key("replica_map", replica_map,
+                  isinstance(replica_map, list) and all(
+                      isinstance(names, list)
+                      and all(isinstance(n, str) for n in names)
+                      for names in replica_map
+                  ), "a list of per-shard node-name lists")
+        check_key("bounds", bounds,
+                  isinstance(bounds, list) and all(map(is_number, bounds)),
+                  "a list of numbers")
         return cls(
-            table=str(doc["table"]),
-            column=str(doc["column"]),
-            shards=int(doc["shards"]),
-            replicas=int(doc["replicas"]),
-            replica_map=tuple(
-                tuple(str(n) for n in names)
-                for names in doc["replica_map"]
-            ),
-            kind=str(doc.get("kind", "hash")),
-            bounds=tuple(float(b) for b in doc.get("bounds", ())),
-            quorum=int(doc.get("quorum", 1)),
+            table=table, column=column, shards=doc["shards"],
+            replicas=doc["replicas"],
+            replica_map=tuple(tuple(names) for names in replica_map),
+            kind=doc.get("kind", "hash"),
+            bounds=tuple(float(b) for b in bounds),
+            quorum=doc.get("quorum", 1),
         )
 
 
@@ -201,15 +208,26 @@ class PlacementMap:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PlacementMap":
-        if not isinstance(doc, dict) or "tables" not in doc:
+        """A map from the ``{"tables": [...]}`` plan schema; a malformed
+        document is a ``ValueError`` naming the table's index, the key
+        and the offending value."""
+        if not isinstance(doc, dict):
             raise ValueError(
-                'a placement plan is {"tables": [...]}; '
-                f"got {type(doc).__name__}"
+                "expected an object with a 'tables' list, got a "
+                f"{type(doc).__name__}"
             )
         unknown = set(doc) - {"tables"}
         if unknown:
-            raise ValueError(f"unknown plan keys: {sorted(unknown)}")
-        return cls([TablePlacement.from_dict(t) for t in doc["tables"]])
+            raise ValueError(f"unknown keys {sorted(unknown)}")
+        tables = doc.get("tables")
+        check_key("tables", tables, isinstance(tables, list), "a list")
+        placements = []
+        for i, raw in enumerate(tables):
+            try:
+                placements.append(TablePlacement.from_dict(raw))
+            except ValueError as exc:
+                raise ValueError(f"table {i}: {exc}") from None
+        return cls(placements)
 
     @property
     def node_names(self) -> frozenset[str]:
@@ -382,10 +400,13 @@ def generate_placement(
 
 
 def load_placement(path: str) -> PlacementMap:
-    """Load a JSON placement plan (see :meth:`PlacementMap.to_dict`)."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return PlacementMap.from_dict(doc)
+    """Load a JSON placement plan (see :meth:`PlacementMap.to_dict`);
+    any malformed content is a ``ValueError`` that names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return PlacementMap.from_dict(json.load(fh))
+    except ValueError as exc:
+        raise ValueError(f"placement {path}: {exc}") from None
 
 
 # -- quorum constraints for consolidating routers ---------------------

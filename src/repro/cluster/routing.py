@@ -76,17 +76,15 @@ class Router:
     simulator installs it as ``placement`` (before ``prepare``) and
     narrows the ``nodes`` list passed to ``route`` to the arrival's
     eligible replica set; consolidating subclasses additionally consult
-    the map's quorum constraints before sleeping nodes.  Routers whose
-    ``route_chunk`` honors an ``eligible`` node mask advertise it via
-    ``placement_chunk`` so placement-constrained runs can stay on the
-    vectorized path.
+    the map's quorum constraints before sleeping nodes.  Every
+    ``route_chunk`` takes the same constraint as an ``eligible``
+    ``(distinct, nodes)`` mask, so placement-constrained runs stay on
+    the vectorized path.
     """
 
     #: Installed by the simulator when a placement map constrains the
     #: run; None reproduces the fully-replicated seed behavior.
     placement = None
-    #: Whether ``route_chunk`` accepts the ``eligible`` mask.
-    placement_chunk = False
 
     def prepare(self, nodes: list[SimulatedNode]) -> None:
         """Reset per-run state; called once before the event loop."""
@@ -193,9 +191,23 @@ class RoundRobinRouter(Router):
             return Decision(node, now_s)
         return Decision(None, now_s)
 
-    def route_chunk(self, times, sql_idx, service, distinct, nodes):
-        """Vectorized spread: arrival ``k`` lands on ``(next+k) mod N``."""
-        node_idx = (self._next + np.arange(len(times))) % len(nodes)
+    def route_chunk(self, times, sql_idx, service, distinct, nodes,
+                    eligible=None):
+        """Vectorized spread: arrival ``k`` lands on ``(next+k) mod N``.
+
+        With an ``eligible`` mask, arrival ``k`` of template ``d`` lands
+        on ``pool_d[(next+k) mod len(pool_d)]``, ``pool_d`` being the
+        template's eligible nodes in fleet order -- the loop's rotation
+        over the narrowed list the simulator hands ``route``.
+        """
+        turn = self._next + np.arange(len(times))
+        if eligible is None:
+            node_idx = turn % len(nodes)
+        else:
+            # Each row's eligible node indices first, in fleet order.
+            pools = np.argsort(~eligible, axis=1, kind="stable")
+            sizes = eligible.sum(axis=1)
+            node_idx = pools[sql_idx, turn % sizes[sql_idx]]
         self._next += len(times)
         service_s = service[sql_idx, node_idx]
         starts, ends = sequence_chunk_on_nodes(
@@ -220,8 +232,6 @@ def earliest_completion_node(
 
 class LeastLoadedRouter(Router):
     """Route to the node that would complete the query earliest."""
-
-    placement_chunk = True
 
     def route(self, sql, now_s, service_by_node, nodes) -> Decision:
         # Earliest completion first (stable, so fault-free runs pick
@@ -294,8 +304,6 @@ class HashSplitRouter(Router):
     template to a *replica* of its shard (falling through to the other
     replicas when that one is down).
     """
-
-    placement_chunk = True
 
     def route(self, sql, now_s, service_by_node, nodes) -> Decision:
         first = _stable_hash(sql) % len(nodes)

@@ -21,9 +21,12 @@ of array operations:
    ``(hardware profile, PVC setting)`` pair with one
    ``run_compiled_batch`` call -- including every ladder setting an
    adaptive router may apply -- then run the event loop in pure Python
-   over floats.  Produces a :class:`ClusterSchedule`: per-node timelines
-   (busy windows + idle/wake gaps, minus sleep spans) as compiled-trace
-   pieces, each tagged with the setting it was scheduled under.
+   over floats: the stream's sorted arrival column merged with one
+   ``(time, rank, seq)`` heap of metric samples, crashes/recoveries,
+   retries and QED timeouts.  Produces a :class:`ClusterSchedule`:
+   per-node timelines (busy windows + idle/wake gaps, minus sleep
+   spans) as compiled-trace pieces, each tagged with the setting it was
+   scheduled under.
 2. :meth:`ClusterSimulator.playback` -- play every node's whole timeline
    with one stacked array call per distinct (hw, setting) pair
    (:func:`~repro.cluster.playback.play_batched`), or cost a vectorized
@@ -35,7 +38,6 @@ of array operations:
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -86,6 +88,13 @@ from repro.workloads.runner import TraceCache, WorkloadRunner
 #: Key under which a query's duration is pre-costed: the node's
 #: hardware profile plus the PVC setting it currently holds.
 CostKey = tuple[str, PvcSetting]
+
+#: Event ranks in the loop's one ``(time, rank, seq)`` heap.  At one
+#: instant a sample reads the state before anything moves, a crash or
+#: recovery lands before the retries it affects, a retry before a QED
+#: timeout, and every timeout before the arrival -- which is read off
+#: the stream's sorted column and never pushed.
+SAMPLE, FAULT, RETRY, EXPIRY = range(4)
 
 
 @dataclass(frozen=True)
@@ -406,7 +415,8 @@ class ClusterSimulator:
         routing on an always-awake fleet: no QED queues (master or
         per-node), no fault/retry interleaving, no tracing or metrics
         hooks (both sample per arrival), and a router that implements
-        ``route_chunk``.
+        ``route_chunk`` (every ``route_chunk`` takes the placement
+        map's eligibility mask).
         """
         if self.master_queue is not None:
             return "a master QED queue batches arrivals statefully"
@@ -423,35 +433,7 @@ class ClusterSimulator:
                 f"router {type(self.router).__name__} has no "
                 "route_chunk fast path"
             )
-        if (
-            self.placement is not None
-            and not getattr(self.router, "placement_chunk", False)
-            and self._placement_constrains()
-        ):
-            return (
-                "a placement map constrains routing and router "
-                f"{type(self.router).__name__} has no placement-masked "
-                "route_chunk"
-            )
         return None
-
-    def _placement_constrains(self) -> bool:
-        """Whether the map can ever narrow a routing pool.
-
-        A fully replicated map (every node holds every shard) is
-        vacuous: all pools stay full-fleet, so routers without a
-        masked ``route_chunk`` may still take the fast path and stay
-        bitwise identical to the no-placement run.
-        """
-        all_keys = {
-            (tp.table, shard)
-            for tp in self.placement.tables.values()
-            for shard in range(tp.shards)
-        }
-        return any(
-            not all_keys <= self.placement.shards_of(n.spec.name)
-            for n in self.nodes
-        )
 
     # -- data placement ---------------------------------------------------
 
@@ -491,16 +473,7 @@ class ClusterSimulator:
         entry = self._eligible_cache.get(sql)
         if entry is not None and entry[0] == self._owner_gen:
             return entry[1]
-        required = self.placement.required_shards(sql)
-        if required is None:
-            pool = None
-        else:
-            pool = [
-                n for n in self.nodes
-                if n.shards is not None and required <= n.shards
-            ]
-            if len(pool) == len(self.nodes):
-                pool = None
+        pool = self._pool_for_shards(self.placement.required_shards(sql))
         self._eligible_cache[sql] = (self._owner_gen, pool)
         return pool
 
@@ -603,33 +576,40 @@ class ClusterSimulator:
             tracer.begin_run(
                 {"run_id": run_id, "fingerprint": fingerprint}
             )
+        # The run's one event heap (ARCHITECTURE "Event order"):
+        # ``(time, rank, seq, ...)`` entries, popped in between the
+        # arrivals read straight off the stream's sorted column.
+        self._events: list = []
+        self._seq = 0
         metrics = self.metrics
         if metrics is not None:
             metrics.begin_run(run_id)
-            self._next_sample_s = 0.0
+            self._push(0.0, SAMPLE)
 
-        table = self._execute_once_table(distinct)
+        table = self._table = self._execute_once_table(distinct)
         durations, _costed = self._precost(table, workload_class)
+        self._durations = durations
+        self._workload_class = workload_class
 
         # Per-distinct-SQL live service views, shared across arrivals
         # (the event loop would otherwise rebuild an identical mapping
         # ~10k times); routers only read them.
         nodes_by_name = {node.spec.name: node for node in self.nodes}
-        service_views = {
+        views = self._views = {
             sql: _ServiceView(durations, nodes_by_name, sql)
             for sql in distinct
         }
 
         # Fault layer: install the plan on every node *before* the
         # router's prepare (node resets preserve it), seed the run's
-        # fault RNG, and lay the crash events out as a time heap.  With
-        # no plan -- or an empty one -- none of the hooks below run and
-        # the event loop is byte-identical to the fault-free simulator.
+        # fault RNG, and push the crash events.  With no plan -- or an
+        # empty one -- none of the hooks below run and the event loop
+        # is byte-identical to the fault-free simulator.
         plan = self.faults
         active = plan is not None and not plan.empty
         shed: list[ShedQuery] = []
+        self._shed = shed
         report = FaultReport() if active else None
-        self._fault_active = active
         self._fault_report = report
         for node in self.nodes:
             node.faults = plan if active else None
@@ -641,99 +621,73 @@ class ClusterSimulator:
                     f"fault plan targets unknown nodes: {sorted(unknown)}"
                 )
             plan.begin_run()
-            self._fault_events: list = []
-            self._fault_seq = 0
             for node in self.nodes:
                 for spec in plan.crashes_for(node.spec.name):
-                    heapq.heappush(
-                        self._fault_events,
-                        (spec.at_s, self._fault_seq, "crash", node, spec),
-                    )
-                    self._fault_seq += 1
-            self._retries: list = []
-            self._retry_seq = 0
-            self._retry_ctx = (
-                table, durations, service_views, workload_class, shed
-            )
+                    self._push(spec.at_s, FAULT, "crash", node, spec)
 
         self.router.prepare(self.nodes)
+        # QED queues, indexed by the order their same-instant expiries
+        # fire in: master partitions by creation, node queues by fleet.
+        master = self.master_queue
         qed: QedReport | None = None
-        end_of_arrivals = float(arrivals.times[-1]) if len(arrivals) else 0.0
-        if self.master_queue is not None:
+        if master is not None:
+            master.reset()
+            master.placement.prepare(self.router, self.nodes)
+            self._queues = master.queues
             qed = QedReport(mode="master")
-            self._run_master_loop(
-                arrivals, end_of_arrivals, table, durations,
-                service_views, workload_class, shed, qed,
-            )
         else:
-            queued = [n for n in self.nodes if n.queue is not None]
-            if queued:
+            self._queues = [node.queue for node in self.nodes]
+            fleet_order = {n.spec.name: j for j, n in enumerate(self.nodes)}
+            if any(queue is not None for queue in self._queues):
                 qed = QedReport(mode="node")
-            for sql, now in arrivals.pairs():
-                if tracing:
-                    tracer.arrival(sql, now)
-                if metrics is not None:
-                    self._sample_metrics_until(now)
-                    metrics.counter("arrivals").inc()
-                if active:
-                    self._advance_faults(now)
-                for node in queued:  # timeout-based QED dispatches
-                    batch = self._expire_queue(node, now)
-                    if batch is not None:
-                        self._dispatch_node_batch(
-                            node, batch, table, durations,
-                            workload_class, qed,
-                        )
-                service_by_node = service_views[sql]
-                decision = self._route(sql, now, service_by_node)
-                if decision.node is None:
-                    if active:
-                        # No serviceable node right now; the retry
-                        # policy re-offers the query after backoff.
-                        self._push_retry(sql, now, now, 1, requeue=False)
-                    else:
-                        shed.append(ShedQuery(sql, now))
-                    continue
-                node = decision.node
-                if node.queue is not None:
-                    batch = node.queue.submit(sql, now)
-                    if batch is not None:
-                        self._dispatch_node_batch(
-                            node, batch, table, durations,
-                            workload_class, qed,
-                        )
+        self._qed = qed
+        for sql, now in arrivals.pairs():
+            if tracing:
+                tracer.arrival(sql, now)
+            self._fire_until(now)
+            if metrics is not None:
+                metrics.counter("arrivals").inc()
+            if master is not None:
+                # Every arrival queues centrally; dispatched batches go
+                # to the queue's batch-placement policy, not the router.
+                order = master.partition(sql)
+                if order is None:
+                    self._place_dispatched(master.passthrough(sql, now))
                 else:
-                    if tracing and decision.dispatch_s - now > 1e-12:
-                        # Admission delay (power-cap headroom wait).
-                        tracer.span(
-                            "queue-wait", MASTER_TRACK, now,
-                            decision.dispatch_s,
-                            parent=tracer.parent_of(sql, now),
-                            sql=sql,
-                        )
-                    node.assign(
-                        sql, decision.dispatch_s,
-                        service_by_node[node.spec.name], ((sql, now),),
-                    )
-            for node in queued:  # trailing partial batches drain
-                batch = node.queue.drain(end_of_arrivals)
-                if batch is not None:
-                    self._dispatch_node_batch(
-                        node, batch, table, durations, workload_class,
-                        qed,
-                    )
+                    self._enqueue(order, sql, now)
+                continue
+            service_by_node = views[sql]
+            decision = self._route(sql, now, service_by_node)
+            if decision.node is None:
+                if active:
+                    # No serviceable node right now; the retry
+                    # policy re-offers the query after backoff.
+                    self._push_retry(sql, now, now, 1, requeue=False)
+                else:
+                    shed.append(ShedQuery(sql, now))
+                continue
+            node = decision.node
+            if node.queue is not None:
+                self._enqueue(fleet_order[node.spec.name], sql, now)
+                continue
+            if tracing and decision.dispatch_s - now > 1e-12:
+                # Admission delay (power-cap headroom wait).
+                tracer.span(
+                    "queue-wait", MASTER_TRACK, now, decision.dispatch_s,
+                    parent=tracer.parent_of(sql, now), sql=sql,
+                )
+            node.assign(
+                sql, decision.dispatch_s,
+                service_by_node[node.spec.name], ((sql, now),),
+            )
 
+        end_of_arrivals = float(arrivals.times[-1]) if len(arrivals) else 0.0
+        self._fire_after(end_of_arrivals)
+        horizon = self._activity_bound(end_of_arrivals)
         if active:
-            self._finish_faults(end_of_arrivals)
             report.failed_wakes = sum(
                 len(n.failed_wakes) for n in self.nodes
             )
-
-        horizon = end_of_arrivals
-        for node in self.nodes:
-            horizon = max(horizon, node.busy_until)
-            if node.awake:
-                horizon = max(horizon, node.wake_ready_s)
 
         if tracing:
             # Timeline spans are emitted post-hoc from the node logs --
@@ -753,7 +707,10 @@ class ClusterSimulator:
                                     q.arrival_s)
             tracer.finish(horizon)
         if metrics is not None:
-            self._sample_metrics_until(horizon)
+            # Past the last arrival the tail samples for as long as
+            # work is pending, but a retry can still dead-letter and
+            # leave the run shorter; its series ends at its horizon.
+            metrics.truncate(horizon + 1e-12)
             response = metrics.histogram("response_s")
             for node in self.nodes:
                 for work in node.scheduled:
@@ -808,8 +765,6 @@ class ClusterSimulator:
         distinct = list(arrivals.distinct)
         table = self._execute_once_table(distinct)
         durations, costed = self._precost(table, workload_class)
-        self._fault_active = False
-        self._fault_report = None
         self.router.prepare(self.nodes)
 
         n = len(arrivals)
@@ -892,31 +847,93 @@ class ClusterSimulator:
             return baseline
         return baseline + max(0.0, float(running.max()))
 
-    def _expire_queue(self, node: SimulatedNode, now_s: float):
-        """Dispatch a timed-out batch *at its expiry*, not at ``now``.
+    # -- the event heap ----------------------------------------------------
 
-        Between sparse arrivals the queue's timeout fires on its own;
-        ticking it at the next arrival's timestamp would charge the
-        whole inter-arrival gap to the batch's response times.
+    def _push(self, t_s: float, rank: int, *payload) -> None:
+        """Schedule a sample, fault or retry event (one seq for all)."""
+        self._seq += 1
+        heapq.heappush(self._events, (t_s, rank, self._seq, *payload))
+
+    def _fire_until(self, now_s: float) -> None:
+        """Fire, in heap order, every event before an arrival at
+        ``now_s``: samples, faults and retries up to ``now_s + 1e-12``,
+        expiries up to ``now_s`` itself."""
+        events = self._events
+        while events:
+            t_s, rank = events[0][0], events[0][1]
+            if t_s > now_s + 1e-12 or (rank == EXPIRY and t_s > now_s):
+                return
+            self._fire(heapq.heappop(events))
+
+    def _fire_after(self, end_s: float) -> None:
+        """Run the heap on past the last arrival (at ``end_s``).
+
+        Queues no timeout will fire drain at ``end_s``.  Then events
+        fire in order while the run is still active: a retry or live
+        expiry always (it is pending work), a sample, crash or recovery
+        only up to the fleet's moving activity bound or ahead of
+        pending work.  Crashes beyond all activity never fire -- the
+        run is over.
         """
-        expiry = node.queue.expiry_s
-        if expiry is None or expiry > now_s:
-            return None
-        # flush (not tick): float addition noise in the expiry must not
-        # leave the policy un-fired and the batch stranded.
-        return node.queue.flush(expiry)
+        for order, queue in enumerate(self._queues):
+            if queue is not None and queue.expiry_s is None:
+                batch = queue.drain(end_s)
+                if batch is not None:
+                    self._dispatch_queue(order, batch)
+        events = self._events
+        bound = end_s
+        while events:
+            t_s, rank = events[0][0], events[0][1]
+            if rank < RETRY and t_s > bound + 1e-12:
+                bound = self._activity_bound(end_s)
+                if t_s > bound + 1e-12 and not any(
+                    event[1] == RETRY or self._live_expiry(event)
+                    for event in events
+                ):
+                    return
+            self._fire(heapq.heappop(events))
+
+    def _live_expiry(self, event: tuple) -> bool:
+        """An expiry whose batch is still queued.  One goes stale when
+        the batch it timed already left (threshold, crash) or a later
+        batch re-armed the queue."""
+        return (event[1] == EXPIRY
+                and self._queues[event[2]].expiry_s == event[0])  # repro: noqa[FLOAT-EQ]: the event was keyed by this very expiry value
+
+    def _fire(self, event: tuple) -> None:
+        t_s, rank = event[0], event[1]
+        if rank == EXPIRY:
+            # flush, not tick: float noise in the expiry must not
+            # strand a batch.
+            if self._live_expiry(event):
+                order = event[2]
+                self._dispatch_queue(order, self._queues[order].flush(t_s))
+        elif rank == RETRY:
+            sql, arrival_s, attempt = event[3:]
+            self._dispatch_retry(sql, arrival_s, t_s, attempt)
+        elif rank == FAULT:
+            self._fire_fault_event(t_s, *event[3:])
+        elif self.metrics is not None:  # SAMPLE, pushed with a registry
+            self._sample_metrics(t_s)
+
+    def _activity_bound(self, end_s: float) -> float:
+        """The last instant anything scheduled so far is still going
+        on: the last arrival, every node's backlog, and the wake
+        transition of every awake node (the run's horizon, once the
+        heap is done)."""
+        bound = end_s
+        for node in self.nodes:
+            bound = max(bound, node.busy_until)
+            if node.awake:
+                bound = max(bound, node.wake_ready_s)
+        return bound
 
     # -- streaming metrics -------------------------------------------------
 
-    def _sample_metrics_until(self, now_s: float) -> None:
-        """Snapshot the registry at every window boundary <= ``now_s``
-        (the same ``k * window_s`` tiling ``window_report`` slices on)."""
-        while self._next_sample_s <= now_s + 1e-12:
-            self._sample_metrics(self._next_sample_s)
-            self._next_sample_s += self.metrics.window_s
-
     def _sample_metrics(self, t_s: float) -> None:
-        """Read the live fleet state into the gauges and snapshot."""
+        """Read the live fleet state into the gauges, snapshot, and
+        schedule the next window boundary (the same ``k * window_s``
+        tiling ``window_report`` slices on)."""
         reg = self.metrics
         awake = 0
         for node in self.nodes:
@@ -936,37 +953,16 @@ class ClusterSimulator:
             )
             for label, depth in depths.items():
                 reg.gauge(f"queue_depth.{label}").set(float(depth))
-        if self._fault_active:
-            reg.gauge("retry_backlog").set(float(len(self._retries)))
+        if self._fault_report is not None:
+            backlog = sum(1 for event in self._events if event[1] == RETRY)
+            reg.gauge("retry_backlog").set(float(backlog))
         reg.sample(t_s)
+        self._push(t_s + reg.window_s, SAMPLE)
 
     # -- fault injection & recovery ---------------------------------------
 
-    def _advance_faults(self, now_s: float) -> bool:
-        """Fire every pending fault event and due retry up to ``now_s``,
-        interleaved in time order (a retry dispatched at its ready time
-        sees exactly the crashes/recoveries that preceded it)."""
-        fired = False
-        while True:
-            fault_t = (
-                self._fault_events[0][0] if self._fault_events
-                else math.inf
-            )
-            retry_t = self._retries[0][0] if self._retries else math.inf
-            if min(fault_t, retry_t) > now_s + 1e-12:
-                return fired
-            fired = True
-            if fault_t <= retry_t:
-                self._fire_fault_event()
-            else:
-                ready, _, sql, arrival_s, attempt = heapq.heappop(
-                    self._retries
-                )
-                self._dispatch_retry(sql, arrival_s, ready, attempt)
-
-    def _fire_fault_event(self) -> None:
-        """Apply the earliest pending crash/recover event."""
-        at_s, _, kind, node, spec = heapq.heappop(self._fault_events)
+    def _fire_fault_event(self, at_s: float, kind: str, node, spec) -> None:
+        """Apply one crash/recover event."""
         if kind == "recover":
             node.recover(at_s)
             if self.tracer.enabled:
@@ -993,11 +989,7 @@ class ClusterSimulator:
         if self.placement is not None:
             self._start_re_replication(node, at_s)
         if spec.recover_s is not None:
-            heapq.heappush(
-                self._fault_events,
-                (spec.recover_s, self._fault_seq, "recover", node, spec),
-            )
-            self._fault_seq += 1
+            self._push(spec.recover_s, FAULT, "recover", node, spec)
 
     def _shard_bytes(self, tname: str, tp) -> float:
         """One shard's storage footprint (table bytes / shards); zero
@@ -1039,7 +1031,7 @@ class ClusterSimulator:
         source stay under-replicated: queries for them keep retrying
         until recovery or dead-letter, never silently dropping rows.
         """
-        table, durations, _views, workload_class, _shed = self._retry_ctx
+        table = self._table
         report = self._fault_report
         for key in sorted(crashed.shards or ()):
             tname, shard = key
@@ -1073,9 +1065,7 @@ class ClusterSimulator:
                     self._shard_bytes(tname, tp)
                 )
             for endpoint in (source, dest):
-                service = self._duration_for(
-                    endpoint, copy_key, table, durations, workload_class
-                )
+                service = self._duration_for(endpoint, copy_key)
                 endpoint.assign(copy_key, at_s, service, ())
                 report.copy_s += service
                 report.copy_joules += (
@@ -1101,10 +1091,7 @@ class ClusterSimulator:
         the same heap and count toward ``retries``.
         """
         ready = now_s + self.retry.delay_s(attempt)
-        self._retry_seq += 1
-        heapq.heappush(
-            self._retries, (ready, self._retry_seq, sql, arrival_s, attempt)
-        )
+        self._push(ready, RETRY, sql, arrival_s, attempt)
         if self.tracer.enabled:
             self.tracer.instant(
                 "retry", MASTER_TRACK, now_s,
@@ -1127,21 +1114,16 @@ class ClusterSimulator:
         query's *original* arrival time, so its response time includes
         the whole ordeal.  A failed attempt backs off again until the
         policy dead-letters it: shed, with accounting."""
-        table, durations, service_views, workload_class, shed = (
-            self._retry_ctx
-        )
-        decision = self._route(sql, ready_s, service_views[sql])
+        decision = self._route(sql, ready_s, self._views[sql])
         node = decision.node
         if node is not None and node.awake and node.can_serve(ready_s):
-            service = self._duration_for(
-                node, sql, table, durations, workload_class
-            )
             node.assign(
-                sql, decision.dispatch_s, service, ((sql, arrival_s),)
+                sql, decision.dispatch_s, self._duration_for(node, sql),
+                ((sql, arrival_s),),
             )
             return
         if self.retry.exhausted(attempt):
-            shed.append(ShedQuery(sql, arrival_s))
+            self._shed.append(ShedQuery(sql, arrival_s))
             self._fault_report.dead_lettered += 1
             if self.tracer.enabled:
                 self.tracer.terminal(
@@ -1154,114 +1136,53 @@ class ClusterSimulator:
         self._push_retry(sql, arrival_s, ready_s, attempt + 1,
                          requeue=False)
 
-    def _finish_faults(self, end_of_arrivals: float) -> None:
-        """Run the fault/retry machinery past the last arrival.
-
-        Backoffs can push retries beyond the stream's end, and crashes
-        can strike work still draining there; keep advancing to the
-        fleet's moving activity bound (plus the earliest pending retry)
-        until nothing more can fire.  Crash events beyond all activity
-        never fire -- the run is over."""
-        while True:
-            bound = end_of_arrivals
-            for node in self.nodes:
-                bound = max(bound, node.busy_until)
-                if node.awake:
-                    bound = max(bound, node.wake_ready_s)
-            if self._retries:
-                bound = max(bound, self._retries[0][0])
-            if not self._advance_faults(bound):
-                return
-
     # -- QED batch serving -------------------------------------------------
 
-    @staticmethod
-    def _qed_stats_for(qed: QedReport | None,
-                       partition: str) -> QedPartitionStats | None:
-        if qed is None:
-            return None
-        stats = qed.get(partition)
-        if stats is None:
-            stats = QedPartitionStats(partition)
-            qed.partitions.append(stats)
-        return stats
+    def _enqueue(self, order: int, sql: str, now_s: float) -> None:
+        """Queue one arrival on QED queue ``order``.  A batch the policy
+        fires leaves now; an arrival that opens a batch pushes that
+        batch's timeout as an expiry event, keyed by the queue's order
+        so same-instant expiries fire in it."""
+        queue = self._queues[order]
+        batch = queue.submit(sql, now_s)
+        if batch is not None:
+            self._dispatch_queue(order, batch)
+        elif len(queue) == 1 and queue.expiry_s is not None:
+            heapq.heappush(self._events, (queue.expiry_s, EXPIRY, order))
 
-    @staticmethod
-    def _record_dispatch(stats: QedPartitionStats | None,
-                         batch: Batch) -> None:
-        if stats is None:
+    def _dispatch_queue(self, order: int, batch: Batch) -> None:
+        """Serve a batch QED queue ``order`` released: a master
+        partition's goes to the batch-placement policy, a node queue's
+        runs on its node."""
+        if self.master_queue is not None:
+            self._place_dispatched(self.master_queue.dispatched(order, batch))
             return
-        stats.queries += batch.size
-        stats.batches += 1
-        stats.max_batch = max(stats.max_batch, batch.size)
+        node = self.nodes[order]
+        stats = self._record_dispatch(f"node:{node.spec.name}", batch)
+        self._schedule_batch(node, batch, stats)
 
-    def _run_master_loop(
-        self,
-        arrivals: ArrivalStream,
-        end_of_arrivals: float,
-        table: dict[str, CompiledTrace],
-        durations: dict[CostKey, dict[str, float]],
-        service_views: dict[str, "_ServiceView"],
-        workload_class: str,
-        shed: list[ShedQuery],
-        qed: QedReport,
-    ) -> None:
-        """The master-queue phase: every arrival queues centrally.
-
-        Per-partition timeouts fire between arrivals *at their expiry*
-        (mirroring the per-node path), the arrival itself may trip its
-        partition's threshold, and trailing partials drain once the
-        stream ends.  Dispatched batches go to the queue's
-        batch-placement policy instead of the per-arrival router.
-        """
-        self.master_queue.reset()
-        placement = self.master_queue.placement
-        placement.prepare(self.router, self.nodes)
-        tracer = self.tracer
-        metrics = self.metrics
-        for sql, now in arrivals.pairs():
-            if tracer.enabled:
-                tracer.arrival(sql, now)
-            if metrics is not None:
-                self._sample_metrics_until(now)
-                metrics.counter("arrivals").inc()
-            if self._fault_active:
-                self._advance_faults(now)
-            for dispatched in self.master_queue.expired(now):
-                self._place_dispatched(
-                    dispatched, table, durations, service_views,
-                    workload_class, shed, qed,
-                )
-            for dispatched in self.master_queue.submit(sql, now):
-                self._place_dispatched(
-                    dispatched, table, durations, service_views,
-                    workload_class, shed, qed,
-                )
-        for dispatched in self.master_queue.drain(end_of_arrivals):
-            self._place_dispatched(
-                dispatched, table, durations, service_views,
-                workload_class, shed, qed,
-            )
-
-    def _place_dispatched(
-        self,
-        dispatched: DispatchedBatch,
-        table: dict[str, CompiledTrace],
-        durations: dict[CostKey, dict[str, float]],
-        service_views: dict[str, "_ServiceView"],
-        workload_class: str,
-        shed: list[ShedQuery],
-        qed: QedReport,
-    ) -> None:
-        """Hand one master-queue batch to the placement policy."""
-        batch = dispatched.batch
-        stats = self._qed_stats_for(qed, dispatched.partition)
-        self._record_dispatch(stats, batch)
+    def _record_dispatch(self, partition: str,
+                         batch: Batch) -> QedPartitionStats:
+        """Count one QED dispatch in its partition's stats (returned),
+        the trace and the metrics."""
         if self.tracer.enabled:
-            self.tracer.dispatch(dispatched.partition, batch)
+            self.tracer.dispatch(partition, batch)
         if self.metrics is not None:
             self.metrics.counter("qed_batches").inc()
             self.metrics.histogram("batch_size").observe(batch.size)
+        stats = self._qed.get(partition)
+        if stats is None:
+            stats = QedPartitionStats(partition)
+            self._qed.partitions.append(stats)
+        stats.queries += batch.size
+        stats.batches += 1
+        stats.max_batch = max(stats.max_batch, batch.size)
+        return stats
+
+    def _place_dispatched(self, dispatched: DispatchedBatch) -> None:
+        """Hand one master-queue batch to the placement policy."""
+        batch = dispatched.batch
+        stats = self._record_dispatch(dispatched.partition, batch)
         # Under a placement map the batch first splits by shard
         # signature -- each piece is servable by one replica set -- and
         # each piece is placed over its owning replicas only.  With no
@@ -1281,11 +1202,11 @@ class ClusterSimulator:
                     group_merged = merge_queries(group_batch.sqls)
                 assignments = self.master_queue.placement.place(
                     group_batch, group_merged, group_batch.dispatch_s,
-                    service_views[group_batch.queries[0].sql],
+                    self._views[group_batch.queries[0].sql],
                     self.nodes if pool is None else pool,
                 )
             if not assignments:
-                if self._fault_active:
+                if self._fault_report is not None:
                     # Unplaceable under faults (crashes/failed wakes,
                     # under-replicated shards): each query re-enters
                     # through the retry policy instead of being
@@ -1296,7 +1217,7 @@ class ClusterSimulator:
                             1, requeue=False,
                         )
                 else:
-                    shed.extend(
+                    self._shed.extend(
                         ShedQuery(q.sql, q.arrival_s)
                         for q in group_batch.queries
                     )
@@ -1307,11 +1228,8 @@ class ClusterSimulator:
                     else Batch(list(queries), group_batch.dispatch_s)
                 )
                 self._schedule_batch(
-                    node, shard, table, durations, workload_class,
-                    stats=stats,
-                    merged=(
-                        group_merged if shard is group_batch else None
-                    ),
+                    node, shard, stats,
+                    merged=group_merged if shard is group_batch else None,
                 )
 
     def _pool_for_shards(self, required) -> list[SimulatedNode] | None:
@@ -1349,35 +1267,11 @@ class ClusterSimulator:
             for key, queries in buckets.items()
         ]
 
-    def _dispatch_node_batch(
-        self,
-        node: SimulatedNode,
-        batch: Batch,
-        table: dict[str, CompiledTrace],
-        durations: dict[CostKey, dict[str, float]],
-        workload_class: str,
-        qed: QedReport | None,
-    ) -> None:
-        """Serve one per-node queue dispatch (stats keyed by node)."""
-        stats = self._qed_stats_for(qed, f"node:{node.spec.name}")
-        self._record_dispatch(stats, batch)
-        if self.tracer.enabled:
-            self.tracer.dispatch(f"node:{node.spec.name}", batch)
-        if self.metrics is not None:
-            self.metrics.counter("qed_batches").inc()
-            self.metrics.histogram("batch_size").observe(batch.size)
-        self._schedule_batch(
-            node, batch, table, durations, workload_class, stats=stats,
-        )
-
     def _assign_singletons(
         self,
         node: SimulatedNode,
-        queries: tuple[QueuedQuery, ...] | list[QueuedQuery],
+        queries: list[QueuedQuery],
         dispatch_s: float,
-        table: dict[str, CompiledTrace],
-        durations: dict[CostKey, dict[str, float]],
-        workload_class: str,
     ) -> None:
         """Serve queries back-to-back as plain single executions.
 
@@ -1388,35 +1282,27 @@ class ClusterSimulator:
         about).
         """
         for query in queries:
-            service = self._duration_for(
-                node, query.sql, table, durations, workload_class
-            )
             node.assign(
-                query.sql, dispatch_s, service,
+                query.sql, dispatch_s, self._duration_for(node, query.sql),
                 ((query.sql, query.arrival_s),),
             )
 
-    @staticmethod
-    def _duration_for(
-        node: SimulatedNode,
-        key: str,
-        table: dict[str, CompiledTrace],
-        durations: dict[CostKey, dict[str, float]],
-        workload_class: str,
-    ) -> float:
+    def _duration_for(self, node: SimulatedNode, key: str) -> float:
         """``key``'s service time under the node's *current* setting.
 
         Served from the pre-costed table when possible; costed on
         demand (and memoized) for trace keys or settings the pre-pass
         could not know about -- merged-batch SQL, retuned nodes.
         """
-        per_key = durations.setdefault((node.spec.hw, node.setting), {})
+        per_key = self._durations.setdefault(
+            (node.spec.hw, node.setting), {}
+        )
         if key not in per_key:
             original = node.sut.setting
             node.sut.apply_setting(node.setting)
             try:
                 per_key[key] = node.sut.run_compiled(
-                    table[key], workload_class
+                    self._table[key], self._workload_class
                 ).duration_s
             finally:
                 node.sut.apply_setting(original)
@@ -1426,10 +1312,7 @@ class ClusterSimulator:
         self,
         node: SimulatedNode,
         batch: Batch,
-        table: dict[str, CompiledTrace],
-        durations: dict[CostKey, dict[str, float]],
-        workload_class: str,
-        stats: QedPartitionStats | None = None,
+        stats: QedPartitionStats,
         merged=None,
     ) -> None:
         """Serve a dispatched QED batch as one merged execution.
@@ -1453,41 +1336,31 @@ class ClusterSimulator:
         schedules (:func:`~repro.core.qed.executor.merged_batch_trace`).
         """
         if batch.size == 1:
-            self._assign_singletons(
-                node, batch.queries, batch.dispatch_s, table,
-                durations, workload_class,
-            )
-            if stats is not None:
-                stats.singleton_windows += 1
+            self._assign_singletons(node, batch.queries, batch.dispatch_s)
+            stats.singleton_windows += 1
             return
         if merged is None:
             try:
                 merged = merge_queries(batch.sqls)
             except NotMergeableError:
                 self._assign_singletons(
-                    node, batch.queries, batch.dispatch_s, table,
-                    durations, workload_class,
+                    node, batch.queries, batch.dispatch_s
                 )
-                if stats is not None:
-                    stats.fallback_batches += 1
-                    stats.singleton_windows += batch.size
+                stats.fallback_batches += 1
+                stats.singleton_windows += batch.size
                 return
         key = merged.sql
-        if key not in table:
-            table[key] = merged_batch_trace(self.runner, merged)
-        service = self._duration_for(
-            node, key, table, durations, workload_class
-        )
+        if key not in self._table:
+            self._table[key] = merged_batch_trace(self.runner, merged)
         work = node.assign(
-            key, batch.dispatch_s, service,
+            key, batch.dispatch_s, self._duration_for(node, key),
             tuple((q.sql, q.arrival_s) for q in batch.queries),
         )
         if self.tracer.enabled:
             self.tracer.instant(
                 "merge", node.spec.name, work.start_s, size=batch.size,
             )
-        if stats is not None:
-            stats.merged_windows += 1
+        stats.merged_windows += 1
 
     def _peak_model_power_w(self, horizon_s: float) -> float:
         """Peak fleet power under the linear per-node envelope.

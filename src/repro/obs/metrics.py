@@ -130,6 +130,20 @@ class MetricsRegistry:
         self.samples.append(row)
         return row
 
+    def truncate(self, t_s: float) -> None:
+        """Rewind the series to ``t_s``: drop every later sample, and
+        every gauge reads back its value in the last sample kept (one
+        first written after it goes), so the exported gauges never
+        describe a dropped sample."""
+        samples = self.samples
+        while samples and samples[-1]["t_s"] > t_s:
+            samples.pop()
+        kept = samples[-1] if samples else {}
+        self._gauges = {
+            name: Gauge(name, kept[name]) for name in self._gauges
+            if name in kept
+        }
+
     def to_dict(self) -> dict:
         return {
             "format": "repro-obs-metrics",

@@ -257,34 +257,22 @@ class TestVectorizedWithPlacement:
             )
 
     @pytest.mark.parametrize("router_factory", [
-        LeastLoadedRouter, HashSplitRouter,
+        LeastLoadedRouter, HashSplitRouter, RoundRobinRouter,
     ])
     def test_masked_chunk_matches_loop(self, mysql_db,
                                        router_factory):
         stream = _stream(count=120)
         pm = _chained(4, shards=4, replicas=2)
-        fast = ClusterSimulator(
-            mysql_db, uniform_fleet(4), router_factory(),
-            placement=pm,
-        ).run(stream, vectorized=True)
+        sim = ClusterSimulator(
+            mysql_db, uniform_fleet(4), router_factory(), placement=pm,
+        )
+        assert sim.vectorized_ineligibility() is None
+        fast = sim.run(stream, vectorized=True)
         slow = ClusterSimulator(
             mysql_db, uniform_fleet(4), router_factory(),
             placement=pm,
         ).run(stream, vectorized=False)
         self._assert_identical(fast, slow)
-
-    def test_unmasked_router_is_ineligible(self, mysql_db):
-        sim = ClusterSimulator(
-            mysql_db, uniform_fleet(4), RoundRobinRouter(),
-            placement=_chained(),
-        )
-        reason = sim.vectorized_ineligibility()
-        assert reason is not None and "placement" in reason
-        with pytest.raises(ValueError, match="placement"):
-            sim.run(_stream(count=20), vectorized=True)
-        # auto falls back to the loop and still serves everything
-        m = sim.run(_stream(count=20))
-        assert m.served == 20
 
 
 class TestQuorum:

@@ -144,8 +144,9 @@ class TestArraySplitMatchesReference:
     ])
     def test_a_literal_of_another_type_matches_nothing(self, dtype, stored,
                                                        literal):
-        """As the per-row loop always had it -- including the date
-        string the database itself would have matched."""
+        """As the per-row loop always had it; the database refuses each
+        of these predicates (``test_date_column_refuses_a_bare_string``
+        pins the DATE row)."""
         merged, result = _batch(dtype, stored, [literal])
         outcome = split_result(merged, result)
         assert outcome.per_query_rows == [0]

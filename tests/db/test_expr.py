@@ -53,6 +53,16 @@ class TestValues:
         mask, _ = eval_pred("t.d >= DATE '1995-01-01'", batch)
         assert mask == [False, False, True, True, True]
 
+    def test_date_column_refuses_a_bare_string(self):
+        """Only a DATE literal compares with a DATE column; QED's hash
+        split gives such a string no rows, so the two never disagree."""
+        batch = make_batch()
+        for sql in ("t.d = '1995-01-01'", "t.d IN ('1995-01-01')",
+                    "t.d BETWEEN '1994-06-01' AND DATE '1995-06-01'"):
+            with pytest.raises(TypeMismatchError,
+                               match="string literal in numeric context"):
+                eval_pred(sql, batch)
+
     def test_between(self):
         batch = make_batch()
         mask, _ = eval_pred("t.x BETWEEN 2 AND 4", batch)
