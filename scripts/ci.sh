@@ -5,6 +5,8 @@
 #   scripts/ci.sh --stage lint     # compile + pyflakes + mypy + repro lint
 #   scripts/ci.sh --stage tests    # tier-1 pytest suite
 #   scripts/ci.sh --stage perf     # event-core identity smoke bench
+#                                  # + BENCH_perf.json regenerates at
+#                                  # SF 0.05 (floats to 1e-9)
 #   scripts/ci.sh --stage cluster  # diurnal + qed + fault smoke benches
 #                                  # + a trace store shared by two runs
 #   scripts/ci.sh --stage replication  # placement + re-replication smoke
@@ -87,6 +89,13 @@ run_tests() {
 run_perf() {
     echo "== event core vs loop scheduler smoke bench (SF ${REPRO_BENCH_SF:-0.01}) =="
     smoke python -m pytest benchmarks/bench_cluster_scaling.py -x -q
+    echo "== BENCH_perf.json regenerates (SF 0.05, floats to 1e-9) =="
+    local record status=0
+    record="$(mktemp "${TMPDIR:-/tmp}/BENCH_perf.XXXXXX")"
+    python scripts/perf_report.py 0.05 "$record" \
+        --against BENCH_perf.json || status=$?
+    rm -f "$record"
+    return "$status"
 }
 
 run_cluster() {

@@ -335,7 +335,7 @@ def cmd_cluster(args) -> int:
 
     # The simulator picks the engine from what it can observe; say
     # which one ran, and why when it was the per-arrival loop.
-    vectorized = scheduled.columnar is not None
+    vectorized = scheduled.engine == "vectorized"
     # The report reads the measurement alone; holding the schedule
     # through it costs ~12 MB of peak RSS at 400k arrivals.
     del scheduled

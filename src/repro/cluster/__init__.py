@@ -12,11 +12,14 @@ control, power-cap.  QED can instead run the paper's actual deployment
 design: a :class:`MasterQueue` on the always-on coordinator partitions
 the whole arrival stream by mergeable template and hands merged
 batches to a :class:`BatchPlacement` policy (least-loaded,
-consolidate-cooperating, or hash-split across nodes).  Fleets may be heterogeneous: node groups differ
-in hardware profile, PVC setting, capacity, and sleep/wake
-characteristics.  The hot path is batched compiled-trace playback:
-every node's whole timeline plays as one stacked array operation per
-distinct (hardware profile, setting) pair.
+consolidate-cooperating, or hash-split across nodes).  Fleets may be
+heterogeneous: node groups differ in hardware profile, PVC setting,
+capacity, and sleep/wake characteristics.  Both scheduling engines
+write one schedule table, a row per busy window.  Playback costs a
+vectorized run by counting those windows against one measurement per
+(hardware profile, setting, trace); a loop run plays every node's whole
+timeline as one stacked array operation per distinct (hardware
+profile, setting) pair.
 """
 
 from repro.cluster.faults import (
@@ -56,11 +59,7 @@ from repro.cluster.node import (
     load_fleet,
     uniform_fleet,
 )
-from repro.cluster.playback import (
-    play_batched,
-    play_columnar,
-    playback_groups,
-)
+from repro.cluster.playback import ScheduleTable, play_batched, play_table
 from repro.cluster.routing import (
     AdaptivePvcRouter,
     BatchPlacement,
@@ -79,7 +78,6 @@ from repro.cluster.routing import (
 from repro.cluster.simulator import (
     ClusterSchedule,
     ClusterSimulator,
-    ColumnarSchedule,
 )
 
 __all__ = [
@@ -88,7 +86,6 @@ __all__ = [
     "ClusterMeasurement",
     "ClusterSchedule",
     "ClusterSimulator",
-    "ColumnarSchedule",
     "ConsolidatePlacement",
     "ConsolidateRouter",
     "Decision",
@@ -117,6 +114,7 @@ __all__ = [
     "RoundRobinRouter",
     "Router",
     "SUT_FACTORIES",
+    "ScheduleTable",
     "ShedQuery",
     "SimulatedNode",
     "TablePlacement",
@@ -126,7 +124,6 @@ __all__ = [
     "load_fleet",
     "load_placement",
     "play_batched",
-    "play_columnar",
-    "playback_groups",
+    "play_table",
     "uniform_fleet",
 ]

@@ -249,10 +249,6 @@ class TimelineAccounting:
         return not (self.sleep_log and self.sleep_log[-1][1] is None)
 
     @property
-    def busy_s(self) -> float:
-        return sum(w.service_s for w in self.scheduled)
-
-    @property
     def wake_s(self) -> float:
         return sum(ready - called for called, ready in self.wake_log)
 
@@ -563,7 +559,10 @@ def node_timeline_pieces(
     setting the node's retune log shows it held entering the gap (a
     gap containing a retune is attributed wholly to its entry setting).
     Sleep spans are *not* represented -- they are billed at
-    ``sleep_wall_w`` outside the hardware model.
+    ``sleep_wall_w`` outside the hardware model.  A node asleep at the
+    horizon ends on a clamped sleep span, so the trailing idle piece
+    needs no awake test: a crash logged past the horizon (a retry ran
+    the tail past it, then dead-lettered) must not drop it.
     """
     log = list(getattr(node, "setting_log", ())) or [
         (0.0, node.spec.setting)
@@ -612,7 +611,7 @@ def node_timeline_pieces(
                 pieces.append(_idle_piece(work.stretch_s, "straggler"))
                 settings.append(work.setting or node.spec.setting)
         cursor = max(cursor, end)
-    if horizon_s - cursor > 1e-12 and node.awake:
+    if horizon_s - cursor > 1e-12:
         pieces.append(_idle_piece(horizon_s - cursor, "idle"))
         settings.append(setting_at(cursor))
     return pieces, settings

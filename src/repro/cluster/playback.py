@@ -1,24 +1,24 @@
-"""Fleet playback: the nodes' timelines as stacked array operations.
+"""Fleet playback: the schedule table, and what its windows cost.
 
-This generalizes :meth:`SystemUnderTest.run_compiled_batch` to a whole
-heterogeneous fleet.  Nodes sharing a ``(hardware profile, PVC
-setting)`` pair are *playback equivalent* (the simulator builds every
-node's machine from its profile's factory), so their timelines stack
-into a single structure-of-arrays playback call per distinct pair -- a
-16-node x 10k-arrival run collapses to a handful of vectorized passes.
+Both engines write one :class:`ScheduleTable`, a row per busy window.
+A vectorized run never sleeps, wakes, retunes or stretches a node, so
+:func:`play_table` costs it by counting windows against the pre-costed
+measurements, in O(nodes x distinct).  A loop run plays each node's
+timeline pieces with :func:`play_batched`: nodes sharing a ``(hardware
+profile, PVC setting)`` pair are *playback equivalent*, so their
+timelines stack into one structure-of-arrays call per distinct pair,
+one stacked trace per *setting run* (a maximal stretch of pieces played
+under one setting) -- ``O(nodes + setting changes)`` traces, not
+``O(pieces)``.
 
-Nodes retuned online (the adaptive-PVC policy) contribute one stacked
-trace per *setting run* -- a maximal stretch of consecutive pieces
-played under one setting -- so the number of playback calls stays
-``O(distinct (hw, setting) pairs)`` and the number of stacked traces
-stays ``O(nodes + setting changes)``, not ``O(pieces)``.
-
-The per-query replay loop (one ``run_compiled`` call per scheduled
-piece) is the test oracle, ``tests/cluster/loop_playback.py``; both
-agree on every node's energy to float-summation order.
+The per-query replay loop (one ``run_compiled`` call per piece) is the
+test oracle, ``tests/cluster/loop_playback.py``; all agree on every
+node's energy to float-summation order.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,15 +35,42 @@ from repro.hardware.trace import CompiledTrace, Idle, Trace
 #: playback.
 
 
-def playback_groups(
-    nodes: list[SimulatedNode],
-) -> list[list[SimulatedNode]]:
-    """Partition nodes into playback-equivalent groups: same hardware
-    profile, same (spec) PVC setting."""
-    groups: dict[object, list[SimulatedNode]] = {}
-    for node in nodes:
-        groups.setdefault((node.spec.hw, node.spec.setting), []).append(node)
-    return list(groups.values())
+@dataclass(frozen=True)
+class ScheduleTable:
+    """Every busy window of a schedule, one row each, on either engine.
+
+    ``trace_idx`` indexes the schedule's trace table (the distinct
+    statements first, then interned merged and re-replication traces).
+    ``offsets`` delimit each node's rows, through ``order`` when the
+    rows are not node-major.  The served queries are ``query_sql`` (a
+    trace code) and ``query_arrival_s``, answered by window
+    ``query_window`` -- None (a vectorized run) when row ``i`` answers
+    query ``i``.
+    """
+
+    node_idx: np.ndarray
+    trace_idx: np.ndarray
+    start_s: np.ndarray
+    end_s: np.ndarray
+    offsets: np.ndarray
+    query_sql: np.ndarray
+    query_arrival_s: np.ndarray
+    order: np.ndarray | None = None
+    query_window: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.start_s)
+
+    def rows_for(self, j: int):
+        """Node ``j``'s rows, in the order they were scheduled."""
+        lo, hi = int(self.offsets[j]), int(self.offsets[j + 1])
+        return slice(lo, hi) if self.order is None else self.order[lo:hi]
+
+    def query_columns(self, column: np.ndarray) -> np.ndarray:
+        """A per-window column read once per served query."""
+        return column if self.query_window is None else column[
+            self.query_window
+        ]
 
 
 def _node_settings(
@@ -121,7 +148,7 @@ def play_batched(
 #: One second of idle, compiled once: played under a (hw, setting)
 #: pair it yields that pair's idle draw in watts, and idle energy is
 #: strictly linear in idle seconds (constant powers per idle segment),
-#: so every idle gap in a columnar schedule costs one multiply.
+#: so a vectorized run's idle time costs one multiply.
 _IDLE_SECOND = Trace([Idle(1.0, label="idle")]).compiled()
 
 #: RunMeasurement scalar fields in matrix order (disk energy unrolled
@@ -149,33 +176,31 @@ def _measurement_from_fields(v: np.ndarray) -> RunMeasurement:
     )
 
 
-def play_columnar(
-    nodes: list[SimulatedNode],
-    columnar,
+def play_table(
+    nodes: list,
+    table: ScheduleTable,
+    n_traces: int,
+    measured: dict,
     horizon_s: float,
     workload_class: str,
-) -> dict[str, RunMeasurement]:
-    """Play a vectorized (columnar) schedule without materializing pieces.
+) -> list[RunMeasurement]:
+    """Cost a vectorized run's table by counting, node by node.
 
-    A columnar schedule never retunes or sleeps a node, so each node's
-    timeline is fully described by *how many times* it played each
-    distinct trace plus its total idle seconds.  Busy energy is a
-    counts x per-distinct-measurement dot product over the schedule
-    phase's pre-costed batch (the same ``run_compiled_batch`` output
-    the legacy path replays piece by piece); idle energy is the pair's
-    per-second idle draw times the idle gap total (idle playback is
-    linear in seconds).  Cost: O(nodes x distinct), independent of the
-    arrival count.
+    ``measured`` maps each ``(hw, setting)`` pair to the schedule
+    phase's measurement of every trace, in code order.  Every node
+    holds its spec setting throughout, so busy energy is its windows'
+    counts per trace times those measurements, and idle energy the
+    pair's per-second idle draw times whatever of the horizon the
+    windows leave (idle playback is linear in seconds).
     """
-    out: dict[str, RunMeasurement] = {}
-    n_distinct = len(columnar.distinct)
+    out: list[RunMeasurement] = []
     fields: dict[object, np.ndarray] = {}
     idle_rates: dict[object, np.ndarray] = {}
     for j, node in enumerate(nodes):
         key = (node.spec.hw, node.spec.setting)
         F = fields.get(key)
         if F is None:
-            F = fields[key] = _measurement_fields(columnar.costed[key])
+            F = fields[key] = _measurement_fields(measured[key])
         rate = idle_rates.get(key)
         if rate is None:
             sut = node.sut
@@ -188,14 +213,10 @@ def play_columnar(
             finally:
                 sut.apply_setting(original)
             rate = idle_rates[key] = _measurement_fields([per_second])[:, 0]
-        rows = columnar.rows_for(j)
         counts = np.bincount(
-            columnar.sql_idx[rows], minlength=n_distinct
+            table.trace_idx[table.rows_for(j)], minlength=n_traces
         ).astype(np.float64)
         busy = F @ counts
         idle_s = max(0.0, horizon_s - busy[0])
-        out[node.spec.name] = _measurement_from_fields(
-            busy + rate * idle_s
-        )
+        out.append(_measurement_from_fields(busy + rate * idle_s))
     return out
-

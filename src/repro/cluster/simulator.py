@@ -1,4 +1,4 @@
-"""Discrete-event cluster simulation over batched compiled-trace playback.
+"""Discrete-event cluster simulation over one schedule table.
 
 The paper's deployment story at production scale: an arrival stream of
 queries hits a master, a routing policy places each query on a node
@@ -20,25 +20,25 @@ of array operations:
    the trace compiles), pre-cost each distinct query once per distinct
    ``(hardware profile, PVC setting)`` pair with one
    ``run_compiled_batch`` call -- including every ladder setting an
-   adaptive router may apply -- then run the event loop in pure Python
-   over floats: the stream's sorted arrival column merged with one
-   ``(time, rank, seq)`` heap of metric samples, crashes/recoveries,
-   retries and QED timeouts.  Produces a :class:`ClusterSchedule`:
-   per-node timelines (busy windows + idle/wake gaps, minus sleep
-   spans) as compiled-trace pieces, each tagged with the setting it was
-   scheduled under.
-2. :meth:`ClusterSimulator.playback` -- play every node's whole timeline
-   with one stacked array call per distinct (hw, setting) pair
-   (:func:`~repro.cluster.playback.play_batched`), or cost a vectorized
-   schedule's counts directly
-   (:func:`~repro.cluster.playback.play_columnar`), and compose the
-   :class:`~repro.cluster.measure.ClusterMeasurement`.
+   adaptive router may apply -- then place the arrivals: the chunked
+   vectorized engine when the configuration allows it, otherwise the
+   event loop in pure Python over floats (the stream's sorted arrival
+   column merged with one ``(time, rank, seq)`` heap of metric samples,
+   crashes/recoveries, retries and QED timeouts).  Either engine
+   produces a :class:`ClusterSchedule` around one
+   :class:`~repro.cluster.playback.ScheduleTable` of busy windows; a
+   loop run also keeps each node's timeline as compiled-trace pieces.
+2. :meth:`ClusterSimulator.playback` -- cost a vectorized run by
+   counting (:func:`~repro.cluster.playback.play_table`) or play a loop
+   run's pieces with one stacked array call per distinct (hw, setting)
+   pair (:func:`~repro.cluster.playback.play_batched`), and compose the
+   :class:`~repro.cluster.measure.ClusterMeasurement` from the table.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -53,7 +53,6 @@ from repro.cluster.measure import (
     QedReport,
     ResponseColumns,
     ShedQuery,
-    span_columns,
 )
 from repro.cluster.node import (
     NodeSpec,
@@ -63,7 +62,7 @@ from repro.cluster.node import (
     node_timeline_pieces,
 )
 from repro.cluster.placement import PlacementMap, replication_copy_trace
-from repro.cluster.playback import play_batched, play_columnar
+from repro.cluster.playback import ScheduleTable, play_batched, play_table
 from repro.cluster.routing import (
     AdaptivePvcRouter,
     ConsolidatePlacement,
@@ -129,67 +128,44 @@ class NodeTimeline(TimelineAccounting):
 
 
 @dataclass
-class ColumnarSchedule:
-    """Structure-of-arrays form of a vectorized scheduling run.
-
-    One row per arrival, in arrival order: which node it landed on,
-    which distinct template it is, and the start/end the chunked
-    routing recurrence assigned.  ``order``/``offsets`` give each
-    node's rows (``order[offsets[j]:offsets[j+1]]``, arrival-ordered
-    within a node via the stable sort), and ``costed`` carries the
-    schedule phase's pre-costed per-distinct measurements so playback
-    can re-cost the whole fleet as counts-times-measurement dot
-    products without re-playing any trace.
-    """
-
-    distinct: list[str]
-    arrival_s: np.ndarray
-    node_idx: np.ndarray
-    sql_idx: np.ndarray
-    start_s: np.ndarray
-    end_s: np.ndarray
-    order: np.ndarray
-    offsets: np.ndarray
-    costed: dict = field(repr=False, default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.arrival_s)
-
-    def rows_for(self, j: int) -> np.ndarray:
-        """Indices of node ``j``'s arrivals, in arrival order."""
-        return self.order[self.offsets[j]:self.offsets[j + 1]]
-
-
-@dataclass
 class ClusterSchedule:
-    """The event loop's outcome: who runs what, when, on which node.
+    """The scheduling outcome: who runs what, when, on which node.
 
-    Produced in one of two shapes: the legacy per-arrival loop fills
-    ``pieces_by_node`` (compiled-trace timeline pieces per node); the
-    vectorized fast path fills ``columnar`` instead and leaves the
-    piece maps empty -- at 1M arrivals materializing per-arrival piece
-    objects would cost more than the event loop itself.
+    Both engines write ``windows``, the schedule table; ``table`` holds
+    the compiled traces its trace codes name, in code order.  A
+    vectorized run keeps ``measured``, the pre-costed measurement of
+    every distinct statement per ``(hw, setting)`` pair; a loop run
+    keeps each node's timeline pieces and the setting each plays under.
     """
 
     nodes: list[NodeTimeline]
     table: dict[str, CompiledTrace]
-    pieces_by_node: dict[str, list[CompiledTrace]]
-    settings_by_node: dict[str, list[PvcSetting]]
+    windows: ScheduleTable
     horizon_s: float
     shed: list[ShedQuery]
     peak_power_w: float
     cap_w: float | None
     workload_class: str
+    measured: dict[CostKey, list] | None = None
+    pieces_by_node: dict[str, list[CompiledTrace]] | None = None
+    settings_by_node: dict[str, list[PvcSetting]] | None = None
     qed: QedReport | None = None
     faults: FaultReport | None = None
     run_id: str | None = None
     fingerprint: dict | None = None
-    columnar: ColumnarSchedule | None = None
+
+    @property
+    def engine(self) -> str:
+        """``"loop"`` when the schedule carries timeline pieces,
+        ``"vectorized"`` otherwise."""
+        return "vectorized" if self.pieces_by_node is None else "loop"
 
     @property
     def scheduled_pieces(self) -> int:
-        if self.columnar is not None:
-            return len(self.columnar)
+        """Busy windows, plus -- on a loop run -- the idle, wake and
+        stretch pieces between them."""
+        if self.pieces_by_node is None:
+            return len(self.windows)
         return sum(len(p) for p in self.pieces_by_node.values())
 
 
@@ -723,14 +699,16 @@ class ClusterSimulator:
             pieces, settings = node_timeline_pieces(node, table, horizon)
             pieces_by_node[node.spec.name] = pieces
             settings_by_node[node.spec.name] = settings
+        windows = self._window_table()
         return ClusterSchedule(
             nodes=[NodeTimeline.snapshot(n) for n in self.nodes],
             table=table,
+            windows=windows,
             pieces_by_node=pieces_by_node,
             settings_by_node=settings_by_node,
             horizon_s=horizon,
             shed=shed,
-            peak_power_w=self._peak_model_power_w(horizon),
+            peak_power_w=self._peak_model_power_w(windows),
             cap_w=getattr(self.router, "cap_w", None),
             workload_class=workload_class,
             qed=qed,
@@ -793,59 +771,33 @@ class ClusterSimulator:
             starts[lo:hi] = st
             ends[lo:hi] = en
 
-        order = np.argsort(node_idx, kind="stable")
         offsets = np.zeros(n_nodes + 1, dtype=np.int64)
         np.cumsum(
             np.bincount(node_idx, minlength=n_nodes), out=offsets[1:]
         )
-        columnar = ColumnarSchedule(
-            distinct=distinct, arrival_s=times, node_idx=node_idx,
-            sql_idx=sql_idx, start_s=starts, end_s=ends,
-            order=order, offsets=offsets, costed=costed,
+        # Statement codes are trace codes (the table lists the distinct
+        # statements first), every window answers the query that
+        # arrived with it, and no node is retuned or stretched: the
+        # routing outcome is the whole table.
+        windows = ScheduleTable(
+            node_idx=node_idx, trace_idx=sql_idx, start_s=starts,
+            end_s=ends, offsets=offsets, query_sql=sql_idx,
+            query_arrival_s=times,
+            order=np.argsort(node_idx, kind="stable"),
         )
-        horizon = float(max(times[-1], ends.max()))
         return ClusterSchedule(
             nodes=[NodeTimeline.snapshot(node) for node in self.nodes],
             table=table,
-            pieces_by_node={n_.spec.name: [] for n_ in self.nodes},
-            settings_by_node={n_.spec.name: [] for n_ in self.nodes},
-            horizon_s=horizon,
+            windows=windows,
+            measured=costed,
+            horizon_s=float(max(times[-1], ends.max())),
             shed=[],
-            peak_power_w=self._peak_power_columnar(
-                node_idx, starts, ends
-            ),
+            peak_power_w=self._peak_model_power_w(windows),
             cap_w=getattr(self.router, "cap_w", None),
             workload_class=workload_class,
-            qed=None,
-            faults=None,
             run_id=run_id,
             fingerprint=fingerprint,
-            columnar=columnar,
         )
-
-    def _peak_power_columnar(
-        self, node_idx: np.ndarray, starts: np.ndarray, ends: np.ndarray
-    ) -> float:
-        """Peak fleet power for an always-awake columnar run.
-
-        The same power-step sweep as :meth:`_peak_model_power_w`,
-        vectorized: the baseline is every node's idle draw, each busy
-        window steps by its node's (busy - idle) delta, and a lexsort
-        on (time, delta) reproduces the legacy sweep's tie order.
-        """
-        baseline = 0.0
-        deltas = np.empty(len(self.nodes))
-        for j, node in enumerate(self.nodes):
-            est = node.power_estimate()
-            baseline += est.idle_wall_w
-            deltas[j] = est.busy_wall_w - est.idle_wall_w
-        per_arrival = deltas[node_idx]
-        ev_t = np.concatenate([starts, ends])
-        ev_d = np.concatenate([per_arrival, -per_arrival])
-        running = np.cumsum(ev_d[np.lexsort((ev_d, ev_t))])
-        if running.size == 0:
-            return baseline
-        return baseline + max(0.0, float(running.max()))
 
     # -- the event heap ----------------------------------------------------
 
@@ -1362,94 +1314,114 @@ class ClusterSimulator:
             )
         stats.merged_windows += 1
 
-    def _peak_model_power_w(self, horizon_s: float) -> float:
+    def _window_table(self) -> ScheduleTable:
+        """The nodes' scheduled windows as the schedule table:
+        node-major, each node's windows in the order it ran them, and
+        the queries each window answers in the same order."""
+        code = {key: i for i, key in enumerate(self._table)}
+        works = [work for node in self.nodes for work in node.scheduled]
+        answered = [
+            (i, sql, arrival_s)
+            for i, work in enumerate(works)
+            for sql, arrival_s in work.queries
+        ]
+        per_node = [len(node.scheduled) for node in self.nodes]
+        offsets = np.zeros(len(self.nodes) + 1, dtype=np.int64)
+        np.cumsum(per_node, out=offsets[1:])
+        return ScheduleTable(
+            node_idx=np.repeat(np.arange(len(self.nodes)), per_node),
+            trace_idx=np.array([code[w.trace_key] for w in works],
+                               dtype=np.int64),
+            start_s=np.array([w.start_s for w in works], dtype=np.float64),
+            end_s=np.array([w.end_s for w in works], dtype=np.float64),
+            offsets=offsets,
+            query_sql=np.array([code[sql] for _, sql, _ in answered],
+                               dtype=np.int64),
+            query_arrival_s=np.array([a for _, _, a in answered],
+                                     dtype=np.float64),
+            query_window=np.array([i for i, _, _ in answered],
+                                  dtype=np.int64),
+        )
+
+    def _peak_model_power_w(self, windows: ScheduleTable) -> float:
         """Peak fleet power under the linear per-node envelope.
 
         The same model the power-cap router schedules against: awake
         nodes draw idle watts (wake transitions included), busy windows
         add ``busy - idle``, sleeping nodes draw their sleep watts.
-        Every sleep-to-wake and awake-to-sleep transition (dynamic
-        re-consolidation can produce many per node) becomes a power
-        step event.
+        One sweep over power steps: every window's start and end, and
+        every sleep-to-wake and awake-to-sleep transition (dynamic
+        re-consolidation can produce many per node), sorted on (time,
+        step) and summed from the fleet's starting draw.
         """
-        power = 0.0
-        events: list[tuple[float, float]] = []
-        for node in self.nodes:
+        baseline = 0.0
+        deltas = np.empty(len(self.nodes))
+        step_t: list[float] = []
+        step_w: list[float] = []
+        for j, node in enumerate(self.nodes):
             est = node.power_estimate()
             sleep_step = est.idle_wall_w - node.spec.sleep_wall_w
             if node.started_awake:
-                power += est.idle_wall_w
+                baseline += est.idle_wall_w
             else:
-                power += node.spec.sleep_wall_w
+                baseline += node.spec.sleep_wall_w
             for called, _ready in node.wake_log:
-                events.append((called, sleep_step))
+                step_t.append(called)
+                step_w.append(sleep_step)
             for start, _end in node.sleep_log:
                 if start > 0.0:
-                    events.append((start, -sleep_step))
-            delta = est.busy_wall_w - est.idle_wall_w
-            for work in node.scheduled:
-                events.append((work.start_s, delta))
-                events.append((work.end_s, -delta))
-        events.sort(key=lambda e: (e[0], e[1]))
-        peak = power
-        for _, d in events:
-            power += d
-            peak = max(peak, power)
-        return peak
+                    step_t.append(start)
+                    step_w.append(-sleep_step)
+            deltas[j] = est.busy_wall_w - est.idle_wall_w
+        busy = deltas[windows.node_idx]
+        t = np.concatenate([step_t, windows.start_s, windows.end_s])
+        w = np.concatenate([step_w, busy, -busy])
+        del busy
+        power = np.empty(len(w) + 1)
+        power[0] = baseline
+        np.take(w, np.lexsort((w, t)), out=power[1:])
+        return float(np.cumsum(power, out=power).max())
 
     # -- phase 2: playback -------------------------------------------------
 
     def playback(self, schedule: ClusterSchedule) -> ClusterMeasurement:
-        """Turn scheduled timelines into energy.
+        """Turn a schedule into energy and service quality.
 
-        The two schedule shapes differ only in how node energies are
-        costed and where the busy windows and served queries are read
-        from -- a vectorized schedule's own arrays (no per-query object
-        is ever materialized), or the loop schedule's stacked pieces
-        and windows, one response row per query a window answers.  Both
-        compose the same measurement from there.
+        Busy windows and served queries come from the schedule table's
+        columns on either engine, with no per-query Python object; node
+        energies are counted from a vectorized run's table or played
+        from a loop run's timeline pieces.
         """
         nodes = schedule.nodes
         names = [node.spec.name for node in nodes]
-        col = schedule.columnar
-        if col is not None:
-            measurements = play_columnar(
-                nodes, col, schedule.horizon_s, schedule.workload_class
-            )
-            busy = [
-                (col.start_s[rows], col.end_s[rows])
-                for rows in map(col.rows_for, range(len(nodes)))
-            ]
-            busy_s = [float((ends - starts).sum()) for starts, ends in busy]
-            responses = ResponseColumns.in_arrival_order(
-                col.distinct, names, col.sql_idx, col.node_idx,
-                col.arrival_s, col.start_s, col.end_s,
+        windows, traces = schedule.windows, list(schedule.table)
+        if schedule.pieces_by_node is None:
+            measurements = play_table(
+                nodes, windows, len(traces), schedule.measured,
+                schedule.horizon_s, schedule.workload_class,
             )
         else:
-            measurements = play_batched(
+            played = play_batched(
                 nodes, schedule.pieces_by_node,
                 schedule.workload_class, schedule.settings_by_node,
             )
-            busy = [
-                span_columns([(w.start_s, w.end_s) for w in node.scheduled])
-                for node in nodes
-            ]
-            busy_s = [node.busy_s for node in nodes]
-            code: dict[str, int] = {}
-            sql_idx, node_idx, arrival_s, start_s, end_s = (
-                [], [], [], [], []
-            )
-            for j, node in enumerate(nodes):
-                for work in node.scheduled:
-                    for sql, arrived_s in work.queries:
-                        sql_idx.append(code.setdefault(sql, len(code)))
-                        node_idx.append(j)
-                        arrival_s.append(arrived_s)
-                        start_s.append(work.start_s)
-                        end_s.append(work.end_s)
-            responses = ResponseColumns.in_arrival_order(
-                code, names, sql_idx, node_idx, arrival_s, start_s, end_s
-            )
+            measurements = [played[name] for name in names]
+        busy = [
+            (windows.start_s[rows], windows.end_s[rows])
+            for rows in map(windows.rows_for, range(len(nodes)))
+        ]
+        # Summed window by window, in the order each node ran them.
+        busy_s = [
+            float(np.cumsum(ends - starts)[-1]) if len(ends) else 0.0
+            for starts, ends in busy
+        ]
+        responses = ResponseColumns.in_arrival_order(
+            traces, names, windows.query_sql,
+            windows.query_columns(windows.node_idx),
+            windows.query_arrival_s,
+            windows.query_columns(windows.start_s),
+            windows.query_columns(windows.end_s),
+        )
         queries = np.bincount(responses.node_idx, minlength=len(nodes))
         usages: list[NodeUsage] = []
         for j, node in enumerate(nodes):
@@ -1462,7 +1434,7 @@ class ClusterSimulator:
                 wake_s=node.wake_s,
                 sleep_s=sleep_s,
                 horizon_s=schedule.horizon_s,
-                playback=measurements[names[j]],
+                playback=measurements[j],
                 sleep_joules=node.spec.sleep_wall_w * sleep_s,
                 re_sleeps=node.re_sleeps,
                 busy_columns=busy[j],

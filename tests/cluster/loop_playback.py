@@ -59,7 +59,7 @@ def loop_playback(sim: ClusterSimulator,
     or an ineligible configuration): a vectorized schedule has no
     per-piece timeline to replay.
     """
-    assert schedule.columnar is None, "loop playback needs the loop engine"
+    assert schedule.engine == "loop", "loop playback needs the loop engine"
     measured = sim.playback(schedule)
     loop = play_loop(schedule.nodes, schedule.pieces_by_node,
                      schedule.workload_class, schedule.settings_by_node)

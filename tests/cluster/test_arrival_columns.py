@@ -84,7 +84,10 @@ class TestScheduleCoercion:
         sim = _sim(mysql_db)
         schedule = sim.schedule(stream[:3])
         assert list(schedule.table) == [a.sql for a in stream[:3]]
-        assert schedule.columnar.distinct == list(schedule.table)
+        traces = list(schedule.table)
+        assert [traces[c] for c in schedule.windows.trace_idx] == [
+            a.sql for a in stream[:3]
+        ]
 
     def test_empty_stream_in_any_form(self, mysql_db):
         ids = {

@@ -1,0 +1,209 @@
+"""Playback against the piece-by-piece oracle, over drawn runs.
+
+For every drawn configuration -- uniform or two-hardware-group fleets;
+round-robin, least-loaded, consolidate, dynamic and adaptive-PVC
+routers; QED off, per node or on the master; a fault plan over all four
+kinds; streams with tied timestamps and repeated statements -- three
+things hold:
+
+* every node's energy from ``ClusterSimulator.playback`` matches the
+  oracle in ``loop_playback.py``, which replays the loop schedule's
+  timeline one compiled-trace piece at a time, to <= 1e-9;
+* the schedule table holds exactly the timeline's busy pieces, node by
+  node and in the order they ran;
+* where the configuration can take the vectorized engine, counting the
+  table and playing the timeline cost the run alike.
+
+Configurations are drawn as plain values, so a falsifying example
+prints whole.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from loop_playback import play_loop
+from repro.cluster import (
+    AdaptivePvcRouter,
+    ClusterSimulator,
+    ConsolidatePlacement,
+    ConsolidateRouter,
+    DynamicConsolidateRouter,
+    FaultPlan,
+    FaultSpec,
+    LeastLoadedRouter,
+    MasterQueue,
+    NodeGroup,
+    RetryPolicy,
+    RoundRobinRouter,
+    hetero_fleet,
+)
+from repro.core.qed.policy import BatchPolicy
+from repro.db.profiles import mysql_profile
+from repro.hardware.cpu import PvcSetting, VoltageDowngrade
+from repro.workloads.arrivals import Arrival
+from repro.workloads.selection import selection_workload
+from repro.workloads.tpch.generator import tpch_database
+
+REL = 1e-9
+
+#: Two mergeable templates and one pass-through shape.
+POOL = selection_workload(4).queries + [
+    f"SELECT l_orderkey, l_extendedprice FROM lineitem "
+    f"WHERE l_quantity = {q}" for q in (11, 12)
+] + [
+    "SELECT l_orderkey FROM lineitem WHERE l_quantity = 14 "
+    "ORDER BY l_orderkey LIMIT 5"
+]
+
+ROUTERS = {
+    "round_robin": RoundRobinRouter,
+    "least_loaded": LeastLoadedRouter,
+    "consolidate": lambda: ConsolidateRouter(max_backlog_s=0.05),
+    "dynamic": lambda: DynamicConsolidateRouter(max_backlog_s=0.05),
+    "adaptive_pvc": lambda: AdaptivePvcRouter(deadline_s=0.05),
+}
+STATEFUL = {"consolidate", "dynamic", "adaptive_pvc"}
+FAULT_KINDS = ("crash", "wake-failure", "straggler", "unavailable")
+
+
+@pytest.fixture(scope="module")
+def db():
+    return tpch_database(0.005, mysql_profile(), seed=0,
+                         tables=["lineitem"])
+
+
+times = st.integers(0, 40).map(lambda tick: tick * 0.01)
+
+faults = st.tuples(
+    st.sampled_from(FAULT_KINDS), st.integers(0, 3), times,
+    st.sampled_from([None, 0.05, 0.2]), st.sampled_from([0.5, 1.0]),
+)
+
+
+
+def configs(routers=tuple(sorted(ROUTERS)), qed=("off", "node", "master"),
+            fault_lists=st.lists(faults, max_size=4)):
+    return st.fixed_dictionaries({
+        "nodes": st.integers(1, 4),
+        "two_groups": st.booleans(),
+        "router": st.sampled_from(routers),
+        "qed": st.sampled_from(qed),
+        "faults": fault_lists,
+        "retry": st.tuples(st.integers(1, 3),
+                           st.sampled_from([0.01, 0.1])),
+        "arrivals": st.lists(
+            st.tuples(times, st.integers(0, len(POOL) - 1)),
+            min_size=1, max_size=30,
+        ),
+    })
+
+
+def _fleet(config):
+    queue = BatchPolicy(3, max_wait_s=0.05) if config["qed"] == "node" \
+        else None
+    n = config["nodes"]
+    groups = [NodeGroup(n, prefix="a", wake_latency_s=0.05,
+                        queue_policy=queue)]
+    if config["two_groups"] and n > 1:
+        groups = [
+            NodeGroup(n - n // 2, prefix="a", wake_latency_s=0.05,
+                      queue_policy=queue),
+            NodeGroup(n // 2, prefix="b", hw="paper-nogpu",
+                      setting=PvcSetting(10, VoltageDowngrade.MEDIUM),
+                      sleep_wall_w=2.0, wake_latency_s=0.05,
+                      queue_policy=queue),
+        ]
+    return hetero_fleet(groups)
+
+
+def _fault_plan(config, names):
+    specs = []
+    for kind, node, at_s, span_s, level in config["faults"]:
+        name = names[node % len(names)]
+        end_s = None if span_s is None else at_s + span_s
+        if kind == "crash":
+            specs.append(FaultSpec(kind, name, at_s=at_s, recover_s=end_s))
+        elif kind == "wake-failure":
+            specs.append(FaultSpec(kind, name, start_s=at_s, end_s=end_s,
+                                   probability=level))
+        elif kind == "straggler":
+            specs.append(FaultSpec(kind, name, start_s=at_s, end_s=end_s,
+                                   slowdown=1.0 + 2.0 * level))
+        else:
+            specs.append(FaultSpec(kind, name, start_s=at_s, end_s=end_s))
+    return FaultPlan(specs, seed=7)
+
+
+def _simulator(db, config):
+    specs = _fleet(config)
+    master = None
+    if config["qed"] == "master":
+        master = MasterQueue(
+            BatchPolicy(3, max_wait_s=0.05),
+            placement=(ConsolidatePlacement()
+                       if config["router"] in STATEFUL else None),
+        )
+    attempts, backoff_s = config["retry"]
+    return ClusterSimulator(
+        db, specs, ROUTERS[config["router"]](), master_queue=master,
+        faults=_fault_plan(config, [s.name for s in specs]),
+        retry=RetryPolicy(attempts, backoff_s),
+    )
+
+
+def _stream(config):
+    return [Arrival(POOL[i], t) for t, i in config["arrivals"]]
+
+
+def _assert_nodes_agree(got, want):
+    for a, b in zip(got, want):
+        for field in ("wall_joules", "cpu_joules", "duration_s"):
+            assert getattr(a, field) == pytest.approx(
+                getattr(b, field), rel=REL, abs=1e-12
+            ), field
+
+
+def _loop_run(db, config):
+    sim = _simulator(db, config)
+    schedule = sim.schedule(_stream(config), vectorized=False)
+    return schedule, sim.playback(schedule)
+
+
+@settings(max_examples=60, derandomize=True, database=None,
+          deadline=None)
+@given(config=configs())
+def test_playback_matches_the_piece_oracle(db, config):
+    schedule, played = _loop_run(db, config)
+    oracle = play_loop(schedule.nodes, schedule.pieces_by_node,
+                       schedule.workload_class, schedule.settings_by_node)
+    _assert_nodes_agree(
+        [usage.playback for usage in played.nodes],
+        [oracle[node.spec.name] for node in schedule.nodes],
+    )
+    windows, traces = schedule.windows, list(schedule.table.values())
+    busy_trace = {id(trace) for trace in traces}
+    for j, node in enumerate(schedule.nodes):
+        busy = [piece for piece in schedule.pieces_by_node[node.spec.name]
+                if id(piece) in busy_trace]
+        rows = windows.trace_idx[windows.rows_for(j)]
+        assert [id(piece) for piece in busy] == [
+            id(traces[code]) for code in rows
+        ]
+
+
+@settings(max_examples=20, derandomize=True, database=None,
+          deadline=None)
+@given(config=configs(routers=("least_loaded", "round_robin"), qed=("off",),
+                      fault_lists=st.just([])))
+def test_eligible_runs_cost_alike_on_both_engines(db, config):
+    sim = _simulator(db, config)
+    assert sim.vectorized_ineligibility() is None
+    fast = sim.run(_stream(config), vectorized=True)
+    _, loop = _loop_run(db, config)
+    assert fast.served == loop.served
+    assert fast.horizon_s == pytest.approx(loop.horizon_s, rel=REL)
+    _assert_nodes_agree(
+        [usage.playback for usage in fast.nodes],
+        [usage.playback for usage in loop.nodes],
+    )

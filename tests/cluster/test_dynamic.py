@@ -22,7 +22,6 @@ from repro.cluster import (
     NodeGroup,
     RoundRobinRouter,
     hetero_fleet,
-    playback_groups,
     uniform_fleet,
 )
 from repro.hardware.cpu import PvcSetting, VoltageDowngrade
@@ -251,22 +250,6 @@ class TestAdaptivePvcRouter:
 
 
 class TestHeterogeneousFleet:
-    def test_playback_groups_split_by_hw_and_setting(self, mysql_db):
-        sim = ClusterSimulator(
-            mysql_db, _hetero_specs(), RoundRobinRouter()
-        )
-        groups = playback_groups(sim.nodes)
-        assert len(groups) == 2
-        assert sorted(len(g) for g in groups) == [2, 2]
-
-    def test_same_setting_different_hw_not_grouped(self, mysql_db):
-        specs = hetero_fleet([
-            NodeGroup(2, prefix="a", hw="paper"),
-            NodeGroup(2, prefix="b", hw="paper-nogpu"),
-        ])
-        sim = ClusterSimulator(mysql_db, specs, RoundRobinRouter())
-        assert len(playback_groups(sim.nodes)) == 2
-
     def test_batched_equals_loop_on_hetero_fleet(self, mysql_db):
         sim = ClusterSimulator(
             mysql_db, _hetero_specs(), _dynamic_router()

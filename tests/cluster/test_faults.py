@@ -26,7 +26,11 @@ from repro.cluster import (
     load_fault_plan,
     uniform_fleet,
 )
-from repro.workloads.arrivals import poisson_arrivals, uniform_arrivals
+from repro.workloads.arrivals import (
+    Arrival,
+    poisson_arrivals,
+    uniform_arrivals,
+)
 from repro.workloads.selection import selection_workload
 
 
@@ -275,6 +279,35 @@ class TestCrashRecovery:
         assert min(w.start_s for w in late) >= 0.6 + 0.1 - 1e-9
         m = sim.playback(schedule)
         assert _conserves(m, stream)
+
+    @pytest.mark.parametrize("crash_s", [1.2, 2.0, 4.0])
+    def test_crash_past_the_horizon_bills_nothing(self, mysql_db, crash_s):
+        """A retry keeps the run going past the crash time and then
+        dead-letters, so the horizon ends before the crash.  The crash
+        still fires, but the node idles to the horizon exactly as in
+        the crash-free run."""
+        queries = selection_workload(2).queries
+        stream = [Arrival(queries[0], 0.0), Arrival(queries[1], 1.0)]
+        unavailable = FaultSpec("unavailable", "node00", start_s=0.9,
+                                end_s=50.0)
+
+        def run(*crash):
+            return ClusterSimulator(
+                mysql_db, uniform_fleet(1), RoundRobinRouter(),
+                faults=FaultPlan([unavailable, *crash]),
+                retry=RetryPolicy(3, 0.5),
+            ).run(stream)
+
+        clean = run()
+        crashed = run(FaultSpec("crash", "node00", at_s=crash_s))
+        assert crashed.faults.crashes == 1
+        assert crashed.faults.dead_lettered == 1
+        assert crashed.horizon_s == clean.horizon_s < crash_s
+        node = crashed.nodes[0]
+        assert node.wall_joules == clean.nodes[0].wall_joules
+        assert node.idle_s == pytest.approx(
+            node.horizon_s - node.busy_s, rel=1e-12
+        )
 
     def test_unrecoverable_crash_dead_letters(self, mysql_db):
         """With no fleet left, retries exhaust and queries are shed

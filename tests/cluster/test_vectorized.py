@@ -15,7 +15,6 @@ import pytest
 from loop_playback import loop_playback
 from repro.cluster import (
     ClusterSimulator,
-    ColumnarSchedule,
     ConsolidateRouter,
     FaultPlan,
     FaultSpec,
@@ -150,7 +149,7 @@ class TestIdentity:
                                RoundRobinRouter())
         assert sim.vectorized_ineligibility() is None
         schedule = sim.schedule(_stream(count=20))
-        assert isinstance(schedule.columnar, ColumnarSchedule)
+        assert schedule.engine == "vectorized"
 
     def test_run_ids_agree_across_paths(self, mysql_db):
         stream = _stream(count=30)
@@ -212,7 +211,7 @@ class TestFallbackAndErrors:
             ConsolidateRouter(max_backlog_s=0.2),
         )
         schedule = sim.schedule(_stream(count=20))
-        assert schedule.columnar is None
+        assert schedule.engine == "loop"
 
     def test_empty_fault_plan_stays_eligible(self, mysql_db):
         sim = ClusterSimulator(

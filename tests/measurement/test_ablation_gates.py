@@ -165,6 +165,27 @@ def test_committed_artifact_passes_its_own_gates(capsys):
     assert "all recorded gates pass" in capsys.readouterr().out
 
 
+def test_against_names_every_moved_value(tmp_path, capsys):
+    """``--against``: run ids and counts exactly, floats to 1e-9, so
+    last-bit drift passes and a behaviour change fails by key."""
+    record = json.loads(ARTIFACT.read_text())
+    policy = record["diurnal"]["policies"]["dynamic"]
+    policy["edp"] *= 1 + 1e-15
+    drifted = tmp_path / "drifted.json"
+    drifted.write_text(json.dumps(record))
+    check = ["--check", "0.05", str(drifted), "--against", str(ARTIFACT)]
+    assert _perf_report().main(check) == 0
+    policy["edp"] *= 1 + 1e-6
+    policy["run_id"] = "000000000000"
+    del record["qed"]
+    drifted.write_text(json.dumps(record))
+    assert _perf_report().main(check) == 1
+    moved = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+             if line.startswith("MOVED")]
+    assert moved == ["diurnal.policies.dynamic.edp",
+                     "diurnal.policies.dynamic.run_id", "qed"]
+
+
 def test_committed_artifact_holds_no_retired_ledger_keys():
     """No run history, no host timing and no speedup: wall time is
     judged by ``benchmarks/e2e/compare.py`` alone."""
