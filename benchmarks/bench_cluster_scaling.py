@@ -18,8 +18,8 @@ from repro.measurement.ablations import (
 )
 
 
-def run_scheduler_comparison(runner, scale_factor, trace_cache):
-    specs, _router, stream = scheduler_scaling_scenario()
+def run_scheduler_comparison(runner, scale_factor, trace_cache, sizes):
+    specs, _router, stream = scheduler_scaling_scenario(**sizes)
     return compare_cluster_scheduling(
         runner.db, specs, RoundRobinRouter, stream,
         scale_factor=scale_factor, trace_cache=trace_cache,
@@ -28,11 +28,12 @@ def run_scheduler_comparison(runner, scale_factor, trace_cache):
 
 def test_vectorized_scheduler_identity(
     benchmark, lineitem_runner, bench_sf, bench_trace_cache,
-    bench_artifact,
+    bench_artifact, smoke_sizes,
 ):
     comparison = benchmark.pedantic(
         run_scheduler_comparison,
-        args=(lineitem_runner, bench_sf, bench_trace_cache),
+        args=(lineitem_runner, bench_sf, bench_trace_cache,
+              smoke_sizes["scaling"]),
         rounds=1, iterations=1,
     )
 

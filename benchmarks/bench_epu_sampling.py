@@ -24,7 +24,8 @@ def run_sampling_study(sut):
         CpuWork(3.3e9, 1.0), Idle(0.17),
     ]
     for repeats in (1, 4, 16, 64):
-        run = sut.run(Trace(unit * repeats), CPU_BOUND)
+        run = sut.run_compiled(Trace(unit * repeats), CPU_BOUND,
+            with_timeline=True)
         errors[run.duration_s] = abs(sensor.sampling_error(run))
     return errors
 

@@ -30,13 +30,14 @@ from repro.measurement.ablations import run_fault_ablation
 
 def test_fault_recovery_ablation(
     benchmark, lineitem_runner, bench_sf, bench_trace_cache,
-    bench_artifact,
+    bench_artifact, smoke_sizes,
 ):
     ablation = benchmark.pedantic(
         run_fault_ablation,
         args=(lineitem_runner.db,),
         kwargs=dict(scale_factor=bench_sf,
-                    trace_cache=bench_trace_cache),
+                    trace_cache=bench_trace_cache,
+                    **smoke_sizes["faults"]),
         rounds=1, iterations=1,
     )
 

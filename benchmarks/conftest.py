@@ -26,6 +26,29 @@ from repro.workloads.tpch.queries import Q5_TABLES
 
 BENCH_SF = float(os.environ.get("REPRO_BENCH_SF", "0.05"))
 
+
+def _sizes(**names: tuple[str, type]) -> dict:
+    """Keyword arguments from the ``REPRO_BENCH_<name>`` variables that
+    are set; an unset one leaves the scenario at its canonical size."""
+    return {
+        keyword: cast(os.environ[f"REPRO_BENCH_{name}"])
+        for keyword, (name, cast) in names.items()
+        if f"REPRO_BENCH_{name}" in os.environ
+    }
+
+
+#: Scenario sizes per canonical scenario of
+#: ``repro.measurement.ablations``, as keyword arguments: the CI smoke
+#: run (``scripts/ci.sh``'s ``smoke()``) shrinks them.
+SMOKE_SIZES = {
+    "scaling": _sizes(nodes=("SCALING_NODES", int),
+                      arrivals=("SCALING_COMPARE_ARRIVALS", int)),
+    "diurnal": _sizes(horizon_s=("DIURNAL_HORIZON", float)),
+    "qed": _sizes(arrivals=("QED_ARRIVALS", int)),
+    "faults": _sizes(arrivals=("FAULT_ARRIVALS", int)),
+    "replication": _sizes(arrivals=("REPLICATION_ARRIVALS", int)),
+}
+
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 #: Below this scale factor (the CI smoke run) artifacts go to a scratch
 #: path so smoke numbers never clobber the committed record.
@@ -71,6 +94,11 @@ def bench_artifact():
 @pytest.fixture(scope="session")
 def bench_sf() -> float:
     return BENCH_SF
+
+
+@pytest.fixture(scope="session")
+def smoke_sizes() -> dict[str, dict]:
+    return SMOKE_SIZES
 
 
 @pytest.fixture(scope="session")

@@ -23,10 +23,7 @@ configuration ``benchmarks/bench_ablation_qed.py`` gates and
     python examples/master_qed.py [scale_factor]
 """
 
-import os
 import sys
-
-os.environ.setdefault("REPRO_BENCH_QED_ARRIVALS", "300")
 
 from repro.cluster import (
     ClusterSimulator,
@@ -47,13 +44,18 @@ from repro.measurement.ablations import (
 from repro.workloads.tpch.generator import tpch_database
 
 
+#: Half the canonical stream keeps the example quick.
+ARRIVALS = 300
+
+
 def main() -> None:
     scale_factor = float(sys.argv[1]) if len(sys.argv) > 1 else 0.01
 
     print(f"== master-queue QED (SF {scale_factor}) ==\n")
     db = tpch_database(scale_factor, mysql_profile(), seed=0,
                        tables=["lineitem"])
-    ablation = run_qed_ablation(db, scale_factor=scale_factor)
+    ablation = run_qed_ablation(db, scale_factor=scale_factor,
+                                arrivals=ARRIVALS)
 
     print(f"{ablation.arrivals} arrivals over {ablation.nodes} nodes, "
           f"threshold {ablation.threshold}, "
@@ -73,7 +75,7 @@ def main() -> None:
 
     # The master queue's per-partition view: one partition per
     # mergeable template plus the pass-through singletons.
-    stream = qed_ablation_stream(scale_factor)
+    stream = qed_ablation_stream(scale_factor, ARRIVALS)
     max_wait = QED_MAX_WAIT_S * scale_factor / QED_REFERENCE_SF
     sim = ClusterSimulator(
         db, uniform_fleet(QED_NODES), LeastLoadedRouter(),

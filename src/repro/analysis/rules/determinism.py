@@ -1,5 +1,6 @@
-"""Determinism rules: wall-clock reads, unseeded randomness, set
-iteration order, and float equality on physical quantities.
+"""Determinism rules: wall-clock and environment reads, unseeded
+randomness, set iteration order, and float equality on physical
+quantities.
 
 Bitwise-reproducible runs are the contract behind
 :func:`repro.obs.fingerprint.run_id_for`: two runs of the same config
@@ -10,6 +11,7 @@ here bans one way a contribution can silently break that.
 from __future__ import annotations
 
 import ast
+import os
 import re
 from typing import Iterable, Iterator
 
@@ -75,6 +77,49 @@ class WallClockRule(Rule):
                                 f"{node.module}.{alias.name} -- "
                                 "simulated time only",
                             )
+
+
+@register
+class EnvRule(Rule):
+    """No environment reads in the library: every input is an argument.
+
+    A scenario size or switch read from the process environment makes a
+    run depend on the calling shell, which no fingerprint records.
+    Sizes arrive as keyword arguments whose defaults are the canonical
+    constants; ``benchmarks/`` and ``scripts/`` may read the
+    environment and pass the values on.
+    """
+
+    rule_id = "DET-ENV"
+    invariant = ("no environment access in the library: the os module's "
+                 "environment API is confined to benchmarks/ and scripts/")
+    include = ("src/repro/*",)
+
+    #: Every environment entry point the os module has (the mapping,
+    #: its bytes twin, the getters and setters).
+    _ENV_NAMES = frozenset(name for name in dir(os) if "env" in name)
+
+    def check(self, module: Module) -> Iterable[Finding]:
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Attribute):
+                name = dotted_name(node)
+                if (name is not None and name.startswith("os.")
+                        and name[3:] in self._ENV_NAMES):
+                    yield self.finding(
+                        module, node,
+                        f"environment access {name} -- pass the value "
+                        "as an argument (benchmarks/ and scripts/ may "
+                        "read the environment)",
+                    )
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                for alias in node.names:
+                    if alias.name in self._ENV_NAMES:
+                        yield self.finding(
+                            module, node,
+                            f"imports environment source "
+                            f"os.{alias.name} -- pass the value as an "
+                            "argument",
+                        )
 
 
 @register

@@ -37,7 +37,6 @@ become routing policies over the simulated fleet:
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +46,7 @@ from repro.cluster.placement import (
     quorum_cover,
     quorum_wake_candidates,
     sleep_would_break_quorum,
+    stable_hash,
 )
 from repro.core.pvc.adaptive import DEFAULT_LADDER, ladder_step
 from repro.workloads.arrivals import RateSchedule
@@ -306,7 +306,7 @@ class HashSplitRouter(Router):
     """
 
     def route(self, sql, now_s, service_by_node, nodes) -> Decision:
-        first = _stable_hash(sql) % len(nodes)
+        first = stable_hash(sql) % len(nodes)
         for k in range(len(nodes)):
             node = nodes[(first + k) % len(nodes)]
             if not node.can_serve(now_s):
@@ -329,14 +329,14 @@ class HashSplitRouter(Router):
         """
         if eligible is None:
             home = np.array(
-                [_stable_hash(sql) % len(nodes) for sql in distinct],
+                [stable_hash(sql) % len(nodes) for sql in distinct],
                 dtype=np.intp,
             )
         else:
             home = np.empty(len(distinct), dtype=np.intp)
             for d, sql in enumerate(distinct):
                 pool = np.flatnonzero(eligible[d])
-                home[d] = pool[_stable_hash(sql) % len(pool)]
+                home[d] = pool[stable_hash(sql) % len(pool)]
         node_idx = home[sql_idx]
         service_s = service[sql_idx, node_idx]
         starts, ends = sequence_chunk_on_nodes(
@@ -674,14 +674,6 @@ class AdaptivePvcRouter(Router):
 # -- master-queue batch placement ------------------------------------------
 
 
-def _stable_hash(value: object) -> int:
-    """Process-independent hash of a routing value (``PYTHONHASHSEED``
-    randomizes builtin ``hash`` for strings, which would make shard
-    placement -- and therefore every simulated energy number --
-    unreproducible across runs)."""
-    return zlib.crc32(repr(value).encode())
-
-
 class BatchPlacement:
     """Where a master-queue batch runs: a policy over *whole batches*.
 
@@ -824,7 +816,7 @@ class HashSplitPlacement(BatchPlacement):
         for query, value in zip(batch.queries, merged.routing_values):
             # Builtin hash() is randomized per process for strings;
             # shard placement must be reproducible across runs.
-            shards[_stable_hash(value) % k].append(query)
+            shards[stable_hash(value) % k].append(query)
         out = []
         orphans: list = []
         for node, shard in zip(targets, shards):

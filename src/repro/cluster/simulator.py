@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -81,7 +81,6 @@ from repro.obs.tracer import MASTER_TRACK, NULL_TRACER, Tracer
 from repro.hardware.system import SystemUnderTest
 from repro.hardware.trace import CompiledTrace
 from repro.workloads.arrivals import Arrival, ArrivalStream
-from repro.workloads.client import ClientModel
 from repro.workloads.runner import TraceCache, WorkloadRunner
 
 #: Key under which a query's duration is pre-costed: the node's
@@ -209,13 +208,10 @@ class ClusterSimulator:
     """Serve an arrival stream across a simulated fleet.
 
     Every node's machine comes from its spec's hardware profile
-    (``hw``, resolved through ``sut_factories`` with
-    :data:`~repro.cluster.node.SUT_FACTORIES` as the base registry)
+    (``hw``, resolved through :data:`~repro.cluster.node.SUT_FACTORIES`)
     with the spec's PVC setting applied, which keeps same-(hw, setting)
     nodes playback-equivalent -- the property batched playback
-    exploits.  ``sut_factory`` (single-profile fleets) overrides the
-    ``"paper"`` profile, preserving the homogeneous-fleet call shape.
-    Without a ``placement`` map the shared database models fully
+    exploits.  Without a ``placement`` map the shared database models fully
     replicated data: any node can serve any query.  With one, each
     placed table is sharded with k replicas across named nodes
     (:class:`~repro.cluster.placement.PlacementMap`); an arrival is
@@ -230,10 +226,7 @@ class ClusterSimulator:
         db: Database,
         specs: list[NodeSpec],
         router: Router,
-        sut_factory: Callable[[], SystemUnderTest] | None = None,
-        client: ClientModel | None = None,
         trace_cache: TraceCache | None = None,
-        sut_factories: dict[str, Callable[[], SystemUnderTest]] | None = None,
         master_queue: MasterQueue | None = None,
         faults: FaultPlan | None = None,
         retry: RetryPolicy | None = None,
@@ -281,16 +274,11 @@ class ClusterSimulator:
                     "router only acts on routed dispatches)"
                 )
         self.master_queue = master_queue
-        factories = dict(SUT_FACTORIES)
-        if sut_factories:
-            factories.update(sut_factories)
-        if sut_factory is not None:
-            factories["paper"] = sut_factory
         for spec in specs:
-            if spec.hw not in factories:
+            if spec.hw not in SUT_FACTORIES:
                 raise ValueError(
                     f"node {spec.name!r} references unknown hardware "
-                    f"profile {spec.hw!r}; known: {sorted(factories)}"
+                    f"profile {spec.hw!r}; known: {sorted(SUT_FACTORIES)}"
                 )
         self.db = db
         self.router = router
@@ -308,14 +296,12 @@ class ClusterSimulator:
         #: window boundaries when attached.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        self._factories = factories
         self.runner = WorkloadRunner(
-            db, factories[specs[0].hw](), client=client,
-            trace_cache=trace_cache,
+            db, SUT_FACTORIES[specs[0].hw](), trace_cache=trace_cache,
         )
         self.nodes: list[SimulatedNode] = []
         for spec in specs:
-            sut = factories[spec.hw]()
+            sut = SUT_FACTORIES[spec.hw]()
             sut.apply_setting(spec.setting)
             self.nodes.append(SimulatedNode(spec, sut))
 

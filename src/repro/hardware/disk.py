@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hardware.trace import DiskAccess
-
 
 @dataclass
 class DiskSpec:
@@ -97,7 +95,7 @@ ZERO_DISK_ENERGY = DiskEnergy(0.0, 0.0)
 
 
 class Disk:
-    """A drive instance: converts access batches to time and rail energy."""
+    """A drive instance: converts access batches to wall time."""
 
     def __init__(self, spec: DiskSpec | None = None):
         self.spec = spec if spec is not None else DiskSpec()
@@ -129,21 +127,12 @@ class Disk:
         )
         return num_ops * per_op + bytes_total / self.spec.seq_rate_bps
 
-    def access_time_s(self, access: DiskAccess) -> float:
-        """Wall time for one trace segment."""
-        if access.sequential:
-            time_s = self.sequential_time_s(access.bytes_total)
-        else:
-            time_s = self.random_time_s(access.num_ops, access.bytes_total)
-        if access.write:
-            time_s *= self.spec.write_penalty
-        return time_s
-
     def access_times_s(self, num_ops, bytes_total, sequential, write):
-        """Vectorized :meth:`access_time_s` over parallel numpy arrays.
+        """Wall time of each disk segment, over parallel numpy arrays.
 
-        Applies the same sequential/random formulas element-wise; used
-        by the compiled-trace playback path.
+        Sequential segments stream at :meth:`sequential_time_s`'s rate,
+        random ones pay :meth:`random_time_s`'s per-operation costs, and
+        writes pay ``write_penalty`` on top; used by trace playback.
         """
         import numpy as np
 
@@ -164,26 +153,6 @@ class Disk:
                          seq_time, rand_time)
         return np.where(np.asarray(write, dtype=bool),
                         times * self.spec.write_penalty, times)
-
-    # -- power/energy ------------------------------------------------
-
-    def active_energy(self, busy_s: float) -> DiskEnergy:
-        """Rail energy while the drive is actively reading/writing."""
-        if busy_s < 0:
-            raise ValueError("busy_s must be non-negative")
-        return DiskEnergy(
-            self.spec.active_5v_w * busy_s,
-            self.spec.active_12v_w * busy_s,
-        )
-
-    def idle_energy(self, idle_s: float) -> DiskEnergy:
-        """Rail energy while spinning idle."""
-        if idle_s < 0:
-            raise ValueError("idle_s must be non-negative")
-        return DiskEnergy(
-            self.spec.idle_5v_w * idle_s,
-            self.spec.idle_12v_w * idle_s,
-        )
 
     # -- Figure 5 primitives ------------------------------------------
 

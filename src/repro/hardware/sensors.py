@@ -17,21 +17,12 @@ from repro.hardware.disk import DiskEnergy
 from repro.hardware.system import PowerInterval, RunMeasurement
 
 
-def _power_at(timeline: list[PowerInterval], t: float,
-              component: str) -> float | None:
-    """Instantaneous power of ``component`` at time ``t`` (None if past end)."""
+def _cpu_power_at(timeline: list[PowerInterval], t: float) -> float | None:
+    """CPU draw at time ``t`` (None if past the end of the timeline)."""
     elapsed = 0.0
     for interval in timeline:
         if t < elapsed + interval.duration_s:
-            if component == "cpu":
-                return interval.cpu_w
-            if component == "wall":
-                return interval.dc_total_w
-            if component == "disk_5v":
-                return interval.disk_5v_w
-            if component == "disk_12v":
-                return interval.disk_12v_w
-            raise ValueError(f"unknown component {component!r}")
+            return interval.cpu_w
         elapsed += interval.duration_s
     return None
 
@@ -76,7 +67,7 @@ class EpuSensor:
         samples: list[float] = []
         t = self.phase_s
         while t < run.duration_s:
-            power = _power_at(run.timeline, t, "cpu")
+            power = _cpu_power_at(run.timeline, t)
             if power is None:
                 break
             samples.append(power)

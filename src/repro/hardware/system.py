@@ -2,10 +2,15 @@
 
 :class:`SystemUnderTest` composes the component models (CPU, memory,
 disk, PSU, board, GPU) and converts a :class:`~repro.hardware.trace.Trace`
-into a :class:`RunMeasurement` under a given PVC setting.  The result
-carries a piecewise-constant power *timeline* that the sensor models in
-:mod:`repro.hardware.sensors` can sample, mirroring how the paper reads
-the EPU sensor and the wall meter.
+into a :class:`RunMeasurement` under a given PVC setting.  One array
+kernel, :meth:`SystemUnderTest._playback_arrays`, computes every
+segment's wall time and per-component power;
+:meth:`~SystemUnderTest.run_compiled` plays one trace through it and
+:meth:`~SystemUnderTest.run_compiled_batch` many stacked traces at
+once.  With ``with_timeline=True`` the result carries the
+piecewise-constant power *timeline* that the sensor models in
+:mod:`repro.hardware.sensors` sample, mirroring how the paper reads the
+EPU sensor and the wall meter.
 
 Segment semantics
 -----------------
@@ -20,9 +25,13 @@ Segment semantics
     commercial runs pay only ~3%.
 ``DiskAccess``
     Wall time from the disk model, frequency-invariant.  The CPU runs
-    light overlap work at the governor's lowest p-state.
+    the segment's light overlap work (``cpu_overlap_utilization``) at
+    the p-state the governor picks for it.
 ``Idle``
     Everything idles.
+
+A compute or disk segment with no wall time draws nothing at all; an
+``Idle`` segment always carries the full idle draws.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from repro.hardware.cpu import (
     STOCK_SETTING,
     e8500_like_spec,
 )
-from repro.hardware.disk import Disk, DiskEnergy, DiskSpec, ZERO_DISK_ENERGY
+from repro.hardware.disk import Disk, DiskEnergy, DiskSpec
 from repro.hardware.dvfs import Governor, UtilizationGovernor
 from repro.hardware.memory import Memory, MemorySpec
 from repro.hardware.psu import Psu, PsuSpec
@@ -49,11 +58,7 @@ from repro.hardware.trace import (
     KIND_CPU,
     KIND_DISK,
     KIND_IDLE,
-    ClientWork,
     CompiledTrace,
-    CpuWork,
-    DiskAccess,
-    Idle,
     Trace,
 )
 
@@ -77,17 +82,6 @@ class PowerInterval:
     gpu_w: float
     fan_w: float
     label: str = ""
-
-    @property
-    def disk_w(self) -> float:
-        return self.disk_5v_w + self.disk_12v_w
-
-    @property
-    def dc_total_w(self) -> float:
-        return (
-            self.cpu_w + self.memory_w + self.disk_w
-            + self.board_w + self.gpu_w + self.fan_w
-        )
 
 
 @dataclass
@@ -209,47 +203,19 @@ class SystemUnderTest:
 
     # -- trace playback ---------------------------------------------------
 
-    def run(
-        self,
-        trace: Trace,
-        workload_class: str = CPU_BOUND,
-    ) -> RunMeasurement:
-        """Play ``trace`` under the current PVC setting."""
-        cpu = self.cpu_for(workload_class)
-        memory = self.memory_for()
-        intervals: list[PowerInterval] = []
-        disk_energy = ZERO_DISK_ENERGY
-
-        for seg in trace:
-            if isinstance(seg, (CpuWork, ClientWork)):
-                intervals.append(self._play_cpu(cpu, memory, seg))
-            elif isinstance(seg, DiskAccess):
-                interval, rail = self._play_disk(cpu, memory, seg)
-                intervals.append(interval)
-                disk_energy = disk_energy + rail
-            elif isinstance(seg, Idle):
-                intervals.append(self._play_idle(cpu, memory, seg))
-            else:  # pragma: no cover - exhaustive over Segment
-                raise TypeError(f"unknown segment type: {type(seg)!r}")
-
-        return self._integrate(intervals, disk_energy)
-
     def run_compiled(
         self,
         compiled: CompiledTrace | Trace,
         workload_class: str = CPU_BOUND,
         with_timeline: bool = False,
     ) -> RunMeasurement:
-        """Vectorized playback of a compiled trace (execute-once / replay-many).
+        """Play one trace under the current PVC setting.
 
-        Produces the same time and energy as :meth:`run` (to floating-point
-        array-summation order) but computes per-segment wall time and power
-        with numpy array operations, grouping segments by (kind,
-        utilization): within a group the governor's p-state and therefore
-        every power draw is constant, so only the per-segment work
-        quantities need array math.  The power *timeline* is only
-        materialized when ``with_timeline`` is set (sensor sampling needs
-        it; sweeps do not).
+        Per-segment wall time and power come from :meth:`_playback_arrays`;
+        the totals are their array sums.  The power *timeline* (one
+        :class:`PowerInterval` per segment, labels included) is only
+        materialized when ``with_timeline`` is set: sensor sampling
+        needs it, sweeps do not.
         """
         if isinstance(compiled, Trace):
             compiled = compiled.compiled()
@@ -296,12 +262,12 @@ class SystemUnderTest:
 
         The traces are concatenated into a single structure-of-arrays
         playback pass (the per-segment math runs once over the whole
-        stack), then the per-trace sums are sliced back out.  This is the
-        fleet-scale hot path: a cluster of nodes sharing a PVC setting
-        plays every node's whole timeline with one call instead of one
-        :meth:`run_compiled` call per query.  Per-trace totals match
-        :meth:`run_compiled` on each input to float-summation order
-        (<= ~1e-12 relative), never materializing timelines.
+        stack), then the per-trace sums are sliced back out of one
+        running sum.  This is the fleet-scale hot path: a cluster of
+        nodes sharing a PVC setting plays every node's whole timeline
+        with one call instead of one :meth:`run_compiled` call per
+        query.  Per-trace totals match :meth:`run_compiled` on each
+        input to float-summation order, never materializing timelines.
         """
         if not traces:
             return []
@@ -312,11 +278,19 @@ class SystemUnderTest:
         lengths = [len(t) for t in traces]
         edges = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=edges[1:])
+        filled = edges[1:] > edges[:-1]
 
         def slice_sums(values: np.ndarray) -> np.ndarray:
             run = np.zeros(len(values) + 1)
             np.cumsum(values, out=run[1:])
-            return run[edges[1:]] - run[edges[:-1]]
+            sums = run[edges[1:]] - run[edges[:-1]]
+            # A difference keeps only the digits a slice has beside the
+            # running total before it: re-sum a slice on its own once
+            # that total dwarfs it (more than ten bits lost).
+            lossy = filled & (run[edges[:-1]] > sums * 1024.0)
+            for i in np.flatnonzero(lossy):
+                sums[i] = np.sum(values[edges[i]:edges[i + 1]])
+            return sums
 
         dur = slice_sums(wall)
         cpu_j = slice_sums(cpu_w * wall)
@@ -421,8 +395,8 @@ class SystemUnderTest:
             cpu_w[idle] = cpu.idle_power_w()
             mem_w[idle] = memory.idle_power_w()
 
-        # Segments that produced an empty interval in the loop path carry
-        # zero fixed draws too (idle segments always carry full draws).
+        # Compute and disk segments with no wall time carry zero fixed
+        # draws too (idle segments always carry full draws).
         live = (wall > 0.0) | idle
         board = np.where(live, self._board_w(), 0.0)
         gpu_w = np.where(live, self._gpu_w(), 0.0)
@@ -449,118 +423,6 @@ class SystemUnderTest:
         wall_power = self.psu.wall_power_w_array(dc_total)
         return (wall, cpu_w, mem_w, disk_5v, disk_12v, board, gpu_w, fan,
                 wall_power)
-
-    def _play_cpu(
-        self, cpu: Cpu, memory: Memory, seg: CpuWork | ClientWork
-    ) -> PowerInterval:
-        pstate = self.governor.select_pstate(cpu, seg.utilization)
-        freq = cpu.frequency_hz(pstate)
-        busy_s = seg.cycles / freq
-        # Idle gaps arise from external latency, sized at stock top speed.
-        stock_top = self.cpu_spec.stock_frequency_hz
-        gap_s = (seg.cycles / stock_top) * (1.0 - seg.utilization) / seg.utilization
-        wall_s = busy_s + gap_s
-        if wall_s <= 0.0:
-            return PowerInterval(0, 0, 0, 0, 0, 0, 0, 0, seg.label)
-        busy_frac = busy_s / wall_s
-        cpu_w = (
-            busy_frac * cpu.busy_power_w(pstate)
-            + (1.0 - busy_frac) * cpu.idle_power_w()
-        )
-        mem_w = memory.power_w(
-            min(1.0, busy_frac * self.mem_activity_coupling)
-        )
-        return self._interval(seg.label, wall_s, cpu_w, mem_w,
-                              disk_active_frac=0.0)
-
-    def _play_disk(
-        self, cpu: Cpu, memory: Memory, seg: DiskAccess
-    ) -> tuple[PowerInterval, DiskEnergy]:
-        if not self.has_disk:
-            raise ValueError("trace touches the disk but the SUT has none")
-        wall_s = self.disk.access_time_s(seg)
-        if wall_s <= 0.0:
-            return (
-                PowerInterval(0, 0, 0, 0, 0, 0, 0, 0, seg.label),
-                ZERO_DISK_ENERGY,
-            )
-        util = seg.cpu_overlap_utilization
-        pstate = self.governor.select_pstate(cpu, util)
-        cpu_w = (
-            util * cpu.busy_power_w(pstate)
-            + (1.0 - util) * cpu.idle_power_w()
-        )
-        mem_w = memory.power_w(min(1.0, 0.2))
-        interval = self._interval(seg.label, wall_s, cpu_w, mem_w,
-                                  disk_active_frac=1.0)
-        rail = self.disk.active_energy(wall_s)
-        return interval, rail
-
-    def _play_idle(
-        self, cpu: Cpu, memory: Memory, seg: Idle
-    ) -> PowerInterval:
-        return self._interval(
-            seg.label, seg.seconds, cpu.idle_power_w(),
-            memory.idle_power_w(), disk_active_frac=0.0,
-        )
-
-    def _interval(
-        self,
-        label: str,
-        wall_s: float,
-        cpu_w: float,
-        mem_w: float,
-        disk_active_frac: float,
-    ) -> PowerInterval:
-        if self.has_disk:
-            disk_5v = (
-                disk_active_frac * self.disk.spec.active_5v_w
-                + (1 - disk_active_frac) * self.disk.spec.idle_5v_w
-            )
-            disk_12v = (
-                disk_active_frac * self.disk.spec.active_12v_w
-                + (1 - disk_active_frac) * self.disk.spec.idle_12v_w
-            )
-        else:
-            disk_5v = disk_12v = 0.0
-        return PowerInterval(
-            duration_s=wall_s,
-            cpu_w=cpu_w,
-            memory_w=mem_w,
-            disk_5v_w=disk_5v,
-            disk_12v_w=disk_12v,
-            board_w=self._board_w(),
-            gpu_w=self._gpu_w(),
-            fan_w=self.fan.w,
-            label=label,
-        )
-
-    def _integrate(
-        self, intervals: list[PowerInterval], disk_rail: DiskEnergy
-    ) -> RunMeasurement:
-        duration = sum(iv.duration_s for iv in intervals)
-        cpu_j = sum(iv.cpu_w * iv.duration_s for iv in intervals)
-        mem_j = sum(iv.memory_w * iv.duration_s for iv in intervals)
-        board_j = sum(iv.board_w * iv.duration_s for iv in intervals)
-        gpu_j = sum(iv.gpu_w * iv.duration_s for iv in intervals)
-        fan_j = sum(iv.fan_w * iv.duration_s for iv in intervals)
-        disk_5v = sum(iv.disk_5v_w * iv.duration_s for iv in intervals)
-        disk_12v = sum(iv.disk_12v_w * iv.duration_s for iv in intervals)
-        wall_j = sum(
-            self.psu.wall_power_w(iv.dc_total_w) * iv.duration_s
-            for iv in intervals
-        )
-        return RunMeasurement(
-            duration_s=duration,
-            cpu_joules=cpu_j,
-            memory_joules=mem_j,
-            disk_energy=DiskEnergy(disk_5v, disk_12v),
-            board_joules=board_j,
-            gpu_joules=gpu_j,
-            fan_joules=fan_j,
-            wall_joules=wall_j,
-            timeline=intervals,
-        )
 
     # -- idle / buildup views (Table 1) ---------------------------------
 

@@ -13,7 +13,6 @@ the record bit for bit; nothing here reads the host clock.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, field
 
@@ -46,11 +45,6 @@ from repro.workloads.arrivals import (
 )
 from repro.workloads.runner import TraceCache
 from repro.workloads.selection import selection_workload
-
-
-def _env(name: str, default, cast=int):
-    """``REPRO_BENCH_<name>``: the CI smoke-size override of a scenario."""
-    return cast(os.environ.get(f"REPRO_BENCH_{name}", default))
 
 
 def _sf_scale(sf: float | None, reference_sf: float) -> float:
@@ -93,13 +87,15 @@ def _cyclic_poisson_stream(count: int, distinct: int,
 
 
 #: Canonical scheduler-scaling scenario: a 100-node fleet under 100k
-#: arrivals.  ``REPRO_BENCH_SCALING_NODES`` /
-#: ``REPRO_BENCH_SCALING_COMPARE_ARRIVALS`` shrink it for CI smoke runs.
+#: arrivals (CI smoke runs pass smaller ``nodes`` / ``arrivals``).
 SCALING_SCHED_NODES = 100
 SCALING_COMPARE_ARRIVALS = 100_000
 
 
-def scheduler_scaling_scenario() -> tuple[list, object, ArrivalStream]:
+def scheduler_scaling_scenario(
+    nodes: int = SCALING_SCHED_NODES,
+    arrivals: int = SCALING_COMPARE_ARRIVALS,
+) -> tuple[list, object, ArrivalStream]:
     """(specs, router, arrivals) for the scheduler identity.
 
     Round-robin routing: its chunked fast path is pure array math, so
@@ -107,11 +103,10 @@ def scheduler_scaling_scenario() -> tuple[list, object, ArrivalStream]:
     versus closed-form FIFO sequencing), not router bookkeeping.
     """
     stream = _cyclic_poisson_stream(
-        _env("SCALING_COMPARE_ARRIVALS", SCALING_COMPARE_ARRIVALS),
-        CLUSTER_DISTINCT, CLUSTER_MEAN_INTERARRIVAL_S, CLUSTER_ARRIVAL_SEED,
+        arrivals, CLUSTER_DISTINCT, CLUSTER_MEAN_INTERARRIVAL_S,
+        CLUSTER_ARRIVAL_SEED,
     )
-    return (uniform_fleet(_env("SCALING_NODES", SCALING_SCHED_NODES)),
-            RoundRobinRouter(), stream)
+    return uniform_fleet(nodes), RoundRobinRouter(), stream
 
 
 @dataclass
@@ -337,6 +332,8 @@ DIURNAL_REFERENCE_SF = 0.01
 DIURNAL_BASE_RATE = 1.0
 DIURNAL_PEAK_RATE = 14.0
 DIURNAL_PERIOD_S = 120.0
+#: Two compressed day/night cycles.
+DIURNAL_HORIZON_S = 240.0
 DIURNAL_SEED = 7
 DIURNAL_DISTINCT = 20
 DIURNAL_SLA_S = 0.5
@@ -344,16 +341,15 @@ DIURNAL_SLA_S = 0.5
 DIURNAL_SLA_BUDGET = 0.01
 
 
-def diurnal_scenario(sf: float | None = None):
+def diurnal_scenario(sf: float | None = None,
+                     horizon_s: float = DIURNAL_HORIZON_S):
     """(specs, schedule, stream) for the canonical diurnal comparison.
 
-    Two compressed day/night cycles by default;
-    ``REPRO_BENCH_DIURNAL_HORIZON`` shrinks the horizon for CI smoke
-    runs (one cycle minimum keeps both a trough and a crest in play).
-    ``sf`` rescales the rate curve so the offered load matches the
-    reference calibration at any scale factor.
+    Two compressed day/night cycles by default; CI smoke runs pass a
+    shorter ``horizon_s`` (one cycle minimum keeps both a trough and a
+    crest in play).  ``sf`` rescales the rate curve so the offered load
+    matches the reference calibration at any scale factor.
     """
-    horizon = _env("DIURNAL_HORIZON", "240", float)
     rate_scale = DIURNAL_REFERENCE_SF / sf if sf else 1.0
     specs = hetero_fleet([
         NodeGroup(2, prefix="big", hw="paper", wake_latency_s=4.0),
@@ -363,7 +359,7 @@ def diurnal_scenario(sf: float | None = None):
     ])
     schedule = diurnal_schedule(
         DIURNAL_BASE_RATE * rate_scale, DIURNAL_PEAK_RATE * rate_scale,
-        DIURNAL_PERIOD_S, horizon,
+        DIURNAL_PERIOD_S, horizon_s,
     )
     stream = rate_schedule_arrivals(
         selection_workload(DIURNAL_DISTINCT).queries, schedule,
@@ -409,6 +405,7 @@ def run_diurnal_ablation(
     scale_factor: float | None = None,
     trace_cache: TraceCache | None = None,
     window_s: float = 20.0,
+    horizon_s: float = DIURNAL_HORIZON_S,
 ) -> Ablation:
     """Static vs dynamic fleet policies under the diurnal profile.
 
@@ -418,7 +415,7 @@ def run_diurnal_ablation(
     low/mid/peak phases (``window_s`` windows, classified by the
     scheduled rate at their midpoint).
     """
-    specs, schedule, stream = diurnal_scenario(scale_factor)
+    specs, schedule, stream = diurnal_scenario(scale_factor, horizon_s)
     # Service times grow ~linearly with SF; keep the SLA (and the
     # policies' derived knobs) constant in *service-time units*.
     sla_s = DIURNAL_SLA_S * _sf_scale(scale_factor, DIURNAL_REFERENCE_SF)
@@ -505,17 +502,17 @@ def qed_odd_query(quantity: int) -> str:
             f"{quantity} ORDER BY l_orderkey LIMIT 5")
 
 
-def qed_ablation_stream(sf: float | None = None):
+def qed_ablation_stream(sf: float | None = None,
+                        arrivals: int = QED_ARRIVALS):
     """The canonical mixed-template arrival stream.
 
-    ``REPRO_BENCH_QED_ARRIVALS`` shrinks it for CI smoke runs; ``sf``
-    rescales interarrival times so the offered load matches the
-    reference calibration at any scale factor.
+    CI smoke runs pass fewer ``arrivals``; ``sf`` rescales interarrival
+    times so the offered load matches the reference calibration at any
+    scale factor.
     """
-    count = _env("QED_ARRIVALS", QED_ARRIVALS)
     base = selection_workload(QED_DISTINCT).queries
     queries = []
-    for i in range(count):
+    for i in range(arrivals):
         if i % QED_ODD_EVERY == QED_ODD_EVERY - 1:
             queries.append(qed_odd_query(
                 QED_DISTINCT + 1 + i % 3
@@ -537,6 +534,7 @@ def run_qed_ablation(
     db: Database,
     scale_factor: float | None = None,
     trace_cache: TraceCache | None = None,
+    arrivals: int = QED_ARRIVALS,
 ) -> Ablation:
     """Master-queue QED vs per-node QED vs no QED on one stream.
 
@@ -546,7 +544,7 @@ def run_qed_ablation(
     serving every arrival alone -- all while holding the same SLA-miss
     budget.
     """
-    stream = qed_ablation_stream(scale_factor)
+    stream = qed_ablation_stream(scale_factor, arrivals)
     scale = _sf_scale(scale_factor, QED_REFERENCE_SF)
     sla_s = QED_SLA_S * scale
     max_wait = QED_MAX_WAIT_S * scale
@@ -657,22 +655,19 @@ def fault_plan(sf: float | None = None):
     ], seed=FAULT_PLAN_SEED)
 
 
-def _recovery_stream(sf: float | None, env: str) -> ArrivalStream:
+def fault_ablation_stream(sf: float | None = None,
+                          arrivals: int = FAULT_ARRIVALS) -> ArrivalStream:
+    """The canonical Poisson stream the faults strike.
+
+    CI smoke runs pass fewer ``arrivals`` (keep the stream long enough
+    to outlive the crash); ``sf`` rescales interarrival times so the
+    offered load matches the reference calibration.
+    """
     return _cyclic_poisson_stream(
-        _env(env, FAULT_ARRIVALS), FAULT_DISTINCT,
+        arrivals, FAULT_DISTINCT,
         FAULT_MEAN_INTERARRIVAL_S * _sf_scale(sf, FAULT_REFERENCE_SF),
         FAULT_SEED,
     )
-
-
-def fault_ablation_stream(sf: float | None = None):
-    """The canonical Poisson stream the faults strike.
-
-    ``REPRO_BENCH_FAULT_ARRIVALS`` shrinks it for CI smoke runs (keep
-    it long enough to outlive the crash); ``sf`` rescales interarrival
-    times so the offered load matches the reference calibration.
-    """
-    return _recovery_stream(sf, "FAULT_ARRIVALS")
 
 
 def _run_recovery_ablation(
@@ -727,6 +722,7 @@ def run_fault_ablation(
     db: Database,
     scale_factor: float | None = None,
     trace_cache: TraceCache | None = None,
+    arrivals: int = FAULT_ARRIVALS,
 ) -> Ablation:
     """Consolidate-with-recovery vs always-awake spread under faults.
 
@@ -738,7 +734,7 @@ def run_fault_ablation(
     """
     ablation = _run_recovery_ablation(
         "faults", db, scale_factor, trace_cache,
-        fault_ablation_stream(scale_factor), fault_plan,
+        fault_ablation_stream(scale_factor, arrivals), fault_plan,
     )
     # The plan actually bit: a crash took in-flight work (the requeues
     # prove it was mid-batch) and a wake failed.
@@ -755,9 +751,10 @@ def run_fault_ablation(
 
 #: Canonical replication-recovery scenario, shared by
 #: ``benchmarks/bench_replication.py`` and ``scripts/perf_report.py``
-#: so both write comparable ``replication`` records.  The fleet holds a
-#: hash-partitioned lineitem (``REPL_SHARDS`` shards x
-#: ``REPL_REPLICAS`` replicas, chained declustering) and the plan
+#: so both write comparable ``replication`` records.  The fleet serves
+#: :func:`fault_ablation_stream` from a hash-partitioned lineitem
+#: (``REPL_SHARDS`` shards x ``REPL_REPLICAS`` replicas, chained
+#: declustering) and the plan
 #: strikes the same phase of the run as the canonical fault plan: a
 #: straggler window inflates node00's service times, a crash then kills
 #: it mid-batch -- taking a replica of every shard it held and
@@ -781,13 +778,6 @@ def replication_plan(sf: float | None = None):
          if spec.kind != "wake-failure"],
         seed=FAULT_PLAN_SEED,
     )
-
-
-def replication_stream(sf: float | None = None):
-    """The canonical Poisson stream the replicated fleet serves:
-    :func:`fault_ablation_stream`, sized for CI smoke runs by
-    ``REPRO_BENCH_REPLICATION_ARRIVALS`` instead."""
-    return _recovery_stream(sf, "REPLICATION_ARRIVALS")
 
 
 def replication_placement(specs):
@@ -825,6 +815,7 @@ def run_replication_ablation(
     db: Database,
     scale_factor: float | None = None,
     trace_cache: TraceCache | None = None,
+    arrivals: int = FAULT_ARRIVALS,
 ) -> Ablation:
     """Quorum-aware consolidation vs spread on a replicated fleet.
 
@@ -838,7 +829,7 @@ def run_replication_ablation(
     """
     ablation = _run_recovery_ablation(
         "replication", db, scale_factor, trace_cache,
-        replication_stream(scale_factor), replication_plan,
+        fault_ablation_stream(scale_factor, arrivals), replication_plan,
         replicated=True,
     )
     ablation.config.update(

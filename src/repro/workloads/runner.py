@@ -1,11 +1,12 @@
 """Workload runner: execute queries, build traces, play them on the SUT.
 
 The runner is the glue for every experiment: it executes each query for
-real in the database, appends the client-side fetch work, concatenates
-the per-query traces into a workload trace, and plays it on the
-simulated machine under the current PVC setting.  Per-query completion
-times fall out of the per-query sub-measurements, which the QED
-experiment uses for response-time accounting.
+real in the database, appends the client-side fetch work, and plays
+each query's compiled trace on the simulated machine under the current
+PVC setting through :meth:`SystemUnderTest.run_compiled`, the one
+playback kernel.  Per-query completion times fall out of the per-query
+sub-measurements, which the QED experiment uses for response-time
+accounting.
 
 Execute-once / replay-many
 --------------------------
@@ -17,7 +18,9 @@ re-costs the cached (compiled) trace under the current setting with the
 SUT's vectorized playback path.  Sweeps over settings and repeated
 measurement runs pay for database execution once instead of per point.
 ``run_queries`` keeps the original execute-every-time semantics (needed
-by the warm/cold experiments, whose first run mutates the buffer pool).
+by the warm/cold experiments, whose first run mutates the buffer pool)
+and plays each fresh execution through the same :meth:`run_execution`,
+timeline included, so the sensor models can sample the result.
 
 Memory and persistence
 ----------------------
@@ -216,23 +219,22 @@ class WorkloadRunner:
 
     def run_queries(self, queries: list[str], label: str = "q"
                     ) -> WorkloadMeasurement:
-        """Execute and play each query back-to-back (think time zero)."""
+        """Execute and play each query back-to-back (think time zero).
+
+        Every statement executes fresh (no execution cache), so each run
+        sees the buffer-pool state the previous one left behind; the
+        measurements carry their power timeline.
+        """
         per_query: list[RunMeasurement] = []
         total: RunMeasurement | None = None
         for i, sql in enumerate(queries):
             execution = self.execute_query(sql, label=f"{label}{i}")
-            measurement = self.sut.run(
-                execution.trace, self.db.workload_class
-            )
+            measurement = self.run_execution(execution, with_timeline=True)
             per_query.append(measurement)
             total = measurement if total is None else total + measurement
         if total is None:
             raise ValueError("workload must contain at least one query")
         return WorkloadMeasurement(total=total, per_query=per_query)
-
-    def run_trace(self, trace: Trace) -> RunMeasurement:
-        """Play a pre-built trace under the current setting."""
-        return self.sut.run(trace, self.db.workload_class)
 
     # -- execute-once / replay-many ---------------------------------------
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.analysis.engine import Linter
 from repro.analysis.rules.determinism import (
+    EnvRule,
     FloatEqRule,
     RngRule,
     SetOrderRule,
@@ -35,6 +36,19 @@ def stamp():
 WALLCLOCK_OK = """\
 def stamp(clock_s: float):
     return clock_s
+"""
+
+ENV_BAD = """\
+import os
+
+
+def arrivals():
+    return int(os.environ.get("REPRO_BENCH_QED_ARRIVALS", 600))
+"""
+
+ENV_OK = """\
+def arrivals(count: int = 600):
+    return count
 """
 
 RNG_BAD = """\
@@ -125,6 +139,7 @@ def same(total_j: float, expected_joules: float) -> bool:
 
 CASES = [
     (WallClockRule, "DET-WALLCLOCK", WALLCLOCK_BAD, WALLCLOCK_OK),
+    (EnvRule, "DET-ENV", ENV_BAD, ENV_OK),
     (RngRule, "DET-RNG", RNG_BAD, RNG_OK),
     (SetOrderRule, "DET-SETORDER", SETORDER_BAD, SETORDER_OK),
     (ObsGuardRule, "OBS-GUARD", OBSGUARD_BAD, OBSGUARD_OK),
@@ -186,6 +201,21 @@ class TestWallClockScope:
         src = "from time import perf_counter\n"
         findings = _lint(WallClockRule(), src)
         assert [f.rule_id for f in findings] == ["DET-WALLCLOCK"]
+
+
+class TestEnvDetails:
+    @pytest.mark.parametrize("source", [
+        "import os\n\nDEBUG = os.getenv('REPRO_DEBUG')\n",
+        "from os import environ\n",
+    ])
+    def test_getter_and_from_import_are_flagged(self, source):
+        findings = _lint(EnvRule(), source)
+        assert [f.rule_id for f in findings] == ["DET-ENV"]
+
+    def test_benchmarks_and_scripts_are_exempt(self):
+        linter = Linter(rules=[EnvRule()])
+        for path in ("benchmarks/conftest.py", "scripts/perf_report.py"):
+            assert linter.lint_source(ENV_BAD, path) == []
 
 
 class TestRngDetails:

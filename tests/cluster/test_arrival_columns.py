@@ -173,18 +173,17 @@ CANONICAL_DIGESTS = {
 
 
 class TestIdentitiesDidNotMove:
-    def test_canonical_scenario_digests(self, monkeypatch):
-        for name in ("DIURNAL_HORIZON", "QED_ARRIVALS", "FAULT_ARRIVALS",
-                     "REPLICATION_ARRIVALS"):
-            monkeypatch.delenv(f"REPRO_BENCH_{name}", raising=False)
+    def test_canonical_scenario_digests(self):
         streams = {
             "cluster_scaling": ablations._cyclic_poisson_stream(
                 10_000, 50, 0.01, 7
             ),
-            "diurnal": ablations.diurnal_scenario(0.05)[2],
-            "qed": ablations.qed_ablation_stream(0.05),
-            "fault": ablations.fault_ablation_stream(0.05),
-            "replication": ablations.replication_stream(0.01),
+            "diurnal": ablations.diurnal_scenario(0.05, horizon_s=240.0)[2],
+            "qed": ablations.qed_ablation_stream(0.05, arrivals=600),
+            "fault": ablations.fault_ablation_stream(0.05, arrivals=300),
+            "replication": ablations.fault_ablation_stream(
+                0.01, arrivals=300
+            ),
         }
         for name, stream in streams.items():
             assert isinstance(stream, ArrivalStream), name

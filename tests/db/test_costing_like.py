@@ -82,7 +82,7 @@ class TestPlanCoster:
 
         result = db.execute(cheap_sql)
         trace = db.trace_for(result)
-        measured = sut.run(trace, db.workload_class)
+        measured = sut.run_compiled(trace, db.workload_class)
         assert cheap.time_s == pytest.approx(
             measured.duration_s, rel=2.0
         )

@@ -61,6 +61,19 @@ class TestRunCompiledBatch:
                 single.disk_joules, rel=REL, abs=1e-15
             )
 
+    def test_small_trace_after_a_large_one_keeps_its_digits(self, sut):
+        """Each trace's slice is summed on its own; a running sum
+        differenced at the boundaries would leave ~1e-6 relative error
+        on the microsecond trace behind the hours-long one."""
+        large = Trace([CpuWork(1e11, 0.001), Idle(100.0)]).compiled()
+        small = Trace([Idle(1e-6)]).compiled()
+        _, sliced = sut.run_compiled_batch([large, small])
+        single = sut.run_compiled(small)
+        for name in ("duration_s", "cpu_joules", "wall_joules"):
+            assert getattr(sliced, name) == pytest.approx(
+                getattr(single, name), rel=1e-12
+            ), name
+
     def test_empty_batch_and_empty_traces(self, sut):
         assert sut.run_compiled_batch([]) == []
         only_empty = sut.run_compiled_batch(

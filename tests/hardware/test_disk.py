@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.hardware.disk import Disk, DiskEnergy, DiskSpec
-from repro.hardware.trace import DiskAccess
 
 
 @pytest.fixture()
@@ -75,9 +74,7 @@ class TestEnergy:
         assert combined.joules_12v == 4.0
 
     def test_active_exceeds_idle(self, disk):
-        active = disk.active_energy(10.0).total_joules
-        idle = disk.idle_energy(10.0).total_joules
-        assert active > idle
+        assert disk.spec.active_power_w > disk.spec.idle_power_w
 
     def test_energy_per_kb_tracks_inverse_throughput(self, disk):
         """Fig. 5(b): energy per KB ~ power / throughput."""
@@ -106,11 +103,19 @@ class TestEnergy:
 
 class TestAccessSegments:
     def test_write_penalty(self, disk):
-        read = DiskAccess(1, 1e6, sequential=True, write=False)
-        write = DiskAccess(1, 1e6, sequential=True, write=True)
-        assert disk.access_time_s(write) == pytest.approx(
-            disk.access_time_s(read) * disk.spec.write_penalty
+        read, write = disk.access_times_s(
+            [1, 1], [1e6, 1e6], sequential=[True, True], write=[False, True]
         )
+        assert write == pytest.approx(read * disk.spec.write_penalty)
+
+    def test_segment_times_match_the_scalar_formulas(self, disk):
+        seq, rand = disk.access_times_s(
+            [3, 120], [2e8, 7.5e7], sequential=[True, False],
+            write=[False, False],
+        )
+        assert seq == pytest.approx(disk.sequential_time_s(2e8), rel=1e-12)
+        assert rand == pytest.approx(disk.random_time_s(120, 7.5e7),
+                                     rel=1e-12)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -81,15 +81,16 @@ class TestCustomConfigurations:
         lazy = SystemUnderTest(mem_activity_coupling=0.0)
         trace = Trace([CpuWork(3e9, 1.0)])
         assert (
-            eager.run(trace, CPU_BOUND).memory_joules
-            > lazy.run(trace, CPU_BOUND).memory_joules
+            eager.run_compiled(trace, CPU_BOUND).memory_joules
+            > lazy.run_compiled(trace, CPU_BOUND).memory_joules
         )
 
 
 class TestSensorPhases:
     def test_phase_changes_samples_not_truth(self, sut):
         trace = Trace([CpuWork(6e9, 1.0), Idle(1.3), CpuWork(3e9, 1.0)])
-        run = sut.run(trace, CPU_BOUND)
+        run = sut.run_compiled(trace, CPU_BOUND,
+            with_timeline=True)
         early = EpuSensor(phase_s=0.1).read(run)
         late = EpuSensor(phase_s=0.9).read(run)
         assert len(early.samples_w) >= len(late.samples_w)
@@ -104,13 +105,15 @@ class TestSensorPhases:
             CpuWork(2.0e9, 1.0), Idle(0.37),
             CpuWork(3.7e9, 1.0), Idle(0.51),
         ] * 6)
-        run = sut.run(trace, CPU_BOUND)
+        run = sut.run_compiled(trace, CPU_BOUND,
+            with_timeline=True)
         coarse = abs(EpuSensor(sample_period_s=1.0).sampling_error(run))
         fine = abs(EpuSensor(sample_period_s=0.05).sampling_error(run))
         assert fine <= coarse + 1e-9
 
     def test_empty_run(self, sut):
-        run = sut.run(Trace([]), CPU_BOUND)
+        run = sut.run_compiled(Trace([]), CPU_BOUND,
+            with_timeline=True)
         reading = EpuSensor().read(run)
         assert reading.joules == 0.0
         assert EpuSensor().sampling_error(run) == 0.0
@@ -127,6 +130,6 @@ class TestSettingSweepMonotonicity:
                               VoltageDowngrade.SMALL,
                               VoltageDowngrade.MEDIUM):
                 sut.apply_setting(PvcSetting(pct, downgrade))
-                joules.append(sut.run(trace, CPU_BOUND).cpu_joules)
+                joules.append(sut.run_compiled(trace, CPU_BOUND).cpu_joules)
             sut.apply_setting(PvcSetting())
             assert joules == sorted(joules, reverse=True)

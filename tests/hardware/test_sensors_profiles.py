@@ -17,7 +17,8 @@ from repro.hardware.trace import CpuWork, DiskAccess, Idle, Trace
 class TestEpuSensor:
     def test_exact_on_constant_power(self, sut):
         """Constant power: sampled estimate equals the true integral."""
-        run = sut.run(Trace([CpuWork(30e9, 1.0)]), CPU_BOUND)  # 10 s
+        run = sut.run_compiled(Trace([CpuWork(30e9, 1.0)]), CPU_BOUND,
+            with_timeline=True)  # 10 s
         sensor = EpuSensor()
         estimate = sensor.read(run).joules
         assert estimate == pytest.approx(run.cpu_joules, rel=1e-9)
@@ -26,13 +27,15 @@ class TestEpuSensor:
         """1 Hz sampling misrepresents sub-second power changes -- the
         drawback the paper acknowledges for its GUI-sampling method."""
         trace = Trace([CpuWork(0.9e9, 1.0), Idle(0.7), CpuWork(2.2e9, 1.0)])
-        run = sut.run(trace, CPU_BOUND)
+        run = sut.run_compiled(trace, CPU_BOUND,
+            with_timeline=True)
         error = EpuSensor().sampling_error(run)
         assert error != 0.0
         assert abs(error) < 0.5
 
     def test_sample_count(self, sut):
-        run = sut.run(Trace([CpuWork(9e9, 1.0)]), CPU_BOUND)  # 3 s
+        run = sut.run_compiled(Trace([CpuWork(9e9, 1.0)]), CPU_BOUND,
+            with_timeline=True)  # 3 s
         samples = EpuSensor().read(run).samples_w
         assert len(samples) == 3
 
@@ -43,11 +46,11 @@ class TestEpuSensor:
 
 class TestOtherInstruments:
     def test_wall_meter(self, sut):
-        run = sut.run(Trace([Idle(2.0)]), CPU_BOUND)
+        run = sut.run_compiled(Trace([Idle(2.0)]), CPU_BOUND)
         assert WallMeter().read_joules(run) == run.wall_joules
 
     def test_current_probe_rails(self, sut):
-        run = sut.run(
+        run = sut.run_compiled(
             Trace([DiskAccess(1, 72e6, sequential=True)]), IO_MIXED
         )
         rails = CurrentProbe().read(run)
@@ -68,11 +71,11 @@ class TestCalibratedProfile:
         the paper's energy ratio (the inversion is exact)."""
         sut = paper_sut()
         trace = Trace([CpuWork(3e10, 1.0)])
-        base = sut.run(trace, CPU_BOUND)
+        base = sut.run_compiled(trace, CPU_BOUND)
         for downgrade in (VoltageDowngrade.SMALL, VoltageDowngrade.MEDIUM):
             for pct in (5, 10, 15):
                 sut.apply_setting(PvcSetting(pct, downgrade))
-                run = sut.run(trace, CPU_BOUND)
+                run = sut.run_compiled(trace, CPU_BOUND)
                 expected = targets.energy_ratio_target(
                     "mysql", downgrade.value, pct
                 )

@@ -121,6 +121,6 @@ class TestCrossEngineConsistency:
         sql = selection_query(1)
         mysql_run = WorkloadRunner(mysql_db, sut).execute_query(sql)
         comm_run = WorkloadRunner(commercial_db, sut).execute_query(sql)
-        mysql_m = sut.run(mysql_run.trace, mysql_db.workload_class)
-        comm_m = sut.run(comm_run.trace, commercial_db.workload_class)
+        mysql_m = sut.run_compiled(mysql_run.trace, mysql_db.workload_class)
+        comm_m = sut.run_compiled(comm_run.trace, commercial_db.workload_class)
         assert comm_m.avg_cpu_power_w < mysql_m.avg_cpu_power_w

@@ -49,12 +49,15 @@ def db():
 
 
 @pytest.fixture
-def canonical_sizes(monkeypatch):
-    """The sizes the pins were recorded at, whatever the environment
-    (``examples/master_qed.py`` sets one of these process-wide)."""
-    for name in ("QED", "FAULT", "REPLICATION"):
-        monkeypatch.delenv(f"REPRO_BENCH_{name}_ARRIVALS", raising=False)
-    monkeypatch.setenv("REPRO_BENCH_DIURNAL_HORIZON", "120")
+def canonical_sizes():
+    """The scenario sizes the pins were recorded at, per section: the
+    canonical arrival counts and a one-cycle diurnal horizon."""
+    return {
+        "diurnal": {"horizon_s": 120.0},
+        "qed": {"arrivals": ablations.QED_ARRIVALS},
+        "faults": {"arrivals": ablations.FAULT_ARRIVALS},
+        "replication": {"arrivals": ablations.FAULT_ARRIVALS},
+    }
 
 
 def _assert_matches(got, pinned, path):
@@ -72,13 +75,17 @@ def _assert_matches(got, pinned, path):
 def test_ablation_record_is_what_the_old_class_wrote(
     section, db, canonical_sizes,
 ):
-    record = RUNNERS[section](db, scale_factor=0.005).to_dict()
+    record = RUNNERS[section](
+        db, scale_factor=0.005, **canonical_sizes[section]
+    ).to_dict()
     _assert_matches(record, PINS[section], section)
     json.dumps(record)  # the artifact writer's only requirement
 
 
 def test_record_keys_read_as_attributes(db, canonical_sizes):
-    ablation = ablations.run_fault_ablation(db, scale_factor=0.005)
+    ablation = ablations.run_fault_ablation(
+        db, scale_factor=0.005, **canonical_sizes["faults"]
+    )
     assert ablation.arrivals == 300 and ablation.retry_max == 4
     assert ablation.conserved is True
     assert ablation.consolidate_vs_spread_saving == ablation.saving(

@@ -15,20 +15,20 @@ from repro.measurement.report import ComparisonTable
 
 class TestProtocol:
     def test_noise_free_returns_exact(self, sut):
-        run = sut.run(Trace([CpuWork(3e9, 1.0)]), CPU_BOUND)
+        run = sut.run_compiled(Trace([CpuWork(3e9, 1.0)]), CPU_BOUND)
         sample = exact_protocol().measure(lambda: run)
         assert sample.cpu_joules == pytest.approx(run.cpu_joules)
         assert sample.duration_s == pytest.approx(run.duration_s)
 
     def test_trimmed_mean_near_truth(self, sut):
-        run = sut.run(Trace([CpuWork(3e10, 1.0)]), CPU_BOUND)
+        run = sut.run_compiled(Trace([CpuWork(3e10, 1.0)]), CPU_BOUND)
         protocol = MeasurementProtocol(runs=5, noise_sigma=0.02, seed=1)
         sample = protocol.measure(lambda: run)
         assert sample.cpu_joules == pytest.approx(run.cpu_joules, rel=0.05)
         assert sample.runs == 5
 
     def test_deterministic_given_seed(self, sut):
-        run = sut.run(Trace([CpuWork(3e9, 1.0)]), CPU_BOUND)
+        run = sut.run_compiled(Trace([CpuWork(3e9, 1.0)]), CPU_BOUND)
         a = MeasurementProtocol(seed=9).measure(lambda: run)
         b = MeasurementProtocol(seed=9).measure(lambda: run)
         assert a.cpu_joules == b.cpu_joules
@@ -47,8 +47,8 @@ class TestProtocol:
             MeasurementProtocol(noise_sigma=-0.1)
 
     def test_combine_measurements(self, sut):
-        a = sut.run(Trace([CpuWork(1e9, 1.0)]), CPU_BOUND)
-        b = sut.run(Trace([Idle(1.0)]), CPU_BOUND)
+        a = sut.run_compiled(Trace([CpuWork(1e9, 1.0)]), CPU_BOUND)
+        b = sut.run_compiled(Trace([Idle(1.0)]), CPU_BOUND)
         total = combine_measurements([a, b])
         assert total.duration_s == pytest.approx(
             a.duration_s + b.duration_s
@@ -59,7 +59,8 @@ class TestProtocol:
 
 class TestInstrumentPanel:
     def test_reading_fields(self, sut):
-        run = sut.run(Trace([CpuWork(9e9, 1.0)]), CPU_BOUND)
+        run = sut.run_compiled(Trace([CpuWork(9e9, 1.0)]), CPU_BOUND,
+            with_timeline=True)
         reading = InstrumentPanel().read(run)
         assert reading.exact_cpu_joules == pytest.approx(run.cpu_joules)
         assert reading.wall_joules == pytest.approx(run.wall_joules)
