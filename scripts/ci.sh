@@ -12,8 +12,10 @@
 #   scripts/ci.sh --stage replication  # placement + re-replication smoke
 #                                  # + malformed fleet/placement exits
 #   scripts/ci.sh --stage obs      # traced cluster smoke in both trace
-#                                  # formats + trace schema + metrics
-#                                  # export sanity + truncated-trace exit
+#                                  # formats + loop == vectorized engine
+#                                  # through the CLI + trace schema +
+#                                  # metrics export sanity +
+#                                  # truncated-trace exit
 #
 # The benches run at a tiny scale factor and enforce, on write, the
 # rows of src/repro/measurement/gates.py they record: <= 1e-9
@@ -174,6 +176,19 @@ run_obs() {
     echo "== same run id in both exports =="
     diff <(grep "run id" "$trace.run.txt") \
         <(grep "run id" "$obs_dir/trace.jsonl.run.txt")
+    echo "== loop engine (traced) == vectorized engine (untraced) =="
+    local spread="--sf 0.002 --nodes 4 --arrivals 60 --distinct 8"
+    spread="$spread --policy spread --sla 1.0 --window 1"
+    # shellcheck disable=SC2086
+    python -m repro cluster $spread > "$obs_dir/spread.vectorized.txt"
+    # shellcheck disable=SC2086
+    python -m repro cluster $spread --trace "$obs_dir/spread.json" \
+        > "$obs_dir/spread.loop.txt"
+    grep -q "engine=vectorized$" "$obs_dir/spread.vectorized.txt"
+    grep -q "engine=loop " "$obs_dir/spread.loop.txt"
+    diff <(grep -E "run id|wall energy" "$obs_dir/spread.vectorized.txt") \
+        <(grep -E "run id|wall energy" "$obs_dir/spread.loop.txt")
+    grep -E "run id|wall energy" "$obs_dir/spread.loop.txt"
     echo "== trace schema + energy reconciliation, both formats =="
     for out in "$trace" "$obs_dir/trace.jsonl"; do
         python -m repro obs report "$out" | tee "$out.report.txt"

@@ -17,9 +17,9 @@ heterogeneous: node groups differ in hardware profile, PVC setting,
 capacity, and sleep/wake characteristics.  Both scheduling engines
 write one schedule table, a row per busy window.  Playback costs a
 vectorized run by counting those windows against one measurement per
-(hardware profile, setting, trace); a loop run plays every node's whole
-timeline as one stacked array operation per distinct (hardware
-profile, setting) pair.
+(hardware profile, setting, trace); a loop run gathers every node's
+timeline rows into stacked traces and plays them as one array
+operation per distinct (hardware profile, setting) pair.
 """
 
 from repro.cluster.faults import (
@@ -59,7 +59,7 @@ from repro.cluster.node import (
     load_fleet,
     uniform_fleet,
 )
-from repro.cluster.playback import ScheduleTable, play_batched, play_table
+from repro.cluster.playback import ScheduleTable, play_table, play_timeline
 from repro.cluster.routing import (
     AdaptivePvcRouter,
     BatchPlacement,
@@ -123,7 +123,7 @@ __all__ = [
     "load_fault_plan",
     "load_fleet",
     "load_placement",
-    "play_batched",
     "play_table",
+    "play_timeline",
     "uniform_fleet",
 ]

@@ -38,7 +38,6 @@ from repro.core.qed.queue import QueryQueue
 from repro.hardware.cpu import PvcSetting, STOCK_SETTING, VoltageDowngrade
 from repro.hardware.profiles import paper_sut
 from repro.hardware.system import SystemUnderTest
-from repro.hardware.trace import CompiledTrace, Idle, Trace
 
 #: Named hardware profiles a :class:`NodeSpec` may reference.  All are
 #: variants of the calibrated paper machine; registering a new profile
@@ -542,80 +541,3 @@ class SimulatedNode(TimelineAccounting):
         self.busy_until = work.end_s
         return work
 
-    # -- trace assembly ---------------------------------------------------
-    # (busy_s/wake_s/sleep_s/power_estimate come from TimelineAccounting)
-
-
-def node_timeline_pieces(
-    node: TimelineAccounting,
-    table: dict[str, CompiledTrace],
-    horizon_s: float,
-) -> tuple[list[CompiledTrace], list[PvcSetting]]:
-    """A node's awake timeline as compiled-trace pieces + their settings.
-
-    Busy windows resolve through ``table`` under the setting stamped at
-    assign time; the gaps between them (and wake transitions) become
-    ``Idle`` segments so playback charges awake-idle power, under the
-    setting the node's retune log shows it held entering the gap (a
-    gap containing a retune is attributed wholly to its entry setting).
-    Sleep spans are *not* represented -- they are billed at
-    ``sleep_wall_w`` outside the hardware model.  A node asleep at the
-    horizon ends on a clamped sleep span, so the trailing idle piece
-    needs no awake test: a crash logged past the horizon (a retry ran
-    the tail past it, then dead-lettered) must not drop it.
-    """
-    log = list(getattr(node, "setting_log", ())) or [
-        (0.0, node.spec.setting)
-    ]
-
-    def setting_at(t: float) -> PvcSetting:
-        current = log[0][1]
-        for stamp, setting in log:
-            if stamp > t + 1e-12:
-                break
-            current = setting
-        return current
-
-    events: list[tuple[float, float, str, object]] = []
-    for start, end in node.sleep_spans(horizon_s):
-        events.append((start, end, "sleep", None))
-    for called, ready in node.wake_log:
-        events.append((called, ready, "wake", None))
-    for work in node.scheduled:
-        events.append((work.start_s, work.end_s, "busy", work))
-    events.sort(key=lambda e: (e[0], e[1]))
-
-    pieces: list[CompiledTrace] = []
-    settings: list[PvcSetting] = []
-    cursor = 0.0
-    for start, end, kind, payload in events:
-        if start - cursor > 1e-12:
-            pieces.append(_idle_piece(start - cursor, "idle"))
-            settings.append(setting_at(cursor))
-        cursor = max(cursor, start)
-        if kind == "sleep":
-            cursor = max(cursor, end)
-            continue
-        span = end - cursor
-        if kind == "wake":
-            if span > 1e-12:
-                pieces.append(_idle_piece(span, "wake"))
-                settings.append(setting_at(cursor))
-        else:
-            work = payload
-            pieces.append(table[work.trace_key])
-            settings.append(work.setting or node.spec.setting)
-            if work.stretch_s > 1e-12:
-                # Straggler inflation: degraded occupancy past the
-                # costed trace, billed at awake-idle watts.
-                pieces.append(_idle_piece(work.stretch_s, "straggler"))
-                settings.append(work.setting or node.spec.setting)
-        cursor = max(cursor, end)
-    if horizon_s - cursor > 1e-12:
-        pieces.append(_idle_piece(horizon_s - cursor, "idle"))
-        settings.append(setting_at(cursor))
-    return pieces, settings
-
-
-def _idle_piece(seconds: float, label: str) -> CompiledTrace:
-    return Trace([Idle(seconds, label=label)]).compiled()

@@ -3,17 +3,22 @@
 Both engines write one :class:`ScheduleTable`, a row per busy window.
 A vectorized run never sleeps, wakes, retunes or stretches a node, so
 :func:`play_table` costs it by counting windows against the pre-costed
-measurements, in O(nodes x distinct).  A loop run plays each node's
-timeline pieces with :func:`play_batched`: nodes sharing a ``(hardware
-profile, PVC setting)`` pair are *playback equivalent*, so their
-timelines stack into one structure-of-arrays call per distinct pair,
-one stacked trace per *setting run* (a maximal stretch of pieces played
-under one setting) -- ``O(nodes + setting changes)`` traces, not
-``O(pieces)``.
+measurements, in O(nodes x distinct).  A loop run's table also carries
+each window's setting and straggler stretch; :func:`loop_timeline`
+derives from it and the node logs every node's awake timeline as rows
+(busy windows, and the idle, wake and straggler gaps between and after
+them), and :func:`play_timeline` plays those rows: one gather from the
+schedule's traces builds every stacked trace, and nodes sharing a
+``(hardware profile, PVC setting)`` pair are *playback equivalent*, so
+their *setting runs* (maximal stretches of rows played under one
+setting) stack into one structure-of-arrays call per distinct pair --
+``O(nodes + setting changes)`` traces, not ``O(pieces)``, and no
+compiled trace per gap.
 
-The per-query replay loop (one ``run_compiled`` call per piece) is the
-test oracle, ``tests/cluster/loop_playback.py``; all agree on every
-node's energy to float-summation order.
+The piece-by-piece timeline and its players (one ``run_compiled`` call
+per piece; one batched call over per-gap idle pieces) are the test
+oracles, ``tests/cluster/loop_playback.py``: the rows equal the pieces,
+and all agree on every node's energy to float-summation order.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.measure import zero_measurement
-from repro.cluster.node import SimulatedNode
 from repro.hardware.cpu import PvcSetting
 from repro.hardware.disk import DiskEnergy
 from repro.hardware.system import RunMeasurement
@@ -45,7 +49,8 @@ class ScheduleTable:
     rows are not node-major.  The served queries are ``query_sql`` (a
     trace code) and ``query_arrival_s``, answered by window
     ``query_window`` -- None (a vectorized run) when row ``i`` answers
-    query ``i``.
+    query ``i``.  A loop run's rows also carry ``setting_idx`` (into
+    ``settings``) and ``stretch_s``, what its timeline is built from.
     """
 
     node_idx: np.ndarray
@@ -57,6 +62,9 @@ class ScheduleTable:
     query_arrival_s: np.ndarray
     order: np.ndarray | None = None
     query_window: np.ndarray | None = None
+    setting_idx: np.ndarray | None = None
+    stretch_s: np.ndarray | None = None
+    settings: tuple[PvcSetting, ...] = ()
 
     def __len__(self) -> int:
         return len(self.start_s)
@@ -73,63 +81,257 @@ class ScheduleTable:
         ]
 
 
-def _node_settings(
-    node, pieces: list[CompiledTrace],
-    settings_by_node: dict[str, list[PvcSetting]] | None,
-) -> list[PvcSetting]:
-    """Per-piece settings for one node (spec setting when not given)."""
-    if settings_by_node is None:
-        return [node.spec.setting] * len(pieces)
-    settings = settings_by_node[node.spec.name]
-    if len(settings) != len(pieces):
-        raise ValueError(
-            f"node {node.spec.name!r}: {len(settings)} settings for "
-            f"{len(pieces)} pieces"
+def window_table(
+    nodes: list, table: dict[str, CompiledTrace],
+) -> ScheduleTable:
+    """The loop engine's schedule table, built once its run is over.
+
+    Node-major: each node's windows in the order it ran them, and the
+    queries each window answers in the same order.  Each row also
+    carries the setting its window was stamped with (``setting_idx``
+    into ``settings``; an unstamped window plays under its node's spec
+    setting) and its straggler ``stretch_s``.
+    """
+    code = {key: i for i, key in enumerate(table)}
+    works = [work for node in nodes for work in node.scheduled]
+    index: dict[PvcSetting, int] = {}
+    setting_idx = []
+    last = None
+    for node in nodes:
+        for work in node.scheduled:
+            # Consecutive windows mostly share one setting object: hash
+            # (a dataclass and an enum) only when it changes.
+            setting = work.setting or node.spec.setting
+            if setting is not last:
+                last, at = setting, index.setdefault(setting, len(index))
+            setting_idx.append(at)
+    answered = [
+        (i, sql, arrival_s)
+        for i, work in enumerate(works)
+        for sql, arrival_s in work.queries
+    ]
+    per_node = [len(node.scheduled) for node in nodes]
+    offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum(per_node, out=offsets[1:])
+    return ScheduleTable(
+        node_idx=np.repeat(np.arange(len(nodes)), per_node),
+        trace_idx=np.array([code[w.trace_key] for w in works],
+                           dtype=np.int64),
+        start_s=np.array([w.start_s for w in works], dtype=np.float64),
+        end_s=np.array([w.end_s for w in works], dtype=np.float64),
+        offsets=offsets,
+        query_sql=np.array([code[sql] for _, sql, _ in answered],
+                           dtype=np.int64),
+        query_arrival_s=np.array([a for _, _, a in answered],
+                                 dtype=np.float64),
+        query_window=np.array([i for i, _, _ in answered], dtype=np.int64),
+        setting_idx=np.array(setting_idx, dtype=np.int64),
+        stretch_s=np.array([w.stretch_s for w in works], dtype=np.float64),
+        settings=tuple(index),
+    )
+
+
+#: Label codes of a timeline's idle rows (a busy row's code is -1).
+IDLE_LABELS = ("idle", "wake", "straggler")
+IDLE, WAKE, STRAGGLER = range(3)
+
+#: Event kinds of the timeline walk, in their tie order: at one
+#: ``(start, end)`` a sleep span sorts before a wake, a wake before a
+#: busy window.
+_SLEEP, _WAKE, _BUSY = range(3)
+
+
+@dataclass(frozen=True)
+class LoopTimeline:
+    """A loop run's awake timelines, one row per played piece.
+
+    Node ``j``'s rows are ``offsets[j]:offsets[j + 1]``, in the order
+    they play.  A busy row names its trace code in ``trace_idx``; an
+    idle row (an awake gap, a wake transition or straggler inflation,
+    by its ``label`` code into :data:`IDLE_LABELS`) has trace code -1
+    and plays ``idle_s`` seconds at awake-idle watts.  Every row plays
+    under ``settings[setting_idx]``.  Sleep spans have no rows: they
+    are billed at ``sleep_wall_w`` outside the hardware model.
+    """
+
+    offsets: np.ndarray
+    trace_idx: np.ndarray
+    idle_s: np.ndarray
+    label: np.ndarray
+    setting_idx: np.ndarray
+    settings: tuple[PvcSetting, ...]
+
+    def __len__(self) -> int:
+        return len(self.trace_idx)
+
+
+def loop_timeline(
+    nodes: list, windows: ScheduleTable, horizon_s: float,
+) -> LoopTimeline:
+    """Every node's awake timeline, from the table and the node logs.
+
+    A node's sleep spans, wake transitions and busy windows are sorted
+    stably on ``(start, end)``; a cursor -- the running max of the
+    ends -- tracks how far the node is accounted.  A gap of more than
+    1e-12 s between the cursor and an event's start is idle, as is the
+    part of a wake transition past the cursor and a window's straggler
+    stretch; the tail to ``horizon_s`` closes the timeline.  A busy row
+    plays under the setting its window was stamped with, an idle row
+    under the setting the node's retune log shows it held at the
+    row's start (a gap containing a retune is attributed wholly to its
+    entry setting).  A node asleep at the horizon ends on a clamped
+    sleep span, so the tail needs no awake test.
+    """
+    index = {setting: i for i, setting in enumerate(windows.settings)}
+    parts = []
+    for j, node in enumerate(nodes):
+        lo, hi = int(windows.offsets[j]), int(windows.offsets[j + 1])
+        spans = list(node.sleep_spans(horizon_s)) + list(node.wake_log)
+        n = len(spans) + hi - lo
+        start = np.empty(n)
+        end = np.empty(n)
+        if spans:
+            start[:len(spans)], end[:len(spans)] = zip(*spans)
+        start[len(spans):] = windows.start_s[lo:hi]
+        end[len(spans):] = windows.end_s[lo:hi]
+        kind = np.repeat(
+            [_SLEEP, _WAKE, _BUSY],
+            [len(spans) - len(node.wake_log), len(node.wake_log), hi - lo],
         )
-    return settings
+        order = np.lexsort((np.arange(n), end, start))
+        start, end, kind = start[order], end[order], kind[order]
+        row = order - len(spans) + lo
+        # cursor[i]: how far the node is accounted before event i, the
+        # running max of the ends; the tail is one more gap, from
+        # cursor[n] to the horizon.
+        cursor = np.empty(n + 1)
+        cursor[0] = 0.0
+        np.maximum(start, end, out=cursor[1:])
+        np.maximum.accumulate(cursor, out=cursor)
+        gap = np.append(start, horizon_s) - cursor
+        entry = np.maximum(cursor[:-1], start)
+        span = end - entry
+
+        log = node.setting_log or ((0.0, node.spec.setting),)
+        stamps = np.array([stamp for stamp, _ in log])
+        held = np.array([
+            index.setdefault(setting, len(index)) for _, setting in log
+        ], dtype=np.int64)
+
+        def setting_at(t: np.ndarray) -> np.ndarray:
+            at = np.searchsorted(stamps, t + 1e-12, side="right") - 1
+            return held[np.maximum(at, 0)]
+
+        idle_at = np.flatnonzero(gap > 1e-12)
+        wake_at = np.flatnonzero((kind == _WAKE) & (span > 1e-12))
+        busy_at = np.flatnonzero(kind == _BUSY)
+        busy_rows = row[busy_at]
+        stretched = windows.stretch_s[busy_rows] > 1e-12
+        strag_at, strag_rows = busy_at[stretched], busy_rows[stretched]
+        # Each event plays its leading gap, then its wake or window,
+        # then the window's stretch: rows sort on 3 * event + slot.
+        # Columns: sort key, trace code, idle seconds, label, setting.
+        by_kind = (
+            (3 * idle_at, -1, gap[idle_at], IDLE,
+             setting_at(cursor[idle_at])),
+            (3 * wake_at + 1, -1, span[wake_at], WAKE,
+             setting_at(entry[wake_at])),
+            (3 * busy_at + 1, windows.trace_idx[busy_rows], 0.0, -1,
+             windows.setting_idx[busy_rows]),
+            (3 * strag_at + 2, -1, windows.stretch_s[strag_rows],
+             STRAGGLER, windows.setting_idx[strag_rows]),
+        )
+        pick = np.argsort(np.concatenate([k[0] for k in by_kind]))
+        parts.append([
+            np.concatenate([
+                np.broadcast_to(k[c], k[0].shape) for k in by_kind
+            ])[pick]
+            for c in range(1, 5)
+        ])
+    offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum([len(part[0]) for part in parts], out=offsets[1:])
+    trace_idx, idle_s, label, setting_idx = (
+        np.concatenate([part[c] for part in parts]) for c in range(4)
+    )
+    return LoopTimeline(
+        offsets=offsets, trace_idx=trace_idx, idle_s=idle_s,
+        label=label.astype(np.int8), setting_idx=setting_idx,
+        settings=tuple(index),
+    )
 
 
-def _setting_runs(
-    pieces: list[CompiledTrace], settings: list[PvcSetting],
-) -> list[tuple[PvcSetting, list[CompiledTrace]]]:
-    """Split a timeline into maximal same-setting runs, in order."""
-    runs: list[tuple[PvcSetting, list[CompiledTrace]]] = []
-    for piece, setting in zip(pieces, settings):
-        if runs and runs[-1][0] == setting:
-            runs[-1][1].append(piece)
-        else:
-            runs.append((setting, [piece]))
-    return runs
+#: One second of idle, compiled once.  It closes :func:`play_timeline`'s
+#: row library, where each idle row's gather overwrites its seconds.
+#: Played under a (hw, setting) pair it yields that pair's idle draw in
+#: watts, and idle energy is strictly linear in idle seconds (constant
+#: powers per idle segment), so a vectorized run's idle time costs one
+#: multiply.
+_IDLE_SECOND = Trace([Idle(1.0, label="idle")]).compiled()
+
+#: The :class:`CompiledTrace` arrays a gather copies (labels aside).
+_COLUMNS = ("kinds", "cycles", "utilization", "num_ops", "bytes_total",
+            "sequential", "write", "seconds")
 
 
-def play_batched(
-    nodes: list[SimulatedNode],
-    pieces_by_node: dict[str, list[CompiledTrace]],
+def play_timeline(
+    nodes: list,
+    traces: list[CompiledTrace],
+    timeline: LoopTimeline,
     workload_class: str,
-    settings_by_node: dict[str, list[PvcSetting]] | None = None,
-) -> dict[str, RunMeasurement]:
+) -> list[RunMeasurement]:
     """One stacked playback call per distinct (hw, setting) pair.
 
-    Each node's same-setting piece runs concatenate into stacked
-    traces; every equivalent run across the fleet joins one
-    :meth:`~repro.hardware.system.SystemUnderTest.run_compiled_batch`
+    The schedule's traces and one idle second concatenate into a row
+    library; every node's timeline is one fancy-index gather from it,
+    with each idle row's seconds scattered in.  A node's *setting
+    runs* (maximal stretches of rows played under one setting) are
+    views of that gather; every equivalent run across the fleet joins
+    one :meth:`~repro.hardware.system.SystemUnderTest.run_compiled_batch`
     call, whose per-trace slice sums come back as per-node measurements
     (summed across a node's runs when it was retuned mid-flight).
     """
-    out: dict[str, RunMeasurement] = {
-        node.spec.name: zero_measurement() for node in nodes
-    }
-    buckets: dict[object, list[tuple[str, CompiledTrace]]] = {}
+    library = CompiledTrace.concat([*traces, _IDLE_SECOND])
+    lengths = np.array([len(t) for t in traces] + [1], dtype=np.int64)
+    firsts = np.cumsum(lengths) - lengths
+    # An idle row's trace code, -1, names the idle second: the last trace.
+    code = timeline.trace_idx
+    counts = lengths[code]
+    edges = np.zeros(len(code) + 1, dtype=np.int64)
+    np.cumsum(counts, out=edges[1:])
+    segment = np.repeat(firsts[code] - edges[:-1], counts) + np.arange(
+        edges[-1]
+    )
+    gathered = {name: getattr(library, name)[segment] for name in _COLUMNS}
+    labels = np.array(library.labels, dtype=object)[segment]
+    idle = np.flatnonzero(code < 0)
+    gathered["seconds"][edges[idle]] = timeline.idle_s[idle]
+    labels[edges[idle]] = np.array(IDLE_LABELS, dtype=object)[
+        timeline.label[idle]
+    ]
+
+    # Runs break at every node boundary and every setting change.
+    setting_idx = timeline.setting_idx
+    breaks = np.union1d(
+        timeline.offsets,
+        np.flatnonzero(setting_idx[1:] != setting_idx[:-1]) + 1,
+    )
+    run_node = np.searchsorted(
+        timeline.offsets, breaks[:-1], side="right"
+    ) - 1
+
+    out = [zero_measurement() for _ in nodes]
+    buckets: dict[object, list[tuple[int, CompiledTrace]]] = {}
     sut_for: dict[object, object] = {}
-    for node in nodes:
-        pieces = pieces_by_node[node.spec.name]
-        settings = _node_settings(node, pieces, settings_by_node)
-        for setting, run_pieces in _setting_runs(pieces, settings):
-            key = (node.spec.hw, setting)
-            buckets.setdefault(key, []).append(
-                (node.spec.name, CompiledTrace.concat(run_pieces))
-            )
-            sut_for.setdefault(key, node.sut)
+    for lo, hi, j in zip(breaks[:-1].tolist(), breaks[1:].tolist(),
+                         run_node.tolist()):
+        node = nodes[j]
+        a, b = edges[lo], edges[hi]
+        key = (node.spec.hw, timeline.settings[setting_idx[lo]])
+        buckets.setdefault(key, []).append((j, CompiledTrace(
+            **{name: column[a:b] for name, column in gathered.items()},
+            labels=tuple(labels[a:b].tolist()),
+        )))
+        sut_for.setdefault(key, node.sut)
     for key, entries in buckets.items():
         sut = sut_for[key]
         original = sut.setting
@@ -140,16 +342,10 @@ def play_batched(
             )
         finally:
             sut.apply_setting(original)
-        for (name, _), measurement in zip(entries, measurements):
-            out[name] = out[name] + measurement
+        for (j, _), measurement in zip(entries, measurements):
+            out[j] = out[j] + measurement
     return out
 
-
-#: One second of idle, compiled once: played under a (hw, setting)
-#: pair it yields that pair's idle draw in watts, and idle energy is
-#: strictly linear in idle seconds (constant powers per idle segment),
-#: so a vectorized run's idle time costs one multiply.
-_IDLE_SECOND = Trace([Idle(1.0, label="idle")]).compiled()
 
 #: RunMeasurement scalar fields in matrix order (disk energy unrolled
 #: onto its two rails so every field scales linearly).

@@ -27,11 +27,13 @@ of array operations:
    crashes/recoveries, retries and QED timeouts).  Either engine
    produces a :class:`ClusterSchedule` around one
    :class:`~repro.cluster.playback.ScheduleTable` of busy windows; a
-   loop run also keeps each node's timeline as compiled-trace pieces.
+   loop run also keeps every node's timeline as rows
+   (:class:`~repro.cluster.playback.LoopTimeline`).
 2. :meth:`ClusterSimulator.playback` -- cost a vectorized run by
    counting (:func:`~repro.cluster.playback.play_table`) or play a loop
-   run's pieces with one stacked array call per distinct (hw, setting)
-   pair (:func:`~repro.cluster.playback.play_batched`), and compose the
+   run's timeline rows, gathered once from the traces, with one stacked
+   array call per distinct (hw, setting) pair
+   (:func:`~repro.cluster.playback.play_timeline`), and compose the
    :class:`~repro.cluster.measure.ClusterMeasurement` from the table.
 """
 
@@ -59,10 +61,16 @@ from repro.cluster.node import (
     SimulatedNode,
     SUT_FACTORIES,
     TimelineAccounting,
-    node_timeline_pieces,
 )
 from repro.cluster.placement import PlacementMap, replication_copy_trace
-from repro.cluster.playback import ScheduleTable, play_batched, play_table
+from repro.cluster.playback import (
+    LoopTimeline,
+    ScheduleTable,
+    loop_timeline,
+    play_table,
+    play_timeline,
+    window_table,
+)
 from repro.cluster.routing import (
     AdaptivePvcRouter,
     ConsolidatePlacement,
@@ -134,7 +142,7 @@ class ClusterSchedule:
     the compiled traces its trace codes name, in code order.  A
     vectorized run keeps ``measured``, the pre-costed measurement of
     every distinct statement per ``(hw, setting)`` pair; a loop run
-    keeps each node's timeline pieces and the setting each plays under.
+    keeps ``timeline``, every node's awake timeline as rows.
     """
 
     nodes: list[NodeTimeline]
@@ -146,8 +154,7 @@ class ClusterSchedule:
     cap_w: float | None
     workload_class: str
     measured: dict[CostKey, list] | None = None
-    pieces_by_node: dict[str, list[CompiledTrace]] | None = None
-    settings_by_node: dict[str, list[PvcSetting]] | None = None
+    timeline: LoopTimeline | None = None
     qed: QedReport | None = None
     faults: FaultReport | None = None
     run_id: str | None = None
@@ -155,17 +162,17 @@ class ClusterSchedule:
 
     @property
     def engine(self) -> str:
-        """``"loop"`` when the schedule carries timeline pieces,
+        """``"loop"`` when the schedule carries a timeline,
         ``"vectorized"`` otherwise."""
-        return "vectorized" if self.pieces_by_node is None else "loop"
+        return "vectorized" if self.timeline is None else "loop"
 
     @property
     def scheduled_pieces(self) -> int:
         """Busy windows, plus -- on a loop run -- the idle, wake and
-        stretch pieces between them."""
-        if self.pieces_by_node is None:
+        straggler rows of its timeline."""
+        if self.timeline is None:
             return len(self.windows)
-        return sum(len(p) for p in self.pieces_by_node.values())
+        return len(self.timeline)
 
 
 class _ServiceView(Mapping):
@@ -679,19 +686,13 @@ class ClusterSimulator:
                     for _sql, arrival_s in work.queries:
                         response.observe(work.end_s - arrival_s)
 
-        pieces_by_node: dict[str, list[CompiledTrace]] = {}
-        settings_by_node: dict[str, list[PvcSetting]] = {}
-        for node in self.nodes:
-            pieces, settings = node_timeline_pieces(node, table, horizon)
-            pieces_by_node[node.spec.name] = pieces
-            settings_by_node[node.spec.name] = settings
-        windows = self._window_table()
+        nodes = [NodeTimeline.snapshot(n) for n in self.nodes]
+        windows = window_table(nodes, table)
         return ClusterSchedule(
-            nodes=[NodeTimeline.snapshot(n) for n in self.nodes],
+            nodes=nodes,
             table=table,
             windows=windows,
-            pieces_by_node=pieces_by_node,
-            settings_by_node=settings_by_node,
+            timeline=loop_timeline(nodes, windows, horizon),
             horizon_s=horizon,
             shed=shed,
             peak_power_w=self._peak_model_power_w(windows),
@@ -1300,35 +1301,6 @@ class ClusterSimulator:
             )
         stats.merged_windows += 1
 
-    def _window_table(self) -> ScheduleTable:
-        """The nodes' scheduled windows as the schedule table:
-        node-major, each node's windows in the order it ran them, and
-        the queries each window answers in the same order."""
-        code = {key: i for i, key in enumerate(self._table)}
-        works = [work for node in self.nodes for work in node.scheduled]
-        answered = [
-            (i, sql, arrival_s)
-            for i, work in enumerate(works)
-            for sql, arrival_s in work.queries
-        ]
-        per_node = [len(node.scheduled) for node in self.nodes]
-        offsets = np.zeros(len(self.nodes) + 1, dtype=np.int64)
-        np.cumsum(per_node, out=offsets[1:])
-        return ScheduleTable(
-            node_idx=np.repeat(np.arange(len(self.nodes)), per_node),
-            trace_idx=np.array([code[w.trace_key] for w in works],
-                               dtype=np.int64),
-            start_s=np.array([w.start_s for w in works], dtype=np.float64),
-            end_s=np.array([w.end_s for w in works], dtype=np.float64),
-            offsets=offsets,
-            query_sql=np.array([code[sql] for _, sql, _ in answered],
-                               dtype=np.int64),
-            query_arrival_s=np.array([a for _, _, a in answered],
-                                     dtype=np.float64),
-            query_window=np.array([i for i, _, _ in answered],
-                                  dtype=np.int64),
-        )
-
     def _peak_model_power_w(self, windows: ScheduleTable) -> float:
         """Peak fleet power under the linear per-node envelope.
 
@@ -1376,22 +1348,21 @@ class ClusterSimulator:
         Busy windows and served queries come from the schedule table's
         columns on either engine, with no per-query Python object; node
         energies are counted from a vectorized run's table or played
-        from a loop run's timeline pieces.
+        from a loop run's timeline rows.
         """
         nodes = schedule.nodes
         names = [node.spec.name for node in nodes]
         windows, traces = schedule.windows, list(schedule.table)
-        if schedule.pieces_by_node is None:
+        if schedule.timeline is None:
             measurements = play_table(
                 nodes, windows, len(traces), schedule.measured,
                 schedule.horizon_s, schedule.workload_class,
             )
         else:
-            played = play_batched(
-                nodes, schedule.pieces_by_node,
-                schedule.workload_class, schedule.settings_by_node,
+            measurements = play_timeline(
+                nodes, list(schedule.table.values()), schedule.timeline,
+                schedule.workload_class,
             )
-            measurements = [played[name] for name in names]
         busy = [
             (windows.start_s[rows], windows.end_s[rows])
             for rows in map(windows.rows_for, range(len(nodes)))

@@ -9,8 +9,12 @@ things hold:
 * every node's energy from ``ClusterSimulator.playback`` matches the
   oracle in ``loop_playback.py``, which replays the loop schedule's
   timeline one compiled-trace piece at a time, to <= 1e-9;
-* the schedule table holds exactly the timeline's busy pieces, node by
+* the schedule table holds exactly the timeline's busy rows, node by
   node and in the order they ran;
+* the timeline's rows are the oracle's pieces -- kind, label, setting
+  and idle seconds bit for bit -- a traced run's rows are an untraced
+  run's, and every node's playback equals the oracle's batched
+  playback on all nine fields, exactly;
 * where the configuration can take the vectorized engine, counting the
   table and playing the timeline cost the run alike.
 
@@ -22,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loop_playback import play_loop
+from loop_playback import play_batched, play_loop, timeline_pieces
 from repro.cluster import (
     AdaptivePvcRouter,
     ClusterSimulator,
@@ -40,7 +44,10 @@ from repro.cluster import (
 )
 from repro.core.qed.policy import BatchPolicy
 from repro.db.profiles import mysql_profile
+from repro.cluster.playback import IDLE_LABELS
 from repro.hardware.cpu import PvcSetting, VoltageDowngrade
+from repro.hardware.trace import KIND_IDLE
+from repro.obs import SpanTracer
 from repro.workloads.arrivals import Arrival
 from repro.workloads.selection import selection_workload
 from repro.workloads.tpch.generator import tpch_database
@@ -135,7 +142,7 @@ def _fault_plan(config, names):
     return FaultPlan(specs, seed=7)
 
 
-def _simulator(db, config):
+def _simulator(db, config, tracer=None):
     specs = _fleet(config)
     master = None
     if config["qed"] == "master":
@@ -148,7 +155,7 @@ def _simulator(db, config):
     return ClusterSimulator(
         db, specs, ROUTERS[config["router"]](), master_queue=master,
         faults=_fault_plan(config, [s.name for s in specs]),
-        retry=RetryPolicy(attempts, backoff_s),
+        retry=RetryPolicy(attempts, backoff_s), tracer=tracer,
     )
 
 
@@ -175,21 +182,72 @@ def _loop_run(db, config):
 @given(config=configs())
 def test_playback_matches_the_piece_oracle(db, config):
     schedule, played = _loop_run(db, config)
-    oracle = play_loop(schedule.nodes, schedule.pieces_by_node,
-                       schedule.workload_class, schedule.settings_by_node)
+    pieces_by_node, settings_by_node = timeline_pieces(schedule)
+    oracle = play_loop(schedule.nodes, pieces_by_node,
+                       schedule.workload_class, settings_by_node)
     _assert_nodes_agree(
         [usage.playback for usage in played.nodes],
         [oracle[node.spec.name] for node in schedule.nodes],
     )
-    windows, traces = schedule.windows, list(schedule.table.values())
-    busy_trace = {id(trace) for trace in traces}
-    for j, node in enumerate(schedule.nodes):
-        busy = [piece for piece in schedule.pieces_by_node[node.spec.name]
-                if id(piece) in busy_trace]
-        rows = windows.trace_idx[windows.rows_for(j)]
-        assert [id(piece) for piece in busy] == [
-            id(traces[code]) for code in rows
+    windows, timeline = schedule.windows, schedule.timeline
+    for j in range(len(schedule.nodes)):
+        rows = timeline.trace_idx[
+            timeline.offsets[j]:timeline.offsets[j + 1]
         ]
+        assert rows[rows >= 0].tolist() == (
+            windows.trace_idx[windows.rows_for(j)].tolist()
+        )
+
+
+def _timeline_rows(timeline):
+    return (timeline.offsets.tolist(), timeline.trace_idx.tolist(),
+            [s.hex() for s in timeline.idle_s.tolist()],
+            timeline.label.tolist(),
+            [timeline.settings[i] for i in timeline.setting_idx])
+
+
+def _fields(m):
+    return tuple(float(v).hex() for v in (
+        m.duration_s, m.cpu_joules, m.memory_joules,
+        m.disk_energy.joules_5v, m.disk_energy.joules_12v,
+        m.board_joules, m.gpu_joules, m.fan_joules, m.wall_joules,
+    ))
+
+
+@settings(max_examples=100, derandomize=True, database=None,
+          deadline=None)
+@given(config=configs())
+def test_timeline_rows_are_the_oracle_pieces_bit_for_bit(db, config):
+    schedule, played = _loop_run(db, config)
+    traced = _simulator(db, config, tracer=SpanTracer()).schedule(
+        _stream(config)
+    )
+    assert traced.engine == "loop"
+    assert _timeline_rows(traced.timeline) == _timeline_rows(
+        schedule.timeline
+    )
+
+    pieces_by_node, settings_by_node = timeline_pieces(schedule)
+    batched = play_batched(schedule.nodes, pieces_by_node,
+                           schedule.workload_class, settings_by_node)
+    timeline, traces = schedule.timeline, list(schedule.table.values())
+    for j, (node, usage) in enumerate(zip(schedule.nodes, played.nodes)):
+        assert _fields(usage.playback) == _fields(batched[node.spec.name])
+        lo, hi = timeline.offsets[j], timeline.offsets[j + 1]
+        pieces = pieces_by_node[node.spec.name]
+        assert hi - lo == len(pieces)
+        for i, piece, setting in zip(range(lo, hi), pieces,
+                                     settings_by_node[node.spec.name]):
+            assert timeline.settings[timeline.setting_idx[i]] == setting
+            code = timeline.trace_idx[i]
+            if code >= 0:
+                assert piece is traces[code]
+                continue
+            assert piece.kinds.tolist() == [KIND_IDLE]
+            assert piece.labels == (IDLE_LABELS[timeline.label[i]],)
+            assert float(timeline.idle_s[i]).hex() == (
+                float(piece.seconds[0]).hex()
+            )
 
 
 @settings(max_examples=20, derandomize=True, database=None,

@@ -9,7 +9,7 @@
 
 import pytest
 
-from loop_playback import loop_playback
+from loop_playback import loop_playback, play_batched, timeline_pieces
 from repro.cluster import (
     ClusterSimulator,
     ConsolidateRouter,
@@ -17,7 +17,6 @@ from repro.cluster import (
     RoundRobinRouter,
     uniform_fleet,
 )
-from repro.cluster.playback import play_batched
 from repro.hardware.cpu import PvcSetting, VoltageDowngrade
 from repro.cluster.node import NodeSpec
 from repro.workloads.arrivals import poisson_arrivals
@@ -51,15 +50,15 @@ class TestEnergyConservation:
         sim = ClusterSimulator(
             mysql_db, heterogeneous_specs, RoundRobinRouter()
         )
-        # The per-piece comparison below reads the loop scheduler's
-        # piece maps; the vectorized path never materializes them.
+        # The per-piece comparison below replays the loop scheduler's
+        # timeline; the vectorized path never builds one.
         schedule = sim.schedule(_stream(), vectorized=False)
+        pieces_by_node, _ = timeline_pieces(schedule)
         batched = play_batched(
-            schedule.nodes, schedule.pieces_by_node,
-            schedule.workload_class,
+            schedule.nodes, pieces_by_node, schedule.workload_class,
         )
         for node in schedule.nodes:
-            pieces = schedule.pieces_by_node[node.spec.name]
+            pieces = pieces_by_node[node.spec.name]
             sequential = None
             for piece in pieces:
                 m = node.sut.run_compiled(piece, schedule.workload_class)
