@@ -71,7 +71,6 @@ from repro.hardware.profiles import (
     pvc_settings_grid,
 )
 from repro.hardware.system import SystemUnderTest
-from repro.measurement.protocol import MeasurementProtocol
 from repro.measurement.report import ComparisonTable
 from repro.workloads.arrivals import (
     Arrival,
@@ -87,15 +86,9 @@ from repro.workloads.selection import selection_query, selection_workload
 from repro.workloads.tpch.generator import load_tpch, tpch_database
 from repro.workloads.tpch.queries import (
     q1,
-    q3,
     q5,
     q5_paper_workload,
     q6,
-    q10,
-    q12,
-    q14,
-    q14_promo,
-    q19,
 )
 
 __version__ = "1.0.0"
@@ -130,7 +123,6 @@ __all__ = [
     "ComparisonTable",
     "Database",
     "EngineProfile",
-    "MeasurementProtocol",
     "MergedQuery",
     "OperatingPoint",
     "OperatingPointAdvisor",
@@ -162,12 +154,6 @@ __all__ = [
     "profile_by_name",
     "pvc_settings_grid",
     "q1",
-    "q10",
-    "q12",
-    "q14",
-    "q14_promo",
-    "q19",
-    "q3",
     "q5",
     "q5_paper_workload",
     "q6",

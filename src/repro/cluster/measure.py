@@ -148,28 +148,6 @@ class QedReport:
     def mean_batch_size(self) -> float:
         return self.queries / self.batches if self.batches else 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "batches": self.batches,
-            "mean_batch_size": self.mean_batch_size,
-            "merged_windows": self.merged_windows,
-            "singleton_windows": self.singleton_windows,
-            "fallback_batches": self.fallback_batches,
-            "partitions": {
-                p.partition: {
-                    "queries": p.queries,
-                    "batches": p.batches,
-                    "mean_batch_size": p.mean_batch_size,
-                    "max_batch": p.max_batch,
-                    "merged_windows": p.merged_windows,
-                    "singleton_windows": p.singleton_windows,
-                    "fallback_batches": p.fallback_batches,
-                }
-                for p in self.partitions
-            },
-        }
-
 
 @dataclass
 class FaultReport:
@@ -460,14 +438,6 @@ class ClusterMeasurement:
     fingerprint: dict | None = None
 
     # -- energy -----------------------------------------------------------
-
-    @property
-    def total(self) -> RunMeasurement:
-        """Composed playback of every node (sleep energy excluded)."""
-        out = zero_measurement()
-        for node in self.nodes:
-            out = out + node.playback
-        return out
 
     @property
     def wall_joules(self) -> float:

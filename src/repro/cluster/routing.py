@@ -96,31 +96,6 @@ class Router:
               nodes: list[SimulatedNode]) -> Decision:
         raise NotImplementedError
 
-    def describe(self) -> dict:
-        """Scalar configuration for run fingerprints.
-
-        Public scalar attributes only (plus lists whose elements
-        describe themselves as scalars, e.g. an adaptive router's PVC
-        ladder); underscore-prefixed state is per-run and excluded so
-        the fingerprint is stable across runs of the same policy.
-        """
-        out: dict = {"policy": type(self).__name__}
-        for key, value in sorted(vars(self).items()):
-            if key.startswith("_"):
-                continue
-            if value is None or isinstance(value, (bool, int, float, str)):
-                out[key] = value
-            elif isinstance(value, (list, tuple)):
-                parts = [
-                    v.describe() if hasattr(v, "describe") else v
-                    for v in value
-                ]
-                if all(
-                    isinstance(p, (bool, int, float, str)) for p in parts
-                ):
-                    out[key] = list(parts)
-        return out
-
 
 def sequence_chunk_on_nodes(
     times: np.ndarray,

@@ -420,8 +420,8 @@ class ClusterSimulator:
         if placement is None:
             # Leave the class-level ``placement = None`` in charge: an
             # instance attribute -- even None -- would show up in
-            # ``Router.describe()`` and shift the run fingerprint of
-            # placement-free runs.
+            # ``describe_policy(router)`` and shift the run fingerprint
+            # of placement-free runs.
             self.router.__dict__.pop("placement", None)
         else:
             self.router.placement = placement

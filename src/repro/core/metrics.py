@@ -80,15 +80,6 @@ class RatioPoint:
     def time_delta(self) -> float:
         return self.time_ratio - 1.0
 
-    def iso_edp_distance(self) -> float:
-        """Signed EDP gap to the iso-EDP curve (negative = below it).
-
-        The paper eyeballs this as "the shortest distance from the data
-        point to the EDP curve"; the EDP-ratio gap is the scale-free
-        equivalent.
-        """
-        return self.edp_ratio - 1.0
-
 
 def iso_edp_curve(energy_ratios: list[float]) -> list[tuple[float, float]]:
     """(energy ratio, time ratio) samples of the constant-EDP curve."""

@@ -7,12 +7,13 @@ response time becoming an :class:`OperatingPoint` on a
 
 The sweep uses the execute-once / replay-many pipeline: the workload
 (ten TPC-H Q5 queries) is executed against the database once for the
-*whole* sweep, and every operating point (and every protocol repeat)
-replays the cached traces under its setting via vectorized playback.
-It equals the historical pipeline -- one ``run_queries`` per operating
-point, the reading reused across protocol repeats -- on every
-database, a cold disk engine included;
-``tests/core/reference_sweep.py`` keeps that pipeline as the oracle.
+*whole* sweep, and every operating point replays the cached traces
+under its setting via vectorized playback.  The simulation is
+deterministic, so one reading per operating point stands for the
+paper's five-run trimmed mean.  It equals the historical pipeline --
+one ``run_queries`` per operating point -- on every database, a cold
+disk engine included; ``tests/core/reference_sweep.py`` keeps that
+pipeline as the oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.core.pvc.controller import PvcController
 from repro.core.tradeoff import TradeoffCurve
 from repro.hardware.cpu import PvcSetting, STOCK_SETTING
 from repro.hardware.profiles import pvc_settings_grid
-from repro.measurement.protocol import MeasurementProtocol
 from repro.workloads.runner import WorkloadRunner
 
 
@@ -34,25 +34,16 @@ class PvcSweep:
 
     runner: WorkloadRunner
     queries: list[str]
-    protocol: MeasurementProtocol | None = None
-
-    def _run_workload(self):
-        return self.runner.replay_queries(self.queries).total
 
     def measure_at(self, setting: PvcSetting) -> OperatingPoint:
-        """Run the workload at one setting (paper's 5-run trimmed mean)."""
+        """Run the workload at one setting: one point of the curve."""
         controller = PvcController(self.runner.sut)
         with controller.applied(setting):
-            if self.protocol is not None:
-                sample = self.protocol.measure(self._run_workload)
-                time_s, energy_j = sample.duration_s, sample.cpu_joules
-            else:
-                total = self._run_workload()
-                time_s, energy_j = total.duration_s, total.cpu_joules
+            total = self.runner.replay_queries(self.queries).total
         return OperatingPoint(
             label=setting.describe(),
-            time_s=time_s,
-            energy_j=energy_j,
+            time_s=total.duration_s,
+            energy_j=total.cpu_joules,
             setting=setting,
         )
 

@@ -119,19 +119,3 @@ class Catalog:
     @property
     def table_names(self) -> list[str]:
         return sorted(self._tables)
-
-    def resolve_column(self, column: str,
-                       tables: list[str]) -> str:
-        """Find which of ``tables`` owns ``column`` (must be unambiguous)."""
-        owners = [
-            t for t in tables if self.schema(t).has_column(column)
-        ]
-        if not owners:
-            raise CatalogError(
-                f"column {column!r} not found in tables {tables}"
-            )
-        if len(owners) > 1:
-            raise CatalogError(
-                f"column {column!r} is ambiguous across {owners}"
-            )
-        return owners[0]

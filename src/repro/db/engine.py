@@ -15,7 +15,7 @@ from repro.db.cost_model import build_trace, server_cycles
 from repro.db.errors import PlanError
 from repro.db.exec.executor import run_plan
 from repro.db.plan.optimizer import plan_query
-from repro.db.plan.physical import PhysNode, format_plan
+from repro.db.plan.physical import PhysNode
 from repro.db.profiles import EngineProfile, mysql_profile
 from repro.db.results import QueryResult
 from repro.db.schema import Table, TableSchema
@@ -139,58 +139,12 @@ class Database:
         self._plan_cache[query] = (self.generation, plan)
         return plan
 
-    def explain(self, query: str | ast.Select,
-                with_costs: bool = False, sut=None) -> str:
-        """Plan tree; with ``with_costs``, append per-node (time, energy)
-        estimates from the energy-aware coster."""
-        plan = self.plan(query)
-        if not with_costs:
-            return format_plan(plan)
-
-        from repro.db.plan.costing import PlanCoster
-        from repro.hardware.profiles import paper_sut
-
-        coster = PlanCoster(self.profile,
-                            sut if sut is not None else paper_sut())
-
-        def annotate(node, indent=0):
-            estimate = coster.cost(node, include_overhead=(indent == 0))
-            line = (
-                "  " * indent
-                + f"{node.describe()}  [rows~{node.est_rows:.0f}"
-                f"  t~{estimate.time_s:.4f}s  e~{estimate.energy_j:.3f}J]"
-            )
-            lines = [line]
-            for child in node.children():
-                lines.extend(annotate(child, indent + 1))
-            return lines
-
-        return "\n".join(annotate(plan))
-
     def execute(self, query: str | ast.Select) -> QueryResult:
         plan = self.plan(query)
         self.executions += 1
         return run_plan(
             plan, self.catalog, self.storage, self.profile.work_mem_bytes
         )
-
-    # -- energy-aware plan costing ------------------------------------------
-
-    def estimate_cost(self, query: str | ast.Select, sut=None):
-        """Pre-execution (time, energy) estimate for a query's plan.
-
-        ``sut`` defaults to the calibrated paper machine.  Returns
-        ``(plan, CostEstimate)``; rank objectives by calling
-        ``estimate.weighted(w_time, w_energy)`` (see
-        :class:`repro.db.plan.cost.CostWeights`).
-        """
-        from repro.db.plan.costing import PlanCoster
-        from repro.hardware.profiles import paper_sut
-
-        plan = self.plan(query)
-        machine = sut if sut is not None else paper_sut()
-        coster = PlanCoster(self.profile, machine)
-        return plan, coster.cost(plan)
 
     # -- energy/time accounting -------------------------------------------
 

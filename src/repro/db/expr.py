@@ -134,40 +134,9 @@ def evaluate_scalar(expr: ast.Expr, batch: Batch,
             counters.arithmetic_ops += batch.n_rows
             return np.abs(evaluate_scalar(expr.arg, batch, counters))
         raise ExecutionError(f"unknown function {expr.name!r}")
-    if isinstance(expr, ast.CaseWhen):
-        return _evaluate_case(expr, batch, counters)
     raise ExecutionError(
         f"expression {expr.to_sql()} is not a scalar expression"
     )
-
-
-def _evaluate_case(expr: ast.CaseWhen, batch: Batch,
-                   counters: ExprCounters) -> np.ndarray:
-    """Searched CASE with per-row short-circuit condition accounting.
-
-    A row evaluates WHEN conditions in order until one matches, so
-    condition *i* is charged only for rows unmatched by 1..i-1 --
-    the same semantics the OR-chain accounting uses.
-    """
-    remaining = np.ones(batch.n_rows, dtype=bool)
-    conditions: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    for cond, value in expr.whens:
-        hit = evaluate_predicate(cond, batch, counters, remaining)
-        conditions.append(hit)
-        values.append(
-            np.asarray(evaluate_scalar(value, batch, counters),
-                       dtype=np.float64)
-        )
-        remaining = remaining & ~hit
-    if expr.default is not None:
-        default = np.asarray(
-            evaluate_scalar(expr.default, batch, counters),
-            dtype=np.float64,
-        )
-    else:
-        default = np.zeros(batch.n_rows)
-    return np.select(conditions, values, default=default)
 
 
 # --------------------------------------------------------------------------
@@ -218,38 +187,9 @@ def evaluate_predicate(
         return ge & (operand <= high) & active
     if isinstance(expr, ast.InList):
         return _evaluate_in_list(expr, batch, counters, active)
-    if isinstance(expr, ast.Like):
-        return _evaluate_like(expr, batch, counters, active)
     raise ExecutionError(
         f"expression {expr.to_sql()} is not a boolean predicate"
     )
-
-
-def _evaluate_like(expr: ast.Like, batch: Batch,
-                   counters: ExprCounters,
-                   active: np.ndarray) -> np.ndarray:
-    """LIKE pattern match over a string column (decoded values)."""
-    import re
-
-    col = _string_column(expr.operand, batch)
-    if col is None:
-        raise TypeMismatchError("LIKE requires a string column operand")
-    counters.comparisons += int(active.sum())
-    regex = re.compile(
-        "^"
-        + re.escape(expr.pattern).replace("%", ".*").replace("_", ".")
-        + "$"
-    )
-    # Match once per dictionary entry, then broadcast through the codes.
-    dictionary = col.dictionary or []
-    code_hits = np.fromiter(
-        (regex.match(value) is not None for value in dictionary),
-        dtype=bool, count=len(dictionary),
-    )
-    mask = code_hits[col.raw()] if len(dictionary) else np.zeros(
-        batch.n_rows, dtype=bool
-    )
-    return mask & active
 
 
 def _evaluate_in_list(expr: ast.InList, batch: Batch,

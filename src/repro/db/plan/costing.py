@@ -10,8 +10,7 @@ counters go through afterwards, so estimates and measurements share
 units and assumptions.
 
 Plans can then be ranked by ``CostWeights`` (pure time = classical
-optimizer, pure energy, or a blend), and
-:func:`repro.db.engine.Database.estimate_cost` exposes the estimate.
+optimizer, pure energy, or a blend) with :func:`rank_plans`.
 """
 
 from __future__ import annotations
@@ -47,16 +46,11 @@ class PlanCoster:
 
     # -- public API ----------------------------------------------------
 
-    def cost(self, plan: PhysNode,
-             include_overhead: bool = True) -> CostEstimate:
-        """Estimated (time, energy) for the (sub)plan.
-
-        ``include_overhead`` adds the per-statement setup cost; pass
-        False when costing sub-trees for EXPLAIN annotation.
-        """
+    def cost(self, plan: PhysNode) -> CostEstimate:
+        """Estimated (time, energy) for the plan, per-statement setup
+        cost included."""
         cycles, disk_s = self._walk(plan)
-        if include_overhead:
-            cycles += self.profile.query_overhead_cycles
+        cycles += self.profile.query_overhead_cycles
         rows = self._rows_in(plan)
         stall_s = rows * self.profile.stall_ns_per_row * 1e-9
         if self.profile.temp_write_bytes_per_row:

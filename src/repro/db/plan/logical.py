@@ -189,20 +189,6 @@ class _Resolver:
                 self.qualify(expr.operand),
                 tuple(self.qualify(i) for i in expr.items),
             )
-        if isinstance(expr, ast.Like):
-            return ast.Like(self.qualify(expr.operand), expr.pattern)
-        if isinstance(expr, ast.CaseWhen):
-            default = (
-                self.qualify(expr.default)
-                if expr.default is not None else None
-            )
-            return ast.CaseWhen(
-                tuple(
-                    (self.qualify(cond), self.qualify(value))
-                    for cond, value in expr.whens
-                ),
-                default,
-            )
         if isinstance(expr, ast.And):
             return ast.And(self.qualify(expr.left), self.qualify(expr.right))
         if isinstance(expr, ast.Or):
@@ -252,14 +238,6 @@ def _contains_aggregate(expr: ast.Expr) -> bool:
         return _contains_aggregate(expr.operand) or any(
             _contains_aggregate(i) for i in expr.items
         )
-    if isinstance(expr, ast.CaseWhen):
-        parts = [
-            piece for cond, value in expr.whens
-            for piece in (cond, value)
-        ]
-        if expr.default is not None:
-            parts.append(expr.default)
-        return any(_contains_aggregate(p) for p in parts)
     return False
 
 

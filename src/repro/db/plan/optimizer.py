@@ -327,18 +327,6 @@ def _plan_projection(bound: BoundQuery, node: PhysNode) -> PhysNode:
             return ast.Or(rewrite(expr.left), rewrite(expr.right))
         if isinstance(expr, ast.Not):
             return ast.Not(rewrite(expr.operand))
-        if isinstance(expr, ast.CaseWhen):
-            default = (
-                rewrite(expr.default) if expr.default is not None
-                else None
-            )
-            return ast.CaseWhen(
-                tuple(
-                    (rewrite(cond), rewrite(value))
-                    for cond, value in expr.whens
-                ),
-                default,
-            )
         if isinstance(expr, ast.ColumnRef) and expr.table is not None:
             raise PlanError(
                 f"column {expr.to_sql()} must appear in GROUP BY or "

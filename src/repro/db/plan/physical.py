@@ -2,7 +2,7 @@
 
 A physical plan is a tree of dataclass nodes; :mod:`repro.db.exec.operators`
 interprets it.  ``est_rows`` carries the optimizer's cardinality estimate
-for costing and EXPLAIN output.
+for costing.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ class PhysNode:
     def children(self) -> list["PhysNode"]:
         return []
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass
 class PhysScan(PhysNode):
@@ -34,13 +31,6 @@ class PhysScan(PhysNode):
     #: (None = all).  Page I/O is unaffected -- a row store reads whole
     #: pages -- but CPU-side batch width and spill volume shrink.
     columns: frozenset[str] | None = None
-
-    def describe(self) -> str:
-        pred = f" filter: {self.predicate.to_sql()}" if self.predicate else ""
-        name = self.table_name
-        if self.binding != self.table_name:
-            name = f"{self.table_name} as {self.binding}"
-        return f"SeqScan({name}){pred}"
 
 
 @dataclass
@@ -56,17 +46,6 @@ class PhysHashJoin(PhysNode):
     def children(self) -> list[PhysNode]:
         return [self.build, self.probe]
 
-    def describe(self) -> str:
-        extra = ""
-        if self.post_predicates:
-            extra = " and " + " and ".join(
-                p.to_sql() for p in self.post_predicates
-            )
-        return (
-            f"HashJoin({self.build_key.to_sql()} = "
-            f"{self.probe_key.to_sql()}{extra})"
-        )
-
 
 @dataclass
 class PhysFilter(PhysNode):
@@ -76,9 +55,6 @@ class PhysFilter(PhysNode):
 
     def children(self) -> list[PhysNode]:
         return [self.child]
-
-    def describe(self) -> str:
-        return f"Filter({self.predicate.to_sql()})"
 
 
 @dataclass(frozen=True)
@@ -101,14 +77,6 @@ class PhysAggregate(PhysNode):
     def children(self) -> list[PhysNode]:
         return [self.child]
 
-    def describe(self) -> str:
-        groups = ", ".join(e.to_sql() for e in self.group_exprs) or "<all>"
-        aggs = ", ".join(
-            f"{a.func.upper()}({'*' if a.arg is None else a.arg.to_sql()})"
-            for a in self.aggregates
-        )
-        return f"Aggregate(group by {groups}; {aggs})"
-
 
 @dataclass
 class PhysProject(PhysNode):
@@ -121,9 +89,6 @@ class PhysProject(PhysNode):
     def children(self) -> list[PhysNode]:
         return [self.child]
 
-    def describe(self) -> str:
-        return "Project(" + ", ".join(i.to_sql() for i in self.items) + ")"
-
 
 @dataclass
 class PhysDistinct(PhysNode):
@@ -132,9 +97,6 @@ class PhysDistinct(PhysNode):
 
     def children(self) -> list[PhysNode]:
         return [self.child]
-
-    def describe(self) -> str:
-        return "Distinct"
 
 
 @dataclass
@@ -146,9 +108,6 @@ class PhysSort(PhysNode):
     def children(self) -> list[PhysNode]:
         return [self.child]
 
-    def describe(self) -> str:
-        return "Sort(" + ", ".join(k.to_sql() for k in self.keys) + ")"
-
 
 @dataclass
 class PhysLimit(PhysNode):
@@ -158,15 +117,3 @@ class PhysLimit(PhysNode):
 
     def children(self) -> list[PhysNode]:
         return [self.child]
-
-    def describe(self) -> str:
-        return f"Limit({self.limit})"
-
-
-def format_plan(node: PhysNode, indent: int = 0) -> str:
-    """Pretty-print a plan tree (EXPLAIN output)."""
-    line = "  " * indent + f"{node.describe()}  [rows~{node.est_rows:.0f}]"
-    lines = [line]
-    for child in node.children():
-        lines.append(format_plan(child, indent + 1))
-    return "\n".join(lines)

@@ -81,35 +81,6 @@ class InList(Expr):
 
 
 @dataclass(frozen=True)
-class CaseWhen(Expr):
-    """Searched CASE: WHEN cond THEN value ... [ELSE value] END."""
-
-    whens: tuple[tuple["Expr", "Expr"], ...]
-    default: "Expr | None" = None
-
-    def to_sql(self) -> str:
-        parts = ["CASE"]
-        for cond, value in self.whens:
-            parts.append(f"WHEN {cond.to_sql()} THEN {value.to_sql()}")
-        if self.default is not None:
-            parts.append(f"ELSE {self.default.to_sql()}")
-        parts.append("END")
-        return " ".join(parts)
-
-
-@dataclass(frozen=True)
-class Like(Expr):
-    """SQL LIKE with ``%`` (any run) and ``_`` (any char) wildcards."""
-
-    operand: Expr
-    pattern: str
-
-    def to_sql(self) -> str:
-        escaped = self.pattern.replace("'", "''")
-        return f"{self.operand.to_sql()} LIKE '{escaped}'"
-
-
-@dataclass(frozen=True)
 class And(Expr):
     left: Expr
     right: Expr
@@ -299,14 +270,6 @@ def column_refs(expr: Expr) -> list[ColumnRef]:
             walk(node.operand)
             for item in node.items:
                 walk(item)
-        elif isinstance(node, Like):
-            walk(node.operand)
-        elif isinstance(node, CaseWhen):
-            for cond, value in node.whens:
-                walk(cond)
-                walk(value)
-            if node.default is not None:
-                walk(node.default)
         elif isinstance(node, (And, Or)):
             walk(node.left)
             walk(node.right)

@@ -10,8 +10,7 @@ from repro.db.errors import SqlSyntaxError
 KEYWORDS = {
     "select", "distinct", "from", "where", "group", "by", "having",
     "order", "limit", "and", "or", "not", "between", "in", "as",
-    "asc", "desc", "date", "join", "inner", "on", "is", "null", "like",
-    "case", "when", "then", "else", "end",
+    "asc", "desc", "date", "join", "inner", "on", "is", "null",
 }
 
 OPERATORS = ["<=", ">=", "<>", "!=", "=", "<", ">", "+", "-", "*", "/"]

@@ -31,14 +31,12 @@ from repro.db.sql.ast import (
     And,
     Arithmetic,
     Between,
-    CaseWhen,
     ColumnRef,
     Comparison,
     DateLiteral,
     Expr,
     FuncCall,
     InList,
-    Like,
     Literal,
     Negate,
     Not,
@@ -291,9 +289,8 @@ class _Parser:
             return Between(left, low, high)
         negated = False
         if self.current.is_keyword("not"):
-            # lookahead for NOT IN / NOT LIKE
-            nxt = self.tokens[self.pos + 1]
-            if nxt.is_keyword("in") or nxt.is_keyword("like"):
+            # lookahead for NOT IN
+            if self.tokens[self.pos + 1].is_keyword("in"):
                 self.advance()
                 negated = True
         if self.accept_keyword("in"):
@@ -301,14 +298,6 @@ class _Parser:
             items = tuple(self._parse_expr_list())
             self.expect_punct(")")
             expr: Expr = InList(left, items)
-            return Not(expr) if negated else expr
-        if self.accept_keyword("like"):
-            pattern = self.advance()
-            if pattern.type is not TokenType.STRING:
-                raise SqlSyntaxError(
-                    "LIKE expects a quoted pattern", pattern.position
-                )
-            expr = Like(left, pattern.value)
             return Not(expr) if negated else expr
         return left
 
@@ -360,8 +349,6 @@ class _Parser:
                     "DATE expects a quoted ISO date", value.position
                 )
             return DateLiteral(value.value)
-        if token.is_keyword("case"):
-            return self._parse_case()
         if token.type is TokenType.PUNCT and token.value == "(":
             self.advance()
             expr = self.parse_expr()
@@ -394,22 +381,3 @@ class _Parser:
         raise SqlSyntaxError(
             f"unexpected token {token.value!r}", token.position
         )
-
-    def _parse_case(self) -> Expr:
-        self.expect_keyword("case")
-        whens: list[tuple[Expr, Expr]] = []
-        while self.accept_keyword("when"):
-            cond = self.parse_expr()
-            self.expect_keyword("then")
-            value = self.parse_expr()
-            whens.append((cond, value))
-        if not whens:
-            raise SqlSyntaxError(
-                "CASE needs at least one WHEN branch",
-                self.current.position,
-            )
-        default = None
-        if self.accept_keyword("else"):
-            default = self.parse_expr()
-        self.expect_keyword("end")
-        return CaseWhen(tuple(whens), default)

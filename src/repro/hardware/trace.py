@@ -322,83 +322,3 @@ class Trace:
         return sum(
             s.num_ops for s in self.segments if isinstance(s, DiskAccess)
         )
-
-    def scaled(self, factor: float) -> "Trace":
-        """Return a copy with every work quantity multiplied by ``factor``.
-
-        Useful for extrapolating a small-scale-factor run to the paper's
-        scale factor: TPC-H work is uniform, so cycles, bytes, and idle
-        time all scale linearly with data size.
-        """
-        if factor < 0:
-            raise ValueError("factor must be non-negative")
-        scaled_segments: list[Segment] = []
-        for seg in self.segments:
-            if isinstance(seg, CpuWork):
-                scaled_segments.append(
-                    CpuWork(seg.cycles * factor, seg.utilization, seg.label)
-                )
-            elif isinstance(seg, ClientWork):
-                scaled_segments.append(
-                    ClientWork(seg.cycles * factor, seg.utilization, seg.label)
-                )
-            elif isinstance(seg, DiskAccess):
-                scaled_segments.append(
-                    DiskAccess(
-                        num_ops=max(0, round(seg.num_ops * factor)),
-                        bytes_total=seg.bytes_total * factor,
-                        sequential=seg.sequential,
-                        write=seg.write,
-                        cpu_overlap_utilization=seg.cpu_overlap_utilization,
-                        label=seg.label,
-                    )
-                )
-            else:
-                scaled_segments.append(Idle(seg.seconds * factor, seg.label))
-        return Trace(scaled_segments)
-
-    def merged(self) -> "Trace":
-        """Coalesce adjacent segments of identical kind and parameters.
-
-        Purely an optimization for very long traces; playing a merged
-        trace yields the same time and energy.
-        """
-        out: list[Segment] = []
-        for seg in self.segments:
-            if out and _mergeable(out[-1], seg):
-                out[-1] = _merge(out[-1], seg)
-            else:
-                out.append(seg)
-        return Trace(out)
-
-
-def _mergeable(a: Segment, b: Segment) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, (CpuWork, ClientWork)):
-        return a.utilization == b.utilization and a.label == b.label
-    if isinstance(a, DiskAccess):
-        return (
-            a.sequential == b.sequential
-            and a.write == b.write
-            and a.cpu_overlap_utilization == b.cpu_overlap_utilization
-            and a.label == b.label
-        )
-    return a.label == b.label
-
-
-def _merge(a: Segment, b: Segment) -> Segment:
-    if isinstance(a, CpuWork):
-        return CpuWork(a.cycles + b.cycles, a.utilization, a.label)
-    if isinstance(a, ClientWork):
-        return ClientWork(a.cycles + b.cycles, a.utilization, a.label)
-    if isinstance(a, DiskAccess):
-        return DiskAccess(
-            num_ops=a.num_ops + b.num_ops,
-            bytes_total=a.bytes_total + b.bytes_total,
-            sequential=a.sequential,
-            write=a.write,
-            cpu_overlap_utilization=a.cpu_overlap_utilization,
-            label=a.label,
-        )
-    return Idle(a.seconds + b.seconds, a.label)

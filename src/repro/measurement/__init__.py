@@ -1,7 +1,6 @@
-"""Measurement: the paper's protocol, instruments, and reporting."""
+"""Measurement: instruments, reporting, ablation scenarios and gates."""
 
 from repro.measurement.meter import InstrumentPanel, InstrumentedReading
-from repro.measurement.protocol import MeasurementProtocol, exact_protocol
 from repro.measurement.report import ComparisonRow, ComparisonTable
 
 __all__ = [
@@ -9,6 +8,4 @@ __all__ = [
     "ComparisonTable",
     "InstrumentPanel",
     "InstrumentedReading",
-    "MeasurementProtocol",
-    "exact_protocol",
 ]

@@ -4,7 +4,6 @@ from repro.workloads.arrivals import (
     Arrival,
     ArrivalStream,
     bursty_arrivals,
-    drain_through_queue,
     poisson_arrivals,
     uniform_arrivals,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "ClientModel",
     "WorkloadRunner",
     "bursty_arrivals",
-    "drain_through_queue",
     "poisson_arrivals",
     "selection_query",
     "selection_workload",

@@ -479,21 +479,6 @@ def rate_schedule_arrivals(queries: list[str], schedule: RateSchedule,
     return _finalize(times, sql_idx, distinct, start_s)
 
 
-def diurnal_arrivals(queries: list[str], base_rate: float,
-                     peak_rate: float, period_s: float, horizon_s: float,
-                     seed: int = 0, start_s: float = 0.0,
-                     phase_s: float = 0.0,
-                     rng: np.random.Generator | None = None,
-                     ) -> ArrivalStream:
-    """Sinusoidal day/night arrival stream (see :func:`diurnal_schedule`)."""
-    return rate_schedule_arrivals(
-        queries,
-        diurnal_schedule(base_rate, peak_rate, period_s, horizon_s,
-                         phase_s=phase_s),
-        seed=seed, start_s=start_s, rng=rng,
-    )
-
-
 def ramp_arrivals(queries: list[str], start_rate: float, end_rate: float,
                   horizon_s: float, seed: int = 0, start_s: float = 0.0,
                   rng: np.random.Generator | None = None) -> ArrivalStream:
@@ -520,15 +505,3 @@ def merge_arrivals(*streams: Iterable[Arrival]) -> ArrivalStream:
     # End to end the arrivals sit in (stream argument, in-stream)
     # order, which is exactly the tie order a stable sort preserves.
     return ArrivalStream.concat(parts).in_time_order()
-
-
-def drain_through_queue(arrivals: Iterable[Arrival], queue) -> list:
-    """Feed arrivals into a :class:`~repro.core.qed.queue.QueryQueue`;
-    returns the dispatched batches (a trailing partial batch stays
-    queued, as in a live system)."""
-    batches = []
-    for sql, time_s in ArrivalStream.coerce(arrivals).pairs():
-        batch = queue.submit(sql, time_s)
-        if batch is not None:
-            batches.append(batch)
-    return batches

@@ -7,27 +7,15 @@ from repro.workloads.tpch.generator import (
 )
 from repro.workloads.tpch.queries import (
     q1,
-    q3,
     q5,
     q5_paper_workload,
     q6,
-    q10,
-    q12,
-    q14,
-    q14_promo,
-    q19,
 )
 
 __all__ = [
     "generate_tpch",
     "load_tpch",
     "q1",
-    "q10",
-    "q12",
-    "q14",
-    "q14_promo",
-    "q19",
-    "q3",
     "q5",
     "q5_paper_workload",
     "q6",

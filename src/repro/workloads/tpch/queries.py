@@ -1,8 +1,10 @@
-"""TPC-H queries: Q5 (the paper's PVC workload) and friends.
+"""TPC-H queries: Q5 (the paper's PVC workload), plus Q1 and Q6.
 
 The paper runs ten Q5 instances per workload: regions ASIA and AMERICA
 crossed with all five one-year order-date ranges (1993..1997), giving
-non-overlapping predicates of equal work.
+non-overlapping predicates of equal work.  Q1 (scan + wide aggregation)
+and Q6 (selection + sum) are the contrasting plan shapes the
+energy-aware optimizer example ranks.
 """
 
 from __future__ import annotations
@@ -63,24 +65,6 @@ def q1(delta_days: int = 90) -> str:
     )
 
 
-def q3(segment: str = "BUILDING", date: str = "1995-03-15") -> str:
-    """TPC-H Q3: shipping priority (three-way join, top-k)."""
-    return (
-        "SELECT l_orderkey, "
-        "SUM(l_extendedprice * (1 - l_discount)) AS revenue, "
-        "o_orderdate "
-        "FROM customer, orders, lineitem "
-        "WHERE c_mktsegment = '" + segment + "' "
-        "AND c_custkey = o_custkey "
-        "AND l_orderkey = o_orderkey "
-        f"AND o_orderdate < DATE '{date}' "
-        f"AND l_shipdate > DATE '{date}' "
-        "GROUP BY l_orderkey, o_orderdate "
-        "ORDER BY revenue DESC, o_orderdate "
-        "LIMIT 10"
-    )
-
-
 def q6(year: int = 1994, discount: float = 0.06,
        quantity: int = 24) -> str:
     """TPC-H Q6: forecasting revenue change (pure selection + sum)."""
@@ -92,109 +76,6 @@ def q6(year: int = 1994, discount: float = 0.06,
         f"AND l_discount BETWEEN {discount - 0.01:.2f} "
         f"AND {discount + 0.01:.2f} "
         f"AND l_quantity < {quantity}"
-    )
-
-
-def q10(date_from: str = "1993-10-01", date_to: str = "1994-01-01",
-        limit: int = 20) -> str:
-    """TPC-H Q10: returned-item reporting (customers who returned)."""
-    return (
-        "SELECT c_custkey, c_name, "
-        "SUM(l_extendedprice * (1 - l_discount)) AS revenue, "
-        "c_acctbal, n_name "
-        "FROM customer, orders, lineitem, nation "
-        "WHERE c_custkey = o_custkey "
-        "AND l_orderkey = o_orderkey "
-        f"AND o_orderdate >= DATE '{date_from}' "
-        f"AND o_orderdate < DATE '{date_to}' "
-        "AND l_returnflag = 'R' "
-        "AND c_nationkey = n_nationkey "
-        "GROUP BY c_custkey, c_name, c_acctbal, n_name "
-        "ORDER BY revenue DESC "
-        f"LIMIT {limit}"
-    )
-
-
-def q14_promo(date_from: str = "1995-09-01",
-              date_to: str = "1995-10-01") -> str:
-    """Q14-style promo revenue (numerator form, no CASE expression):
-    revenue from parts whose type starts with PROMO in the window."""
-    return (
-        "SELECT SUM(l_extendedprice * (1 - l_discount)) AS promo_revenue "
-        "FROM lineitem, part "
-        "WHERE l_partkey = p_partkey "
-        "AND p_type LIKE 'PROMO%' "
-        f"AND l_shipdate >= DATE '{date_from}' "
-        f"AND l_shipdate < DATE '{date_to}'"
-    )
-
-
-def q12(year: int = 1994, modes: tuple[str, str] = ("MAIL", "SHIP")
-        ) -> str:
-    """TPC-H Q12: shipping modes and order priority (CASE aggregation)."""
-    mode_list = ", ".join(f"'{m}'" for m in modes)
-    return (
-        "SELECT l_shipmode, "
-        "SUM(CASE WHEN o_orderpriority = '1-URGENT' "
-        "OR o_orderpriority = '2-HIGH' THEN 1 ELSE 0 END) "
-        "AS high_line_count, "
-        "SUM(CASE WHEN o_orderpriority <> '1-URGENT' "
-        "AND o_orderpriority <> '2-HIGH' THEN 1 ELSE 0 END) "
-        "AS low_line_count "
-        "FROM orders, lineitem "
-        "WHERE o_orderkey = l_orderkey "
-        f"AND l_shipmode IN ({mode_list}) "
-        "AND l_commitdate < l_receiptdate "
-        "AND l_shipdate < l_commitdate "
-        f"AND l_receiptdate >= DATE '{year}-01-01' "
-        f"AND l_receiptdate < DATE '{year + 1}-01-01' "
-        "GROUP BY l_shipmode "
-        "ORDER BY l_shipmode"
-    )
-
-
-def q14(date_from: str = "1995-09-01", date_to: str = "1995-10-01"
-        ) -> str:
-    """TPC-H Q14: promotion effect (CASE ratio over a join)."""
-    return (
-        "SELECT 100.0 * SUM(CASE WHEN p_type LIKE 'PROMO%' "
-        "THEN l_extendedprice * (1 - l_discount) ELSE 0 END) "
-        "/ SUM(l_extendedprice * (1 - l_discount)) AS promo_revenue "
-        "FROM lineitem, part "
-        "WHERE l_partkey = p_partkey "
-        f"AND l_shipdate >= DATE '{date_from}' "
-        f"AND l_shipdate < DATE '{date_to}'"
-    )
-
-
-def q19(brands: tuple[str, str, str] = ("Brand#12", "Brand#23",
-                                        "Brand#34"),
-        quantities: tuple[int, int, int] = (1, 10, 20)) -> str:
-    """TPC-H Q19-style discounted revenue (disjunction of conjunctive
-    branches sharing the join predicate).
-
-    Adapted to this generator's schema: the spec's ``l_shipinstruct``
-    and ``p_container`` predicates are replaced by ``p_size`` bands,
-    preserving the query's shape (an OR whose every branch repeats
-    ``p_partkey = l_partkey``, exercising the optimizer's common-factor
-    extraction).
-    """
-    branches = []
-    for i, (brand, quantity) in enumerate(zip(brands, quantities)):
-        size_hi = 5 * (i + 1)
-        branches.append(
-            "("
-            "p_partkey = l_partkey "
-            f"AND p_brand = '{brand}' "
-            f"AND l_quantity >= {quantity} "
-            f"AND l_quantity <= {quantity + 10} "
-            f"AND p_size BETWEEN 1 AND {size_hi}"
-            ")"
-        )
-    return (
-        "SELECT SUM(l_extendedprice * (1 - l_discount)) AS revenue "
-        "FROM lineitem, part "
-        "WHERE " + " OR ".join(branches)
     )
 
 

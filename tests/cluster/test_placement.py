@@ -36,6 +36,7 @@ from repro.cluster.placement import (
     replication_copy_trace,
     stable_hash,
 )
+from repro.obs.fingerprint import describe_policy
 from repro.workloads.arrivals import poisson_arrivals
 from repro.workloads.selection import selection_workload
 
@@ -219,13 +220,13 @@ class TestPlacementIdentity:
                                                           mysql_db):
         # ``_install_placement`` must not create a ``placement``
         # instance attribute on the router when there is no map: it
-        # would surface as ``placement: None`` in ``describe()`` and
-        # shift the run id of every placement-free run vs the seed.
+        # would surface as ``placement: None`` in ``describe_policy``
+        # and shift the run id of every placement-free run vs the seed.
         router = DynamicConsolidateRouter(max_backlog_s=0.5)
         ClusterSimulator(mysql_db, uniform_fleet(4), router).run(
             _stream()
         )
-        assert "placement" not in router.describe()
+        assert "placement" not in describe_policy(router)
         assert "placement" not in vars(router)
 
     def test_unknown_placement_node_rejected(self, mysql_db):

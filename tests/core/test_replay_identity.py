@@ -14,7 +14,6 @@ from repro.db.engine import Database
 from repro.db.profiles import commercial_profile, mysql_profile
 from repro.db.schema import ColumnDef, TableSchema
 from repro.db.types import DataType
-from repro.measurement.protocol import MeasurementProtocol
 from repro.workloads.runner import WorkloadRunner
 from repro.workloads.selection import selection_query
 
@@ -48,26 +47,14 @@ class TestSweepReplayIdentity:
         ).run()
         _assert_curves_match(naive, replayed)
 
-    def test_protocol_sweep_matches_naive_path(self, mysql_db, sut):
-        naive = reference_sweep(
-            WorkloadRunner(mysql_db, sut), self.QUERIES,
-            protocol=MeasurementProtocol(runs=5, noise_sigma=0.01, seed=11),
-        )
-        replayed = PvcSweep(
-            WorkloadRunner(mysql_db, sut), self.QUERIES,
-            protocol=MeasurementProtocol(runs=5, noise_sigma=0.01, seed=11),
-        ).run()
-        _assert_curves_match(naive, replayed)
-
     def test_replay_matches_historical_pipeline_on_cold_disk_db(self, sut):
         """On a cold disk engine the first execution warms the buffer
         pool; replay must still reproduce the historical pipeline
-        (execute once per point, reuse repeats) exactly, first cold
-        execution included."""
+        (execute once per point) exactly, first cold execution
+        included."""
         from repro.workloads.tpch.generator import tpch_database
 
         queries = [selection_query(1), selection_query(2)]
-        protocol_kwargs = dict(runs=5, noise_sigma=0.01, seed=3)
 
         def cold_db():
             return tpch_database(
@@ -76,13 +63,9 @@ class TestSweepReplayIdentity:
             )
 
         historical = reference_sweep(
-            WorkloadRunner(cold_db(), sut), queries,
-            protocol=MeasurementProtocol(**protocol_kwargs),
+            WorkloadRunner(cold_db(), sut), queries
         )
-        replayed = PvcSweep(
-            WorkloadRunner(cold_db(), sut), queries,
-            protocol=MeasurementProtocol(**protocol_kwargs),
-        ).run()
+        replayed = PvcSweep(WorkloadRunner(cold_db(), sut), queries).run()
         _assert_curves_match(historical, replayed)
 
     def test_replay_sweep_executes_each_distinct_query_once(

@@ -3,11 +3,25 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.db.errors import SqlSyntaxError
+from repro.db.engine import Database
+from repro.db.errors import DatabaseError, SqlSyntaxError
+from repro.db.schema import ColumnDef, TableSchema
 from repro.db.sql import ast
 from repro.db.sql.lexer import TokenType, tokenize
 from repro.db.sql import parser as parser_module
 from repro.db.sql.parser import PARSE_MEMO_SIZE, parse, parse_expression
+from repro.db.types import DataType
+from repro.workloads.tpch.queries import q1, q6
+
+#: Malformed SQL, and SQL outside the dialect (LIKE and CASE are not
+#: supported): each must fail with a named database error.
+INVALID_SQL = [
+    "SELECT a FROM t extra! tokens",
+    "SELECT a",
+    "SELECT k FROM t WHERE s LIKE 'a%'",
+    "SELECT k FROM t WHERE s NOT LIKE 'a%'",
+    "SELECT SUM(CASE WHEN k = 1 THEN 1 ELSE 0 END) FROM t",
+]
 
 
 class TestLexer:
@@ -65,9 +79,10 @@ class TestParser:
         assert isinstance(expr.right, ast.And)
 
     def test_not_in(self):
-        expr = parse_expression("a NOT IN (1, 2)")
-        assert isinstance(expr, ast.Not)
-        assert isinstance(expr.operand, ast.InList)
+        expr = parse_expression("k NOT IN (1, 2)")
+        assert expr == ast.Not(ast.InList(
+            ast.ColumnRef("k"), (ast.Literal(1), ast.Literal(2))
+        ))
 
     def test_between(self):
         expr = parse_expression("x BETWEEN 1 AND 5")
@@ -111,13 +126,18 @@ class TestParser:
         expr = parse_expression("-x + 1")
         assert isinstance(expr.left, ast.Negate)
 
-    def test_trailing_garbage_rejected(self):
+    @pytest.mark.parametrize("sql", INVALID_SQL)
+    def test_invalid_sql_rejected(self, sql):
         with pytest.raises(SqlSyntaxError):
-            parse("SELECT a FROM t extra! tokens")
-
-    def test_missing_from_rejected(self):
-        with pytest.raises(SqlSyntaxError):
-            parse("SELECT a")
+            parse(sql)
+        db = Database()
+        db.create_table(
+            TableSchema("t", [ColumnDef("k", DataType.INT64),
+                              ColumnDef("s", DataType.STRING)]),
+            {"k": [1, 2], "s": ["ab", "b"]},
+        )
+        with pytest.raises(DatabaseError):
+            db.execute(sql)
 
     def test_star(self):
         select = parse("SELECT * FROM t")
@@ -231,4 +251,11 @@ class TestRoundTrip:
                                  ast.Literal(1)),
             limit=limit,
         )
+        assert parse(select.to_sql()) == select
+
+    @pytest.mark.parametrize("sql", [q1(), q6()])
+    def test_tpch_round_trip(self, sql):
+        """Arithmetic, BETWEEN, DATE literals and ORDER BY print back to
+        SQL that parses to the same tree."""
+        select = parse(sql)
         assert parse(select.to_sql()) == select

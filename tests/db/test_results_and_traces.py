@@ -1,4 +1,4 @@
-"""EXPLAIN with costs, result accessors, and trace building details."""
+"""Result accessors and trace building details."""
 
 import pytest
 
@@ -22,29 +22,6 @@ def db() -> Database:
         {"a": list(range(100)), "g": [f"g{i % 3}" for i in range(100)]},
     )
     return db
-
-
-class TestExplainWithCosts:
-    def test_annotations_present(self, db):
-        text = db.explain(
-            "SELECT g, COUNT(*) AS n FROM t GROUP BY g", with_costs=True
-        )
-        assert "t~" in text and "e~" in text and "rows~" in text
-
-    def test_plain_explain_has_no_costs(self, db):
-        text = db.explain("SELECT a FROM t")
-        assert "t~" not in text
-
-    def test_root_includes_statement_overhead(self, db):
-        text = db.explain("SELECT a FROM t", with_costs=True)
-        lines = text.splitlines()
-
-        def time_of(line):
-            return float(line.split("t~")[1].split("s")[0])
-
-        # Root (project) carries the statement overhead, so it costs
-        # at least as much as its scan child.
-        assert time_of(lines[0]) >= time_of(lines[-1])
 
 
 class TestQueryResult:

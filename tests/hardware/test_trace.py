@@ -1,7 +1,6 @@
-"""Work-segment model: validation, totals, scaling, merging."""
+"""Work-segment model: validation and totals."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.hardware.trace import ClientWork, CpuWork, DiskAccess, Idle, Trace
 
@@ -48,59 +47,3 @@ class TestTotals:
         b = Trace([CpuWork(2.0)])
         a.extend(b)
         assert a.total_cpu_cycles == 3.0
-
-
-class TestScaled:
-    def test_linear_scaling(self):
-        trace = Trace([
-            CpuWork(1e9, 0.8), DiskAccess(10, 1000.0, sequential=True),
-            Idle(2.0),
-        ])
-        doubled = trace.scaled(2.0)
-        assert doubled.total_cpu_cycles == 2e9
-        assert doubled.total_disk_bytes == 2000.0
-        assert doubled.segments[2].seconds == 4.0
-
-    def test_scaling_preserves_utilization(self):
-        trace = Trace([CpuWork(1e9, 0.42, "x")])
-        scaled = trace.scaled(3.0)
-        assert scaled.segments[0].utilization == 0.42
-        assert scaled.segments[0].label == "x"
-
-    def test_negative_factor_rejected(self):
-        with pytest.raises(ValueError):
-            Trace([]).scaled(-1.0)
-
-    @given(factor=st.floats(min_value=0.0, max_value=100.0))
-    def test_scaling_is_linear_in_cycles(self, factor):
-        trace = Trace([CpuWork(1e6, 1.0), ClientWork(5e5, 0.5)])
-        scaled = trace.scaled(factor)
-        assert scaled.total_cpu_cycles == pytest.approx(1e6 * factor)
-        assert scaled.total_client_cycles == pytest.approx(5e5 * factor)
-
-
-class TestMerged:
-    def test_adjacent_same_kind_merge(self):
-        trace = Trace([
-            CpuWork(1.0, 1.0, "a"), CpuWork(2.0, 1.0, "a"),
-            CpuWork(3.0, 0.5, "a"),
-        ])
-        merged = trace.merged()
-        assert len(merged) == 2
-        assert merged.segments[0].cycles == 3.0
-
-    def test_merge_preserves_totals(self):
-        trace = Trace([
-            CpuWork(1.0), CpuWork(2.0),
-            DiskAccess(1, 10.0, sequential=True, label="t"),
-            DiskAccess(2, 20.0, sequential=True, label="t"),
-            Idle(1.0), Idle(2.0),
-        ])
-        merged = trace.merged()
-        assert merged.total_cpu_cycles == trace.total_cpu_cycles
-        assert merged.total_disk_bytes == trace.total_disk_bytes
-        assert merged.total_disk_ops == trace.total_disk_ops
-
-    def test_different_kinds_do_not_merge(self):
-        trace = Trace([CpuWork(1.0), ClientWork(1.0), CpuWork(1.0)])
-        assert len(trace.merged()) == 3

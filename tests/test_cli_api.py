@@ -1,15 +1,32 @@
 """CLI commands and the public package surface."""
 
+import importlib
+from pathlib import Path
+
 import pytest
 
 import repro
 from repro.cli import build_parser, main
 
+#: Every package in ``src/repro`` whose ``__init__`` declares ``__all__``.
+PACKAGES = sorted(
+    ".".join(init.parent.relative_to(Path(repro.__file__).parents[1]).parts)
+    for init in Path(repro.__file__).parent.rglob("__init__.py")
+    if "__all__" in init.read_text()
+)
+
 
 class TestPublicApi:
-    def test_all_symbols_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_all_symbols_resolve(self, package):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert hasattr(module, name), f"{package}.{name}"
+
+    def test_package_discovery(self):
+        assert {"repro", "repro.cluster", "repro.workloads.tpch"} <= set(
+            PACKAGES
+        )
 
     def test_version(self):
         assert repro.__version__

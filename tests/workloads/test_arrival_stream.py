@@ -24,7 +24,6 @@ from repro.workloads.arrivals import (
     Arrival,
     ArrivalStream,
     bursty_arrivals,
-    diurnal_arrivals,
     diurnal_schedule,
     merge_arrivals,
     piecewise_schedule,
@@ -224,12 +223,6 @@ class TestGeneratorIdentity:
                 rate_schedule_reference(QUERIES[:9], schedule, seed=seed,
                                         start_s=start_s),
             )
-        assert _identical(
-            diurnal_arrivals(QUERIES, 1.0, 12.0, 20.0, 40.0, seed=seed,
-                             start_s=start_s),
-            rate_schedule_reference(QUERIES, schedules["diurnal"],
-                                    seed=seed, start_s=start_s),
-        )
         assert _identical(
             ramp_arrivals(QUERIES, 0.5, 9.0, 30.0, seed=seed,
                           start_s=start_s),

@@ -9,9 +9,7 @@ from repro.workloads.arrivals import (
     Arrival,
     RateSchedule,
     bursty_arrivals,
-    diurnal_arrivals,
     diurnal_schedule,
-    drain_through_queue,
     merge_arrivals,
     piecewise_schedule,
     poisson_arrivals,
@@ -22,6 +20,13 @@ from repro.workloads.arrivals import (
 )
 
 QUERIES = [f"SELECT {i} FROM t WHERE a = {i}" for i in range(20)]
+
+
+def drain_through_queue(arrivals, queue) -> list:
+    """Feed arrivals into ``queue``; return the dispatched batches (a
+    trailing partial batch stays queued, as in a live system)."""
+    batches = [queue.submit(a.sql, a.time_s) for a in arrivals]
+    return [batch for batch in batches if batch is not None]
 
 
 class TestStreams:
@@ -201,8 +206,6 @@ class TestLoadProfiles:
 
     def test_sorted_and_start_offset(self):
         for stream in (
-            diurnal_arrivals(QUERIES, 2.0, 20.0, 50.0, 100.0,
-                             start_s=7.0),
             ramp_arrivals(QUERIES, 2.0, 20.0, 100.0, start_s=7.0),
             rate_schedule_arrivals(QUERIES, self._diurnal(),
                                    start_s=7.0),
@@ -220,7 +223,10 @@ class TestLoadProfiles:
 
     def test_merge_compatible(self):
         merged = merge_arrivals(
-            diurnal_arrivals(QUERIES[:5], 1.0, 5.0, 50.0, 100.0, seed=1),
+            rate_schedule_arrivals(
+                QUERIES[:5], diurnal_schedule(1.0, 5.0, 50.0, 100.0),
+                seed=1,
+            ),
             ramp_arrivals(QUERIES[5:10], 1.0, 5.0, 100.0, seed=2),
             poisson_arrivals(QUERIES[10:], 10.0, seed=3),
         )
@@ -255,7 +261,6 @@ class TestEmptyStreamNormalization:
         assert uniform_arrivals([], 1.0) == []
         assert bursty_arrivals([], 3, 1.0) == []
         assert rate_schedule_arrivals([], schedule) == []
-        assert diurnal_arrivals([], 1.0, 2.0, 10.0, 10.0) == []
         assert ramp_arrivals([], 1.0, 2.0, 10.0) == []
 
     def test_empty_streams_merge(self):

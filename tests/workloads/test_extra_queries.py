@@ -1,11 +1,29 @@
-"""Q10 and the Q14-style promo query (exercises LIKE + bigger joins)."""
+"""TPC-H Q10: a four-way join, grouped, ordered and limited."""
 
 import pytest
 
 from repro.db.profiles import mysql_profile
 from repro.db.engine import Database
 from repro.workloads.tpch.generator import load_tpch
-from repro.workloads.tpch.queries import q10, q14_promo
+
+
+def q10(limit: int = 20) -> str:
+    """Returned-item reporting: customers who returned items."""
+    return (
+        "SELECT c_custkey, c_name, "
+        "SUM(l_extendedprice * (1 - l_discount)) AS revenue, "
+        "c_acctbal, n_name "
+        "FROM customer, orders, lineitem, nation "
+        "WHERE c_custkey = o_custkey "
+        "AND l_orderkey = o_orderkey "
+        "AND o_orderdate >= DATE '1993-10-01' "
+        "AND o_orderdate < DATE '1994-01-01' "
+        "AND l_returnflag = 'R' "
+        "AND c_nationkey = n_nationkey "
+        "GROUP BY c_custkey, c_name, c_acctbal, n_name "
+        "ORDER BY revenue DESC "
+        f"LIMIT {limit}"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -45,39 +63,3 @@ class TestQ10:
         for row in result.rows():
             assert row[0] in custkeys_with_r
 
-
-class TestPromo:
-    def test_executes(self, full_db):
-        result = full_db.execute(q14_promo())
-        assert result.row_count == 1
-
-    def test_matches_manual(self, full_db):
-        from repro.db.types import date_to_days
-        got = full_db.execute(
-            q14_promo("1995-09-01", "1995-10-01")
-        ).scalar()
-        part = full_db.catalog.table("part")
-        types = part.column("p_type")
-        promo_parts = {
-            key for key, code in zip(
-                part.column("p_partkey").raw().tolist(),
-                types.raw().tolist(),
-            )
-            if types.dictionary[code].startswith("PROMO")
-        }
-        li = full_db.catalog.table("lineitem")
-        lo = date_to_days("1995-09-01")
-        hi = date_to_days("1995-10-01")
-        expected = 0.0
-        ship = li.column("l_shipdate").raw()
-        pk = li.column("l_partkey").raw()
-        price = li.column("l_extendedprice").raw()
-        disc = li.column("l_discount").raw()
-        for i in range(li.row_count):
-            if lo <= ship[i] < hi and pk[i] in promo_parts:
-                expected += price[i] * (1 - disc[i])
-        assert got == pytest.approx(expected, rel=1e-9)
-
-    def test_like_pushdown_in_plan(self, full_db):
-        text = full_db.explain(q14_promo())
-        assert "LIKE 'PROMO%'" in text
