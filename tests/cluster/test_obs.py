@@ -18,11 +18,15 @@ import pytest
 
 from repro.cli import main
 from repro.cluster import (
+    AdaptivePvcRouter,
     ClusterSimulator,
+    ConsolidateRouter,
     DynamicConsolidateRouter,
     FaultPlan,
+    HashSplitRouter,
     LeastLoadedRouter,
     MasterQueue,
+    PowerCapRouter,
     RetryPolicy,
     RoundRobinRouter,
     uniform_fleet,
@@ -37,6 +41,7 @@ from repro.obs import (
     SpanTracer,
     config_fingerprint,
     energy_attribution,
+    describe_policy,
     load_trace,
     render_attribution,
     run_id_for,
@@ -61,6 +66,18 @@ def _dynamic():
     return DynamicConsolidateRouter(
         max_backlog_s=1.5, target_utilization=0.5
     )
+
+
+#: One configured instance of every routing policy.
+POLICIES = {
+    "round_robin": RoundRobinRouter,
+    "least_loaded": LeastLoadedRouter,
+    "hash_split": HashSplitRouter,
+    "consolidate": lambda: ConsolidateRouter(max_backlog_s=1.0),
+    "dynamic": _dynamic,
+    "adaptive_pvc": lambda: AdaptivePvcRouter(deadline_s=5.0),
+    "power_cap": lambda: PowerCapRouter(cap_w=1000.0),
+}
 
 
 def _faulted_sim(db, tracer=None, metrics=None):
@@ -234,6 +251,32 @@ class TestRunId:
             mysql_db, uniform_fleet(2), RoundRobinRouter()
         ).run(_stream(count=20))
         assert m.summary()["run_id"] == m.run_id
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_policy_description_is_public_scalar_config(self, policy):
+        router = POLICIES[policy]()
+        described = describe_policy(router)
+        assert described["policy"] == type(router).__name__
+        for key, value in described.items():
+            assert not key.startswith("_"), key
+            values = value if isinstance(value, list) else [value]
+            assert all(
+                v is None or isinstance(v, (bool, int, float, str))
+                for v in values
+            ), key
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_rerun_keeps_description_and_id(self, mysql_db, policy):
+        """Per-run router state never reaches the fingerprint: one
+        simulator run twice reports one run id."""
+        router = POLICIES[policy]()
+        before = describe_policy(router)
+        sim = ClusterSimulator(mysql_db, uniform_fleet(3), router)
+        first = sim.run(_stream(count=30))
+        second = sim.run(_stream(count=30))
+        assert describe_policy(router) == before
+        assert first.run_id == second.run_id
+        assert first.fingerprint["router"] == before
 
 
 class TestExporters:

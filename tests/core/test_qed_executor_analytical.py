@@ -23,6 +23,13 @@ class TestExecutor:
             2.5 * single, rel=0.01
         )
 
+    def test_sequential_total_time_is_the_measured_run(self, executor):
+        outcome = executor.run_sequential(selection_workload(4).queries)
+        assert outcome.total_time_s == outcome.measurement.duration_s
+        assert outcome.completion_times_s[-1] == pytest.approx(
+            outcome.total_time_s, rel=1e-9
+        )
+
     def test_batched_outcome_answers_all_at_end(self, executor):
         outcome = executor.run_batched(selection_workload(4).queries)
         assert outcome.avg_response_s == outcome.total_time_s

@@ -130,6 +130,9 @@ class TestParser:
     def test_invalid_sql_rejected(self, sql):
         with pytest.raises(SqlSyntaxError):
             parse(sql)
+
+    @pytest.mark.parametrize("sql", INVALID_SQL)
+    def test_invalid_sql_rejected_by_execute(self, sql):
         db = Database()
         db.create_table(
             TableSchema("t", [ColumnDef("k", DataType.INT64),

@@ -11,6 +11,7 @@ nothing but what a re-run reproduces.
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -300,3 +301,115 @@ def test_conservation_reads_the_vectorized_engine(db):
     assert ablations.conserved(m, stream)
     assert not ablations.conserved(m, stream[:-1])
     assert not ablations.conserved(m, stream + stream[-1:])
+
+
+def test_ablation_table_lists_each_mode_then_each_gate():
+    """Fault counters are flattened into the mode rows; the gated
+    values follow in table order, each with its bound."""
+    record = json.loads(ARTIFACT.read_text())["faults"]
+    ablation = ablations.Ablation(
+        "faults", modes=record["modes"],
+        config={"arrivals": record["arrivals"],
+                "sla_budget": record["sla_budget"]},
+        extras={"faults_active": record["faults_active"]},
+    )
+    table = ablation.table()
+    assert table.title == "faults ablation: arrivals 300, sla_budget 0.01"
+    measured = {row.label: row.measured for row in table.rows}
+    spread = record["modes"]["spread"]
+    assert measured["spread: wall_joules"] == spread["wall_joules"]
+    assert measured["spread: retries"] == spread["faults"]["retries"]
+    assert "spread: qed_mean_batch_size" not in measured
+    rows = gates.section_rows("faults")
+    assert [row.label for row in table.rows[-len(rows):]] == [
+        f"{gate.leaf} (needs {gate.describe()})" for gate in rows
+    ]
+    assert measured["conserved (needs true)"] == 1.0
+
+
+# -- the event core against the per-arrival loop (``cluster_scaling``) ----
+
+
+@pytest.fixture(scope="module")
+def scheduling(db):
+    specs, _router, stream = ablations.scheduler_scaling_scenario(
+        nodes=4, arrivals=300
+    )
+    return ablations.compare_cluster_scheduling(
+        db, specs, RoundRobinRouter, stream, scale_factor=0.005
+    )
+
+
+@pytest.mark.parametrize("nodes, arrivals", [(1, 10), (4, 300)])
+def test_scheduler_scenario_sizes(nodes, arrivals):
+    specs, router, stream = ablations.scheduler_scaling_scenario(
+        nodes=nodes, arrivals=arrivals
+    )
+    assert len(specs) == nodes and len(stream) == arrivals
+    assert isinstance(router, RoundRobinRouter)
+    assert len({a.sql for a in stream}) == min(
+        arrivals, ablations.CLUSTER_DISTINCT
+    )
+    assert stream == ablations.scheduler_scaling_scenario(
+        nodes=nodes, arrivals=arrivals
+    )[2]
+
+
+def test_event_core_matches_the_loop_scheduler(db, scheduling):
+    assert scheduling.dispatch_match is True
+    assert scheduling.max_rel_diff <= 1e-9
+    assert (scheduling.nodes, scheduling.arrivals) == (4, 300)
+    specs, _router, stream = ablations.scheduler_scaling_scenario(
+        nodes=4, arrivals=300
+    )
+    direct = ClusterSimulator(db, specs, RoundRobinRouter()).run(stream)
+    assert scheduling.run_id == direct.run_id
+    assert scheduling.wall_joules == pytest.approx(
+        direct.wall_joules, rel=1e-12
+    )
+
+
+def test_scheduling_record_passes_its_gates(scheduling):
+    record = scheduling.to_record()
+    json.dumps(record)
+    assert record["scale_factor"] == 0.005
+    assert (record["sched_nodes"], record["sched_arrivals"]) == (4, 300)
+    assert record["sched_run_id"] == scheduling.run_id
+    rows = [(gate, passed) for gate, _, passed
+            in gates.verdicts({"cluster_scaling": record})
+            if gate.section == "cluster_scaling"]
+    assert len(rows) == 2 and all(passed for _, passed in rows)
+
+
+def test_scheduling_table(scheduling):
+    table = scheduling.table()
+    assert table.title == (
+        f"Event core: 4 nodes x 300 arrivals (run {scheduling.run_id})"
+    )
+    assert [(row.label, row.measured) for row in table.rows] == [
+        ("cluster energy (J)", scheduling.wall_joules),
+        ("max energy deviation", scheduling.max_rel_diff),
+        ("dispatch match", 1.0),
+    ]
+
+
+def _playbacks(*nodes):
+    return SimpleNamespace(nodes=[
+        SimpleNamespace(playback=SimpleNamespace(
+            wall_joules=wall, cpu_joules=cpu, duration_s=duration,
+        ))
+        for wall, cpu, duration in nodes
+    ])
+
+
+@pytest.mark.parametrize("other, expected", [
+    ([(10.0, 5.0, 2.0), (0.0, 0.0, 0.0)], 0.0),
+    ([(11.0, 5.0, 2.0), (0.0, 0.0, 0.0)], 0.1),
+    ([(10.0, 5.0, 1.0), (0.0, 0.0, 0.0)], 0.5),
+    ([(10.0, 5.0, 2.0), (0.0, 0.25, 0.0)], 0.25),  # absolute at zero
+])
+def test_max_node_rel_diff(other, expected):
+    reference = _playbacks((10.0, 5.0, 2.0), (0.0, 0.0, 0.0))
+    assert ablations._max_node_rel_diff(
+        reference, _playbacks(*other)
+    ) == pytest.approx(expected)
