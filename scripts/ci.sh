@@ -177,18 +177,24 @@ run_obs() {
     diff <(grep "run id" "$trace.run.txt") \
         <(grep "run id" "$obs_dir/trace.jsonl.run.txt")
     echo "== loop engine (traced) == vectorized engine (untraced) =="
-    local spread="--sf 0.002 --nodes 4 --arrivals 60 --distinct 8"
-    spread="$spread --policy spread --sla 1.0 --window 1"
-    # shellcheck disable=SC2086
-    python -m repro cluster $spread > "$obs_dir/spread.vectorized.txt"
-    # shellcheck disable=SC2086
-    python -m repro cluster $spread --trace "$obs_dir/spread.json" \
-        > "$obs_dir/spread.loop.txt"
-    grep -q "engine=vectorized$" "$obs_dir/spread.vectorized.txt"
-    grep -q "engine=loop " "$obs_dir/spread.loop.txt"
-    diff <(grep -E "run id|wall energy" "$obs_dir/spread.vectorized.txt") \
-        <(grep -E "run id|wall energy" "$obs_dir/spread.loop.txt")
-    grep -E "run id|wall energy" "$obs_dir/spread.loop.txt"
+    # Hash-split pins templates to nodes, so the vectorized sequencer
+    # sees uneven per-node groups; spread sees even ones.
+    local policy run
+    for policy in spread hash; do
+        run="--sf 0.002 --nodes 4 --arrivals 60 --distinct 8"
+        run="$run --policy $policy --sla 1.0 --window 1"
+        # shellcheck disable=SC2086
+        python -m repro cluster $run > "$obs_dir/$policy.vectorized.txt"
+        # shellcheck disable=SC2086
+        python -m repro cluster $run --trace "$obs_dir/$policy.json" \
+            > "$obs_dir/$policy.loop.txt"
+        grep -q "engine=vectorized$" "$obs_dir/$policy.vectorized.txt"
+        grep -q "engine=loop " "$obs_dir/$policy.loop.txt"
+        diff <(grep -E "run id|wall energy" \
+                   "$obs_dir/$policy.vectorized.txt") \
+            <(grep -E "run id|wall energy" "$obs_dir/$policy.loop.txt")
+        grep -E "run id|wall energy" "$obs_dir/$policy.loop.txt"
+    done
     echo "== trace schema + energy reconciliation, both formats =="
     for out in "$trace" "$obs_dir/trace.jsonl"; do
         python -m repro obs report "$out" | tee "$out.report.txt"

@@ -512,17 +512,28 @@ class ClusterMeasurement:
             return 0.0
         return float(np.percentile(self._response_values, q))
 
+    @cached_property
+    def _reported_percentiles(self) -> tuple[float, float, float]:
+        """p50, p95 and p99 from one partition of the responses
+        (memoized like the values they read)."""
+        if self.served == 0:
+            return (0.0, 0.0, 0.0)
+        p50, p95, p99 = np.percentile(
+            self._response_values, (50.0, 95.0, 99.0)
+        ).tolist()
+        return (p50, p95, p99)
+
     @property
     def p50_response_s(self) -> float:
-        return self.response_percentile(50.0)
+        return self._reported_percentiles[0]
 
     @property
     def p95_response_s(self) -> float:
-        return self.response_percentile(95.0)
+        return self._reported_percentiles[1]
 
     @property
     def p99_response_s(self) -> float:
-        return self.response_percentile(99.0)
+        return self._reported_percentiles[2]
 
     @property
     def mean_response_s(self) -> float:

@@ -113,29 +113,42 @@ def sequence_chunk_on_nodes(
     where ``e0`` is the node's busy horizon entering the chunk.  Each
     node's ``busy_until`` advances to its last end so consecutive
     chunks chain exactly.
+
+    The chunk is grouped by node once (a stable argsort, so each node's
+    arrivals keep their chunk order) and the recurrence runs on each
+    node's contiguous slice; the cost is one sort plus the chunk, not
+    nodes x chunk.
     """
-    starts = np.empty_like(times)
-    ends = np.empty_like(times)
-    for j, node in enumerate(nodes):
-        mask = node_idx == j
-        t = times[mask]
-        if t.size == 0:
+    order = np.argsort(node_idx, kind="stable")
+    bounds = np.zeros(len(nodes) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(node_idx, minlength=len(nodes)),
+              out=bounds[1:])
+    times_by_node = times[order]
+    service_by_node = service_s[order]
+    starts_by_node = np.empty_like(times)
+    ends_by_node = np.empty_like(times)
+    for node, lo, hi in zip(nodes, bounds[:-1].tolist(),
+                            bounds[1:].tolist()):
+        if lo == hi:
             continue
-        s = service_s[mask]
+        t = times_by_node[lo:hi]
+        s = service_by_node[lo:hi]
         csum = np.cumsum(s)
         anchor = np.maximum(t, node.busy_until) - (csum - s)
         e = csum + np.maximum.accumulate(anchor)
-        ends[mask] = e
+        ends_by_node[lo:hi] = e
         # Starts come from the recurrence itself (max of arrival and
         # the previous end), not ``e - s``: re-deriving the max keeps
         # back-to-back pieces exactly contiguous where the closed-form
         # subtraction can land an ulp off and momentarily double-count
         # the node in power-step sweeps.
-        prev_e = np.empty_like(e)
-        prev_e[0] = node.busy_until
-        prev_e[1:] = e[:-1]
-        starts[mask] = np.maximum(t, prev_e)
+        starts_by_node[lo] = np.maximum(t[0], node.busy_until)
+        np.maximum(t[1:], e[:-1], out=starts_by_node[lo + 1:hi])
         node.busy_until = float(e[-1])
+    starts = np.empty_like(times)
+    ends = np.empty_like(times)
+    starts[order] = starts_by_node
+    ends[order] = ends_by_node
     return starts, ends
 
 

@@ -1,8 +1,8 @@
 """Playback against the piece-by-piece oracle, over drawn runs.
 
 For every drawn configuration -- uniform or two-hardware-group fleets;
-round-robin, least-loaded, consolidate, dynamic and adaptive-PVC
-routers; QED off, per node or on the master; a fault plan over all four
+round-robin, least-loaded, hash-split, consolidate, dynamic and
+adaptive-PVC routers; QED off, per node or on the master; a fault plan over all four
 kinds; streams with tied timestamps and repeated statements -- three
 things hold:
 
@@ -15,8 +15,11 @@ things hold:
   and idle seconds bit for bit -- a traced run's rows are an untraced
   run's, and every node's playback equals the oracle's batched
   playback on all nine fields, exactly;
-* where the configuration can take the vectorized engine, counting the
-  table and playing the timeline cost the run alike.
+* where the configuration can take the vectorized engine -- every
+  ``route_chunk`` router, unsorted input, with no placement map, a
+  vacuous one or one that pins each statement to a shard's replicas --
+  counting the table and playing the timeline cost the run alike and
+  report the same response percentiles.
 
 Configurations are drawn as plain values, so a falsifying example
 prints whole.
@@ -35,11 +38,13 @@ from repro.cluster import (
     DynamicConsolidateRouter,
     FaultPlan,
     FaultSpec,
+    HashSplitRouter,
     LeastLoadedRouter,
     MasterQueue,
     NodeGroup,
     RetryPolicy,
     RoundRobinRouter,
+    generate_placement,
     hetero_fleet,
 )
 from repro.core.qed.policy import BatchPolicy
@@ -66,6 +71,7 @@ POOL = selection_workload(4).queries + [
 ROUTERS = {
     "round_robin": RoundRobinRouter,
     "least_loaded": LeastLoadedRouter,
+    "hash_split": HashSplitRouter,
     "consolidate": lambda: ConsolidateRouter(max_backlog_s=0.05),
     "dynamic": lambda: DynamicConsolidateRouter(max_backlog_s=0.05),
     "adaptive_pvc": lambda: AdaptivePvcRouter(deadline_s=0.05),
@@ -90,8 +96,10 @@ faults = st.tuples(
 
 
 def configs(routers=tuple(sorted(ROUTERS)), qed=("off", "node", "master"),
-            fault_lists=st.lists(faults, max_size=4)):
+            fault_lists=st.lists(faults, max_size=4),
+            placements=st.just(("none", 0))):
     return st.fixed_dictionaries({
+        "placement": placements,
         "nodes": st.integers(1, 4),
         "two_groups": st.booleans(),
         "router": st.sampled_from(routers),
@@ -156,7 +164,19 @@ def _simulator(db, config, tracer=None):
         db, specs, ROUTERS[config["router"]](), master_queue=master,
         faults=_fault_plan(config, [s.name for s in specs]),
         retry=RetryPolicy(attempts, backoff_s), tracer=tracer,
+        placement=_placement(config, specs),
     )
+
+
+def _placement(config, specs):
+    """No map; a vacuous one (every node holds every shard); or one
+    sharded on ``l_quantity``, so each pool statement needs one shard
+    and runs only on that shard's replicas."""
+    kind, shards = config["placement"]
+    if kind == "none":
+        return None
+    replicas = len(specs) if kind == "vacuous" else (len(specs) + 1) // 2
+    return generate_placement(specs, shards, replicas, column="l_quantity")
 
 
 def _stream(config):
@@ -250,10 +270,16 @@ def test_timeline_rows_are_the_oracle_pieces_bit_for_bit(db, config):
             )
 
 
-@settings(max_examples=20, derandomize=True, database=None,
+@settings(max_examples=40, derandomize=True, database=None,
           deadline=None)
-@given(config=configs(routers=("least_loaded", "round_robin"), qed=("off",),
-                      fault_lists=st.just([])))
+@given(config=configs(
+    routers=("hash_split", "least_loaded", "round_robin"), qed=("off",),
+    fault_lists=st.just([]),
+    placements=st.tuples(
+        st.sampled_from(["none", "vacuous", "constraining"]),
+        st.integers(2, 4),
+    ),
+))
 def test_eligible_runs_cost_alike_on_both_engines(db, config):
     sim = _simulator(db, config)
     assert sim.vectorized_ineligibility() is None
@@ -261,6 +287,8 @@ def test_eligible_runs_cost_alike_on_both_engines(db, config):
     _, loop = _loop_run(db, config)
     assert fast.served == loop.served
     assert fast.horizon_s == pytest.approx(loop.horizon_s, rel=REL)
+    for p in ("p50_response_s", "p95_response_s", "p99_response_s"):
+        assert getattr(fast, p) == pytest.approx(getattr(loop, p), rel=REL)
     _assert_nodes_agree(
         [usage.playback for usage in fast.nodes],
         [usage.playback for usage in loop.nodes],

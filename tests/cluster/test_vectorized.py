@@ -6,13 +6,22 @@ re-expression of the per-arrival loop for every ``route_chunk`` router
 <= 1e-9 on homogeneous *and* heterogeneous fleets), configurations the
 fast path cannot express fall back to the loop under ``auto`` and fail
 loudly under ``vectorized=True``, and empty arrival streams produce
-well-formed zero measurements instead of crashing.
+well-formed zero measurements instead of crashing.  Over drawn inputs,
+the grouped chunk sequencer equals the per-node mask loop it replaced
+bit for bit, and the three reported response percentiles equal
+``np.percentile`` exactly.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loop_playback import loop_playback
+from sequencing_oracle import sequence_chunk_by_masks
+from window_oracle import response_columns
 from repro.cluster import (
     ClusterSimulator,
     ConsolidateRouter,
@@ -26,6 +35,8 @@ from repro.cluster import (
     hetero_fleet,
     uniform_fleet,
 )
+from repro.cluster.measure import ClusterMeasurement, QueryResponse
+from repro.cluster.routing import sequence_chunk_on_nodes
 from repro.core.qed.policy import BatchPolicy
 from repro.hardware.cpu import PvcSetting, VoltageDowngrade
 from repro.obs import MetricsRegistry, SpanTracer
@@ -263,3 +274,86 @@ class TestEmptyStream:
         assert doc["served"] == 0
         assert doc["wall_joules"] == 0.0
         assert doc["avg_power_w"] == 0.0
+
+
+#: Arrival gaps in 10 ms ticks; a zero gap ties two arrivals.
+gaps = st.integers(0, 3)
+#: Zero services and ones long enough to queue behind each other.
+services = st.sampled_from([0.0, 0.0, 0.004, 0.02, 0.3])
+
+routed_chunks = st.fixed_dictionaries({
+    "nodes": st.integers(1, 5),
+    "busy_until": st.lists(st.sampled_from([0.0, 0.05, 1.0]),
+                           min_size=5, max_size=5),
+    "routing": st.sampled_from(["round_robin", "hash_skewed"]),
+    # Each template's home node (hash-skewed routing): a few templates
+    # over up to five nodes pile onto some nodes and leave others idle.
+    "homes": st.lists(st.integers(0, 4), min_size=3, max_size=3),
+    "chunks": st.lists(
+        st.lists(st.tuples(gaps, st.integers(0, 2), services),
+                 min_size=1, max_size=40),
+        min_size=2, max_size=3,
+    ),
+})
+
+
+class TestSequencing:
+    @settings(max_examples=150, derandomize=True, database=None,
+              deadline=None)
+    @given(case=routed_chunks)
+    def test_grouped_pass_is_the_mask_loop_bit_for_bit(self, case):
+        n = case["nodes"]
+        grouped = [SimpleNamespace(busy_until=b)
+                   for b in case["busy_until"][:n]]
+        masked = [SimpleNamespace(busy_until=b)
+                  for b in case["busy_until"][:n]]
+        ticks, turn = 0, 0
+        for chunk in case["chunks"]:
+            gap, template, service = (np.array(c) for c in zip(*chunk))
+            times = (ticks + np.cumsum(gap)) * 0.01
+            ticks += int(gap.sum())
+            if case["routing"] == "round_robin":
+                node_idx = (turn + np.arange(len(chunk))) % n
+                turn += len(chunk)
+            else:
+                node_idx = np.array(case["homes"])[template] % n
+            got = sequence_chunk_on_nodes(times, service, node_idx,
+                                          grouped)
+            want = sequence_chunk_by_masks(times, service, node_idx,
+                                           masked)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert [node.busy_until for node in grouped] == [
+                node.busy_until for node in masked
+            ]
+
+
+#: (arrival, response) ticks; small ranges tie responses.
+responses = st.sampled_from([0, 1, 2, 40]).flatmap(
+    lambda size: st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 6)),
+        min_size=size, max_size=size,
+    )
+)
+
+
+class TestPercentiles:
+    @settings(max_examples=40, derandomize=True, database=None,
+              deadline=None)
+    @given(drawn=responses)
+    def test_reported_percentiles_are_np_percentile(self, drawn):
+        m = ClusterMeasurement(1.0, [], response_columns(*(
+            QueryResponse("q", "n0", a * 0.1, a * 0.1, a * 0.1 + r * 0.07)
+            for a, r in drawn
+        )))
+        c = m.response_columns
+        values = c.completion_s - c.arrival_s
+        doc = m.summary()
+        for _ in range(2):
+            for q, got in ((50.0, m.p50_response_s),
+                           (95.0, m.p95_response_s),
+                           (99.0, m.p99_response_s)):
+                want = (float(np.percentile(values, q)) if drawn
+                        else 0.0)
+                assert got == m.response_percentile(q) == want
+                assert doc[f"p{q:.0f}_response_s"] == want
