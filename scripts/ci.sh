@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # CI entry point, tiered so the workflow can fan stages out:
 #
-#   scripts/ci.sh                  # everything (lint -> tests -> perf -> cluster -> obs)
+#   scripts/ci.sh                  # everything (lint -> tests -> paper -> perf
+#                                  # -> cluster -> replication -> obs)
 #   scripts/ci.sh --stage lint     # compile + pyflakes + mypy + repro lint
 #   scripts/ci.sh --stage tests    # tier-1 pytest suite
+#   scripts/ci.sh --stage paper    # the paper's experiments end to end
+#                                  # (repro experiments at SF 0.035)
 #   scripts/ci.sh --stage perf     # event-core identity smoke bench
 #                                  # + BENCH_perf.json regenerates at
 #                                  # SF 0.05 (floats to 1e-9)
@@ -30,7 +33,7 @@ STAGE="all"
 while [ $# -gt 0 ]; do
     case "$1" in
         --stage) STAGE="$2"; shift 2 ;;
-        *) echo "usage: scripts/ci.sh [--stage lint|tests|perf|cluster|replication|obs|all]" >&2
+        *) echo "usage: scripts/ci.sh [--stage lint|tests|paper|perf|cluster|replication|obs|all]" >&2
            exit 2 ;;
     esac
 done
@@ -86,6 +89,18 @@ run_lint() {
 run_tests() {
     echo "== tier-1 test suite =="
     python -m pytest -x -q
+}
+
+run_paper() {
+    # Every paper data point at the smallest scale factor whose
+    # tolerances hold (see benchmarks/e2e/workloads.py): the command
+    # exits non-zero when any point is out of tolerance.
+    echo "== the paper's experiments end to end (SF 0.035) =="
+    local out
+    out="$(mktemp "${TMPDIR:-/tmp}/repro-paper.XXXXXX")"
+    python -m repro experiments --sf 0.035 | tee "$out"
+    grep -q "^all experiments within tolerance$" "$out"
+    rm -f "$out"
 }
 
 run_perf() {
@@ -234,11 +249,12 @@ EOF
 case "$STAGE" in
     lint)    run_lint ;;
     tests)   run_tests ;;
+    paper)   run_paper ;;
     perf)    run_perf ;;
     cluster) run_cluster ;;
     replication) run_replication ;;
     obs)     run_obs ;;
-    all)     run_lint; run_tests; run_perf; run_cluster;
+    all)     run_lint; run_tests; run_paper; run_perf; run_cluster;
              run_replication; run_obs ;;
     *) echo "unknown stage: $STAGE" >&2; exit 2 ;;
 esac

@@ -40,10 +40,8 @@ def _result_batch(result: QueryResult) -> Batch:
 
 
 def _take(result: QueryResult, indices: np.ndarray) -> QueryResult:
-    return QueryResult(
-        names=list(result.names),
-        columns=[col.take(indices) for col in result.columns],
-    )
+    columns = _result_batch(result).take(indices).columns
+    return QueryResult(names=list(columns), columns=list(columns.values()))
 
 
 def split_result(merged: MergedQuery, result: QueryResult) -> SplitOutcome:

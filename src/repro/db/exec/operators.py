@@ -153,8 +153,12 @@ def join_indices(build_keys: np.ndarray, probe_keys: np.ndarray
     ordered by probe row, then by build row among equal keys."""
     order = np.argsort(build_keys, kind="stable")
     left, counts = _probe_runs(build_keys[order], probe_keys)
+    # Expand only the probe rows that matched: a selective join's
+    # unmatched majority would otherwise pass through every array below.
+    matched = np.flatnonzero(counts)
+    left, counts = left[matched], counts[matched]
     total = int(counts.sum())
-    probe_idx = np.repeat(np.arange(len(probe_keys)), counts)
+    probe_idx = np.repeat(matched, counts)
     if total == 0:
         return np.empty(0, dtype=np.int64), probe_idx
     # Output row j of probe row p reads sorted position

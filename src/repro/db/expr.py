@@ -22,7 +22,7 @@ import numpy as np
 from repro.db.errors import ExecutionError, TypeMismatchError
 from repro.db.exec.stats import ExprCounters
 from repro.db.sql import ast
-from repro.db.types import Column, DataType, date_to_days
+from repro.db.types import Column, DataType, date_to_days, take_columns
 
 
 class Batch:
@@ -60,10 +60,9 @@ class Batch:
         return self.columns[matches[0]]
 
     def take(self, indices: np.ndarray) -> "Batch":
-        return Batch(
-            {k: col.take(indices) for k, col in self.columns.items()},
-            len(indices),
-        )
+        """Select rows by position; copies no column values, and one
+        row index per source (see :func:`~repro.db.types.take_columns`)."""
+        return Batch(take_columns(self.columns, indices), len(indices))
 
     def head(self, n: int) -> "Batch":
         """The first ``n`` rows by contiguous slicing (LIMIT).

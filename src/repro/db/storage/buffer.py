@@ -48,6 +48,43 @@ class BufferPool:
         self._admit(key)
         return False
 
+    def scan_pages(self, table: str, n_pages: int) -> list[int]:
+        """Touch pages ``0..n_pages - 1`` of ``table`` in order; returns
+        the lengths of the runs of consecutive misses.
+
+        The same walk as ``access`` on each page in turn -- same LRU
+        order, counters and version -- in one loop that calls no Python
+        function per page (a warm scan of a table is a hot path of the
+        disk engine).
+        """
+        pages = self._pages
+        capacity = self.capacity_pages
+        runs: list[int] = []
+        run = hits = admitted = evicted = 0
+        for index in range(n_pages):
+            key = (table, index)
+            if key in pages:
+                pages.move_to_end(key)
+                hits += 1
+                if run:
+                    runs.append(run)
+                    run = 0
+                continue
+            run += 1
+            if capacity:
+                while len(pages) >= capacity:
+                    pages.popitem(last=False)
+                    evicted += 1
+                pages[key] = None
+                admitted += 1
+        if run:
+            runs.append(run)
+        self.hits += hits
+        self.misses += n_pages - hits
+        self.evictions += evicted
+        self.version += admitted
+        return runs
+
     def contains(self, key: tuple[str, int]) -> bool:
         return key in self._pages
 

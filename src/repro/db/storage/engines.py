@@ -22,7 +22,6 @@ from repro.db.storage.buffer import BufferPool
 from repro.db.storage.pages import (
     PAGE_SIZE_BYTES,
     SEQUENTIAL_RUN_BYTES,
-    page_key,
     pages_for,
 )
 from repro.db.types import Column
@@ -86,19 +85,9 @@ class DiskEngine(StorageEngine):
         pages coalesce into runs; long runs transfer sequentially, short
         runs pay a random access each.
         """
-        n_pages = self.table_pages(table)
-        miss_runs: list[int] = []
-        run = 0
-        for index in range(n_pages):
-            hit = self.buffer_pool.access(page_key(table.name, index))
-            if hit:
-                if run:
-                    miss_runs.append(run)
-                    run = 0
-            else:
-                run += 1
-        if run:
-            miss_runs.append(run)
+        miss_runs = self.buffer_pool.scan_pages(
+            table.name, self.table_pages(table)
+        )
         self._record_runs(miss_runs, table.name, stats)
         return table.columns
 

@@ -17,7 +17,3 @@ def pages_for(row_count: int, row_width_bytes: int) -> int:
         return 0
     rows_per_page = max(1, PAGE_SIZE_BYTES // row_width_bytes)
     return -(-row_count // rows_per_page)  # ceil division
-
-
-def page_key(table: str, index: int) -> tuple[str, int]:
-    return (table, index)

@@ -56,15 +56,28 @@ class Column:
     For STRING columns, ``data`` holds int32 dictionary codes and
     ``dictionary`` the distinct values (code -> value).  For all other
     types ``data`` holds the values directly.
+
+    Columns are materialized late (Abadi et al., ICDE 2007): ``take``
+    copies no values but returns a column holding a *base* array and a
+    row index into it, composing indices through chains of takes.  Such
+    a column gathers ``base[rows]`` once, when ``data`` is first read,
+    and keeps the result; ``len`` reads the index and gathers nothing.
+    A gathered column keeps its base and index too, so later takes
+    still compose the index it shares with the other columns of its
+    source (see :func:`take_columns`).
     """
 
-    __slots__ = ("dtype", "data", "dictionary", "_index")
+    __slots__ = ("dtype", "dictionary", "_data", "_base", "_rows", "_index")
 
     def __init__(self, dtype: DataType, data: np.ndarray,
                  dictionary: list[str] | None = None):
         self.dtype = dtype
-        self.data = data
         self.dictionary = dictionary
+        # A base column holds its values in ``_data``; a taken column
+        # holds ``_base`` and ``_rows``, and ``_data`` once gathered.
+        self._data: np.ndarray | None = data
+        self._base: np.ndarray | None = None
+        self._rows: np.ndarray | None = None
         self._index: dict[str, int] | None = None
         if dtype is DataType.STRING and dictionary is None:
             raise TypeMismatchError("STRING columns need a dictionary")
@@ -110,23 +123,48 @@ class Column:
 
     # -- basics ---------------------------------------------------------
 
+    @property
+    def data(self) -> np.ndarray:
+        """The values; a column from ``take`` gathers them here, once."""
+        if self._data is None:
+            self._data = self._base[self._rows]
+        return self._data
+
     def __len__(self) -> int:
-        return len(self.data)
+        return len(self._data if self._rows is None else self._rows)
 
     def take(self, indices: np.ndarray) -> "Column":
-        """Select rows by position (shares the dictionary)."""
-        col = Column(self.dtype, self.data[indices], self.dictionary)
+        """Select rows by position (shares the dictionary; copies no
+        values -- see the class docstring)."""
+        return self._over(self._compose(indices))
+
+    def _compose(self, indices: np.ndarray) -> np.ndarray:
+        """The index into this column's base that selects ``indices``."""
+        return indices if self._rows is None else self._rows[indices]
+
+    def _over(self, rows: np.ndarray) -> "Column":
+        """This column's base read through ``rows`` (from ``_compose``)."""
+        col = Column.__new__(Column)
+        col.dtype = self.dtype
+        col.dictionary = self.dictionary
         col._index = self._index
+        col._base = self._data if self._rows is None else self._base
+        col._data = None
+        col._rows = rows
         return col
 
     def head(self, n: int) -> "Column":
-        """The first ``n`` rows as a contiguous slice (shares the dictionary).
+        """The first ``n`` rows (shares the dictionary).
 
-        Copies the ``n`` kept rows (no index array, unlike ``take``) so
-        the result owns its memory -- a cached LIMIT result must not pin
-        the full pre-limit arrays alive through a numpy view.
+        Copies only the ``n`` kept rows, so the result owns its memory
+        -- a cached LIMIT result must not pin the full pre-limit arrays
+        alive through a numpy view or a pending row index.
         """
-        col = Column(self.dtype, self.data[:n].copy(), self.dictionary)
+        if self._data is None:
+            data = self._base[self._rows[:n]]
+        else:
+            data = self._data[:n].copy()
+        col = Column(self.dtype, data, self.dictionary)
         col._index = self._index
         return col
 
@@ -156,6 +194,26 @@ class Column:
     @property
     def width_bytes(self) -> int:
         return self.dtype.width_bytes
+
+
+def take_columns(columns: dict[str, Column], indices: np.ndarray
+                 ) -> dict[str, Column]:
+    """``{name: col.take(indices)}``, composing each row index once.
+
+    The columns of one source that went through the same takes share
+    one row index object; it is composed with ``indices`` once and the
+    result shared again, so selecting rows of a join output costs one
+    index per source table, not one copy per column.
+    """
+    composed: dict[int, np.ndarray] = {}
+    out = {}
+    for name, col in columns.items():
+        source = id(col._rows)  # every base column: id(None)
+        rows = composed.get(source)
+        if rows is None:
+            rows = composed[source] = col._compose(indices)
+        out[name] = col._over(rows)
+    return out
 
 
 def literal_to_comparable(column: Column, value) -> float | int:

@@ -1,7 +1,13 @@
 """Database facade: end-to-end behaviour, traces, buffer management."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+import eager_gather
+from repro.core.qed.aggregator import merge_queries
+from repro.core.qed.splitter import split_result
 from repro.db.cost_model import server_cycles
 from repro.db.engine import Database
 from repro.db.errors import CatalogError
@@ -13,6 +19,9 @@ from repro.db.profiles import (
 from repro.db.schema import ColumnDef, TableSchema
 from repro.db.types import DataType
 from repro.hardware.trace import CpuWork, DiskAccess, Idle
+from repro.workloads.selection import selection_workload
+from repro.workloads.tpch.generator import tpch_database
+from repro.workloads.tpch.queries import Q5_TABLES, q5_paper_workload
 
 
 @pytest.fixture()
@@ -146,3 +155,83 @@ class TestProfiles:
     def test_workload_classes(self):
         assert mysql_profile().workload_class == "cpu_bound"
         assert commercial_profile().workload_class == "io_mixed"
+
+
+def _outcomes(db: Database, statements: list[str]) -> list[tuple]:
+    """Everything an execution hands on: rows, counters, trace arrays."""
+    out = []
+    for sql in statements:
+        result = db.execute(sql)
+        compiled = db.trace_for(result).compiled()
+        out.append((
+            result.names, result.rows(), result.stats,
+            [(f.name, getattr(compiled, f.name))
+             for f in dataclasses.fields(compiled)],
+        ))
+    return out
+
+
+def _assert_same(lazy: list[tuple], eager: list[tuple]) -> None:
+    assert len(lazy) == len(eager)
+    for (names, rows, stats, arrays), want in zip(lazy, eager):
+        assert (names, rows, stats) == want[:3]
+        for (field, got), (_, expected) in zip(arrays, want[3]):
+            if isinstance(got, np.ndarray):
+                assert got.dtype == expected.dtype, field
+                assert np.array_equal(got, expected), field
+            else:
+                assert got == expected, field
+
+
+class TestLateMaterializationIdentity:
+    """Executions with lazy columns equal those with the eager per-column
+    copy (``eager_gather``): rows, every operator's counters and I/O, and
+    the compiled trace, from the same fresh (cold) database."""
+
+    SF = 0.01
+
+    def _both(self, monkeypatch, make_db, statements):
+        lazy = _outcomes(make_db(), statements)
+        with monkeypatch.context() as mp:
+            eager_gather.patched(mp)
+            eager = _outcomes(make_db(), statements)
+        _assert_same(lazy, eager)
+        return lazy
+
+    #: Below Q5's five 24-byte result rows: every join and the sort spill.
+    TINY_WORK_MEM = 64
+
+    @pytest.mark.parametrize("profile", [
+        commercial_profile(SF),
+        mysql_profile(),
+        dataclasses.replace(commercial_profile(SF),
+                            work_mem_bytes=TINY_WORK_MEM),
+    ], ids=["commercial", "mysql", "commercial-spilling"])
+    def test_q5_paper_workload(self, monkeypatch, profile):
+        runs = self._both(
+            monkeypatch,
+            lambda: tpch_database(self.SF, profile, tables=Q5_TABLES),
+            q5_paper_workload(),
+        )
+        labels = {a.label for _, _, stats, _ in runs for a in stats.io_log}
+        if profile.work_mem_bytes == self.TINY_WORK_MEM:
+            assert {"hashjoin:write", "sort:write"} <= labels
+
+    def test_selection_workload_and_its_merged_statement(self, monkeypatch):
+        queries = selection_workload(50).queries
+        merged = merge_queries(queries)
+
+        def make_db():
+            return tpch_database(self.SF, mysql_profile(),
+                                 tables=["lineitem"])
+
+        self._both(monkeypatch, make_db, queries + [merged.sql])
+        split = [r.rows() for r in split_result(
+            merged, make_db().execute(merged.sql)).results]
+        with monkeypatch.context() as mp:
+            eager_gather.patched(mp)
+            eager = [r.rows() for r in split_result(
+                merged, make_db().execute(merged.sql)).results]
+        assert split == eager
+        assert sum(map(len, split)) > 0
+

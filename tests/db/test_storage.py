@@ -1,7 +1,7 @@
 """Buffer pool and storage engines."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.db.errors import ExecutionError
 from repro.db.exec.stats import ExecutionStats
@@ -78,6 +78,68 @@ class TestBufferPool:
         pool = BufferPool(0)
         assert pool.access(("t", 0)) is False
         assert pool.access(("t", 0)) is False
+
+
+def scan_by_page(pool: BufferPool, table: str, n_pages: int) -> list[int]:
+    """The per-page walk ``DiskEngine.scan`` used to make: one
+    ``access`` per page, coalescing consecutive misses into runs."""
+    miss_runs: list[int] = []
+    run = 0
+    for index in range(n_pages):
+        hit = pool.access((table, index))
+        if hit:
+            if run:
+                miss_runs.append(run)
+                run = 0
+        else:
+            run += 1
+    if run:
+        miss_runs.append(run)
+    return miss_runs
+
+
+def _pool_state(pool: BufferPool) -> tuple:
+    return (list(pool._pages), pool.hits, pool.misses, pool.evictions,
+            pool.version)
+
+
+class TestScanPages:
+    """``BufferPool.scan_pages`` is the per-page ``access`` loop."""
+
+    def _same(self, capacity: int, steps) -> None:
+        fast = BufferPool(capacity * PAGE_SIZE_BYTES)
+        slow = BufferPool(capacity * PAGE_SIZE_BYTES)
+        for step in steps:
+            if step == "clear":
+                fast.clear()
+                slow.clear()
+                continue
+            table, n_pages = step
+            assert fast.scan_pages(table, n_pages) == scan_by_page(
+                slow, table, n_pages)
+            assert _pool_state(fast) == _pool_state(slow)
+
+    @pytest.mark.parametrize("capacity,steps", [
+        (40, [("t", 30), ("t", 30)]),                   # cold, then warm
+        (40, [("t", 30), "clear", ("t", 30)]),          # cold again
+        (40, [("t", 10), ("u", 25), ("t", 20)]),        # partly resident
+        (12, [("t", 30), ("t", 30), ("u", 5), ("t", 30)]),  # pool < table
+        (0, [("t", 5), ("t", 5)]),                      # no pool at all
+    ], ids=["warm", "cold", "partly-resident", "smaller-than-table",
+            "zero-capacity"])
+    def test_named_states(self, capacity, steps):
+        self._same(capacity, steps)
+
+    @given(
+        capacity=st.integers(0, 24),
+        steps=st.lists(st.one_of(
+            st.just("clear"),
+            st.tuples(st.sampled_from("abc"), st.integers(0, 30)),
+        ), min_size=1, max_size=8),
+    )
+    @settings(max_examples=200, derandomize=True, database=None)
+    def test_drawn_scan_sequences(self, capacity, steps):
+        self._same(capacity, steps)
 
 
 def _table(rows: int = 5000) -> Table:
