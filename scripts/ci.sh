@@ -193,9 +193,11 @@ run_obs() {
         <(grep "run id" "$obs_dir/trace.jsonl.run.txt")
     echo "== loop engine (traced) == vectorized engine (untraced) =="
     # Hash-split pins templates to nodes, so the vectorized sequencer
-    # sees uneven per-node groups; spread sees even ones.
+    # sees uneven per-node groups; spread sees even ones; least-loaded
+    # chains each choice on the last (its chunk form is an argmin
+    # recurrence, its loop form the shared node-choice walk).
     local policy run
-    for policy in spread hash; do
+    for policy in spread hash least; do
         run="--sf 0.002 --nodes 4 --arrivals 60 --distinct 8"
         run="$run --policy $policy --sla 1.0 --window 1"
         # shellcheck disable=SC2086

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -95,6 +96,39 @@ class Router:
               service_by_node: dict[str, float],
               nodes: list[SimulatedNode]) -> Decision:
         raise NotImplementedError
+
+
+def first_serviceable(
+    candidates: list[SimulatedNode], now_s: float, start: int = 0,
+) -> tuple[int, SimulatedNode | None]:
+    """The availability rule every node choice applies.
+
+    Walks ``candidates`` once, cyclically from index ``start``: a
+    crashed or unavailable node is skipped, a sleeper is woken (a
+    crashed-then-recovered node rejoins this way), and when a wake
+    fails under a fault plan the walk moves on to the next candidate.
+    Returns ``(tried, node)``: how many candidates the walk looked at,
+    and the first serviceable awake one (None when there is none).
+    """
+    count = len(candidates)
+    for tried in range(count):
+        node = candidates[(start + tried) % count]
+        if not node.can_serve(now_s):
+            continue
+        if not node.awake:
+            node.wake(now_s)
+            if not node.awake:
+                continue
+        return tried + 1, node
+    return count, None
+
+
+def completion_key(now_s: float, service_by_node):
+    """The earliest-completion order: a sort key giving when each node
+    would finish a query arriving at ``now_s`` (its backlog, then the
+    query's service time there).  Sorts and ``min`` are stable, so
+    ties break in node order."""
+    return lambda n: max(now_s, n.ready_s) + service_by_node[n.spec.name]
 
 
 def sequence_chunk_on_nodes(
@@ -166,18 +200,9 @@ class RoundRobinRouter(Router):
         # Rotate past crashed/unavailable nodes; a full cycle with no
         # serviceable node refuses the arrival (the simulator's retry
         # policy takes over when a fault plan is active).
-        for _ in range(len(nodes)):
-            node = nodes[self._next % len(nodes)]
-            self._next += 1
-            if not node.can_serve(now_s):
-                continue
-            if not node.awake:
-                # A recovered node rejoins through its wake transition.
-                node.wake(now_s)
-                if not node.awake:
-                    continue
-            return Decision(node, now_s)
-        return Decision(None, now_s)
+        tried, node = first_serviceable(nodes, now_s, self._next)
+        self._next += tried
+        return Decision(node, now_s)
 
     def route_chunk(self, times, sql_idx, service, distinct, nodes,
                     eligible=None):
@@ -204,41 +229,17 @@ class RoundRobinRouter(Router):
         return node_idx, starts, ends
 
 
-def earliest_completion_node(
-    nodes: list[SimulatedNode],
-    now_s: float,
-    service_by_node: dict[str, float],
-) -> SimulatedNode:
-    """The node that would finish the query soonest (ties: node order)."""
-    return min(
-        nodes,
-        key=lambda n: (
-            max(now_s, n.ready_s) + service_by_node[n.spec.name]
-        ),
-    )
-
-
 class LeastLoadedRouter(Router):
     """Route to the node that would complete the query earliest."""
 
     def route(self, sql, now_s, service_by_node, nodes) -> Decision:
-        # Earliest completion first (stable, so fault-free runs pick
-        # the same node min() used to); a crashed-then-recovered node
-        # rejoins through its wake transition, and if the wake fails
-        # the next-best node takes the query.
-        pool = sorted(
-            (n for n in nodes if n.can_serve(now_s)),
-            key=lambda n: (
-                max(now_s, n.ready_s) + service_by_node[n.spec.name]
-            ),
+        # Earliest completion first; if a wake fails the next-best
+        # node takes the query.
+        _, node = first_serviceable(
+            sorted(nodes, key=completion_key(now_s, service_by_node)),
+            now_s,
         )
-        for node in pool:
-            if not node.awake:
-                node.wake(now_s)
-                if not node.awake:
-                    continue
-            return Decision(node, now_s)
-        return Decision(None, now_s)
+        return Decision(node, now_s)
 
     def route_chunk(self, times, sql_idx, service, distinct, nodes,
                     eligible=None):
@@ -294,17 +295,8 @@ class HashSplitRouter(Router):
     """
 
     def route(self, sql, now_s, service_by_node, nodes) -> Decision:
-        first = stable_hash(sql) % len(nodes)
-        for k in range(len(nodes)):
-            node = nodes[(first + k) % len(nodes)]
-            if not node.can_serve(now_s):
-                continue
-            if not node.awake:
-                node.wake(now_s)
-                if not node.awake:
-                    continue
-            return Decision(node, now_s)
-        return Decision(None, now_s)
+        _, node = first_serviceable(nodes, now_s, stable_hash(sql))
+        return Decision(node, now_s)
 
     def route_chunk(self, times, sql_idx, service, distinct, nodes,
                     eligible=None):
@@ -377,38 +369,28 @@ class ConsolidateRouter(Router):
             )
             if backlog <= self.max_backlog_s * node.spec.capacity:
                 return Decision(node, now_s)
-        best_awake = (
-            earliest_completion_node(awake, now_s, service_by_node)
-            if awake else None
-        )
+        finish = completion_key(now_s, service_by_node)
+        best_awake = min(awake, key=finish, default=None)
         best_completion = (
-            max(now_s, best_awake.ready_s)
-            + service_by_node[best_awake.spec.name]
-            if best_awake is not None else math.inf
+            math.inf if best_awake is None else finish(best_awake)
         )
-        # Cheapest wake first (stable, so fault-free runs pick the same
-        # node the one-shot min() used to).  A wake may *fail* under a
-        # fault plan; fall through to the next candidate, and with no
-        # awake node at all keep trying sleepers regardless of cost.
+        # Cheapest wake first, over the sleepers that would answer
+        # sooner than the best awake node (with no awake node at all,
+        # every sleeper regardless of cost).
         sleepers = sorted(
             (n for n in usable if not n.awake),
             key=lambda n: (
                 n.spec.wake_latency_s + service_by_node[n.spec.name]
             ),
         )
-        for candidate in sleepers:
-            wake_completion = (
-                now_s + candidate.spec.wake_latency_s
-                + service_by_node[candidate.spec.name]
-            )
-            if wake_completion >= best_completion:
-                break
-            candidate.wake(now_s)
-            if candidate.awake:
-                return Decision(candidate, now_s)
-        if best_awake is None:
-            return Decision(None, now_s)
-        return Decision(best_awake, now_s)
+        _, woken = first_serviceable(list(takewhile(
+            lambda n: (
+                now_s + n.spec.wake_latency_s
+                + service_by_node[n.spec.name] < best_completion
+            ),
+            sleepers,
+        )), now_s)
+        return Decision(best_awake if woken is None else woken, now_s)
 
 
 class DynamicConsolidateRouter(ConsolidateRouter):
@@ -629,21 +611,10 @@ class AdaptivePvcRouter(Router):
                              0.0)
 
     def route(self, sql, now_s, service_by_node, nodes) -> Decision:
-        pool = sorted(
-            (n for n in nodes if n.can_serve(now_s)),
-            key=lambda n: (
-                max(now_s, n.ready_s) + service_by_node[n.spec.name]
-            ),
+        _, node = first_serviceable(
+            sorted(nodes, key=completion_key(now_s, service_by_node)),
+            now_s,
         )
-        node = None
-        for candidate in pool:
-            if not candidate.awake:
-                # A recovered node rejoins through its wake transition.
-                candidate.wake(now_s)
-                if not candidate.awake:
-                    continue
-            node = candidate
-            break
         if node is None:
             return Decision(None, now_s)
         name = node.spec.name
@@ -711,19 +682,11 @@ class BatchPlacement:
         """Whole batch to the earliest-completion usable node; a
         sleeper whose wake fails under a fault plan is skipped, and an
         empty list sheds the batch into the simulator's retry path."""
-        pool = sorted(
+        _, node = first_serviceable(sorted(
             self._usable(nodes, now_s),
-            key=lambda n: (
-                max(now_s, n.ready_s) + service_by_node[n.spec.name]
-            ),
-        )
-        for node in pool:
-            if not node.awake:
-                node.wake(now_s)
-            if not node.awake:
-                continue
-            return [(node, batch.queries)]
-        return []
+            key=completion_key(now_s, service_by_node),
+        ), now_s)
+        return [] if node is None else [(node, batch.queries)]
 
 
 class LeastLoadedPlacement(BatchPlacement):
@@ -781,24 +744,15 @@ class HashSplitPlacement(BatchPlacement):
             return self._place_least_loaded(
                 batch, now_s, service_by_node, nodes
             )
+        finish = completion_key(now_s, service_by_node)
         targets = sorted(
             self._usable(nodes, now_s),
-            key=lambda n: (
-                max(now_s, n.ready_s) + service_by_node[n.spec.name],
-                n.spec.name,
-            ),
+            key=lambda n: (finish(n), n.spec.name),
         )
-        if not targets:
-            return []
         k = min(len(targets), self.fanout or len(targets), batch.size)
         if merged is None or not merged.hash_routable or k < 2:
-            for node in targets:
-                if not node.awake:
-                    node.wake(now_s)
-                if not node.awake:  # wake failed; try the next target
-                    continue
-                return [(node, batch.queries)]
-            return []
+            _, node = first_serviceable(targets, now_s)
+            return [] if node is None else [(node, batch.queries)]
         targets = targets[:k]
         shards: list[list] = [[] for _ in range(k)]
         for query, value in zip(batch.queries, merged.routing_values):

@@ -77,6 +77,7 @@ from repro.cluster.routing import (
     ConsolidateRouter,
     Decision,
     Router,
+    first_serviceable,
 )
 from repro.core.qed.aggregator import NotMergeableError, merge_queries
 from repro.core.qed.executor import merged_batch_trace
@@ -466,18 +467,13 @@ class ClusterSimulator:
     def _eligibility_mask(self, distinct: list[str]) -> np.ndarray | None:
         """The ``(distinct, nodes)`` bool mask for masked route_chunk,
         or None when no statement is actually constrained."""
-        if self.placement is None:
-            return None
         rows = np.ones((len(distinct), len(self.nodes)), dtype=bool)
         constrained = False
         for d, sql in enumerate(distinct):
-            required = self.placement.required_shards(sql)
-            if required is None:
-                continue
-            for j, node in enumerate(self.nodes):
-                if node.shards is None or not required <= node.shards:
-                    rows[d, j] = False
-                    constrained = True
+            pool = self._eligible_nodes(sql)
+            if pool is not None:
+                rows[d] = [node in pool for node in self.nodes]
+                constrained = True
         return rows if constrained else None
 
     def schedule(self, arrivals: Iterable[Arrival],
@@ -896,7 +892,9 @@ class ClusterSimulator:
             backlog = sum(1 for event in self._events if event[1] == RETRY)
             reg.gauge("retry_backlog").set(float(backlog))
         reg.sample(t_s)
-        self._push(t_s + reg.window_s, SAMPLE)
+        # The next boundary from the sample count, not ``t_s +
+        # window_s``: an accumulated sum drifts off the tiling.
+        self._push(len(reg.samples) * reg.window_s, SAMPLE)
 
     # -- fault injection & recovery ---------------------------------------
 
@@ -941,18 +939,13 @@ class ClusterSimulator:
     def _copy_endpoint(candidates, at_s: float):
         """The cheapest live endpoint for a re-replication copy:
         awake-first, then earliest-ready (stable, fleet order breaks
-        ties).  Sleeping candidates are woken -- a wake may fail under
-        the fault plan, falling through to the next candidate."""
+        ties), through :func:`first_serviceable`: unserviceable
+        candidates are skipped, sleeping ones woken, and a failed wake
+        falls through to the next one."""
         ranked = sorted(
             candidates, key=lambda n: (not n.awake, n.ready_s)
         )
-        for node in ranked:
-            if not node.awake:
-                node.wake(at_s)
-                if not node.awake:
-                    continue
-            return node
-        return None
+        return first_serviceable(ranked, at_s)[1]
 
     def _start_re_replication(self, crashed, at_s: float) -> None:
         """Restore replication for the shards a dead node held.
@@ -985,14 +978,12 @@ class ClusterSimulator:
             live = [n for n in holders if n.crashed_s is None]
             if len(live) >= tp.replicas:
                 continue  # replication target still met
-            source = self._copy_endpoint(
-                [n for n in live if n.can_serve(at_s)], at_s
-            )
+            source = self._copy_endpoint(live, at_s)
             dest = self._copy_endpoint(
                 [
                     n for n in self.nodes
                     if n is not crashed and n.shards is not None
-                    and key not in n.shards and n.can_serve(at_s)
+                    and key not in n.shards
                 ],
                 at_s,
             )

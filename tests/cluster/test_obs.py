@@ -371,6 +371,19 @@ class TestMetrics:
         assert times[-1] <= m.horizon_s + 1e-9
         assert m.horizon_s - times[-1] < 0.5 + 1e-9
 
+    def test_sample_times_are_the_window_starts(self, mysql_db):
+        # 0.1 is inexact in binary: an accumulated ``t + window_s``
+        # drifts off the ``k * window_s`` tiling from k = 6 on.
+        registry = MetricsRegistry(window_s=0.1)
+        m = ClusterSimulator(
+            mysql_db, uniform_fleet(4), RoundRobinRouter(),
+            metrics=registry,
+        ).run(_stream())
+        times = [s["t_s"] for s in registry.samples]
+        starts = [w.start_s for w in m.window_report(0.1)]
+        assert len(times) > 6
+        assert times == starts
+
     def test_counters_match_fault_report(self, mysql_db):
         registry = MetricsRegistry(window_s=0.5)
         stream = _stream(count=80, mean_s=0.05, seed=3)
