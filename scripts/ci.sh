@@ -207,9 +207,10 @@ run_obs() {
             > "$obs_dir/$policy.loop.txt"
         grep -q "engine=vectorized$" "$obs_dir/$policy.vectorized.txt"
         grep -q "engine=loop " "$obs_dir/$policy.loop.txt"
-        diff <(grep -E "run id|wall energy" \
+        # The run id, the energy and every phase-report row.
+        diff <(grep -E "run id|wall energy|^ +\[" \
                    "$obs_dir/$policy.vectorized.txt") \
-            <(grep -E "run id|wall energy" "$obs_dir/$policy.loop.txt")
+            <(grep -E "run id|wall energy|^ +\[" "$obs_dir/$policy.loop.txt")
         grep -E "run id|wall energy" "$obs_dir/$policy.loop.txt"
     done
     echo "== trace schema + energy reconciliation, both formats =="

@@ -255,8 +255,8 @@ def cmd_cluster(args) -> int:
                 wake_latency_s=args.wake_latency,
                 queue_policy=policy if qed_mode == "node" else None,
             )
-        if args.window is not None and args.window <= 0:
-            raise ValueError("--window must be positive")
+        if args.window is not None and not 0 < args.window < math.inf:
+            raise ValueError("--window must be positive and finite")
         # An empty stream is a valid (if degenerate) run: the simulator
         # returns a well-formed zero-arrival measurement.
         fault_plan = None
@@ -409,12 +409,26 @@ def cmd_cluster(args) -> int:
                   f"{split['unaffected_total']:.0f} "
                   f"({split['unaffected_attainment']:.1%})")
     if args.window is not None:
+        windows = m.window_report(args.window)
+        # Bounds to the window length's decimal places, so every start
+        # is told apart; the last window closes at the horizon, which
+        # gets two more places.
+        digits, _, exponent = f"{args.window:g}".partition("e")
+        places = max(0, len(digits.partition(".")[2]) - int(exponent or 0))
+        bounds = [
+            f"[{w.start_s:.{places}f}, {w.end_s:.{places}f})"
+            for w in windows[:-1]
+        ]
+        last = windows[-1]
+        bounds.append(f"[{last.start_s:.{places}f}, "
+                      f"{last.end_s:.{places + 2}f}]")
+        width = max(14, *map(len, bounds))
         print(f"\n  phase report ({args.window:g} s windows):")
-        print(f"  {'window':>14} {'arrivals':>8} {'modeled J':>10} "
+        print(f"  {'window':>{width}} {'arrivals':>8} {'modeled J':>10} "
               f"{'avg W':>7} {'awake n·s':>9} {'re-sleep':>8} "
               f"{'p95 ms':>8}")
-        for w in m.window_report(args.window):
-            print(f"  [{w.start_s:5.0f},{w.end_s:6.0f}) {w.arrivals:8d} "
+        for span, w in zip(bounds, windows):
+            print(f"  {span:>{width}} {w.arrivals:8d} "
                   f"{w.modeled_joules:10.1f} {w.avg_power_w:7.1f} "
                   f"{w.awake_node_s:9.1f} {w.re_sleeps:8d} "
                   f"{w.p95_response_s*1e3:8.1f}")

@@ -230,7 +230,7 @@ class ResponseColumns:
         arrival_s, start_s, completion_s,
     ) -> "ResponseColumns":
         """Columns from per-query sequences in any order, stably sorted
-        by (arrival, completion)."""
+        by (arrival, completion) unless the arrivals strictly increase."""
         columns = [
             np.asarray(sql_idx, dtype=np.int64),
             np.asarray(node_idx, dtype=np.int64),
@@ -238,9 +238,11 @@ class ResponseColumns:
             np.asarray(start_s, dtype=np.float64),
             np.asarray(completion_s, dtype=np.float64),
         ]
-        order = np.lexsort((columns[4], columns[2]))
-        return cls(tuple(distinct), tuple(node_names),
-                   *(column[order] for column in columns))
+        arrival = columns[2]
+        if not (arrival[1:] > arrival[:-1]).all():
+            order = np.lexsort((columns[4], arrival))
+            columns = [column[order] for column in columns]
+        return cls(tuple(distinct), tuple(node_names), *columns)
 
 
 @dataclass
@@ -250,9 +252,8 @@ class NodeUsage:
     The span fields carry the node's timeline shape plus its linear
     power envelope, so phase-sliced reporting can attribute modeled
     energy to arbitrary time windows after the fact: sleep spans and
-    wake transitions as ``(start_s, end_s)`` pairs, the busy windows
-    -- one per served piece, on either engine -- as one
-    ``(starts, ends)`` array pair.
+    wake transitions as ``(start_s, end_s)`` pairs.  The busy windows
+    are the measurement's :attr:`ClusterMeasurement.busy_windows`.
     """
 
     name: str
@@ -269,9 +270,6 @@ class NodeUsage:
     idle_wall_w: float = 0.0
     busy_wall_w: float = 0.0
     sleep_wall_w: float = 0.0
-    busy_columns: tuple[np.ndarray, np.ndarray] = field(
-        default_factory=lambda: span_columns(())
-    )
 
     @property
     def idle_s(self) -> float:
@@ -347,10 +345,6 @@ class PhaseWindow:
     def avg_power_w(self) -> float:
         return self.modeled_joules / self.span_s if self.span_s else 0.0
 
-    @property
-    def awake_nodes_avg(self) -> float:
-        return self.awake_node_s / self.span_s if self.span_s else 0.0
-
 
 def _window_of(
     t: np.ndarray, los: np.ndarray, his: np.ndarray
@@ -359,54 +353,51 @@ def _window_of(
 
     Windows are half-open except the last, which closes at the horizon
     -- the horizon IS the final completion time, so an exclusive bound
-    would drop the last query served.
+    would drop the last query served.  The windows tile the run
+    (``his[k] == los[k + 1]`` but for the last), so only the horizon
+    bounds a time from above.
     """
     k = np.searchsorted(los, t, side="right") - 1
-    closes = (k == len(los) - 1) & (t == his[k])
-    return np.where((k >= 0) & ((t < his[k]) | closes), k, -1)
+    return np.where((k >= 0) & (t <= his[-1]), k, -1)
 
 
 def _count_per_window(t, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-    """How many of the times ``t`` fall in each window."""
-    k = _window_of(np.asarray(t, dtype=np.float64), los, his)
-    return np.bincount(k[k >= 0], minlength=len(los))
-
-
-def span_columns(spans) -> tuple[np.ndarray, np.ndarray]:
-    """``(start_s, end_s)`` pairs as a ``(starts, ends)`` array pair."""
-    pairs = np.asarray(spans, dtype=np.float64).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1]
+    """How many of the ascending times ``t`` fall in each window: the
+    window edges are searched into the times."""
+    first = np.searchsorted(t, los, side="left")
+    return np.diff(first, append=np.searchsorted(t, his[-1], side="right"))
 
 
 def _overlap_per_window(
-    columns: list[tuple[np.ndarray, np.ndarray]],
-    los: np.ndarray, his: np.ndarray,
+    node_idx: np.ndarray, start: np.ndarray, end: np.ndarray,
+    n_nodes: int, los: np.ndarray, his: np.ndarray,
 ) -> np.ndarray:
-    """``(nodes, windows)`` seconds of each node's spans (one
-    ``(starts, ends)`` pair per node) inside each window, in one pass:
+    """``(nodes, windows)`` seconds of node ``node_idx``'s spans inside
+    each window, in one pass, each cell adding its spans in row order:
     a span is charged to the window it starts in, and the few that
     cross a window edge also to the one they end in and, whole, to
     every window between (a running count of spans opened minus spans
     closed, times the window length)."""
-    n_nodes, count = len(columns), len(los)
+    count = len(los)
     cells = n_nodes * count
     if not cells:
         return np.zeros((n_nodes, count))
-    start = np.clip(np.concatenate([s for s, _ in columns]), 0.0, his[-1])
-    end = np.clip(np.concatenate([e for _, e in columns]), 0.0, his[-1])
-    row = count * np.repeat(
-        np.arange(n_nodes), [len(s) for s, _ in columns]
-    )
+    start = np.clip(start, 0.0, his[-1])
+    end = np.clip(end, 0.0, his[-1])
+    row = count * node_idx
     first = np.searchsorted(los, start, side="right") - 1
-    final = np.maximum(np.searchsorted(los, end, side="left") - 1, first)
     seconds = np.zeros(cells)  # bincount of nothing is int, not float
     seconds += np.bincount(
         row + first, weights=np.minimum(end, his[first]) - start,
         minlength=cells,
     )
-    crosses = np.flatnonzero(final > first)
+    # A span crosses iff it ends past its window (a NaN end is searched).
+    crosses = np.flatnonzero(~(end <= his[first]))
     if crosses.size:
-        row, first, final = row[crosses], first[crosses], final[crosses]
+        row, first = row[crosses], first[crosses]
+        final = np.maximum(
+            np.searchsorted(los, end[crosses], side="left") - 1, first
+        )
         seconds += np.bincount(
             row + final, weights=end[crosses] - los[final],
             minlength=cells,
@@ -417,6 +408,13 @@ def _overlap_per_window(
         )[:cells]
         seconds += covering * np.tile(his - los, n_nodes)
     return seconds.reshape(n_nodes, count)
+
+
+def _span_rows(nodes: list[NodeUsage], kind: str):
+    """Every node's ``kind`` spans as ``(node_idx, starts, ends)``."""
+    rows = np.array([(j, *span) for j, n in enumerate(nodes)
+                     for span in getattr(n, kind)]).reshape(-1, 3)
+    return rows[:, 0].astype(np.int64), rows[:, 1], rows[:, 2]
 
 
 @dataclass
@@ -436,6 +434,11 @@ class ClusterMeasurement:
     #: simulator so reports and bench history are attributable.
     run_id: str | None = None
     fingerprint: dict | None = None
+    #: Every busy window as ``(node_idx, start_s, end_s)`` columns, each
+    #: node's in the order it ran them (the schedule table's own).
+    busy_windows: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        default_factory=lambda: (np.zeros(0, np.int64), *np.zeros((2, 0)))
+    )
 
     # -- energy -----------------------------------------------------------
 
@@ -643,8 +646,8 @@ class ClusterMeasurement:
         spans + windows x nodes): every time and span is placed in its
         window(s) once, never rescanned per window.
         """
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
+        if not 0 < window_s < np.inf:
+            raise ValueError("window_s must be positive and finite")
         horizon = max(0.0, self.horizon_s)
         count = (
             max(1, int(np.ceil(self.horizon_s / window_s - 1e-9)))
@@ -655,11 +658,11 @@ class ClusterMeasurement:
         his[-1] = horizon
         spans = his - los
 
-        r_arrival = self.response_columns.arrival_s
         r_completion = self.response_columns.completion_s
-        arrivals = _count_per_window(r_arrival, los, his)
-        arrivals += _count_per_window(
-            [q.arrival_s for q in self.shed], los, his
+        shed = np.sort([q.arrival_s for q in self.shed])
+        arrivals = (
+            _count_per_window(self.response_columns.arrival_s, los, his)
+            + _count_per_window(shed, los, his)
         )
         # Response times grouped by completion window: a stable sort on
         # the window index (the -1s, in no window, sort first), then
@@ -675,19 +678,18 @@ class ClusterMeasurement:
         )
 
         nodes = self.nodes
-        busy = _overlap_per_window(
-            [n.busy_columns for n in nodes], los, his
-        )
-        wake, sleep = (
-            _overlap_per_window(
-                [span_columns(getattr(n, kind)) for n in nodes], los, his
+        busy, wake, sleep = (
+            _overlap_per_window(*columns, len(nodes), los, his)
+            for columns in (
+                self.busy_windows,
+                _span_rows(nodes, "wake_spans"),
+                _span_rows(nodes, "sleep_spans"),
             )
-            for kind in ("wake_spans", "sleep_spans")
         )
-        re_sleeps = _count_per_window([
+        re_sleeps = _count_per_window(np.sort([
             start for n in nodes for start, _ in n.sleep_spans
             if start > 0.0
-        ], los, his)
+        ]), los, his)
         sleep_w, idle_w, busy_w = (
             np.array([getattr(n, f"{state}_wall_w") for n in nodes])
             for state in ("sleep", "idle", "busy")

@@ -45,22 +45,22 @@ class ScheduleTable:
 
     ``trace_idx`` indexes the schedule's trace table (the distinct
     statements first, then interned merged and re-replication traces).
-    ``offsets`` delimit each node's rows, through ``order`` when the
-    rows are not node-major.  The served queries are ``query_sql`` (a
-    trace code) and ``query_arrival_s``, answered by window
-    ``query_window`` -- None (a vectorized run) when row ``i`` answers
-    query ``i``.  A loop run's rows also carry ``setting_idx`` (into
-    ``settings``) and ``stretch_s``, what its timeline is built from.
+    Each node's rows are in the order it ran them: a vectorized run's
+    table is in arrival order, a loop run's node-major (``offsets``).
+    The served queries are ``query_sql`` (a trace code) and
+    ``query_arrival_s``, answered by window ``query_window`` -- None (a
+    vectorized run) when row ``i`` answers query ``i``.  A loop run's
+    rows also carry ``setting_idx`` (into ``settings``) and
+    ``stretch_s``, what its timeline is built from.
     """
 
     node_idx: np.ndarray
     trace_idx: np.ndarray
     start_s: np.ndarray
     end_s: np.ndarray
-    offsets: np.ndarray
     query_sql: np.ndarray
     query_arrival_s: np.ndarray
-    order: np.ndarray | None = None
+    offsets: np.ndarray | None = None
     query_window: np.ndarray | None = None
     setting_idx: np.ndarray | None = None
     stretch_s: np.ndarray | None = None
@@ -69,10 +69,16 @@ class ScheduleTable:
     def __len__(self) -> int:
         return len(self.start_s)
 
-    def rows_for(self, j: int):
-        """Node ``j``'s rows, in the order they were scheduled."""
-        lo, hi = int(self.offsets[j]), int(self.offsets[j + 1])
-        return slice(lo, hi) if self.order is None else self.order[lo:hi]
+    def busy_s(self, n_nodes: int) -> np.ndarray:
+        """Each node's busy seconds, summed in the order it ran them."""
+        return np.bincount(self.node_idx, weights=self.end_s - self.start_s,
+                           minlength=n_nodes)
+
+    def trace_counts(self, n_nodes: int, n_traces: int) -> np.ndarray:
+        """How many windows ran each trace on each node."""
+        return np.bincount(self.node_idx * n_traces + self.trace_idx,
+                           minlength=n_nodes * n_traces,
+                           ).reshape(n_nodes, n_traces)
 
     def query_columns(self, column: np.ndarray) -> np.ndarray:
         """A per-window column read once per served query."""
@@ -111,19 +117,17 @@ def window_table(
         for sql, arrival_s in work.queries
     ]
     per_node = [len(node.scheduled) for node in nodes]
-    offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum(per_node, out=offsets[1:])
     return ScheduleTable(
         node_idx=np.repeat(np.arange(len(nodes)), per_node),
         trace_idx=np.array([code[w.trace_key] for w in works],
                            dtype=np.int64),
         start_s=np.array([w.start_s for w in works], dtype=np.float64),
         end_s=np.array([w.end_s for w in works], dtype=np.float64),
-        offsets=offsets,
         query_sql=np.array([code[sql] for _, sql, _ in answered],
                            dtype=np.int64),
         query_arrival_s=np.array([a for _, _, a in answered],
                                  dtype=np.float64),
+        offsets=np.cumsum([0, *per_node]),
         query_window=np.array([i for i, _, _ in answered], dtype=np.int64),
         setting_idx=np.array(setting_idx, dtype=np.int64),
         stretch_s=np.array([w.stretch_s for w in works], dtype=np.float64),
@@ -248,13 +252,12 @@ def loop_timeline(
             ])[pick]
             for c in range(1, 5)
         ])
-    offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum([len(part[0]) for part in parts], out=offsets[1:])
     trace_idx, idle_s, label, setting_idx = (
         np.concatenate([part[c] for part in parts]) for c in range(4)
     )
     return LoopTimeline(
-        offsets=offsets, trace_idx=trace_idx, idle_s=idle_s,
+        offsets=np.cumsum([0, *(len(part[0]) for part in parts)]),
+        trace_idx=trace_idx, idle_s=idle_s,
         label=label.astype(np.int8), setting_idx=setting_idx,
         settings=tuple(index),
     )
@@ -380,7 +383,7 @@ def play_table(
     horizon_s: float,
     workload_class: str,
 ) -> list[RunMeasurement]:
-    """Cost a vectorized run's table by counting, node by node.
+    """Cost a vectorized run's table by counting.
 
     ``measured`` maps each ``(hw, setting)`` pair to the schedule
     phase's measurement of every trace, in code order.  Every node
@@ -389,6 +392,7 @@ def play_table(
     pair's per-second idle draw times whatever of the horizon the
     windows leave (idle playback is linear in seconds).
     """
+    counts = table.trace_counts(len(nodes), n_traces)
     out: list[RunMeasurement] = []
     fields: dict[object, np.ndarray] = {}
     idle_rates: dict[object, np.ndarray] = {}
@@ -409,10 +413,7 @@ def play_table(
             finally:
                 sut.apply_setting(original)
             rate = idle_rates[key] = _measurement_fields([per_second])[:, 0]
-        counts = np.bincount(
-            table.trace_idx[table.rows_for(j)], minlength=n_traces
-        ).astype(np.float64)
-        busy = F @ counts
+        busy = F @ counts[j].astype(np.float64)
         idle_s = max(0.0, horizon_s - busy[0])
         out.append(_measurement_from_fields(busy + rate * idle_s))
     return out

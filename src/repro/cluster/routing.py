@@ -127,8 +127,10 @@ def completion_key(now_s: float, service_by_node):
     """The earliest-completion order: a sort key giving when each node
     would finish a query arriving at ``now_s`` (its backlog, then the
     query's service time there).  Sorts and ``min`` are stable, so
-    ties break in node order."""
-    return lambda n: max(now_s, n.ready_s) + service_by_node[n.spec.name]
+    ties break in node order.  ``ready_s`` is inlined: the key is the
+    whole per-candidate cost of a pick, the sort of its values is not."""
+    return lambda n: (max(now_s, n.busy_until, n.wake_ready_s)
+                      + service_by_node[n.spec.name])
 
 
 def sequence_chunk_on_nodes(

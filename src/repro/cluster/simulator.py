@@ -754,19 +754,13 @@ class ClusterSimulator:
             starts[lo:hi] = st
             ends[lo:hi] = en
 
-        offsets = np.zeros(n_nodes + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(node_idx, minlength=n_nodes), out=offsets[1:]
-        )
         # Statement codes are trace codes (the table lists the distinct
         # statements first), every window answers the query that
         # arrived with it, and no node is retuned or stretched: the
         # routing outcome is the whole table.
         windows = ScheduleTable(
             node_idx=node_idx, trace_idx=sql_idx, start_s=starts,
-            end_s=ends, offsets=offsets, query_sql=sql_idx,
-            query_arrival_s=times,
-            order=np.argsort(node_idx, kind="stable"),
+            end_s=ends, query_sql=sql_idx, query_arrival_s=times,
         )
         return ClusterSchedule(
             nodes=[NodeTimeline.snapshot(node) for node in self.nodes],
@@ -1354,15 +1348,7 @@ class ClusterSimulator:
                 nodes, list(schedule.table.values()), schedule.timeline,
                 schedule.workload_class,
             )
-        busy = [
-            (windows.start_s[rows], windows.end_s[rows])
-            for rows in map(windows.rows_for, range(len(nodes)))
-        ]
-        # Summed window by window, in the order each node ran them.
-        busy_s = [
-            float(np.cumsum(ends - starts)[-1]) if len(ends) else 0.0
-            for starts, ends in busy
-        ]
+        busy_s = windows.busy_s(len(nodes)).tolist()
         responses = ResponseColumns.in_arrival_order(
             traces, names, windows.query_sql,
             windows.query_columns(windows.node_idx),
@@ -1385,7 +1371,6 @@ class ClusterSimulator:
                 playback=measurements[j],
                 sleep_joules=node.spec.sleep_wall_w * sleep_s,
                 re_sleeps=node.re_sleeps,
-                busy_columns=busy[j],
                 sleep_spans=tuple(node.sleep_spans(schedule.horizon_s)),
                 wake_spans=tuple(node.wake_log),
                 idle_wall_w=envelope.idle_wall_w,
@@ -1403,6 +1388,7 @@ class ClusterSimulator:
             faults=schedule.faults,
             run_id=schedule.run_id,
             fingerprint=schedule.fingerprint,
+            busy_windows=(windows.node_idx, windows.start_s, windows.end_s),
         )
 
     def run(self, arrivals: Iterable[Arrival],

@@ -215,7 +215,8 @@ def test_playback_matches_the_piece_oracle(db, config):
             timeline.offsets[j]:timeline.offsets[j + 1]
         ]
         assert rows[rows >= 0].tolist() == (
-            windows.trace_idx[windows.rows_for(j)].tolist()
+            windows.trace_idx[windows.offsets[j]:windows.offsets[j + 1]]
+            .tolist()
         )
 
 

@@ -1,0 +1,152 @@
+"""The schedule-table measurement kernels against the per-node forms
+they replaced (``measure_oracle.py``), bit for bit, on drawn tables.
+
+Node totals are ``bincount``s over ``node_idx`` in table order, which
+meet each node's rows in the order the node ran them -- the order the
+per-node gathers summed them in -- whether the table is in arrival
+order (a vectorized run) or node-major (a loop run).  The windowing
+rewrites are exact inside the report's tiling, including on window
+edges, one ulp either side of them, outside ``[0, horizon]`` and at
+NaN.  Floats compare by ``float.hex``, so a NaN equals a NaN and
+``-0.0`` does not equal ``0.0``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import measure_oracle as oracle
+from repro.cluster.measure import (
+    ClusterMeasurement,
+    ResponseColumns,
+    _count_per_window,
+    _overlap_per_window,
+    _window_of,
+)
+from repro.cluster.playback import ScheduleTable
+
+WINDOWS = (0.1, 0.3, 7 / 3, 30.0)
+
+
+def _hexes(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values).tolist()]
+
+
+@st.composite
+def runs(draw):
+    """A tiling, and a table, busy spans and response columns whose
+    times sit on, next to, between and outside its window edges."""
+    window_s = draw(st.sampled_from(WINDOWS))
+    horizon = draw(st.one_of(
+        st.sampled_from([0.0, 0.1 + 0.1 + 0.1]),
+        st.floats(0.05, 12.0 * window_s),
+    ))
+    # The report's own tiling: each window's bounds are its edges.
+    empty = ResponseColumns.in_arrival_order(*[()] * 7)
+    windows = ClusterMeasurement(horizon, [], empty).window_report(window_s)
+    los = np.array([w.start_s for w in windows])
+    his = np.array([w.end_s for w in windows])
+    edges = np.union1d(los, his).tolist()
+    # NaN only in some examples: one NaN makes its whole node total NaN.
+    times = st.one_of(
+        st.sampled_from(edges).flatmap(lambda edge: st.sampled_from([
+            edge, math.nextafter(edge, -math.inf),
+            math.nextafter(edge, math.inf),
+        ])),
+        st.floats(-1.0, horizon + 1.0),
+        *([st.just(math.nan)] if draw(st.booleans()) else []),
+    )
+    lengths = st.one_of(
+        st.just(0.0),
+        st.floats(0.0, window_s),
+        st.sampled_from([window_s, 2.5 * window_s, 4.0 * window_s]),
+    )
+    n_nodes = draw(st.integers(1, 6))
+    # Some nodes get no rows: rows go to the first ``used`` nodes only.
+    used = draw(st.integers(1, n_nodes))
+    # A span ends a drawn length after its start, or at a drawn time.
+    ends = st.one_of(
+        lengths.map(lambda length: (True, length)),
+        times.map(lambda at: (False, at)),
+    )
+    n_rows = draw(st.integers(0, 60))
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, used - 1), st.integers(0, 4), times, ends),
+        min_size=n_rows, max_size=n_rows,
+    ))
+    node_idx = np.array([r[0] for r in rows], dtype=np.int64)
+    if draw(st.booleans()):  # node-major, as a loop run writes it
+        rows = [rows[i] for i in np.argsort(node_idx, kind="stable")]
+    node_idx = np.array([r[0] for r in rows], dtype=np.int64)
+    start = np.array([r[2] for r in rows], dtype=np.float64)
+    end = np.array([
+        s + value if extends else value
+        for s, (extends, value) in zip(start.tolist(), (r[3] for r in rows))
+    ], dtype=np.float64)
+    table = ScheduleTable(
+        node_idx=node_idx,
+        trace_idx=np.array([r[1] for r in rows], dtype=np.int64),
+        start_s=start, end_s=end,
+        query_sql=np.zeros(0, dtype=np.int64),
+        query_arrival_s=np.zeros(0),
+    )
+    # Responses: a small pool of arrival times ties some of them, each
+    # with its own completion; sorted arrivals with no tie keep their
+    # order, the rest are sorted.
+    pool = draw(st.lists(times, min_size=1, max_size=8))
+    n_resp = draw(st.integers(0, 30))
+    arrival = np.array(draw(st.lists(
+        st.one_of(st.sampled_from(pool), times),
+        min_size=n_resp, max_size=n_resp,
+    )), dtype=np.float64)
+    if draw(st.booleans()):
+        arrival = np.sort(arrival)
+    completion = np.array(draw(st.lists(
+        times, min_size=n_resp, max_size=n_resp,
+    )), dtype=np.float64)
+    responses = (
+        ("q0", "q1", "q2"), tuple(f"n{j}" for j in range(n_nodes)),
+        np.arange(n_resp) % 3, np.arange(n_resp) % n_nodes,
+        arrival, arrival + 0.5, completion,
+    )
+    return los, his, n_nodes, table, responses
+
+
+@settings(max_examples=400, derandomize=True, database=None,
+          deadline=None)
+@given(run=runs())
+def test_kernels_match_the_per_node_forms(run):
+    los, his, n_nodes, table, responses = run
+    node_idx, start, end = table.node_idx, table.start_s, table.end_s
+
+    assert _hexes(table.busy_s(n_nodes)) == _hexes(
+        oracle.busy_s(node_idx, start, end, n_nodes)
+    )
+    counts = table.trace_counts(n_nodes, 5)
+    want = oracle.trace_counts(node_idx, table.trace_idx, n_nodes, 5)
+    for j in range(n_nodes):
+        assert _hexes(counts[j].astype(np.float64)) == _hexes(want[j])
+
+    assert _hexes(_overlap_per_window(
+        node_idx, start, end, n_nodes, los, his
+    )) == _hexes(oracle.overlap_per_window(
+        oracle.busy_columns(node_idx, start, end, n_nodes), los, his
+    ))
+
+    for t in (start, end, responses[4], responses[6]):
+        assert (_window_of(t, los, his)
+                == oracle.window_of(t, los, his)).all()
+        assert (_count_per_window(np.sort(t), los, his)
+                == oracle.count_per_window(t, los, his)).all()
+
+    got = ResponseColumns.in_arrival_order(*responses)
+    want = oracle.in_arrival_order(*responses)
+    assert (got.distinct, got.node_names) == (want.distinct, want.node_names)
+    for name in ("sql_idx", "node_idx"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist()
+    for name in ("arrival_s", "start_s", "completion_s"):
+        assert _hexes(getattr(got, name)) == _hexes(getattr(want, name))

@@ -4,6 +4,8 @@ window, for columnar and per-arrival-loop measurements, plus the edge
 cases the scan's window arithmetic was written around."""
 
 import dataclasses
+import math
+import re
 
 import pytest
 
@@ -16,12 +18,12 @@ from repro.cluster import (
     RoundRobinRouter,
     uniform_fleet,
 )
+from repro.cli import main
 from repro.cluster.measure import (
     ClusterMeasurement,
     NodeUsage,
     QueryResponse,
     ShedQuery,
-    span_columns,
     zero_measurement,
 )
 from repro.core.qed.policy import BatchPolicy
@@ -29,7 +31,7 @@ from repro.measurement.ablations import fault_plan
 from repro.obs import MetricsRegistry
 from repro.workloads.arrivals import poisson_arrivals
 from repro.workloads.selection import selection_workload
-from window_oracle import response_columns, window_report_scan
+from window_oracle import busy_windows, response_columns, window_report_scan
 
 REL = 1e-9
 
@@ -143,7 +145,6 @@ def _node(name="n0", horizon_s=1.0, busy=(), sleep=(), wake=()) -> NodeUsage:
         horizon_s=horizon_s, playback=zero_measurement(), sleep_joules=0.0,
         sleep_spans=tuple(sleep), wake_spans=tuple(wake),
         idle_wall_w=100.0, busy_wall_w=180.0, sleep_wall_w=3.0,
-        busy_columns=span_columns(busy),
     )
 
 
@@ -161,6 +162,7 @@ class TestEdges:
         m = ClusterMeasurement(
             horizon_s=horizon,
             nodes=[_node(horizon_s=horizon, busy=[(0.05, horizon)])],
+            busy_windows=busy_windows([(0.05, horizon)]),
             response_columns=response_columns(
                 QueryResponse("q", "n0", 0.0, 0.05, 0.1),  # on an edge
                 QueryResponse("q", "n0", 0.2, 0.2, horizon),
@@ -178,15 +180,19 @@ class TestEdges:
         them, spans ending exactly on window edges, zero-length spans,
         and a second node whose spans all sit inside single windows."""
         horizon = 10.0
+        busy = [
+            [(0.5, 0.75), (1.5, 7.25), (8.0, 9.0), (9.0, 9.0)],
+            [(4.1, 4.2), (4.2, 4.9)],
+            [],
+        ]
         nodes = [
-            _node("n0", horizon,
-                  busy=[(0.5, 0.75), (1.5, 7.25), (8.0, 9.0), (9.0, 9.0)]),
-            _node("n1", horizon,
-                  busy=[(4.1, 4.2), (4.2, 4.9)],
+            _node("n0", horizon, busy=busy[0]),
+            _node("n1", horizon, busy=busy[1],
                   sleep=[(0.0, 4.0), (5.0, horizon)], wake=[(4.0, 4.05)]),
             _node("n2", horizon, sleep=[(0.0, horizon)]),
         ]
-        m = ClusterMeasurement(horizon, nodes, response_columns())
+        m = ClusterMeasurement(horizon, nodes, response_columns(),
+                               busy_windows=busy_windows(*busy))
         for window_s in (1.0, 2.0, 0.3, 3.7, 10.0, 25.0):
             windows = assert_matches_scan(m, window_s)
             assert sum(w.busy_node_s for w in windows) == pytest.approx(
@@ -211,10 +217,11 @@ class TestEdges:
         assert w.served == m.served == w.arrivals
         assert w.p95_response_s == pytest.approx(m.p95_response_s, rel=REL)
 
-    def test_bad_window_rejected(self):
+    @pytest.mark.parametrize("window_s", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_window_rejected(self, window_s):
         m = ClusterMeasurement(1.0, [], response_columns())
         with pytest.raises(ValueError, match="window_s must be positive"):
-            m.window_report(0.0)
+            m.window_report(window_s)
 
 
 class TestMetricsRegistryReconciles:
@@ -235,4 +242,33 @@ class TestMetricsRegistryReconciles:
         assert counters["arrivals"] == sum(w.arrivals for w in windows)
         assert registry.histogram("response_s").count == sum(
             w.served for w in windows
+        )
+
+
+class TestCliPhaseReport:
+    RUN = ["cluster", "--sf", "0.002", "--nodes", "2", "--arrivals", "20",
+           "--distinct", "4", "--policy", "spread"]
+
+    def test_sub_second_windows_print_distinct_bounds(self, capsys):
+        """Each row's bounds are its window's, to the window length's
+        places; only the last, which ends at the horizon, closes."""
+        assert main([*self.RUN, "--window", "0.5"]) == 0
+        out = capsys.readouterr().out
+        rows = re.findall(r"^ +\[([\d.]+), ([\d.]+)([)\]])", out, re.M)
+        assert len(rows) >= 3
+        starts = [float(lo) for lo, _, _ in rows]
+        assert starts == [0.5 * k for k in range(len(rows))]
+        assert [lo for lo, _, _ in rows][:3] == ["0.0", "0.5", "1.0"]
+        assert [hi for _, hi, _ in rows[:-1]] == [
+            lo for lo, _, _ in rows[1:]
+        ]
+        closes = [close for _, _, close in rows]
+        assert closes == [")"] * (len(rows) - 1) + ["]"]
+        assert float(rows[-1][1]) > starts[-1]
+
+    @pytest.mark.parametrize("window", ["0", "inf", "nan"])
+    def test_bad_window_is_a_named_error(self, window, capsys):
+        assert main([*self.RUN, "--window", window]) == 2
+        assert "--window must be positive and finite" in (
+            capsys.readouterr().err
         )

@@ -34,6 +34,17 @@ def response_columns(*responses: QueryResponse) -> ResponseColumns:
     )
 
 
+def busy_windows(*per_node) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hand-written busy spans, one sequence per node, as a
+    measurement's ``(node_idx, start_s, end_s)`` columns."""
+    rows = [(j, s, e) for j, spans in enumerate(per_node) for s, e in spans]
+    return (
+        np.array([j for j, _, _ in rows], dtype=np.int64),
+        np.array([s for _, s, _ in rows], dtype=np.float64),
+        np.array([e for _, _, e in rows], dtype=np.float64),
+    )
+
+
 def _overlap(spans, lo: float, hi: float) -> float:
     """Total length of ``spans`` clipped to the window ``[lo, hi)``."""
     return sum(
@@ -80,8 +91,10 @@ def window_report_scan(
 
         busy = wake = sleep = joules = 0.0
         re_sleeps = 0
-        for n in m.nodes:
-            b = _overlap_columns(*n.busy_columns, lo, hi)
+        node_idx, starts, ends = m.busy_windows
+        for j, n in enumerate(m.nodes):
+            mine = node_idx == j
+            b = _overlap_columns(starts[mine], ends[mine], lo, hi)
             w = _overlap(n.wake_spans, lo, hi)
             s = _overlap(n.sleep_spans, lo, hi)
             busy += b
