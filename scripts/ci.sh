@@ -195,11 +195,14 @@ run_obs() {
     # Hash-split pins templates to nodes, so the vectorized sequencer
     # sees uneven per-node groups; spread sees even ones; least-loaded
     # chains each choice on the last (its chunk form is an argmin
-    # recurrence, its loop form the shared node-choice walk).
+    # recurrence, its loop form the shared node-choice walk).  A
+    # generated 4x2 placement puts every policy through its
+    # eligibility mask on the vectorized side.
     local policy run
     for policy in spread hash least; do
         run="--sf 0.002 --nodes 4 --arrivals 60 --distinct 8"
         run="$run --policy $policy --sla 1.0 --window 1"
+        run="$run --shards 4 --replicas 2"
         # shellcheck disable=SC2086
         python -m repro cluster $run > "$obs_dir/$policy.vectorized.txt"
         # shellcheck disable=SC2086

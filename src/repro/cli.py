@@ -335,17 +335,12 @@ def cmd_cluster(args) -> int:
 
     # The simulator picks the engine from what it can observe; say
     # which one ran, and why when it was the per-arrival loop.
-    vectorized = scheduled.engine == "vectorized"
+    engine = scheduled.engine
+    if engine == "loop":
+        engine = f"loop ({sim.vectorized_ineligibility()})"
     # The report reads the measurement alone; holding the schedule
     # through it costs ~12 MB of peak RSS at 400k arrivals.
     del scheduled
-    if vectorized:
-        engine = "vectorized"
-    else:
-        reason = sim.vectorized_ineligibility() or (
-            "an empty stream, or a statement no node is placed to serve"
-        )
-        engine = f"loop ({reason})"
     print(f"\ncluster: {len(specs)} nodes, {len(stream)} arrivals "
           f"({args.profile}), policy={args.policy}, engine={engine}")
     print(f"  {'node':8s} {'queries':>7} {'util':>6} {'busy s':>8} "

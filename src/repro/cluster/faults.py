@@ -304,12 +304,20 @@ class RetryPolicy:
     multiplier: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_s < 0:
-            raise ValueError("backoff_s must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
+        if not 1 <= self.max_attempts < math.inf:
+            raise ValueError(
+                "max_attempts must be >= 1 and finite, got "
+                f"{self.max_attempts!r}"
+            )
+        if not 0 <= self.backoff_s < math.inf:
+            raise ValueError(
+                "backoff_s must be non-negative and finite, got "
+                f"{self.backoff_s!r}"
+            )
+        if not 1 <= self.multiplier < math.inf:
+            raise ValueError(
+                f"multiplier must be >= 1 and finite, got {self.multiplier!r}"
+            )
 
     def delay_s(self, attempt: int) -> float:
         """Backoff before retry number ``attempt`` (1-based)."""

@@ -24,13 +24,14 @@ and all agree on every node's energy to float-summation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from repro.cluster.measure import zero_measurement
 from repro.hardware.cpu import PvcSetting
 from repro.hardware.disk import DiskEnergy
-from repro.hardware.system import RunMeasurement
+from repro.hardware.system import RunMeasurement, SystemUnderTest
 from repro.hardware.trace import CompiledTrace, Idle, Trace
 
 #: Functions below accept any node-shaped object exposing ``spec`` and
@@ -281,8 +282,10 @@ def play_timeline(
     traces: list[CompiledTrace],
     timeline: LoopTimeline,
     workload_class: str,
+    machine: Callable[[tuple], SystemUnderTest],
 ) -> list[RunMeasurement]:
-    """One stacked playback call per distinct (hw, setting) pair.
+    """One stacked playback call per distinct (hw, setting) pair, on
+    that pair's machine (``machine``).
 
     The schedule's traces and one idle second concatenate into a row
     library; every node's timeline is one fancy-index gather from it,
@@ -323,8 +326,7 @@ def play_timeline(
     ) - 1
 
     out = [zero_measurement() for _ in nodes]
-    buckets: dict[object, list[tuple[int, CompiledTrace]]] = {}
-    sut_for: dict[object, object] = {}
+    buckets: dict[tuple, list[tuple[int, CompiledTrace]]] = {}
     for lo, hi, j in zip(breaks[:-1].tolist(), breaks[1:].tolist(),
                          run_node.tolist()):
         node = nodes[j]
@@ -334,17 +336,10 @@ def play_timeline(
             **{name: column[a:b] for name, column in gathered.items()},
             labels=tuple(labels[a:b].tolist()),
         )))
-        sut_for.setdefault(key, node.sut)
     for key, entries in buckets.items():
-        sut = sut_for[key]
-        original = sut.setting
-        sut.apply_setting(key[1])
-        try:
-            measurements = sut.run_compiled_batch(
-                [trace for _, trace in entries], workload_class
-            )
-        finally:
-            sut.apply_setting(original)
+        measurements = machine(key).run_compiled_batch(
+            [trace for _, trace in entries], workload_class
+        )
         for (j, _), measurement in zip(entries, measurements):
             out[j] = out[j] + measurement
     return out
@@ -389,8 +384,8 @@ def play_table(
     phase's measurement of every trace, in code order.  Every node
     holds its spec setting throughout, so busy energy is its windows'
     counts per trace times those measurements, and idle energy the
-    pair's per-second idle draw times whatever of the horizon the
-    windows leave (idle playback is linear in seconds).
+    per-second idle draw of its machine (the pair's) times whatever of
+    the horizon the windows leave (idle playback is linear in seconds).
     """
     counts = table.trace_counts(len(nodes), n_traces)
     out: list[RunMeasurement] = []
@@ -403,15 +398,7 @@ def play_table(
             F = fields[key] = _measurement_fields(measured[key])
         rate = idle_rates.get(key)
         if rate is None:
-            sut = node.sut
-            original = sut.setting
-            sut.apply_setting(node.spec.setting)
-            try:
-                per_second = sut.run_compiled(
-                    _IDLE_SECOND, workload_class
-                )
-            finally:
-                sut.apply_setting(original)
+            per_second = node.sut.run_compiled(_IDLE_SECOND, workload_class)
             rate = idle_rates[key] = _measurement_fields([per_second])[:, 0]
         busy = F @ counts[j].astype(np.float64)
         idle_s = max(0.0, horizon_s - busy[0])

@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import takewhile
+from typing import Callable
 
 import numpy as np
 
@@ -51,6 +52,11 @@ from repro.cluster.placement import (
 )
 from repro.core.pvc.adaptive import DEFAULT_LADDER, ladder_step
 from repro.workloads.arrivals import RateSchedule
+
+
+#: One statement's service time on a node, under the setting the node
+#: holds when asked: what ``route`` and ``place`` are handed.
+Service = Callable[[SimulatedNode], float]
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,12 @@ class Router:
     and wake transitions, EWMA load tracking, power-cap admission)
     simply omit it and keep the exact per-arrival loop.
 
+    ``route`` is handed ``service``, the statement's service time as a
+    function of the node (:data:`Service`).  It reads the setting the
+    node holds at the call, so a node a router has just retuned is
+    already timed at its new setting; ``route_chunk`` instead gets the
+    stateless routers' ``(distinct, nodes)`` service matrix.
+
     When a :class:`~repro.cluster.placement.PlacementMap` is active the
     simulator installs it as ``placement`` (before ``prepare``) and
     narrows the ``nodes`` list passed to ``route`` to the arrival's
@@ -92,9 +104,10 @@ class Router:
         for node in nodes:
             node.reset(awake=True)
 
-    def route(self, sql: str, now_s: float,
-              service_by_node: dict[str, float],
+    def route(self, sql: str, now_s: float, service: Service,
               nodes: list[SimulatedNode]) -> Decision:
+        """Where (and from when) ``sql``, arriving at ``now_s``, runs;
+        ``service(node)`` is its service time on a candidate node."""
         raise NotImplementedError
 
 
@@ -123,14 +136,14 @@ def first_serviceable(
     return count, None
 
 
-def completion_key(now_s: float, service_by_node):
+def completion_key(now_s: float, service: Service):
     """The earliest-completion order: a sort key giving when each node
     would finish a query arriving at ``now_s`` (its backlog, then the
     query's service time there).  Sorts and ``min`` are stable, so
     ties break in node order.  ``ready_s`` is inlined: the key is the
     whole per-candidate cost of a pick, the sort of its values is not."""
     return lambda n: (max(now_s, n.busy_until, n.wake_ready_s)
-                      + service_by_node[n.spec.name])
+                      + service(n))
 
 
 def sequence_chunk_on_nodes(
@@ -160,7 +173,7 @@ def sequence_chunk_on_nodes(
     np.cumsum(np.bincount(node_idx, minlength=len(nodes)),
               out=bounds[1:])
     times_by_node = times[order]
-    service_by_node = service_s[order]
+    service_s_by_node = service_s[order]
     starts_by_node = np.empty_like(times)
     ends_by_node = np.empty_like(times)
     for node, lo, hi in zip(nodes, bounds[:-1].tolist(),
@@ -168,7 +181,7 @@ def sequence_chunk_on_nodes(
         if lo == hi:
             continue
         t = times_by_node[lo:hi]
-        s = service_by_node[lo:hi]
+        s = service_s_by_node[lo:hi]
         csum = np.cumsum(s)
         anchor = np.maximum(t, node.busy_until) - (csum - s)
         e = csum + np.maximum.accumulate(anchor)
@@ -198,7 +211,7 @@ class RoundRobinRouter(Router):
         super().prepare(nodes)
         self._next = 0
 
-    def route(self, sql, now_s, service_by_node, nodes) -> Decision:
+    def route(self, sql, now_s, service, nodes) -> Decision:
         # Rotate past crashed/unavailable nodes; a full cycle with no
         # serviceable node refuses the arrival (the simulator's retry
         # policy takes over when a fault plan is active).
@@ -234,11 +247,11 @@ class RoundRobinRouter(Router):
 class LeastLoadedRouter(Router):
     """Route to the node that would complete the query earliest."""
 
-    def route(self, sql, now_s, service_by_node, nodes) -> Decision:
+    def route(self, sql, now_s, service, nodes) -> Decision:
         # Earliest completion first; if a wake fails the next-best
         # node takes the query.
         _, node = first_serviceable(
-            sorted(nodes, key=completion_key(now_s, service_by_node)),
+            sorted(nodes, key=completion_key(now_s, service)),
             now_s,
         )
         return Decision(node, now_s)
@@ -296,7 +309,7 @@ class HashSplitRouter(Router):
     replicas when that one is down).
     """
 
-    def route(self, sql, now_s, service_by_node, nodes) -> Decision:
+    def route(self, sql, now_s, service, nodes) -> Decision:
         _, node = first_serviceable(nodes, now_s, stable_hash(sql))
         return Decision(node, now_s)
 
@@ -315,10 +328,13 @@ class HashSplitRouter(Router):
                 dtype=np.intp,
             )
         else:
-            home = np.empty(len(distinct), dtype=np.intp)
+            home = np.zeros(len(distinct), dtype=np.intp)
             for d, sql in enumerate(distinct):
                 pool = np.flatnonzero(eligible[d])
-                home[d] = pool[stable_hash(sql) % len(pool)]
+                # A statement no node may serve is shed before routing
+                # and never reaches the chunk: nothing to hash it over.
+                if len(pool):
+                    home[d] = pool[stable_hash(sql) % len(pool)]
         node_idx = home[sql_idx]
         service_s = service[sql_idx, node_idx]
         starts, ends = sequence_chunk_on_nodes(
@@ -361,17 +377,14 @@ class ConsolidateRouter(Router):
         for node in nodes:
             node.reset(awake=node.spec.name in awake_names)
 
-    def route(self, sql, now_s, service_by_node, nodes) -> Decision:
+    def route(self, sql, now_s, service, nodes) -> Decision:
         usable = [n for n in nodes if n.can_serve(now_s)]
         awake = [n for n in usable if n.awake]
         for node in awake:
-            backlog = (
-                max(node.ready_s, now_s) - now_s
-                + service_by_node[node.spec.name]
-            )
+            backlog = max(node.ready_s, now_s) - now_s + service(node)
             if backlog <= self.max_backlog_s * node.spec.capacity:
                 return Decision(node, now_s)
-        finish = completion_key(now_s, service_by_node)
+        finish = completion_key(now_s, service)
         best_awake = min(awake, key=finish, default=None)
         best_completion = (
             math.inf if best_awake is None else finish(best_awake)
@@ -381,14 +394,12 @@ class ConsolidateRouter(Router):
         # every sleeper regardless of cost).
         sleepers = sorted(
             (n for n in usable if not n.awake),
-            key=lambda n: (
-                n.spec.wake_latency_s + service_by_node[n.spec.name]
-            ),
+            key=lambda n: n.spec.wake_latency_s + service(n),
         )
         _, woken = first_serviceable(list(takewhile(
             lambda n: (
-                now_s + n.spec.wake_latency_s
-                + service_by_node[n.spec.name] < best_completion
+                now_s + n.spec.wake_latency_s + service(n)
+                < best_completion
             ),
             sleepers,
         )), now_s)
@@ -457,14 +468,14 @@ class DynamicConsolidateRouter(ConsolidateRouter):
         self._gap_ewma: float | None = None
         self._service_ewma: float | None = None
 
-    def route(self, sql, now_s, service_by_node, nodes) -> Decision:
-        self._observe(now_s, service_by_node, nodes)
+    def route(self, sql, now_s, service, nodes) -> Decision:
+        self._observe(now_s, service, nodes)
         self._resize_awake_set(now_s, nodes)
-        return super().route(sql, now_s, service_by_node, nodes)
+        return super().route(sql, now_s, service, nodes)
 
     # -- load observation -------------------------------------------------
 
-    def _observe(self, now_s, service_by_node, nodes) -> None:
+    def _observe(self, now_s, service, nodes) -> None:
         alpha = self.ewma_alpha
         if self._last_arrival_s is not None:
             gap = now_s - self._last_arrival_s
@@ -473,12 +484,10 @@ class DynamicConsolidateRouter(ConsolidateRouter):
                 else alpha * gap + (1 - alpha) * self._gap_ewma
             )
         self._last_arrival_s = now_s
-        service = sum(
-            service_by_node[n.spec.name] for n in nodes
-        ) / len(nodes)
+        mean_s = sum(service(n) for n in nodes) / len(nodes)
         self._service_ewma = (
-            service if self._service_ewma is None
-            else alpha * service + (1 - alpha) * self._service_ewma
+            mean_s if self._service_ewma is None
+            else alpha * mean_s + (1 - alpha) * self._service_ewma
         )
 
     def _demand_erlangs(self, now_s: float,
@@ -612,17 +621,15 @@ class AdaptivePvcRouter(Router):
             node.set_setting(self.ladder[self._level[node.spec.name]],
                              0.0)
 
-    def route(self, sql, now_s, service_by_node, nodes) -> Decision:
+    def route(self, sql, now_s, service, nodes) -> Decision:
         _, node = first_serviceable(
-            sorted(nodes, key=completion_key(now_s, service_by_node)),
+            sorted(nodes, key=completion_key(now_s, service)),
             now_s,
         )
         if node is None:
             return Decision(None, now_s)
         name = node.spec.name
-        projected = (
-            max(now_s, node.ready_s) - now_s + service_by_node[name]
-        )
+        projected = max(now_s, node.ready_s) - now_s + service(node)
         level = self._level[name]
         stepped = ladder_step(level, projected, self.deadline_s,
                               len(self.ladder), self.slack_threshold)
@@ -645,9 +652,9 @@ class BatchPlacement:
     Splitting a batch keeps each shard mergeable (shards of a mergeable
     partition share its template).
 
-    ``service_by_node`` estimates one representative query of the batch
-    on every node -- enough for load comparison; the exact merged cost
-    is resolved per node when the shard is scheduled.
+    ``service(node)`` is the service time of one representative query
+    of the batch on that node -- enough for load comparison; the exact
+    merged cost is resolved per node when the shard is scheduled.
     """
 
     def prepare(self, router: Router,
@@ -663,7 +670,7 @@ class BatchPlacement:
         return getattr(self.router, "placement", None)
 
     def place(self, batch, merged, now_s: float,
-              service_by_node, nodes: list[SimulatedNode]):
+              service: Service, nodes: list[SimulatedNode]):
         """``[(node, queries), ...]`` covering every query in ``batch``
         exactly once (empty list: shed the whole batch).  Under a
         placement map the simulator pre-groups batches by shard and
@@ -680,13 +687,13 @@ class BatchPlacement:
         awake = [n for n in pool if n.awake]
         return awake or pool
 
-    def _place_least_loaded(self, batch, now_s, service_by_node, nodes):
+    def _place_least_loaded(self, batch, now_s, service, nodes):
         """Whole batch to the earliest-completion usable node; a
         sleeper whose wake fails under a fault plan is skipped, and an
         empty list sheds the batch into the simulator's retry path."""
         _, node = first_serviceable(sorted(
             self._usable(nodes, now_s),
-            key=completion_key(now_s, service_by_node),
+            key=completion_key(now_s, service),
         ), now_s)
         return [] if node is None else [(node, batch.queries)]
 
@@ -694,9 +701,9 @@ class BatchPlacement:
 class LeastLoadedPlacement(BatchPlacement):
     """The whole batch goes to the awake node finishing it soonest."""
 
-    def place(self, batch, merged, now_s, service_by_node, nodes):
+    def place(self, batch, merged, now_s, service, nodes):
         return self._place_least_loaded(
-            batch, now_s, service_by_node, nodes
+            batch, now_s, service, nodes
         )
 
 
@@ -711,9 +718,9 @@ class ConsolidatePlacement(BatchPlacement):
     awake set shrink below what per-arrival routing sustains.
     """
 
-    def place(self, batch, merged, now_s, service_by_node, nodes):
+    def place(self, batch, merged, now_s, service, nodes):
         decision = self.router.route(
-            batch.queries[0].sql, now_s, service_by_node, nodes
+            batch.queries[0].sql, now_s, service, nodes
         )
         if decision.node is None:
             return []
@@ -737,16 +744,16 @@ class HashSplitPlacement(BatchPlacement):
             raise ValueError("fanout must be >= 1")
         self.fanout = fanout
 
-    def place(self, batch, merged, now_s, service_by_node, nodes):
+    def place(self, batch, merged, now_s, service, nodes):
         if self.placement is not None:
             # Real shard routing: the simulator has already split the
             # dispatched batch by shard and narrowed ``nodes`` to the
             # owning replica set, so the remaining decision is which
             # live replica serves the piece -- the least-loaded one.
             return self._place_least_loaded(
-                batch, now_s, service_by_node, nodes
+                batch, now_s, service, nodes
             )
-        finish = completion_key(now_s, service_by_node)
+        finish = completion_key(now_s, service)
         targets = sorted(
             self._usable(nodes, now_s),
             key=lambda n: (finish(n), n.spec.name),
@@ -837,7 +844,7 @@ class PowerCapRouter(Router):
                 "cap leaves no headroom for any node to serve a query"
             )
 
-    def route(self, sql, now_s, service_by_node, nodes) -> Decision:
+    def route(self, sql, now_s, service, nodes) -> Decision:
         # Completed windows can never constrain future placements.
         self._intervals = [
             iv for iv in self._intervals if iv.end_s > now_s
@@ -854,15 +861,15 @@ class PowerCapRouter(Router):
             delta = self._deltas[node.spec.name]
             if self._baseline_w + delta > self.cap_w:
                 continue  # this node alone would breach the cap
-            service = service_by_node[node.spec.name]
+            service_s = service(node)
             s0 = max(now_s, node.ready_s)
-            start = self._earliest_feasible(s0, service, delta)
+            start = self._earliest_feasible(s0, service_s, delta)
             if (
                 self.max_delay_s is not None
                 and start - now_s > self.max_delay_s
             ):
                 continue  # this node can't start soon enough
-            completion = start + service
+            completion = start + service_s
             if best is None or completion < best[0]:
                 best = (completion, start, node)
         if best is None:

@@ -19,12 +19,14 @@ of array operations:
    distinct statement hits the database once, results are evicted once
    the trace compiles), pre-cost each distinct query once per distinct
    ``(hardware profile, PVC setting)`` pair with one
-   ``run_compiled_batch`` call -- including every ladder setting an
-   adaptive router may apply -- then place the arrivals: the chunked
-   vectorized engine when the configuration allows it, otherwise the
-   event loop in pure Python over floats (the stream's sorted arrival
-   column merged with one ``(time, rank, seq)`` heap of metric samples,
-   crashes/recoveries, retries and QED timeouts).  Either engine
+   ``run_compiled_batch`` call on that pair's machine -- including every
+   ladder setting an adaptive router may apply; any other setting is
+   costed when first asked for -- then place the arrivals: the chunked
+   vectorized engine when
+   :meth:`~ClusterSimulator.vectorized_ineligibility` names no reason,
+   otherwise the event loop in pure Python over floats (the stream's
+   sorted arrival column merged with one ``(time, rank, seq)`` heap of
+   metric samples, crashes/recoveries, retries and QED timeouts).  Either engine
    produces a :class:`ClusterSchedule` around one
    :class:`~repro.cluster.playback.ScheduleTable` of busy windows; a
    loop run also keeps every node's timeline as rows
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -77,6 +79,7 @@ from repro.cluster.routing import (
     ConsolidateRouter,
     Decision,
     Router,
+    Service,
     first_serviceable,
 )
 from repro.core.qed.aggregator import NotMergeableError, merge_queries
@@ -176,49 +179,14 @@ class ClusterSchedule:
         return len(self.timeline)
 
 
-class _ServiceView(Mapping):
-    """Live node-name -> service-time mapping for one statement.
-
-    Reads each node's *current* PVC setting on every lookup, so a
-    router that retunes a node mid-stream (``AdaptivePvcRouter``)
-    immediately sees -- and the simulator immediately schedules --
-    service times under the new setting.  Routers index it exactly like
-    the plain dict it replaces.
-    """
-
-    __slots__ = ("_durations", "_nodes", "_sql")
-
-    def __init__(self, durations: dict[CostKey, dict[str, float]],
-                 nodes: dict[str, SimulatedNode], sql: str):
-        self._durations = durations
-        self._nodes = nodes
-        self._sql = sql
-
-    def __getitem__(self, name: str) -> float:
-        node = self._nodes[name]
-        try:
-            return self._durations[(node.spec.hw, node.setting)][self._sql]
-        except KeyError:
-            raise KeyError(
-                f"no pre-costed duration for node {name!r} under setting "
-                f"{node.setting.describe()!r}; routers that retune nodes "
-                "must expose the settings they use via a `ladder` attribute"
-            ) from None
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-
 class ClusterSimulator:
     """Serve an arrival stream across a simulated fleet.
 
-    Every node's machine comes from its spec's hardware profile
-    (``hw``, resolved through :data:`~repro.cluster.node.SUT_FACTORIES`)
-    with the spec's PVC setting applied, which keeps same-(hw, setting)
-    nodes playback-equivalent -- the property batched playback
+    Every statement is costed on the one machine of its ``(hw,
+    setting)`` pair (:meth:`machine`): the spec's hardware profile,
+    resolved through :data:`~repro.cluster.node.SUT_FACTORIES`, with the
+    setting applied once.  Nodes of one pair share that machine, so
+    they are playback-equivalent -- the property batched playback
     exploits.  Without a ``placement`` map the shared database models fully
     replicated data: any node can serve any query.  With one, each
     placed table is sharded with k replicas across named nodes
@@ -307,11 +275,21 @@ class ClusterSimulator:
         self.runner = WorkloadRunner(
             db, SUT_FACTORIES[specs[0].hw](), trace_cache=trace_cache,
         )
-        self.nodes: list[SimulatedNode] = []
-        for spec in specs:
-            sut = SUT_FACTORIES[spec.hw]()
-            sut.apply_setting(spec.setting)
-            self.nodes.append(SimulatedNode(spec, sut))
+        self.machines: dict[CostKey, SystemUnderTest] = {}
+        self.nodes = [
+            SimulatedNode(spec, self.machine((spec.hw, spec.setting)))
+            for spec in specs
+        ]
+
+    def machine(self, pair: CostKey) -> SystemUnderTest:
+        """The machine that costs everything run under ``pair``: built
+        on first use with the pair's setting applied, never retuned."""
+        sut = self.machines.get(pair)
+        if sut is None:
+            hw, setting = pair
+            sut = self.machines[pair] = SUT_FACTORIES[hw]()
+            sut.apply_setting(setting)
+        return sut
 
     # -- phase 1: event loop ---------------------------------------------
 
@@ -329,14 +307,6 @@ class ClusterSimulator:
                 for setting in ladder:
                     keys.setdefault((hw, setting))
         return list(keys)
-
-    def _sut_for(self, hw: str) -> SystemUnderTest:
-        """A representative machine for ``hw`` (any node of that
-        profile; factories make them interchangeable)."""
-        for node in self.nodes:
-            if node.spec.hw == hw:
-                return node.sut
-        raise KeyError(hw)  # pragma: no cover - keys come from nodes
 
     def _execute_once_table(
         self, distinct: Sequence[str]
@@ -361,20 +331,14 @@ class ClusterSimulator:
         distinct = list(table)
         durations: dict[CostKey, dict[str, float]] = {}
         costed: dict[CostKey, list] = {}
-        for hw, setting in self._cost_keys():
-            sut = self._sut_for(hw)
-            original = sut.setting
-            sut.apply_setting(setting)
-            try:
-                batch = sut.run_compiled_batch(
-                    [table[sql] for sql in distinct], workload_class
-                )
-            finally:
-                sut.apply_setting(original)
-            durations[(hw, setting)] = {
+        for pair in self._cost_keys():
+            batch = self.machine(pair).run_compiled_batch(
+                [table[sql] for sql in distinct], workload_class
+            )
+            durations[pair] = {
                 sql: m.duration_s for sql, m in zip(distinct, batch)
             }
-            costed[(hw, setting)] = batch
+            costed[pair] = batch
         return durations, costed
 
     def vectorized_ineligibility(self) -> str | None:
@@ -447,7 +411,7 @@ class ClusterSimulator:
         self._eligible_cache[sql] = (self._owner_gen, pool)
         return pool
 
-    def _route(self, sql: str, now_s: float, service_by_node) -> Decision:
+    def _route(self, sql: str, now_s: float, service: Service) -> Decision:
         """Route one arrival through the placement constraint.
 
         The router sees only the eligible replica set (in fleet order,
@@ -458,11 +422,10 @@ class ClusterSimulator:
         """
         pool = self._eligible_nodes(sql)
         if pool is None:
-            return self.router.route(sql, now_s, service_by_node,
-                                     self.nodes)
+            return self.router.route(sql, now_s, service, self.nodes)
         if not pool:
             return Decision(None, now_s)
-        return self.router.route(sql, now_s, service_by_node, pool)
+        return self.router.route(sql, now_s, service, pool)
 
     def _eligibility_mask(self, distinct: list[str]) -> np.ndarray | None:
         """The ``(distinct, nodes)`` bool mask for masked route_chunk,
@@ -484,13 +447,12 @@ class ClusterSimulator:
         coerced and validated once, here); both engines work on its
         columns, time-sorted only when they are not already.
 
-        ``vectorized=None`` (the default) takes the chunked fast path
-        whenever the configuration is eligible (see
-        :meth:`vectorized_ineligibility`) and falls back to the exact
-        per-arrival loop otherwise; ``False`` forces the loop (the
-        oracle for identity tests, and the only form with per-piece
-        timelines); ``True`` demands the fast path and raises when the
-        configuration cannot take it.
+        ``vectorized=None`` (the default) takes exactly the engine
+        :meth:`vectorized_ineligibility` names: the chunked fast path
+        when it gives no reason, the exact per-arrival loop otherwise;
+        ``False`` forces the loop (the oracle for identity tests, and
+        the only form with per-piece timelines); ``True`` demands the
+        fast path and raises when the configuration cannot take it.
         """
         reason = self.vectorized_ineligibility()
         if vectorized is True and reason is not None:
@@ -502,20 +464,6 @@ class ClusterSimulator:
         distinct = list(arrivals.distinct)
         workload_class = self.db.workload_class
         self._install_placement()
-        if use_fast and self.placement is not None:
-            # The columnar path cannot shed/queue: a statement with no
-            # eligible node (no node holds all its shards) needs the
-            # loop's degrade policy.
-            unroutable = any(
-                self._eligible_nodes(sql) == [] for sql in distinct
-            )
-            if unroutable and vectorized is True:
-                raise ValueError(
-                    "vectorized scheduling unavailable: the placement "
-                    "map leaves some statement with no eligible node "
-                    "(the loop path queues or sheds it)"
-                )
-            use_fast = use_fast and not unroutable
 
         # Every run is stamped with a deterministic identity derived
         # from its full configuration; same config => same run_id.
@@ -528,10 +476,7 @@ class ClusterSimulator:
             placement=self.placement,
         )
         run_id = run_id_for(fingerprint)
-        # NHPP generators legitimately produce empty streams in low-rate
-        # windows; an empty stream is an empty schedule (zero energy,
-        # zero horizon) off the event loop, not an error.
-        if use_fast and len(arrivals):
+        if use_fast:
             return self._schedule_vectorized(
                 arrivals, workload_class, fingerprint, run_id
             )
@@ -555,14 +500,10 @@ class ClusterSimulator:
         durations, _costed = self._precost(table, workload_class)
         self._durations = durations
         self._workload_class = workload_class
-
-        # Per-distinct-SQL live service views, shared across arrivals
-        # (the event loop would otherwise rebuild an identical mapping
-        # ~10k times); routers only read them.
-        nodes_by_name = {node.spec.name: node for node in self.nodes}
-        views = self._views = {
-            sql: _ServiceView(durations, nodes_by_name, sql)
-            for sql in distinct
+        # One service-time callable per distinct statement, shared by
+        # its arrivals; routers only call it.
+        services = self._services = {
+            sql: self._service(sql) for sql in distinct
         }
 
         # Fault layer: install the plan on every node *before* the
@@ -621,8 +562,8 @@ class ClusterSimulator:
                 else:
                     self._enqueue(order, sql, now)
                 continue
-            service_by_node = views[sql]
-            decision = self._route(sql, now, service_by_node)
+            service = services[sql]
+            decision = self._route(sql, now, service)
             if decision.node is None:
                 if active:
                     # No serviceable node right now; the retry
@@ -642,8 +583,7 @@ class ClusterSimulator:
                     parent=tracer.parent_of(sql, now), sql=sql,
                 )
             node.assign(
-                sql, decision.dispatch_s,
-                service_by_node[node.spec.name], ((sql, now),),
+                sql, decision.dispatch_s, service(node), ((sql, now),),
             )
 
         end_of_arrivals = float(arrivals.times[-1]) if len(arrivals) else 0.0
@@ -721,14 +661,13 @@ class ClusterSimulator:
         outcome stays columnar all the way into playback.  From the
         generator to the measurement no per-arrival Python object
         exists, which is what makes 1M arrivals x 100 nodes a
-        seconds-scale run.
+        seconds-scale run.  An empty stream is the zero run.
         """
         distinct = list(arrivals.distinct)
         table = self._execute_once_table(distinct)
         durations, costed = self._precost(table, workload_class)
         self.router.prepare(self.nodes)
 
-        n = len(arrivals)
         n_nodes = len(self.nodes)
         times, sql_idx = arrivals.times, arrivals.sql_idx
         service = np.empty((len(distinct), n_nodes), dtype=np.float64)
@@ -736,14 +675,29 @@ class ClusterSimulator:
             per = durations[(node.spec.hw, node.spec.setting)]
             service[:, j] = [per[sql] for sql in distinct]
 
-        node_idx = np.empty(n, dtype=np.int64)
-        starts = np.empty(n, dtype=np.float64)
-        ends = np.empty(n, dtype=np.float64)
         # Placement constraint as a per-template eligibility mask; None
         # when no template is constrained, keeping the unconstrained
         # call shape (and its floats) bit-identical to the seed path.
         mask = self._eligibility_mask(distinct)
         route_kwargs = {} if mask is None else {"eligible": mask}
+        end_of_arrivals = float(times[-1]) if len(times) else 0.0
+        shed: list[ShedQuery] = []
+        servable = None if mask is None else mask.any(axis=1)
+        if servable is not None and not servable.all():
+            # A statement no node holds every shard of is shed, in
+            # arrival order, before routing -- as the loop refuses it.
+            kept = servable[sql_idx]
+            shed = [
+                ShedQuery(distinct[code], arrival_s)
+                for code, arrival_s in zip(sql_idx[~kept].tolist(),
+                                           times[~kept].tolist())
+            ]
+            times, sql_idx = times[kept], sql_idx[kept]
+
+        n = len(times)
+        node_idx = np.empty(n, dtype=np.int64)
+        starts = np.empty(n, dtype=np.float64)
+        ends = np.empty(n, dtype=np.float64)
         for lo in range(0, n, self.SCHEDULE_CHUNK):
             hi = min(lo + self.SCHEDULE_CHUNK, n)
             idx, st, en = self.router.route_chunk(
@@ -767,8 +721,8 @@ class ClusterSimulator:
             table=table,
             windows=windows,
             measured=costed,
-            horizon_s=float(max(times[-1], ends.max())),
-            shed=[],
+            horizon_s=float(ends.max(initial=end_of_arrivals)),
+            shed=shed,
             peak_power_w=self._peak_model_power_w(windows),
             cap_w=getattr(self.router, "cap_w", None),
             workload_class=workload_class,
@@ -1038,11 +992,12 @@ class ClusterSimulator:
         query's *original* arrival time, so its response time includes
         the whole ordeal.  A failed attempt backs off again until the
         policy dead-letters it: shed, with accounting."""
-        decision = self._route(sql, ready_s, self._views[sql])
+        service = self._services[sql]
+        decision = self._route(sql, ready_s, service)
         node = decision.node
         if node is not None and node.awake and node.can_serve(ready_s):
             node.assign(
-                sql, decision.dispatch_s, self._duration_for(node, sql),
+                sql, decision.dispatch_s, service(node),
                 ((sql, arrival_s),),
             )
             return
@@ -1126,7 +1081,7 @@ class ClusterSimulator:
                     group_merged = merge_queries(group_batch.sqls)
                 assignments = self.master_queue.placement.place(
                     group_batch, group_merged, group_batch.dispatch_s,
-                    self._views[group_batch.queries[0].sql],
+                    self._services[group_batch.queries[0].sql],
                     self.nodes if pool is None else pool,
                 )
             if not assignments:
@@ -1218,19 +1173,28 @@ class ClusterSimulator:
         demand (and memoized) for trace keys or settings the pre-pass
         could not know about -- merged-batch SQL, retuned nodes.
         """
-        per_key = self._durations.setdefault(
-            (node.spec.hw, node.setting), {}
-        )
+        pair = (node.spec.hw, node.setting)
+        per_key = self._durations.setdefault(pair, {})
         if key not in per_key:
-            original = node.sut.setting
-            node.sut.apply_setting(node.setting)
-            try:
-                per_key[key] = node.sut.run_compiled(
-                    self._table[key], self._workload_class
-                ).duration_s
-            finally:
-                node.sut.apply_setting(original)
+            per_key[key] = self.machine(pair).run_compiled(
+                self._table[key], self._workload_class
+            ).duration_s
         return per_key[key]
+
+    def _service(self, sql: str) -> Service:
+        """``sql``'s service time on a node under the setting the node
+        holds when asked, so a router that retunes a node mid-stream
+        (``AdaptivePvcRouter``) sees -- and the simulator schedules --
+        the new setting's time at once."""
+        durations = self._durations
+
+        def service(node: SimulatedNode) -> float:
+            try:
+                return durations[(node.spec.hw, node.setting)][sql]
+            except KeyError:
+                return self._duration_for(node, sql)
+
+        return service
 
     def _schedule_batch(
         self,
@@ -1346,7 +1310,7 @@ class ClusterSimulator:
         else:
             measurements = play_timeline(
                 nodes, list(schedule.table.values()), schedule.timeline,
-                schedule.workload_class,
+                schedule.workload_class, self.machine,
             )
         busy_s = windows.busy_s(len(nodes)).tolist()
         responses = ResponseColumns.in_arrival_order(

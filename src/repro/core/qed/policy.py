@@ -8,6 +8,7 @@ half-full queue still drains (the paper's SLA discussion).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -21,10 +22,15 @@ class BatchPolicy:
     max_wait_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        if self.max_wait_s is not None and self.max_wait_s < 0:
-            raise ValueError("max_wait_s must be non-negative")
+        if not 1 <= self.threshold < math.inf:
+            raise ValueError(
+                f"threshold must be >= 1 and finite, got {self.threshold!r}"
+            )
+        if self.max_wait_s is not None and not 0 <= self.max_wait_s < math.inf:
+            raise ValueError(
+                "max_wait_s must be non-negative and finite, got "
+                f"{self.max_wait_s!r}"
+            )
 
     def should_dispatch(self, queue_length: int,
                         oldest_wait_s: float) -> bool:

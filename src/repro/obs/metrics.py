@@ -17,6 +17,7 @@ attached the simulator pays one ``is None`` branch per hook.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,8 +83,10 @@ class MetricsRegistry:
     """Create-or-get metric store plus the sampled time series."""
 
     def __init__(self, window_s: float = 30.0) -> None:
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
+        if not 0 < window_s < math.inf:
+            raise ValueError(
+                f"window_s must be positive and finite, got {window_s!r}"
+            )
         self.window_s = window_s
         self.begin_run()
 

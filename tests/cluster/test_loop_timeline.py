@@ -132,6 +132,14 @@ def _rows(node, horizon_s):
     return rows, timeline
 
 
+def _machine(pair):
+    """The paper machine at ``pair``'s setting, as the simulator's
+    machine lookup gives it."""
+    sut = paper_sut()
+    sut.apply_setting(pair[1])
+    return sut
+
+
 @pytest.mark.parametrize(
     "node, horizon_s, expected",
     [case[1:] for case in CASES], ids=[case[0] for case in CASES],
@@ -152,7 +160,7 @@ def test_timeline_rows(node, horizon_s, expected):
             assert float(piece.seconds[0]).hex() == value.hex()
 
     played = play_timeline([node], list(TABLE.values()), timeline,
-                           CPU_BOUND)
+                           CPU_BOUND, _machine)
     oracle = play_batched([node], {"n0": pieces}, CPU_BOUND,
                           {"n0": settings})
     assert played == [oracle["n0"]]

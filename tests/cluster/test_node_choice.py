@@ -43,6 +43,16 @@ from repro.core.qed.queue import Batch, QueuedQuery
 
 SQLS = [f"SELECT * FROM t WHERE k = {k}" for k in range(4)]
 
+
+class _Service(dict):
+    """A statement's service times by node name -- how the former walks
+    read them -- and callable on a node, as the current policies are
+    handed them."""
+
+    def __call__(self, node):
+        return self[node.spec.name]
+
+
 #: ``(new, old)`` factories per policy.
 ROUTERS = {
     "round_robin": (RoundRobinRouter, oracle.RoundRobinRouter),
@@ -218,7 +228,9 @@ class _Twin:
 
     def service(self, sql_i):
         row = self.config["service"][sql_i]
-        return {n.spec.name: row[i] for i, n in enumerate(self.nodes)}
+        return _Service(
+            (n.spec.name, row[i]) for i, n in enumerate(self.nodes)
+        )
 
     def decide(self, now_s, sql_i, bits, size, qid):
         """One decision; returns ``[(node name, dispatch_s, query ids)]``

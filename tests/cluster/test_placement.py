@@ -275,6 +275,44 @@ class TestVectorizedWithPlacement:
         ).run(stream, vectorized=False)
         self._assert_identical(fast, slow)
 
+    @pytest.mark.parametrize("router_factory", [
+        LeastLoadedRouter, HashSplitRouter, RoundRobinRouter,
+    ])
+    def test_statement_no_node_holds_is_shed_on_both_engines(
+            self, mysql_db, router_factory):
+        """With one replica per shard, a range predicate and a two-value
+        ``IN`` need shards no single node holds.  The default engine is
+        still the vectorized one, and it sheds those arrivals exactly
+        as the loop refuses them."""
+        equality = selection_workload(6).queries
+        select = equality[0].split(" WHERE ")[0]
+        queries = equality + [
+            f"{select} WHERE l_quantity < 5",
+            f"{select} WHERE l_quantity IN (7, 30)",
+        ]
+        stream = poisson_arrivals(
+            [queries[i % len(queries)] for i in range(120)], 0.05, seed=3
+        )
+        pm = _chained(4, shards=4, replicas=1)
+        runs = {}
+        for vectorized in (None, False):
+            sim = ClusterSimulator(
+                mysql_db, uniform_fleet(4), router_factory(), placement=pm,
+            )
+            assert sim.vectorized_ineligibility() is None
+            schedule = sim.schedule(stream, vectorized=vectorized)
+            runs[schedule.engine] = sim.playback(schedule)
+        fast, slow = runs["vectorized"], runs["loop"]
+        assert len(slow.shed) == 30
+        assert fast.shed == slow.shed
+        assert fast.run_id == slow.run_id
+        assert fast.horizon_s == slow.horizon_s
+        assert [n.queries for n in fast.nodes] == [
+            n.queries for n in slow.nodes
+        ]
+        for f, s in zip(fast.nodes, slow.nodes):
+            assert f.wall_joules == pytest.approx(s.wall_joules, rel=REL)
+
 
 class TestQuorum:
     def test_consolidate_prepare_covers_quorum(self, mysql_db):

@@ -267,6 +267,26 @@ class TestEmptyStream:
         assert len(windows) == 1
         assert windows[0].arrivals == 0
 
+    @pytest.mark.parametrize("policy", sorted(ROUTERS))
+    def test_empty_stream_takes_the_named_engine(self, mysql_db, policy):
+        """An empty stream is no reason to leave the vectorized engine,
+        and both engines measure it as the same zero run."""
+        runs = {}
+        for vectorized in (None, False):
+            sim = ClusterSimulator(mysql_db, uniform_fleet(3),
+                                   ROUTERS[policy]())
+            assert sim.vectorized_ineligibility() is None
+            schedule = sim.schedule([], vectorized=vectorized)
+            runs[schedule.engine] = sim.playback(schedule)
+        fast, slow = runs["vectorized"], runs["loop"]
+        assert fast.run_id == slow.run_id
+        assert fast.horizon_s == slow.horizon_s == 0.0
+        assert fast.shed == slow.shed == []
+        assert fast.peak_power_w == slow.peak_power_w
+        for f, s in zip(fast.nodes, slow.nodes):
+            assert f.queries == s.queries == 0
+            assert f.playback == s.playback
+
     def test_empty_stream_summary_renders(self, mysql_db):
         sim = ClusterSimulator(mysql_db, uniform_fleet(2),
                                LeastLoadedRouter())
