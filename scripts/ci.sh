@@ -10,6 +10,8 @@
 #   scripts/ci.sh --stage perf     # event-core identity smoke bench
 #                                  # + BENCH_perf.json regenerates at
 #                                  # SF 0.05 (floats to 1e-9)
+#                                  # + a 400k-arrival cluster run
+#                                  # prints its golden report
 #   scripts/ci.sh --stage cluster  # diurnal + qed + fault smoke benches
 #                                  # + a trace store shared by two runs
 #   scripts/ci.sh --stage replication  # placement + re-replication smoke
@@ -112,7 +114,15 @@ run_perf() {
     python scripts/perf_report.py 0.05 "$record" \
         --against BENCH_perf.json || status=$?
     rm -f "$record"
-    return "$status"
+    [ "$status" = 0 ] || return "$status"
+    echo "== 400k arrivals x 100 nodes, cold: the golden report =="
+    # Four SCHEDULE_CHUNK blocks of the peak-power sweep: the run id,
+    # every node's energy, the peak model, the percentiles and every
+    # phase row must print exactly as pinned.
+    python -m repro cluster --sf 0.05 --nodes 100 --arrivals 400000 \
+        --distinct 50 --mean-interarrival 0.01 --seed 0 --window 30 \
+        --sla 7.5 --policy spread \
+        | diff tests/cluster/golden/fleet_vectorized_cluster.txt -
 }
 
 run_cluster() {

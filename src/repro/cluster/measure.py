@@ -357,8 +357,10 @@ def _window_of(
     (``his[k] == los[k + 1]`` but for the last), so only the horizon
     bounds a time from above.
     """
-    k = np.searchsorted(los, t, side="right") - 1
-    return np.where((k >= 0) & (t <= his[-1]), k, -1)
+    k = np.searchsorted(los, t, side="right")
+    k -= 1
+    k[~(t <= his[-1])] = -1
+    return k
 
 
 def _count_per_window(t, los: np.ndarray, his: np.ndarray) -> np.ndarray:
@@ -366,6 +368,14 @@ def _count_per_window(t, los: np.ndarray, his: np.ndarray) -> np.ndarray:
     window edges are searched into the times."""
     first = np.searchsorted(t, los, side="left")
     return np.diff(first, append=np.searchsorted(t, his[-1], side="right"))
+
+
+def _clipped(x: np.ndarray, horizon: float) -> np.ndarray:
+    """``x`` clipped to ``[0, horizon]``, itself (no copy) when it already
+    lies there; a NaN does not, so a column holding one is clipped."""
+    if not len(x) or (0.0 <= x.min() and x.max() <= horizon):
+        return x
+    return np.clip(x, 0.0, horizon)
 
 
 def _overlap_per_window(
@@ -382,19 +392,20 @@ def _overlap_per_window(
     cells = n_nodes * count
     if not cells:
         return np.zeros((n_nodes, count))
-    start = np.clip(start, 0.0, his[-1])
-    end = np.clip(end, 0.0, his[-1])
-    row = count * node_idx
-    first = np.searchsorted(los, start, side="right") - 1
-    seconds = np.zeros(cells)  # bincount of nothing is int, not float
-    seconds += np.bincount(
-        row + first, weights=np.minimum(end, his[first]) - start,
-        minlength=cells,
-    )
+    start, end = _clipped(start, his[-1]), _clipped(end, his[-1])
+    first = np.searchsorted(los, start, side="right")
+    first -= 1
+    upto = his[first]
     # A span crosses iff it ends past its window (a NaN end is searched).
-    crosses = np.flatnonzero(~(end <= his[first]))
+    crosses = np.flatnonzero(~(end <= upto))
+    np.minimum(end, upto, out=upto)
+    upto -= start
+    cell = count * node_idx
+    cell += first
+    seconds = np.zeros(cells)  # bincount of nothing is int, not float
+    seconds += np.bincount(cell, weights=upto, minlength=cells)
     if crosses.size:
-        row, first = row[crosses], first[crosses]
+        row, first = count * node_idx[crosses], first[crosses]
         final = np.maximum(
             np.searchsorted(los, end[crosses], side="left") - 1, first
         )
@@ -658,25 +669,8 @@ class ClusterMeasurement:
         his[-1] = horizon
         spans = his - los
 
-        r_completion = self.response_columns.completion_s
-        shed = np.sort([q.arrival_s for q in self.shed])
-        arrivals = (
-            _count_per_window(self.response_columns.arrival_s, los, his)
-            + _count_per_window(shed, los, his)
-        )
-        # Response times grouped by completion window: a stable sort on
-        # the window index (the -1s, in no window, sort first), then
-        # one slice per window.
-        completed_in = _window_of(r_completion, los, his)
-        served = np.bincount(
-            completed_in[completed_in >= 0], minlength=count
-        )
-        by_window = np.argsort(completed_in, kind="stable")
-        by_window = by_window[len(by_window) - served.sum():]
-        responses = np.split(
-            self._response_values[by_window], np.cumsum(served)[:-1]
-        )
-
+        # The span overlaps run first, so their transients and the
+        # response grouping's never coexist.
         nodes = self.nodes
         busy, wake, sleep = (
             _overlap_per_window(*columns, len(nodes), los, his)
@@ -685,6 +679,25 @@ class ClusterMeasurement:
                 _span_rows(nodes, "wake_spans"),
                 _span_rows(nodes, "sleep_spans"),
             )
+        )
+
+        shed = np.sort([q.arrival_s for q in self.shed])
+        arrivals = (
+            _count_per_window(self.response_columns.arrival_s, los, his)
+            + _count_per_window(shed, los, his)
+        )
+        # Response times grouped by completion window: a stable sort on
+        # the window index (the -1s, in no window, sort first), then
+        # one slice per window.
+        completed_in = _window_of(
+            self.response_columns.completion_s, los, his
+        )
+        served = np.bincount(completed_in + 1, minlength=count + 1)[1:]
+        by_window = np.argsort(completed_in, kind="stable")
+        del completed_in
+        by_window = by_window[len(by_window) - served.sum():]
+        responses = np.split(
+            self._response_values[by_window], np.cumsum(served)[:-1]
         )
         re_sleeps = _count_per_window(np.sort([
             start for n in nodes for start, _ in n.sleep_spans

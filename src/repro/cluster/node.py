@@ -310,19 +310,18 @@ class TimelineAccounting:
     def power_estimate(self) -> ServerSpec:
         """Linear power envelope (Fan et al.) derived from the SUT.
 
-        Memoized on the SUT object (shared between the live node and
-        its frozen snapshots) because the derivation replays component
-        models.
+        Memoized on the SUT object by sleep watts: the derivation
+        replays component models, and every node of one (hardware,
+        setting) pair shares the machine, so a pair derives its
+        envelope once.  Callers read its wall watts only.
         """
         cache = getattr(self.sut, "_envelope_cache", None)
         if cache is None:
             cache = {}
             self.sut._envelope_cache = cache
-        key = (self.spec.name, self.spec.sleep_wall_w)
+        key = self.spec.sleep_wall_w
         if key not in cache:
-            cache[key] = server_from_sut(
-                self.sut, self.spec.name, self.spec.sleep_wall_w
-            )
+            cache[key] = server_from_sut(self.sut, self.spec.hw, key)
         return cache[key]
 
 

@@ -359,8 +359,11 @@ class ConsolidateRouter(Router):
     """
 
     def __init__(self, max_backlog_s: float):
-        if max_backlog_s <= 0:
-            raise ValueError("max_backlog_s must be positive")
+        if not 0 < max_backlog_s < math.inf:
+            raise ValueError(
+                "max_backlog_s must be positive and finite, got "
+                f"{max_backlog_s!r}"
+            )
         self.max_backlog_s = max_backlog_s
 
     def prepare(self, nodes: list[SimulatedNode]) -> None:
@@ -443,8 +446,11 @@ class DynamicConsolidateRouter(ConsolidateRouter):
         super().__init__(max_backlog_s)
         if not 0.0 < target_utilization <= 1.0:
             raise ValueError("target_utilization must be in (0, 1]")
-        if hysteresis < 0:
-            raise ValueError("hysteresis must be non-negative")
+        if not 0 <= hysteresis < math.inf:
+            raise ValueError(
+                "hysteresis must be non-negative and finite, got "
+                f"{hysteresis!r}"
+            )
         if not 0.0 < ewma_alpha <= 1.0:
             raise ValueError("ewma_alpha must be in (0, 1]")
         if min_awake < 1:
@@ -602,8 +608,10 @@ class AdaptivePvcRouter(Router):
     def __init__(self, deadline_s: float,
                  ladder: list | None = None,
                  slack_threshold: float = 0.85):
-        if deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
+        if not 0 < deadline_s < math.inf:
+            raise ValueError(
+                f"deadline_s must be positive and finite, got {deadline_s!r}"
+            )
         self.ladder = list(DEFAULT_LADDER) if ladder is None else list(ladder)
         if not self.ladder:
             raise ValueError("ladder must not be empty")
@@ -807,10 +815,15 @@ class PowerCapRouter(Router):
     """
 
     def __init__(self, cap_w: float, max_delay_s: float | None = None):
-        if cap_w <= 0:
-            raise ValueError("cap_w must be positive")
-        if max_delay_s is not None and max_delay_s < 0:
-            raise ValueError("max_delay_s must be non-negative")
+        if not 0 < cap_w < math.inf:
+            raise ValueError(
+                f"cap_w must be positive and finite, got {cap_w!r}"
+            )
+        if max_delay_s is not None and not 0 <= max_delay_s < math.inf:
+            raise ValueError(
+                "max_delay_s must be non-negative and finite, got "
+                f"{max_delay_s!r}"
+            )
         self.cap_w = cap_w
         self.max_delay_s = max_delay_s
         self._baseline_w = 0.0

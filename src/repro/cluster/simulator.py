@@ -1258,8 +1258,15 @@ class ClusterSimulator:
         add ``busy - idle``, sleeping nodes draw their sleep watts.
         One sweep over power steps: every window's start and end, and
         every sleep-to-wake and awake-to-sleep transition (dynamic
-        re-consolidation can produce many per node), sorted on (time,
-        step) and summed from the fleet's starting draw.
+        re-consolidation can produce many per node), in (time, step)
+        order, summed from the fleet's starting draw.
+
+        It runs in ``SCHEDULE_CHUNK``-row blocks, holding one block's
+        steps: a block sums the steps before its cut (the earliest start
+        or end of any later row, so no later step precedes them) onto
+        the carried total and carries the rest; the last sums all that
+        is left.  The blocks laid end to end are the run's (time, step)
+        order, so the float additions are one ``cumsum``'s over the run.
         """
         baseline = 0.0
         deltas = np.empty(len(self.nodes))
@@ -1280,14 +1287,32 @@ class ClusterSimulator:
                     step_t.append(start)
                     step_w.append(-sleep_step)
             deltas[j] = est.busy_wall_w - est.idle_wall_w
-        busy = deltas[windows.node_idx]
-        t = np.concatenate([step_t, windows.start_s, windows.end_s])
-        w = np.concatenate([step_w, busy, -busy])
-        del busy
-        power = np.empty(len(w) + 1)
-        power[0] = baseline
-        np.take(w, np.lexsort((w, t)), out=power[1:])
-        return float(np.cumsum(power, out=power).max())
+        starts, ends = windows.start_s, windows.end_s
+        chunk = self.SCHEDULE_CHUNK
+        later = np.arange(chunk, len(starts), chunk)
+        # cuts[k]: the earliest start or end of any row after block k.
+        cuts = np.minimum.accumulate(np.minimum(
+            np.minimum.reduceat(starts, later),
+            np.minimum.reduceat(ends, later),
+        )[::-1])[::-1]
+        pending_t, pending_w = np.array(step_t), np.array(step_w)
+        total = peak = baseline
+        for k, lo in enumerate(range(0, max(len(starts), 1), chunk)):
+            rows = slice(lo, lo + chunk)
+            busy = deltas[windows.node_idx[rows]]
+            t = np.concatenate([pending_t, starts[rows], ends[rows]])
+            w = np.concatenate([pending_w, busy, -busy])
+            del busy
+            if k < len(cuts):
+                held = ~(t < cuts[k])  # a NaN cut holds every step
+                pending_t, pending_w = t[held], w[held]
+                t, w = t[~held], w[~held]
+            power = np.empty(len(w) + 1)
+            power[0] = total
+            np.take(w, np.lexsort((w, t)), out=power[1:])
+            np.cumsum(power, out=power)
+            total, peak = power[-1], np.maximum(peak, power.max())
+        return float(peak)
 
     # -- phase 2: playback -------------------------------------------------
 

@@ -128,6 +128,24 @@ class TestMachines:
         if run != "adaptive":
             assert calls == []
 
+    def test_one_power_envelope_per_machine(self, mysql_db, monkeypatch):
+        import repro.cluster.node as node_module
+
+        derived = []
+        server_from_sut = node_module.server_from_sut
+
+        def counted(sut, *args):
+            derived.append(sut)
+            return server_from_sut(sut, *args)
+
+        monkeypatch.setattr(node_module, "server_from_sut", counted)
+        sim = ClusterSimulator(mysql_db, uniform_fleet(100),
+                               RoundRobinRouter())
+        m = sim.playback(sim.schedule(_stream()))
+        assert m.served == 80 and m.peak_power_w > 0
+        assert len(derived) == 1
+        assert derived[0] is sim.machines[("paper", sim.nodes[0].spec.setting)]
+
 
 class _Retune(Router):
     """Least-loaded, stepping every node it picks to ``OFF_LADDER``."""

@@ -7,8 +7,9 @@ per-node gathers summed them in -- whether the table is in arrival
 order (a vectorized run) or node-major (a loop run).  The windowing
 rewrites are exact inside the report's tiling, including on window
 edges, one ulp either side of them, outside ``[0, horizon]`` and at
-NaN.  Floats compare by ``float.hex``, so a NaN equals a NaN and
-``-0.0`` does not equal ``0.0``.
+NaN; a span column already inside ``[0, horizon]`` skips the clip.
+Floats compare by ``float.hex``, so a NaN equals a NaN and ``-0.0``
+does not equal ``0.0``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import measure_oracle as oracle
 from repro.cluster.measure import (
     ClusterMeasurement,
     ResponseColumns,
+    _clipped,
     _count_per_window,
     _overlap_per_window,
     _window_of,
@@ -87,6 +89,8 @@ def runs(draw):
         s + value if extends else value
         for s, (extends, value) in zip(start.tolist(), (r[3] for r in rows))
     ], dtype=np.float64)
+    if draw(st.booleans()):  # inside [0, horizon] but for any NaN
+        start, end = (np.clip(x, 0.0, horizon) for x in (start, end))
     table = ScheduleTable(
         node_idx=node_idx,
         trace_idx=np.array([r[1] for r in rows], dtype=np.int64),
@@ -136,6 +140,11 @@ def test_kernels_match_the_per_node_forms(run):
     )) == _hexes(oracle.overlap_per_window(
         oracle.busy_columns(node_idx, start, end, n_nodes), los, his
     ))
+    # A column already inside [0, horizon] is read as it is; one with a
+    # NaN or a time outside is clipped.
+    for x in (start, end):
+        inside = bool(((x >= 0.0) & (x <= his[-1])).all())
+        assert (_clipped(x, his[-1]) is x) == inside
 
     for t in (start, end, responses[4], responses[6]):
         assert (_window_of(t, los, his)

@@ -1,11 +1,12 @@
 """Policy inputs are finite numbers, or a named error.
 
-A NaN or infinite QED wait, retry backoff or metrics window does not
-fail on its own: comparisons with NaN are all False, so a NaN window
-never advances the metrics sampler and a NaN wait strands queued
-arrivals.  ``BatchPolicy``, ``RetryPolicy`` and ``MetricsRegistry``
-reject such values when built, naming the field and the value, and the
-CLI turns that into exit status 2.
+A NaN or infinite QED wait, retry backoff, metrics window or router
+bound does not fail on its own: comparisons with NaN are all False, so
+a NaN window never advances the metrics sampler, a NaN wait strands
+queued arrivals and a NaN power cap or backlog bound passes a ``<= 0``
+check.  ``BatchPolicy``, ``RetryPolicy``, ``MetricsRegistry`` and the
+routers reject such values when built, naming the field and the value,
+and the CLI turns that into exit status 2.
 """
 
 import math
@@ -14,7 +15,13 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.cluster import RetryPolicy
+from repro.cluster import (
+    AdaptivePvcRouter,
+    ConsolidateRouter,
+    DynamicConsolidateRouter,
+    PowerCapRouter,
+    RetryPolicy,
+)
 from repro.core.qed.policy import BatchPolicy
 from repro.obs import MetricsRegistry
 
@@ -62,6 +69,49 @@ CASES = [
      "window_s must be positive and finite, got inf"),
     ("metrics-window-zero", MetricsRegistry, {"window_s": 0.0},
      "window_s must be positive and finite, got 0.0"),
+    ("consolidate", ConsolidateRouter, {"max_backlog_s": 1.0}, None),
+    ("consolidate-backlog-nan", ConsolidateRouter, {"max_backlog_s": NAN},
+     "max_backlog_s must be positive and finite, got nan"),
+    ("consolidate-backlog-inf", ConsolidateRouter, {"max_backlog_s": INF},
+     "max_backlog_s must be positive and finite, got inf"),
+    ("consolidate-backlog-zero", ConsolidateRouter, {"max_backlog_s": 0.0},
+     "max_backlog_s must be positive and finite, got 0.0"),
+    ("dynamic", DynamicConsolidateRouter,
+     {"max_backlog_s": 1.0, "hysteresis": 0.0}, None),
+    ("dynamic-backlog-nan", DynamicConsolidateRouter,
+     {"max_backlog_s": NAN},
+     "max_backlog_s must be positive and finite, got nan"),
+    ("dynamic-hysteresis-nan", DynamicConsolidateRouter,
+     {"max_backlog_s": 1.0, "hysteresis": NAN},
+     "hysteresis must be non-negative and finite, got nan"),
+    ("dynamic-hysteresis-inf", DynamicConsolidateRouter,
+     {"max_backlog_s": 1.0, "hysteresis": INF},
+     "hysteresis must be non-negative and finite, got inf"),
+    ("dynamic-hysteresis-negative", DynamicConsolidateRouter,
+     {"max_backlog_s": 1.0, "hysteresis": -0.1},
+     "hysteresis must be non-negative and finite, got -0.1"),
+    ("adaptive", AdaptivePvcRouter, {"deadline_s": 0.5}, None),
+    ("adaptive-deadline-nan", AdaptivePvcRouter, {"deadline_s": NAN},
+     "deadline_s must be positive and finite, got nan"),
+    ("adaptive-deadline-inf", AdaptivePvcRouter, {"deadline_s": INF},
+     "deadline_s must be positive and finite, got inf"),
+    ("adaptive-deadline-zero", AdaptivePvcRouter, {"deadline_s": 0.0},
+     "deadline_s must be positive and finite, got 0.0"),
+    ("powercap", PowerCapRouter, {"cap_w": 500.0}, None),
+    ("powercap-delay", PowerCapRouter,
+     {"cap_w": 500.0, "max_delay_s": 0.0}, None),
+    ("powercap-cap-nan", PowerCapRouter, {"cap_w": NAN},
+     "cap_w must be positive and finite, got nan"),
+    ("powercap-cap-inf", PowerCapRouter, {"cap_w": INF},
+     "cap_w must be positive and finite, got inf"),
+    ("powercap-cap-negative", PowerCapRouter, {"cap_w": -1.0},
+     "cap_w must be positive and finite, got -1.0"),
+    ("powercap-delay-nan", PowerCapRouter,
+     {"cap_w": 500.0, "max_delay_s": NAN},
+     "max_delay_s must be non-negative and finite, got nan"),
+    ("powercap-delay-inf", PowerCapRouter,
+     {"cap_w": 500.0, "max_delay_s": INF},
+     "max_delay_s must be non-negative and finite, got inf"),
 ]
 
 
@@ -85,7 +135,19 @@ def test_policy_inputs(make, kwargs, error):
      "max_wait_s must be non-negative and finite, got inf"),
     (["--faults", FAULT_PLAN, "--retry-backoff", "inf"],
      "backoff_s must be non-negative and finite, got inf"),
-], ids=["qed-max-wait-nan", "qed-max-wait-inf", "retry-backoff-inf"])
+    (["--policy", "powercap", "--cap-w", "nan"],
+     "cap_w must be positive and finite, got nan"),
+    (["--policy", "powercap", "--max-delay", "nan"],
+     "max_delay_s must be non-negative and finite, got nan"),
+    (["--policy", "consolidate", "--max-backlog", "nan"],
+     "max_backlog_s must be positive and finite, got nan"),
+    (["--policy", "adaptive", "--deadline", "nan"],
+     "deadline_s must be positive and finite, got nan"),
+    (["--policy", "dynamic", "--hysteresis", "nan"],
+     "hysteresis must be non-negative and finite, got nan"),
+], ids=["qed-max-wait-nan", "qed-max-wait-inf", "retry-backoff-inf",
+        "cap-w-nan", "max-delay-nan", "max-backlog-nan", "deadline-nan",
+        "hysteresis-nan"])
 def test_cli_rejects_non_finite_policy_flags(capsys, flags, error):
     rc = main(["cluster", "--sf", "0.002", "--nodes", "2",
                "--arrivals", "5", *flags])
