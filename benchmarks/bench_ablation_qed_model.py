@@ -65,10 +65,11 @@ def test_ablation_batch_policy_sla(benchmark):
         queue = QueryQueue(BatchPolicy(threshold=feasible, max_wait_s=30.0))
         batches = []
         for i in range(feasible + feasible // 2):
-            batch = queue.submit(f"q{i}", 0.1 * i)  # fast arrivals
+            batch = queue.submit(f"q{i}", 0.1 * i, i)  # fast arrivals
             if batch is not None:
                 batches.append(batch)
-        tail = queue.tick(0.1 * feasible * 2 + 31.0)
+        # The stream ends with the tail queued: its timeout fires.
+        tail = queue.drain(0.1 * i)
         if tail is not None:
             batches.append(tail)
         return feasible, batches

@@ -33,9 +33,9 @@ def main() -> None:
     quantities = rng.permutation(np.arange(1, 51))[:45]
     now = 0.0
     dispatched = []
-    for quantity in quantities:
+    for i, quantity in enumerate(quantities):
         now += float(rng.exponential(2.0))  # ~2 s mean inter-arrival
-        batch = queue.submit(repro.selection_query(int(quantity)), now)
+        batch = queue.submit(repro.selection_query(int(quantity)), now, i)
         if batch is not None:
             dispatched.append(batch)
     tail = queue.flush(now + policy.max_wait_s)
@@ -45,7 +45,8 @@ def main() -> None:
     print(f"arrivals: {len(quantities)} queries over {now:.0f}s "
           f"-> {len(dispatched)} batches "
           f"({[b.size for b in dispatched]})")
-    waits = [w for b in dispatched for w in b.queue_waits()]
+    waits = [q.wait_at(b.dispatch_s)
+             for b in dispatched for q in b.queries]
     print(f"queue wait (excluded from response accounting): "
           f"mean {sum(waits) / len(waits):.1f}s, max {max(waits):.1f}s\n")
 

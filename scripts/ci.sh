@@ -19,8 +19,9 @@
 #   scripts/ci.sh --stage obs      # traced cluster smoke in both trace
 #                                  # formats + loop == vectorized engine
 #                                  # through the CLI + trace schema +
-#                                  # metrics export sanity +
-#                                  # truncated-trace exit
+#                                  # a traced master-QED/fault/dynamic
+#                                  # run's report + metrics export
+#                                  # sanity + truncated-trace exit
 #
 # The benches run at a tiny scale factor and enforce, on write, the
 # rows of src/repro/measurement/gates.py they record: <= 1e-9
@@ -233,6 +234,18 @@ run_obs() {
     done
     test -s "$trace.spans.txt"
     diff "$trace.spans.txt" "$obs_dir/trace.jsonl.spans.txt"
+    echo "== master QED + faults + dynamic consolidation, traced =="
+    # Queue-wait, dispatch, retry and terminal spans all link to their
+    # query's arrival; the report validates that and the energy.
+    local featured="$obs_dir/featured.json"
+    python -m repro cluster --sf 0.002 --nodes 4 --arrivals 60 \
+        --distinct 8 --policy dynamic --qed master --qed-threshold 4 \
+        --qed-max-wait 0.5 --qed-placement consolidate \
+        --faults examples/fault_plan.json --trace "$featured" \
+        | tee "$featured.run.txt"
+    python -m repro obs report "$featured" | tee "$featured.report.txt"
+    grep -q "^  reconciliation : " "$featured.report.txt"
+    grep -q "^trace valid$" "$featured.report.txt"
     echo "== a truncated trace is a named error (exit 2) =="
     { head -n 1 "$obs_dir/trace.jsonl"
       sed -n 2p "$obs_dir/trace.jsonl" | head -c 40

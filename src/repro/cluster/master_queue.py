@@ -93,7 +93,6 @@ class MasterQueue:
         self.queues: list[QueryQueue] = []
         self._labels: list[str] = []
         self._index: dict[PartitionKey, int] = {}
-        self._next_passthrough_id = 0
 
     def depths(self) -> dict[str, int]:
         """Pending queries per mergeable partition, by label (the
@@ -118,12 +117,12 @@ class MasterQueue:
             self._labels.append(partition_label(key))
         return index
 
-    def passthrough(self, sql: str, now_s: float) -> DispatchedBatch:
+    def passthrough(self, sql: str, now_s: float,
+                    query_id: int) -> DispatchedBatch:
         """A non-mergeable arrival, dispatched immediately as a
         singleton -- it never waits on a threshold it cannot help
         reach."""
-        query = QueuedQuery(sql, now_s, self._next_passthrough_id)
-        self._next_passthrough_id += 1
+        query = QueuedQuery(sql, now_s, query_id)
         return DispatchedBatch(
             PASSTHROUGH, False, Batch([query], dispatch_s=now_s),
         )

@@ -45,10 +45,13 @@ class QueryResponse:
 @dataclass(frozen=True)
 class ShedQuery:
     """A query the cluster refused to serve: a power-cap rejection, or
-    a dead-lettered query whose retries were exhausted."""
+    a dead-lettered query whose retries were exhausted.  ``query_idx``
+    is its arrival's index in the time-ordered stream the run worked
+    on."""
 
     sql: str
     arrival_s: float
+    query_idx: int
 
 
 @dataclass(frozen=True)
@@ -57,8 +60,8 @@ class ScheduledWork:
 
     A plain query occupies one window; a QED batch occupies one window
     for the whole merged execution.  ``trace_key`` indexes the schedule's
-    compiled-trace table; ``queries`` carries the (sql, arrival time)
-    pairs answered when the window completes.  ``setting`` is the PVC
+    compiled-trace table; ``queries`` carries the stream indices of the
+    arrivals answered when the window completes.  ``setting`` is the PVC
     operating point the node held when the window was placed (None:
     the node's spec setting) -- playback must cost the window under the
     same setting its service time was computed for.  ``stretch_s`` is
@@ -70,7 +73,7 @@ class ScheduledWork:
     trace_key: str
     start_s: float
     end_s: float
-    queries: tuple[tuple[str, float], ...]
+    queries: tuple[int, ...]
     setting: object | None = None
     stretch_s: float = 0.0
 
@@ -161,9 +164,9 @@ class FaultReport:
     measurement's ``shed`` list, so SLA accounting already treats them
     as misses).  ``wasted_busy_s``/``wasted_joules`` charge the partial
     work burnt before a mid-batch crash (busy-watt energy the fleet
-    spent on answers it never delivered).  ``affected`` identifies the
-    ``(sql, arrival_s)`` pairs that were retried or dead-lettered, so
-    SLA attainment can be split by fault exposure.
+    spent on answers it never delivered).  ``affected`` holds the
+    stream indices of the queries that were retried or dead-lettered,
+    so SLA attainment can be split by fault exposure.
 
     Under a placement map a crash additionally triggers re-replication
     of the shards the dead node held: ``re_replications`` counts shard
@@ -183,7 +186,7 @@ class FaultReport:
     re_replications: int = 0
     copy_s: float = 0.0
     copy_joules: float = 0.0
-    affected: set = field(default_factory=set)
+    affected: set[int] = field(default_factory=set)
 
     def to_dict(self) -> dict:
         return {
@@ -205,12 +208,15 @@ class FaultReport:
 class ResponseColumns:
     """Served queries in structure-of-arrays form, on either engine.
 
-    The one form a measurement stores, sorted by (arrival, completion):
-    per-query arrays plus the distinct-template and node-name tables
-    the index columns point into.  A 1M-arrival run cannot afford
-    per-query objects, so every consumer -- percentiles, SLA
-    accounting, phase windows -- reads these arrays directly;
-    :attr:`ClusterMeasurement.responses` derives the object view.
+    The one form a measurement stores, one row per served query in
+    ascending ``query_idx``: each query's index in the time-ordered
+    arrival stream the run worked on (None: every arrival was served,
+    row ``k`` is arrival ``k``).  Per-query arrays plus the
+    distinct-template and node-name tables the code columns point
+    into.  A 1M-arrival run cannot afford per-query objects, so every
+    consumer -- percentiles, SLA accounting, phase windows -- reads
+    these arrays directly; :attr:`ClusterMeasurement.responses` derives
+    the object view.
     """
 
     distinct: tuple[str, ...]
@@ -220,29 +226,10 @@ class ResponseColumns:
     arrival_s: np.ndarray
     start_s: np.ndarray
     completion_s: np.ndarray
+    query_idx: np.ndarray | None
 
     def __len__(self) -> int:
         return len(self.arrival_s)
-
-    @classmethod
-    def in_arrival_order(
-        cls, distinct, node_names, sql_idx, node_idx,
-        arrival_s, start_s, completion_s,
-    ) -> "ResponseColumns":
-        """Columns from per-query sequences in any order, stably sorted
-        by (arrival, completion) unless the arrivals strictly increase."""
-        columns = [
-            np.asarray(sql_idx, dtype=np.int64),
-            np.asarray(node_idx, dtype=np.int64),
-            np.asarray(arrival_s, dtype=np.float64),
-            np.asarray(start_s, dtype=np.float64),
-            np.asarray(completion_s, dtype=np.float64),
-        ]
-        arrival = columns[2]
-        if not (arrival[1:] > arrival[:-1]).all():
-            order = np.lexsort((columns[4], arrival))
-            columns = [column[order] for column in columns]
-        return cls(tuple(distinct), tuple(node_names), *columns)
 
 
 @dataclass
@@ -566,11 +553,11 @@ class ClusterMeasurement:
     def sla_split(self, sla_s: float) -> dict[str, float]:
         """SLA attainment split by fault exposure.
 
-        A query is *affected* when the fault report marks its
-        ``(sql, arrival_s)`` identity (retried or dead-lettered);
-        everything else -- including every query of a fault-free run --
-        is unaffected.  Shed queries count against their side's
-        attainment the same way :meth:`sla_violations` counts them.
+        A query is *affected* when the fault report marks its stream
+        index (retried or dead-lettered); everything else -- including
+        every query of a fault-free run -- is unaffected.  Shed queries
+        count against their side's attainment the same way
+        :meth:`sla_violations` counts them.
         """
         if sla_s < 0:
             raise ValueError("sla_s must be non-negative")
@@ -578,18 +565,16 @@ class ClusterMeasurement:
         c = self.response_columns
         hit = np.zeros(len(c), dtype=bool)
         if affected:
-            hit[:] = [
-                (c.distinct[sql], arrival_s) in affected
-                for sql, arrival_s in zip(
-                    c.sql_idx.tolist(), c.arrival_s.tolist()
-                )
-            ]
+            marked = np.fromiter(affected, np.int64, len(affected))
+            if c.query_idx is not None:
+                marked = np.isin(c.query_idx, marked)
+            hit[marked] = True
         on_time = self._response_values <= sla_s
         totals = {True: int(hit.sum()), False: int((~hit).sum())}
         met = {True: int((hit & on_time).sum()),
                False: int((~hit & on_time).sum())}
         for q in self.shed:
-            totals[(q.sql, q.arrival_s) in affected] += 1
+            totals[q.query_idx in affected] += 1
         return {
             "affected_total": float(totals[True]),
             "affected_met": float(met[True]),

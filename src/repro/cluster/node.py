@@ -445,11 +445,11 @@ class SimulatedNode(TimelineAccounting):
             )
         self.sleep_log.append((now_s, None))
 
-    def crash(self, at_s: float) -> tuple[list[tuple[str, float]], float]:
+    def crash(self, at_s: float) -> tuple[list[int], float]:
         """Kill the node at ``at_s``; returns ``(lost, wasted_s)``.
 
-        Every busy window still open at the crash is lost: its
-        ``(sql, arrival_s)`` pairs come back for requeueing, and the
+        Every busy window still open at the crash is lost: its queries'
+        stream indices come back for requeueing, and the
         partial burn of a window the crash interrupted *mid-batch*
         (started but unfinished) is returned as wasted busy seconds.
         Per-node queue content is lost (and returned) too.  The node
@@ -459,7 +459,7 @@ class SimulatedNode(TimelineAccounting):
         """
         if self.crashed_s is not None:
             return [], 0.0
-        lost: list[tuple[str, float]] = []
+        lost: list[int] = []
         wasted = 0.0
         kept: list[ScheduledWork] = []
         for work in self.scheduled:
@@ -474,9 +474,7 @@ class SimulatedNode(TimelineAccounting):
         if self.queue is not None and len(self.queue) > 0:
             batch = self.queue.flush(at_s)
             if batch is not None:
-                lost.extend(
-                    (q.sql, q.arrival_s) for q in batch.queries
-                )
+                lost.extend(q.query_id for q in batch.queries)
         if self.wake_log and self.wake_log[-1][1] > at_s:
             # Crashed mid-wake: the transition ends (unfinished) here.
             called, _ = self.wake_log[-1]
@@ -501,7 +499,7 @@ class SimulatedNode(TimelineAccounting):
         trace_key: str,
         dispatch_s: float,
         service_s: float,
-        queries: tuple[tuple[str, float], ...],
+        queries: tuple[int, ...],
     ) -> ScheduledWork:
         """Schedule one busy window; returns the placed work.
 

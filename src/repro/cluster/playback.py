@@ -24,15 +24,16 @@ and all agree on every node's energy to float-summation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.cluster.measure import zero_measurement
+from repro.cluster.measure import ResponseColumns, zero_measurement
 from repro.hardware.cpu import PvcSetting
 from repro.hardware.disk import DiskEnergy
 from repro.hardware.system import RunMeasurement, SystemUnderTest
 from repro.hardware.trace import CompiledTrace, Idle, Trace
+from repro.workloads.arrivals import ArrivalStream
 
 #: Functions below accept any node-shaped object exposing ``spec`` and
 #: ``sut`` -- live :class:`SimulatedNode`\ s during scheduling, frozen
@@ -48,10 +49,11 @@ class ScheduleTable:
     statements first, then interned merged and re-replication traces).
     Each node's rows are in the order it ran them: a vectorized run's
     table is in arrival order, a loop run's node-major (``offsets``).
-    The served queries are ``query_sql`` (a trace code) and
-    ``query_arrival_s``, answered by window ``query_window`` -- None (a
-    vectorized run) when row ``i`` answers query ``i``.  A loop run's
-    rows also carry ``setting_idx`` (into ``settings``) and
+    The served queries are ``query_idx``, their indices in the
+    time-ordered arrival stream, ascending -- None when every arrival
+    was served -- each answered by window ``query_window`` -- None (a
+    vectorized run) when row ``k`` answers served query ``k``.  A loop
+    run's rows also carry ``setting_idx`` (into ``settings``) and
     ``stretch_s``, what its timeline is built from.
     """
 
@@ -59,8 +61,7 @@ class ScheduleTable:
     trace_idx: np.ndarray
     start_s: np.ndarray
     end_s: np.ndarray
-    query_sql: np.ndarray
-    query_arrival_s: np.ndarray
+    query_idx: np.ndarray | None
     offsets: np.ndarray | None = None
     query_window: np.ndarray | None = None
     setting_idx: np.ndarray | None = None
@@ -81,11 +82,26 @@ class ScheduleTable:
                            minlength=n_nodes * n_traces,
                            ).reshape(n_nodes, n_traces)
 
-    def query_columns(self, column: np.ndarray) -> np.ndarray:
-        """A per-window column read once per served query."""
-        return column if self.query_window is None else column[
-            self.query_window
-        ]
+    def response_columns(self, arrivals: ArrivalStream,
+                         node_names: Sequence[str]) -> ResponseColumns:
+        """The served queries, in stream order: statement and arrival
+        time read off the stream ``arrivals`` the run worked on, node,
+        start and completion off the windows that answered them (no
+        column is copied where every arrival or window answers)."""
+        served, window = self.query_idx, self.query_window
+
+        def per_query(column, rows):
+            return column if rows is None else column[rows]
+
+        return ResponseColumns(
+            arrivals.distinct, tuple(node_names),
+            per_query(arrivals.sql_idx, served),
+            per_query(self.node_idx, window),
+            per_query(arrivals.times, served),
+            per_query(self.start_s, window),
+            per_query(self.end_s, window),
+            served,
+        )
 
 
 def window_table(
@@ -93,8 +109,8 @@ def window_table(
 ) -> ScheduleTable:
     """The loop engine's schedule table, built once its run is over.
 
-    Node-major: each node's windows in the order it ran them, and the
-    queries each window answers in the same order.  Each row also
+    Node-major: each node's windows in the order it ran them; the
+    queries they answer in stream order.  Each row also
     carries the setting its window was stamped with (``setting_idx``
     into ``settings``; an unstamped window plays under its node's spec
     setting) and its straggler ``stretch_s``.
@@ -112,11 +128,9 @@ def window_table(
             if setting is not last:
                 last, at = setting, index.setdefault(setting, len(index))
             setting_idx.append(at)
-    answered = [
-        (i, sql, arrival_s)
-        for i, work in enumerate(works)
-        for sql, arrival_s in work.queries
-    ]
+    answered = np.array([q for work in works for q in work.queries],
+                        dtype=np.int64)
+    order = np.argsort(answered)
     per_node = [len(node.scheduled) for node in nodes]
     return ScheduleTable(
         node_idx=np.repeat(np.arange(len(nodes)), per_node),
@@ -124,12 +138,11 @@ def window_table(
                            dtype=np.int64),
         start_s=np.array([w.start_s for w in works], dtype=np.float64),
         end_s=np.array([w.end_s for w in works], dtype=np.float64),
-        query_sql=np.array([code[sql] for _, sql, _ in answered],
-                           dtype=np.int64),
-        query_arrival_s=np.array([a for _, _, a in answered],
-                                 dtype=np.float64),
+        query_idx=answered[order],
         offsets=np.cumsum([0, *per_node]),
-        query_window=np.array([i for i, _, _ in answered], dtype=np.int64),
+        query_window=np.repeat(
+            np.arange(len(works)), [len(w.queries) for w in works]
+        )[order],
         setting_idx=np.array(setting_idx, dtype=np.int64),
         stretch_s=np.array([w.stretch_s for w in works], dtype=np.float64),
         settings=tuple(index),

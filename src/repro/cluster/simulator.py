@@ -55,7 +55,6 @@ from repro.cluster.measure import (
     NodeUsage,
     QedPartitionStats,
     QedReport,
-    ResponseColumns,
     ShedQuery,
 )
 from repro.cluster.node import (
@@ -143,7 +142,9 @@ class ClusterSchedule:
     """The scheduling outcome: who runs what, when, on which node.
 
     Both engines write ``windows``, the schedule table; ``table`` holds
-    the compiled traces its trace codes name, in code order.  A
+    the compiled traces its trace codes name, in code order, and
+    ``arrivals`` the time-ordered stream the run worked on, whose
+    indices name its queries.  A
     vectorized run keeps ``measured``, the pre-costed measurement of
     every distinct statement per ``(hw, setting)`` pair; a loop run
     keeps ``timeline``, every node's awake timeline as rows.
@@ -157,6 +158,7 @@ class ClusterSchedule:
     peak_power_w: float
     cap_w: float | None
     workload_class: str
+    arrivals: ArrivalStream
     measured: dict[CostKey, list] | None = None
     timeline: LoopTimeline | None = None
     qed: QedReport | None = None
@@ -513,7 +515,7 @@ class ClusterSimulator:
         # is byte-identical to the fault-free simulator.
         plan = self.faults
         active = plan is not None and not plan.empty
-        shed: list[ShedQuery] = []
+        shed: list[int] = []
         self._shed = shed
         report = FaultReport() if active else None
         self._fault_report = report
@@ -547,7 +549,14 @@ class ClusterSimulator:
             if any(queue is not None for queue in self._queues):
                 qed = QedReport(mode="node")
         self._qed = qed
-        for sql, now in arrivals.pairs():
+        # A query is its arrival's index ``i`` in the stream from here
+        # to its terminal; its statement and time are read off these.
+        sqls = self._sqls = list(
+            map(arrivals.distinct.__getitem__, arrivals.sql_idx.tolist())
+        )
+        times = arrivals.times.tolist()
+        for i, now in enumerate(times):
+            sql = sqls[i]
             if tracing:
                 tracer.arrival(sql, now)
             self._fire_until(now)
@@ -558,9 +567,9 @@ class ClusterSimulator:
                 # to the queue's batch-placement policy, not the router.
                 order = master.partition(sql)
                 if order is None:
-                    self._place_dispatched(master.passthrough(sql, now))
+                    self._place_dispatched(master.passthrough(sql, now, i))
                 else:
-                    self._enqueue(order, sql, now)
+                    self._enqueue(order, sql, now, i)
                 continue
             service = services[sql]
             decision = self._route(sql, now, service)
@@ -568,23 +577,21 @@ class ClusterSimulator:
                 if active:
                     # No serviceable node right now; the retry
                     # policy re-offers the query after backoff.
-                    self._push_retry(sql, now, now, 1, requeue=False)
+                    self._push_retry(i, now, 1, requeue=False)
                 else:
-                    shed.append(ShedQuery(sql, now))
+                    shed.append(i)
                 continue
             node = decision.node
             if node.queue is not None:
-                self._enqueue(fleet_order[node.spec.name], sql, now)
+                self._enqueue(fleet_order[node.spec.name], sql, now, i)
                 continue
             if tracing and decision.dispatch_s - now > 1e-12:
                 # Admission delay (power-cap headroom wait).
                 tracer.span(
                     "queue-wait", MASTER_TRACK, now, decision.dispatch_s,
-                    parent=tracer.parent_of(sql, now), sql=sql,
+                    parent=tracer.arrival_span(i), sql=sql,
                 )
-            node.assign(
-                sql, decision.dispatch_s, service(node), ((sql, now),),
-            )
+            node.assign(sql, decision.dispatch_s, service(node), (i,))
 
         end_of_arrivals = float(arrivals.times[-1]) if len(arrivals) else 0.0
         self._fire_after(end_of_arrivals)
@@ -607,9 +614,8 @@ class ClusterSimulator:
                     node.sleep_spans(horizon), node.scheduled,
                 )
             if not active:
-                for q in shed:
-                    tracer.terminal("shed", q.sql, q.arrival_s,
-                                    q.arrival_s)
+                for i in shed:
+                    tracer.terminal("shed", i, times[i])
             tracer.finish(horizon)
         if metrics is not None:
             # Past the last arrival the tail samples for as long as
@@ -619,8 +625,8 @@ class ClusterSimulator:
             response = metrics.histogram("response_s")
             for node in self.nodes:
                 for work in node.scheduled:
-                    for _sql, arrival_s in work.queries:
-                        response.observe(work.end_s - arrival_s)
+                    for i in work.queries:
+                        response.observe(work.end_s - times[i])
 
         nodes = [NodeTimeline.snapshot(n) for n in self.nodes]
         windows = window_table(nodes, table)
@@ -630,10 +636,11 @@ class ClusterSimulator:
             windows=windows,
             timeline=loop_timeline(nodes, windows, horizon),
             horizon_s=horizon,
-            shed=shed,
+            shed=[ShedQuery(sqls[i], times[i], i) for i in shed],
             peak_power_w=self._peak_model_power_w(windows),
             cap_w=getattr(self.router, "cap_w", None),
             workload_class=workload_class,
+            arrivals=arrivals,
             qed=qed,
             faults=report,
             run_id=run_id,
@@ -682,17 +689,22 @@ class ClusterSimulator:
         route_kwargs = {} if mask is None else {"eligible": mask}
         end_of_arrivals = float(times[-1]) if len(times) else 0.0
         shed: list[ShedQuery] = []
+        served = None  # every arrival
         servable = None if mask is None else mask.any(axis=1)
         if servable is not None and not servable.all():
             # A statement no node holds every shard of is shed, in
             # arrival order, before routing -- as the loop refuses it.
             kept = servable[sql_idx]
+            refused = np.flatnonzero(~kept)
             shed = [
-                ShedQuery(distinct[code], arrival_s)
-                for code, arrival_s in zip(sql_idx[~kept].tolist(),
-                                           times[~kept].tolist())
+                ShedQuery(distinct[code], arrival_s, i)
+                for i, code, arrival_s in zip(
+                    refused.tolist(), sql_idx[refused].tolist(),
+                    times[refused].tolist(),
+                )
             ]
-            times, sql_idx = times[kept], sql_idx[kept]
+            served = np.flatnonzero(kept)
+            times, sql_idx = times[served], sql_idx[served]
 
         n = len(times)
         node_idx = np.empty(n, dtype=np.int64)
@@ -714,7 +726,7 @@ class ClusterSimulator:
         # routing outcome is the whole table.
         windows = ScheduleTable(
             node_idx=node_idx, trace_idx=sql_idx, start_s=starts,
-            end_s=ends, query_sql=sql_idx, query_arrival_s=times,
+            end_s=ends, query_idx=served,
         )
         return ClusterSchedule(
             nodes=[NodeTimeline.snapshot(node) for node in self.nodes],
@@ -726,6 +738,7 @@ class ClusterSimulator:
             peak_power_w=self._peak_model_power_w(windows),
             cap_w=getattr(self.router, "cap_w", None),
             workload_class=workload_class,
+            arrivals=arrivals,
             run_id=run_id,
             fingerprint=fingerprint,
         )
@@ -792,8 +805,7 @@ class ClusterSimulator:
                 order = event[2]
                 self._dispatch_queue(order, self._queues[order].flush(t_s))
         elif rank == RETRY:
-            sql, arrival_s, attempt = event[3:]
-            self._dispatch_retry(sql, arrival_s, t_s, attempt)
+            self._dispatch_retry(event[3], t_s, event[4])
         elif rank == FAULT:
             self._fire_fault_event(t_s, *event[3:])
         elif self.metrics is not None:  # SAMPLE, pushed with a registry
@@ -869,8 +881,8 @@ class ClusterSimulator:
         # Modeled write-off: the partial burn ran at busy watts before
         # the crash threw its results away.
         report.wasted_joules += node.power_estimate().busy_wall_w * wasted
-        for sql, arrival_s in lost:
-            self._push_retry(sql, arrival_s, at_s, 1, requeue=True)
+        for i in lost:
+            self._push_retry(i, at_s, 1, requeue=True)
         if self.placement is not None:
             self._start_re_replication(node, at_s)
         if spec.recover_s is not None:
@@ -960,21 +972,22 @@ class ClusterSimulator:
             if self.metrics is not None:
                 self.metrics.counter("re_replications").inc()
 
-    def _push_retry(self, sql: str, arrival_s: float, now_s: float,
-                    attempt: int, requeue: bool) -> None:
-        """Queue retry number ``attempt`` after its backoff delay.
+    def _push_retry(self, query: int, now_s: float, attempt: int,
+                    requeue: bool) -> None:
+        """Queue retry number ``attempt`` of query ``query`` (its stream
+        index) after its backoff delay.
 
         ``requeue=True`` marks work pulled back from a crashed node (as
         opposed to an arrival no node would take); both flow through
         the same heap and count toward ``retries``.
         """
         ready = now_s + self.retry.delay_s(attempt)
-        self._push(ready, RETRY, sql, arrival_s, attempt)
+        self._push(ready, RETRY, query, attempt)
         if self.tracer.enabled:
             self.tracer.instant(
                 "retry", MASTER_TRACK, now_s,
-                parent=self.tracer.parent_of(sql, arrival_s),
-                sql=sql, attempt=attempt, ready_s=ready,
+                parent=self.tracer.arrival_span(query),
+                sql=self._sqls[query], attempt=attempt, ready_s=ready,
             )
         if self.metrics is not None:
             self.metrics.counter("retries").inc()
@@ -982,48 +995,45 @@ class ClusterSimulator:
         report.retries += 1
         if requeue:
             report.requeued += 1
-        report.affected.add((sql, arrival_s))
+        report.affected.add(query)
 
-    def _dispatch_retry(self, sql: str, arrival_s: float,
-                        ready_s: float, attempt: int) -> None:
+    def _dispatch_retry(self, query: int, ready_s: float,
+                        attempt: int) -> None:
         """Re-offer one lost/refused query to the router at its ready
         time.  Retries bypass QED queues (a second queueing pass would
         double-charge latency the backoff already modeled) and keep the
         query's *original* arrival time, so its response time includes
         the whole ordeal.  A failed attempt backs off again until the
         policy dead-letters it: shed, with accounting."""
+        sql = self._sqls[query]
         service = self._services[sql]
         decision = self._route(sql, ready_s, service)
         node = decision.node
         if node is not None and node.awake and node.can_serve(ready_s):
-            node.assign(
-                sql, decision.dispatch_s, service(node),
-                ((sql, arrival_s),),
-            )
+            node.assign(sql, decision.dispatch_s, service(node), (query,))
             return
         if self.retry.exhausted(attempt):
-            self._shed.append(ShedQuery(sql, arrival_s))
+            self._shed.append(query)
             self._fault_report.dead_lettered += 1
             if self.tracer.enabled:
                 self.tracer.terminal(
-                    "dead-letter", sql, arrival_s, ready_s,
-                    attempt=attempt,
+                    "dead-letter", query, ready_s, attempt=attempt,
                 )
             if self.metrics is not None:
                 self.metrics.counter("dead_lettered").inc()
             return
-        self._push_retry(sql, arrival_s, ready_s, attempt + 1,
-                         requeue=False)
+        self._push_retry(query, ready_s, attempt + 1, requeue=False)
 
     # -- QED batch serving -------------------------------------------------
 
-    def _enqueue(self, order: int, sql: str, now_s: float) -> None:
-        """Queue one arrival on QED queue ``order``.  A batch the policy
-        fires leaves now; an arrival that opens a batch pushes that
-        batch's timeout as an expiry event, keyed by the queue's order
-        so same-instant expiries fire in it."""
+    def _enqueue(self, order: int, sql: str, now_s: float,
+                 query: int) -> None:
+        """Queue arrival ``query`` on QED queue ``order``.  A batch the
+        policy fires leaves now; an arrival that opens a batch pushes
+        that batch's timeout as an expiry event, keyed by the queue's
+        order so same-instant expiries fire in it."""
         queue = self._queues[order]
-        batch = queue.submit(sql, now_s)
+        batch = queue.submit(sql, now_s, query)
         if batch is not None:
             self._dispatch_queue(order, batch)
         elif len(queue) == 1 and queue.expiry_s is not None:
@@ -1091,15 +1101,10 @@ class ClusterSimulator:
                     # through the retry policy instead of being
                     # silently shed.
                     for q in group_batch.queries:
-                        self._push_retry(
-                            q.sql, q.arrival_s, group_batch.dispatch_s,
-                            1, requeue=False,
-                        )
+                        self._push_retry(q.query_id, group_batch.dispatch_s,
+                                         1, requeue=False)
                 else:
-                    self._shed.extend(
-                        ShedQuery(q.sql, q.arrival_s)
-                        for q in group_batch.queries
-                    )
+                    self._shed.extend(q.query_id for q in group_batch.queries)
                 continue
             for node, queries in assignments:
                 shard = (
@@ -1163,7 +1168,7 @@ class ClusterSimulator:
         for query in queries:
             node.assign(
                 query.sql, dispatch_s, self._duration_for(node, query.sql),
-                ((query.sql, query.arrival_s),),
+                (query.query_id,),
             )
 
     def _duration_for(self, node: SimulatedNode, key: str) -> float:
@@ -1242,7 +1247,7 @@ class ClusterSimulator:
             self._table[key] = merged_batch_trace(self.runner, merged)
         work = node.assign(
             key, batch.dispatch_s, self._duration_for(node, key),
-            tuple((q.sql, q.arrival_s) for q in batch.queries),
+            tuple(q.query_id for q in batch.queries),
         )
         if self.tracer.enabled:
             self.tracer.instant(
@@ -1267,6 +1272,8 @@ class ClusterSimulator:
         the carried total and carries the rest; the last sums all that
         is left.  The blocks laid end to end are the run's (time, step)
         order, so the float additions are one ``cumsum``'s over the run.
+        A loop run's node-major rows are visited in start order, so that
+        each cut bounds what its block carries there too.
         """
         baseline = 0.0
         deltas = np.empty(len(self.nodes))
@@ -1288,6 +1295,12 @@ class ClusterSimulator:
                     step_w.append(-sleep_step)
             deltas[j] = est.busy_wall_w - est.idle_wall_w
         starts, ends = windows.start_s, windows.end_s
+        node_idx = windows.node_idx
+        if windows.offsets is not None:
+            order = np.argsort(starts, kind="stable")
+            starts, ends, node_idx = (
+                column[order] for column in (starts, ends, node_idx)
+            )
         chunk = self.SCHEDULE_CHUNK
         later = np.arange(chunk, len(starts), chunk)
         # cuts[k]: the earliest start or end of any row after block k.
@@ -1299,7 +1312,7 @@ class ClusterSimulator:
         total = peak = baseline
         for k, lo in enumerate(range(0, max(len(starts), 1), chunk)):
             rows = slice(lo, lo + chunk)
-            busy = deltas[windows.node_idx[rows]]
+            busy = deltas[node_idx[rows]]
             t = np.concatenate([pending_t, starts[rows], ends[rows]])
             w = np.concatenate([pending_w, busy, -busy])
             del busy
@@ -1326,10 +1339,10 @@ class ClusterSimulator:
         """
         nodes = schedule.nodes
         names = [node.spec.name for node in nodes]
-        windows, traces = schedule.windows, list(schedule.table)
+        windows = schedule.windows
         if schedule.timeline is None:
             measurements = play_table(
-                nodes, windows, len(traces), schedule.measured,
+                nodes, windows, len(schedule.table), schedule.measured,
                 schedule.horizon_s, schedule.workload_class,
             )
         else:
@@ -1338,13 +1351,7 @@ class ClusterSimulator:
                 schedule.workload_class, self.machine,
             )
         busy_s = windows.busy_s(len(nodes)).tolist()
-        responses = ResponseColumns.in_arrival_order(
-            traces, names, windows.query_sql,
-            windows.query_columns(windows.node_idx),
-            windows.query_arrival_s,
-            windows.query_columns(windows.start_s),
-            windows.query_columns(windows.end_s),
-        )
+        responses = windows.response_columns(schedule.arrivals, names)
         queries = np.bincount(responses.node_idx, minlength=len(nodes))
         usages: list[NodeUsage] = []
         for j, node in enumerate(nodes):

@@ -18,6 +18,9 @@ from repro.core.qed.policy import BatchPolicy
 
 @dataclass(frozen=True)
 class QueuedQuery:
+    """One queued query; ``query_id`` is the caller's name for it (the
+    cluster simulator's: its arrival's index in the stream)."""
+
     sql: str
     arrival_s: float
     query_id: int
@@ -41,11 +44,6 @@ class Batch:
     def sqls(self) -> list[str]:
         return [q.sql for q in self.queries]
 
-    def queue_waits(self) -> list[float]:
-        """Time each query spent waiting before dispatch (excluded from
-        the paper's response-time accounting)."""
-        return [q.wait_at(self.dispatch_s) for q in self.queries]
-
 
 class QueryQueue:
     """Admission queue driven by explicit timestamps (simulated time)."""
@@ -53,15 +51,9 @@ class QueryQueue:
     def __init__(self, policy: BatchPolicy):
         self.policy = policy
         self._pending: list[QueuedQuery] = []
-        self._next_id = 0
-        self.dispatched: list[Batch] = []
 
     def __len__(self) -> int:
         return len(self._pending)
-
-    @property
-    def pending(self) -> list[QueuedQuery]:
-        return list(self._pending)
 
     @property
     def oldest_arrival_s(self) -> float | None:
@@ -82,14 +74,11 @@ class QueryQueue:
             return None
         return oldest + self.policy.max_wait_s
 
-    def submit(self, sql: str, now_s: float) -> Batch | None:
-        """Enqueue a query; returns a batch if the policy fires."""
-        self._pending.append(QueuedQuery(sql, now_s, self._next_id))
-        self._next_id += 1
-        return self._maybe_dispatch(now_s)
-
-    def tick(self, now_s: float) -> Batch | None:
-        """Advance time without an arrival (timeout-based dispatch)."""
+    def submit(self, sql: str, now_s: float,
+               query_id: int) -> Batch | None:
+        """Enqueue query ``query_id``; returns a batch if the policy
+        fires."""
+        self._pending.append(QueuedQuery(sql, now_s, query_id))
         return self._maybe_dispatch(now_s)
 
     def flush(self, now_s: float) -> Batch | None:
@@ -125,5 +114,4 @@ class QueryQueue:
     def _dispatch(self, now_s: float) -> Batch:
         batch = Batch(queries=self._pending, dispatch_s=now_s)
         self._pending = []
-        self.dispatched.append(batch)
         return batch

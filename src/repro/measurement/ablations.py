@@ -16,6 +16,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.cluster import (
     AdaptivePvcRouter,
     ClusterSimulator,
@@ -303,16 +305,20 @@ def _mode_stats(m, sla_s: float) -> dict:
 
 
 def conserved(m, stream: ArrivalStream) -> bool:
-    """No query silently lost: every arrival of ``stream`` is served
-    exactly once or visibly shed, and what was shed is exactly what the
-    fault report dead-lettered.  Works on either engine's measurement."""
-    outcomes = sorted(
-        [(r.sql, r.arrival_s) for r in m.responses]
-        + [(s.sql, s.arrival_s) for s in m.shed]
+    """No query silently lost: the served and shed stream indices
+    cover ``range(len(stream))`` exactly once, and what was shed is
+    exactly what the fault report dead-lettered.  Works on either
+    engine's measurement."""
+    served = m.response_columns.query_idx
+    if served is None:
+        served = np.arange(m.served)
+    outcomes = np.concatenate(
+        [served, np.array([s.query_idx for s in m.shed], dtype=np.int64)]
     )
     dead_lettered = m.faults.dead_lettered if m.faults is not None else 0
     return (
-        outcomes == sorted(stream.pairs())
+        len(outcomes) == len(stream)
+        and (np.bincount(outcomes, minlength=len(stream)) == 1).all()
         and len(m.shed) == dead_lettered
     )
 

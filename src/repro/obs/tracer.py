@@ -12,6 +12,9 @@ plus fault events (``crash``, ``recover``, ``retry``, ``wake-failure``)
 interleaved on the tracks where they fired.  Exactly one *terminal*
 span (:data:`TERMINAL_PHASES`) exists per arrival -- the conservation
 invariant the observability tests pin and ``validate_trace`` checks.
+A query is named by its arrival's index in the stream: the ``i``-th
+arrival recorded is query ``i``, and every span of its life links to
+that arrival's span.
 
 Spans live in a :class:`SpanTable`: one row per span, held as columns
 (parent id, kind code, track code, start, end, args row), with the span
@@ -190,6 +193,9 @@ class Tracer:
     def arrival(self, sql: str, t_s: float) -> int:
         return 0
 
+    def arrival_span(self, query: int) -> int:
+        return 0
+
     def instant(self, name: str, track: str, t_s: float,
                 parent: int | None = None, **args: Any) -> int:
         return 0
@@ -201,9 +207,8 @@ class Tracer:
     def dispatch(self, partition: str, batch: Any) -> None:
         pass
 
-    def terminal(self, name: str, sql: str, arrival_s: float,
-                 t_s: float, track: str = MASTER_TRACK,
-                 **args: Any) -> int:
+    def terminal(self, name: str, query: int, t_s: float,
+                 track: str = MASTER_TRACK, **args: Any) -> int:
         return 0
 
     def node_log(self, track: str, failed_wakes: Sequence[float],
@@ -238,10 +243,8 @@ class SpanTracer(Tracer):
         self.horizon_s: float = 0.0
         self._arrival_kind = self.spans.kind_code("arrival", ("sql",))
         self._master = self.spans.track_code(MASTER_TRACK)
-        #: (sql, arrival_s) -> ids of that key's arrivals still without
-        #: a terminal, oldest first.  A terminal takes the oldest, so
-        #: tied duplicate arrivals each get their own.
-        self._open: dict[tuple[str, float], list[int]] = {}
+        #: The arrival span id of each query, by its stream index.
+        self._arrivals: list[int] = []
 
     # -- recording --------------------------------------------------------
 
@@ -265,39 +268,26 @@ class SpanTracer(Tracer):
         span_id = self.spans.append(
             0, self._arrival_kind, self._master, t_s, t_s, (sql,)
         )
-        self._open.setdefault((sql, t_s), []).append(span_id)
+        self._arrivals.append(span_id)
         return span_id
 
-    def parent_of(self, sql: str, arrival_s: float) -> int | None:
-        """The oldest arrival of ``(sql, arrival_s)`` still open."""
-        ids = self._open.get((sql, arrival_s))
-        return ids[0] if ids else None
-
-    def _close(self, sql: str, arrival_s: float) -> int:
-        """Take the oldest open arrival of the key for its terminal."""
-        ids = self._open.get((sql, arrival_s))
-        return ids.pop(0) if ids else 0
+    def arrival_span(self, query: int) -> int:
+        """The span id of query ``query``'s arrival."""
+        return self._arrivals[query]
 
     def dispatch(self, partition: str, batch: Any) -> None:
         """One batch leaving an admission queue: a dispatch instant on
-        the master track plus a queue-wait span per member query.  The
-        k-th member of one ``(sql, arrival_s)`` key in the batch links
-        to that key's k-th open arrival, so tied queries batched
-        together each wait under their own arrival."""
+        the master track plus a queue-wait span per member query, under
+        the member's arrival (``query_id``, its stream index)."""
         dispatch_id = self.instant(
             "dispatch", MASTER_TRACK, batch.dispatch_s,
             partition=partition, size=batch.size,
         )
-        seen: dict[tuple[str, float], int] = {}
         for q in batch.queries:
-            key = (q.sql, q.arrival_s)
-            k = seen[key] = seen.get(key, -1) + 1
             if batch.dispatch_s - q.arrival_s > 1e-12:
-                ids = self._open.get(key)
                 self.span(
                     "queue-wait", MASTER_TRACK, q.arrival_s,
-                    batch.dispatch_s,
-                    parent=ids[min(k, len(ids) - 1)] if ids else None,
+                    batch.dispatch_s, parent=self._arrivals[q.query_id],
                     sql=q.sql, partition=partition,
                     dispatch=dispatch_id,
                 )
@@ -309,14 +299,16 @@ class SpanTracer(Tracer):
             raise ValueError(f"{name!r} is not a terminal phase")
         return self.spans.kind_code(name, TERMINAL_KEYS + keys)
 
-    def terminal(self, name: str, sql: str, arrival_s: float,
-                 t_s: float, track: str = MASTER_TRACK,
-                 **args: Any) -> int:
+    def terminal(self, name: str, query: int, t_s: float,
+                 track: str = MASTER_TRACK, **args: Any) -> int:
+        """Query ``query``'s terminal, under its arrival, leading with
+        the arrival row's ``sql`` and time as :data:`TERMINAL_KEYS`."""
         table = self.spans
+        kind = self._terminal_kind(name, tuple(args))
+        row = self._arrivals[query] - 1
         return table.append(
-            self._close(sql, arrival_s),
-            self._terminal_kind(name, tuple(args)), table.track_code(track),
-            t_s, t_s, (sql, arrival_s, *args.values()),
+            row + 1, kind, table.track_code(track), t_s, t_s,
+            (table.args[row][0], table.start[row], *args.values()),
         )
 
     def node_log(self, track: str, failed_wakes: Sequence[float],
@@ -327,7 +319,7 @@ class SpanTracer(Tracer):
         failed wakes, wakes and sleeps, then each busy window as a
         ``playback`` span followed by a ``served`` terminal per query
         it answered (``scheduled`` items carry ``start_s``, ``end_s``,
-        ``stretch_s`` and ``queries``, a tuple of ``(sql, arrival_s)``).
+        ``stretch_s`` and ``queries``, a tuple of stream indices).
         A node that logged nothing records nothing, not even its track.
 
         The same rows :meth:`span` and :meth:`terminal` would record,
@@ -349,14 +341,15 @@ class SpanTracer(Tracer):
             append(0, sleep, code, start, end, ())
         playback = table.kind_code("playback", ("queries", "stretch_s"))
         served = self._terminal_kind("served", ("window",))
-        close = self._close
+        arrivals, args, start = self._arrivals, table.args, table.start
         for work in scheduled:
             end_s = work.end_s
             window = append(0, playback, code, work.start_s, end_s,
                             (len(work.queries), work.stretch_s))
-            for sql, arrival_s in work.queries:
-                append(close(sql, arrival_s), served, code, end_s, end_s,
-                       (sql, arrival_s, window))
+            for query in work.queries:
+                row = arrivals[query] - 1
+                append(row + 1, served, code, end_s, end_s,
+                       (args[row][0], start[row], window))
 
     def finish(self, horizon_s: float) -> None:
         self.horizon_s = horizon_s

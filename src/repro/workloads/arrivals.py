@@ -160,17 +160,11 @@ class ArrivalStream(Sequence[Arrival]):
             self.distinct[self.sql_idx[key]], float(self.times[key])
         )
 
-    def pairs(self) -> Iterator[tuple[str, float]]:
-        """``(sql, time_s)`` per arrival, in stream order, without
-        building :class:`Arrival` objects (the per-arrival event loop's
-        view of the columns)."""
-        return zip(
+    def __iter__(self) -> Iterator[Arrival]:
+        return starmap(Arrival, zip(
             map(self.distinct.__getitem__, self.sql_idx.tolist()),
             self.times.tolist(),
-        )
-
-    def __iter__(self) -> Iterator[Arrival]:
-        return starmap(Arrival, self.pairs())
+        ))
 
     def __add__(self, other: Iterable[Arrival]) -> "ArrivalStream":
         return ArrivalStream.concat((self, other))

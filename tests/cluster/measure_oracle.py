@@ -6,9 +6,9 @@ stable node sort when the rows were in arrival order -- and summed with
 ``np.cumsum``; a vectorized run's trace counts came from the same
 gathers; the phase report concatenated the per-node copies back into
 one array; a time's window was tested against both window bounds; and
-every response column set was lexsorted.  ``test_measure_kernels.py``
-holds the column kernels in ``repro.cluster`` to these forms bit for
-bit.
+the served queries are sorted on their stream index, one tuple each.
+``test_measure_kernels.py`` holds the column kernels in
+``repro.cluster`` to these forms bit for bit.
 """
 
 from __future__ import annotations
@@ -95,17 +95,19 @@ def overlap_per_window(
     return seconds.reshape(n_nodes, count)
 
 
-def in_arrival_order(
-    distinct, node_names, sql_idx, node_idx,
-    arrival_s, start_s, completion_s,
-) -> ResponseColumns:
-    columns = [
-        np.asarray(sql_idx, dtype=np.int64),
-        np.asarray(node_idx, dtype=np.int64),
-        np.asarray(arrival_s, dtype=np.float64),
-        np.asarray(start_s, dtype=np.float64),
-        np.asarray(completion_s, dtype=np.float64),
-    ]
-    order = np.lexsort((columns[4], columns[2]))
-    return ResponseColumns(tuple(distinct), tuple(node_names),
-                           *(column[order] for column in columns))
+def in_stream_order(stream, node_names, answered) -> ResponseColumns:
+    """``answered``: one ``(stream index, node, start, completion)``
+    per served query, in any order."""
+    rows = sorted(answered)
+    served = [row[0] for row in rows]
+    arrivals = [stream[i] for i in served]
+    return ResponseColumns(
+        stream.distinct, tuple(node_names),
+        np.array([stream.distinct.index(a.sql) for a in arrivals],
+                 dtype=np.int64),
+        np.array([row[1] for row in rows], dtype=np.int64),
+        np.array([a.time_s for a in arrivals], dtype=np.float64),
+        np.array([row[2] for row in rows], dtype=np.float64),
+        np.array([row[3] for row in rows], dtype=np.float64),
+        np.array(served, dtype=np.int64),
+    )

@@ -15,6 +15,9 @@ things hold:
   and idle seconds bit for bit -- a traced run's rows are an untraced
   run's, and every node's playback equals the oracle's batched
   playback on all nine fields, exactly;
+* every arrival's stream index is served or shed exactly once, and in
+  a traced run every span naming a query hangs under that query's
+  arrival span;
 * where the configuration can take the vectorized engine -- every
   ``route_chunk`` router, unsorted input, with no placement map, a
   vacuous one or one that pins each statement to a shard's replicas --
@@ -25,6 +28,7 @@ Configurations are drawn as plain values, so a falsifying example
 prints whole.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -191,6 +195,44 @@ def _assert_nodes_agree(got, want):
             ), field
 
 
+def _assert_each_arrival_answered_once(m, n_arrivals):
+    served = m.response_columns.query_idx
+    if served is None:
+        served = np.arange(m.served)
+    shed = [q.query_idx for q in m.shed]
+    assert sorted(served.tolist() + shed) == list(range(n_arrivals))
+
+
+def _assert_spans_hang_under_their_arrival(tracer, schedule):
+    """A span naming a statement hangs under an arrival of it, no
+    later than itself; a window's served spans under the arrivals it
+    answered, in order; shed and dead-letter spans under the shed
+    queries' arrivals."""
+    spans = list(tracer.spans)
+    arrivals = [s.span_id for s in spans if s.name == "arrival"]
+    assert len(arrivals) == len(schedule.arrivals)
+    served: dict[int, list[int]] = {}
+    for s in spans:
+        if s.name == "arrival" or "sql" not in s.args:
+            continue
+        parent = spans[s.parent_id - 1]
+        assert parent.name == "arrival"
+        assert parent.args["sql"] == s.args["sql"]
+        assert parent.start_s <= s.start_s
+        if s.name == "served":
+            served.setdefault(s.args["window"], []).append(s.parent_id)
+    for node in schedule.nodes:
+        windows = [s.span_id for s in spans if s.name == "playback"
+                   and s.track == node.spec.name]
+        assert [served.get(w, []) for w in windows] == [
+            [arrivals[i] for i in work.queries] for work in node.scheduled
+        ]
+    assert sorted(s.parent_id for s in spans
+                  if s.name in ("shed", "dead-letter")) == sorted(
+        arrivals[q.query_idx] for q in schedule.shed
+    )
+
+
 def _loop_run(db, config):
     sim = _simulator(db, config)
     schedule = sim.schedule(_stream(config), vectorized=False)
@@ -202,6 +244,7 @@ def _loop_run(db, config):
 @given(config=configs())
 def test_playback_matches_the_piece_oracle(db, config):
     schedule, played = _loop_run(db, config)
+    _assert_each_arrival_answered_once(played, len(config["arrivals"]))
     pieces_by_node, settings_by_node = timeline_pieces(schedule)
     oracle = play_loop(schedule.nodes, pieces_by_node,
                        schedule.workload_class, settings_by_node)
@@ -240,10 +283,10 @@ def _fields(m):
 @given(config=configs())
 def test_timeline_rows_are_the_oracle_pieces_bit_for_bit(db, config):
     schedule, played = _loop_run(db, config)
-    traced = _simulator(db, config, tracer=SpanTracer()).schedule(
-        _stream(config)
-    )
+    tracer = SpanTracer()
+    traced = _simulator(db, config, tracer=tracer).schedule(_stream(config))
     assert traced.engine == "loop"
+    _assert_spans_hang_under_their_arrival(tracer, traced)
     assert _timeline_rows(traced.timeline) == _timeline_rows(
         schedule.timeline
     )
@@ -286,6 +329,8 @@ def test_eligible_runs_cost_alike_on_both_engines(db, config):
     assert sim.vectorized_ineligibility() is None
     fast = sim.run(_stream(config), vectorized=True)
     _, loop = _loop_run(db, config)
+    for m in (fast, loop):
+        _assert_each_arrival_answered_once(m, len(config["arrivals"]))
     assert fast.served == loop.served
     assert fast.horizon_s == pytest.approx(loop.horizon_s, rel=REL)
     for p in ("p50_response_s", "p95_response_s", "p99_response_s"):

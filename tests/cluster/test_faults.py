@@ -50,6 +50,12 @@ def _backlogged_stream(count=40, distinct=10, gap_s=0.01):
     )
 
 
+def _served_indices(m):
+    """Each response's stream index, in ``m.responses`` order."""
+    served = m.response_columns.query_idx
+    return range(m.served) if served is None else served.tolist()
+
+
 def _conserves(m, stream):
     answered = sorted(
         [(r.sql, r.arrival_s) for r in m.responses]
@@ -253,8 +259,8 @@ class TestCrashRecovery:
         assert _conserves(m, stream)
         affected = m.faults.affected
         assert affected  # some identity was marked
-        retried = [r for r in m.responses
-                   if (r.sql, r.arrival_s) in affected]
+        retried = [r for r, i in zip(m.responses, _served_indices(m))
+                   if i in affected]
         assert retried
         for r in retried:
             assert r.response_s > 0
@@ -346,16 +352,12 @@ def _sla_split_by_scan(m, sla_s):
         ("affected_total", "affected_met",
          "unaffected_total", "unaffected_met"), 0.0
     )
-    for r in m.responses:
-        side = "affected" if (r.sql, r.arrival_s) in affected else (
-            "unaffected"
-        )
+    for r, i in zip(m.responses, _served_indices(m)):
+        side = "affected" if i in affected else "unaffected"
         out[f"{side}_total"] += 1
         out[f"{side}_met"] += r.response_s <= sla_s
     for q in m.shed:
-        side = "affected" if (q.sql, q.arrival_s) in affected else (
-            "unaffected"
-        )
+        side = "affected" if q.query_idx in affected else "unaffected"
         out[f"{side}_total"] += 1
     for side in ("affected", "unaffected"):
         total = out[f"{side}_total"]
@@ -400,7 +402,7 @@ class TestSlaSplit:
         ).run(stream)
         assert m.shed and m.faults.failed_wakes and m.faults.crashes == 2
         served_affected = sum(
-            (r.sql, r.arrival_s) in m.faults.affected for r in m.responses
+            i in m.faults.affected for i in _served_indices(m)
         )
         assert 0 < served_affected < len(m.faults.affected)
         for sla_s in (0.0, m.p50_response_s, m.p95_response_s, 60.0):

@@ -10,6 +10,8 @@ its playback the oracle's batched playback, field for field.
 
 from __future__ import annotations
 
+from itertools import count
+
 import pytest
 
 from loop_playback import node_timeline_pieces, play_batched
@@ -39,8 +41,12 @@ TABLE = {
 }
 
 
+_QUERY_IDS = count()
+
+
 def _work(key, start, end, setting=None, stretch=0.0):
-    return ScheduledWork(key, start, end, ((key, start),),
+    """A window answering one query, under a fresh stream index."""
+    return ScheduledWork(key, start, end, (next(_QUERY_IDS),),
                          setting=setting, stretch_s=stretch)
 
 

@@ -137,7 +137,8 @@ class TestPartitioning:
         schedule = sim.schedule(_mixed_stream(count=80))
         for node in schedule.nodes:
             for work in node.scheduled:
-                keys = {partition_key(sql) for sql, _ in work.queries}
+                keys = {partition_key(schedule.arrivals[i].sql)
+                        for i in work.queries}
                 assert len(keys) == 1
         assert schedule.qed.fallback_batches == 0
 
@@ -283,10 +284,10 @@ class TestGuards:
     def test_queue_expiry_property(self):
         queue = QueryQueue(BatchPolicy(threshold=10, max_wait_s=0.5))
         assert queue.expiry_s is None
-        queue.submit("SELECT 1", 2.0)
+        queue.submit("SELECT 1", 2.0, 0)
         assert queue.expiry_s == pytest.approx(2.5)
         no_timeout = QueryQueue(BatchPolicy(threshold=10))
-        no_timeout.submit("SELECT 1", 2.0)
+        no_timeout.submit("SELECT 1", 2.0, 0)
         assert no_timeout.expiry_s is None
 
 

@@ -8,28 +8,34 @@ order (a vectorized run) or node-major (a loop run).  The windowing
 rewrites are exact inside the report's tiling, including on window
 edges, one ulp either side of them, outside ``[0, horizon]`` and at
 NaN; a span column already inside ``[0, horizon]`` skips the clip.
-Floats compare by ``float.hex``, so a NaN equals a NaN and ``-0.0``
-does not equal ``0.0``.
+A table's served queries come out in stream-index order, tied arrival
+times included, on either engine's table.  Floats compare by
+``float.hex``, so a NaN equals a NaN and ``-0.0`` does not equal
+``0.0``.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import measure_oracle as oracle
+from window_oracle import response_columns
 from repro.cluster.measure import (
     ClusterMeasurement,
-    ResponseColumns,
+    ScheduledWork,
     _clipped,
     _count_per_window,
     _overlap_per_window,
     _window_of,
 )
-from repro.cluster.playback import ScheduleTable
+from repro.cluster.playback import ScheduleTable, window_table
+from repro.hardware.cpu import STOCK_SETTING
+from repro.workloads.arrivals import ArrivalStream
 
 WINDOWS = (0.1, 0.3, 7 / 3, 30.0)
 
@@ -40,16 +46,17 @@ def _hexes(values) -> list[str]:
 
 @st.composite
 def runs(draw):
-    """A tiling, and a table, busy spans and response columns whose
-    times sit on, next to, between and outside its window edges."""
+    """A tiling, and a table, busy spans and response times that sit
+    on, next to, between and outside its window edges."""
     window_s = draw(st.sampled_from(WINDOWS))
     horizon = draw(st.one_of(
         st.sampled_from([0.0, 0.1 + 0.1 + 0.1]),
         st.floats(0.05, 12.0 * window_s),
     ))
     # The report's own tiling: each window's bounds are its edges.
-    empty = ResponseColumns.in_arrival_order(*[()] * 7)
-    windows = ClusterMeasurement(horizon, [], empty).window_report(window_s)
+    windows = ClusterMeasurement(
+        horizon, [], response_columns()
+    ).window_report(window_s)
     los = np.array([w.start_s for w in windows])
     his = np.array([w.end_s for w in windows])
     edges = np.union1d(los, his).tolist()
@@ -95,12 +102,10 @@ def runs(draw):
         node_idx=node_idx,
         trace_idx=np.array([r[1] for r in rows], dtype=np.int64),
         start_s=start, end_s=end,
-        query_sql=np.zeros(0, dtype=np.int64),
-        query_arrival_s=np.zeros(0),
+        query_idx=np.zeros(0, dtype=np.int64),
     )
     # Responses: a small pool of arrival times ties some of them, each
-    # with its own completion; sorted arrivals with no tie keep their
-    # order, the rest are sorted.
+    # with its own completion.
     pool = draw(st.lists(times, min_size=1, max_size=8))
     n_resp = draw(st.integers(0, 30))
     arrival = np.array(draw(st.lists(
@@ -112,12 +117,7 @@ def runs(draw):
     completion = np.array(draw(st.lists(
         times, min_size=n_resp, max_size=n_resp,
     )), dtype=np.float64)
-    responses = (
-        ("q0", "q1", "q2"), tuple(f"n{j}" for j in range(n_nodes)),
-        np.arange(n_resp) % 3, np.arange(n_resp) % n_nodes,
-        arrival, arrival + 0.5, completion,
-    )
-    return los, his, n_nodes, table, responses
+    return los, his, n_nodes, table, (arrival, completion)
 
 
 @settings(max_examples=400, derandomize=True, database=None,
@@ -146,15 +146,76 @@ def test_kernels_match_the_per_node_forms(run):
         inside = bool(((x >= 0.0) & (x <= his[-1])).all())
         assert (_clipped(x, his[-1]) is x) == inside
 
-    for t in (start, end, responses[4], responses[6]):
+    for t in (start, end, *responses):
         assert (_window_of(t, los, his)
                 == oracle.window_of(t, los, his)).all()
         assert (_count_per_window(np.sort(t), los, his)
                 == oracle.count_per_window(t, los, his)).all()
 
-    got = ResponseColumns.in_arrival_order(*responses)
-    want = oracle.in_arrival_order(*responses)
+
+@st.composite
+def served_runs(draw):
+    """A stream whose arrival times tie, some of its arrivals shed, and
+    the windows that answered the rest: a loop run's node-major
+    windows, each answering up to three queries in any order, or a
+    vectorized run's one window per served arrival, in stream order."""
+    n = draw(st.integers(0, 30))
+    pool = draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4))
+    stream = ArrivalStream(
+        sorted(draw(st.lists(st.sampled_from(pool), min_size=n,
+                             max_size=n))),
+        draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+        ("q0", "q1", "q2"),
+    )
+    served = [i for i in range(n) if draw(st.booleans())]
+    n_nodes = draw(st.integers(1, 4))
+    names = [f"n{j}" for j in range(n_nodes)]
+    spans = st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0))
+    if draw(st.booleans()):
+        order = draw(st.permutations(served))
+        nodes = [
+            SimpleNamespace(spec=SimpleNamespace(setting=STOCK_SETTING),
+                            scheduled=[])
+            for _ in range(n_nodes)
+        ]
+        answered = []
+        k = 0
+        while k < len(order):
+            queries = tuple(order[k:k + draw(st.integers(1, 3))])
+            j = draw(st.integers(0, n_nodes - 1))
+            start, end = draw(spans)
+            nodes[j].scheduled.append(
+                ScheduledWork("q0", start, end, queries)
+            )
+            answered += [(i, j, start, end) for i in queries]
+            k += len(queries)
+        return stream, names, window_table(nodes, {"q0": None}), answered
+    answered = [
+        (i, draw(st.integers(0, n_nodes - 1)), *draw(spans))
+        for i in served
+    ]
+    table = ScheduleTable(
+        node_idx=np.array([a[1] for a in answered], dtype=np.int64),
+        trace_idx=np.zeros(len(answered), dtype=np.int64),
+        start_s=np.array([a[2] for a in answered], dtype=np.float64),
+        end_s=np.array([a[3] for a in answered], dtype=np.float64),
+        query_idx=(None if len(served) == n
+                   else np.array(served, dtype=np.int64)),
+    )
+    return stream, names, table, answered
+
+
+@settings(max_examples=200, derandomize=True, database=None,
+          deadline=None)
+@given(run=served_runs())
+def test_served_queries_come_out_in_stream_order(run):
+    stream, names, table, answered = run
+    got = table.response_columns(stream, names)
+    want = oracle.in_stream_order(stream, names, answered)
     assert (got.distinct, got.node_names) == (want.distinct, want.node_names)
+    served = (np.arange(len(got)) if got.query_idx is None
+              else got.query_idx)
+    assert served.tolist() == want.query_idx.tolist()
     for name in ("sql_idx", "node_idx"):
         assert getattr(got, name).tolist() == getattr(want, name).tolist()
     for name in ("arrival_s", "start_s", "completion_s"):

@@ -42,7 +42,7 @@ def run():
     table = ScheduleTable(
         node_idx=node_idx, trace_idx=np.zeros(ROWS, dtype=np.int64),
         start_s=arrival, end_s=end,
-        query_sql=np.zeros(0, dtype=np.int64), query_arrival_s=arrival,
+        query_idx=None,
     )
     horizon = float(end.max())
     nodes = [
@@ -56,9 +56,10 @@ def run():
     ]
     measurement = ClusterMeasurement(
         horizon_s=horizon, nodes=nodes,
-        response_columns=ResponseColumns.in_arrival_order(
+        response_columns=ResponseColumns(
             ("q",), tuple(n.name for n in nodes),
             np.zeros(ROWS, dtype=np.int64), node_idx, arrival, arrival, end,
+            None,
         ),
         busy_windows=(node_idx, arrival, end),
     )

@@ -188,7 +188,7 @@ class TestTerminalInvariant:
         tracer = SpanTracer()
         tracer.begin_run({})
         with pytest.raises(ValueError, match="terminal"):
-            tracer.terminal("vanished", "SELECT 1", 0.0, 1.0)
+            tracer.terminal("vanished", 0, 1.0)
 
 
 class TestRunId:

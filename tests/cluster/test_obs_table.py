@@ -166,8 +166,7 @@ def _awkward(mysql_db, lineitem_db):
     tracer.instant("odd", MASTER_TRACK, 1, nan=float("nan"),
                    inf=float("inf"), ninf=-float("inf"), big=10**20)
     tracer.span("wake", "node-%d", 2.0, 2.0)
-    tracer.terminal("served", "SELECT '%s' -- \"q\" é", 0, 3.0,
-                    track="node-%d", window=2)
+    tracer.terminal("served", 0, 3.0, track="node-%d", window=2)
     tracer.finish(3.0)
     return tracer, None
 
@@ -266,8 +265,7 @@ class TestSpanTable:
         tracer = SpanTracer()
         a = tracer.arrival("q", 0.5)
         w = tracer.span("playback", "node00", 0.5, 1.0, queries=1)
-        t = tracer.terminal("served", "q", 0.5, 1.0, track="node00",
-                            window=w)
+        t = tracer.terminal("served", 0, 1.0, track="node00", window=w)
         spans = tracer.spans
         assert (a, w, t) == (1, 2, 3) and len(spans) == 3
         assert spans[-1] == spans[2] == Span(
@@ -309,26 +307,77 @@ class TestTiedArrivals:
                 "fingerprint": {}, "horizon_s": m.horizon_s}
         assert validate_trace(meta, tracer.spans) == []
 
-    def test_terminals_take_tied_ids_oldest_first(self):
+    def test_terminals_take_their_own_arrival(self):
         tracer = SpanTracer()
         first = tracer.arrival("q", 0.5)
         second = tracer.arrival("q", 0.5)
-        assert tracer.parent_of("q", 0.5) == first
-        parents = [
-            tracer.spans[tracer.terminal("served", "q", 0.5, 1.0) - 1]
-            .parent_id for _ in range(3)
+        assert [tracer.arrival_span(i) for i in (0, 1)] == [first, second]
+        terminals = [
+            tracer.spans[tracer.terminal("served", i, 1.0) - 1]
+            for i in (1, 0)
         ]
-        assert parents == [first, second, None]
+        assert [t.parent_id for t in terminals] == [second, first]
+        assert all(t.args == {"sql": "q", "arrival_s": 0.5}
+                   for t in terminals)
 
     def test_tied_batch_members_wait_under_their_own_arrival(self):
         tracer = SpanTracer()
         first = tracer.arrival("q", 0.5)
         second = tracer.arrival("q", 0.5)
-        query = SimpleNamespace(sql="q", arrival_s=0.5)
-        tracer.dispatch("p", SimpleNamespace(dispatch_s=1.0, size=3,
-                                             queries=(query,) * 3))
+        queries = [SimpleNamespace(sql="q", arrival_s=0.5, query_id=i)
+                   for i in (1, 0)]
+        tracer.dispatch("p", SimpleNamespace(dispatch_s=1.0, size=2,
+                                             queries=queries))
         waits = [s.parent_id for s in tracer.spans if s.name == "queue-wait"]
-        assert waits == [first, second, second]
+        assert waits == [second, first]
+
+    def test_a_tie_split_across_master_batches(self, mysql_db):
+        """The second of two tied arrivals waits in the next batch: its
+        queue-wait and its served span link to its own arrival, and
+        every window's served spans to the arrivals it answered."""
+        q = selection_workload(1).queries[0]
+        stream = [Arrival(q, 0.4), Arrival(q, 0.5), Arrival(q, 0.5),
+                  Arrival(q, 0.6)]
+        tracer = SpanTracer()
+        schedule = ClusterSimulator(
+            mysql_db, uniform_fleet(2), RoundRobinRouter(),
+            master_queue=MasterQueue(BatchPolicy(2)), tracer=tracer,
+        ).schedule(stream)
+        spans = list(tracer.spans)
+        arrivals = [s.span_id for s in spans if s.name == "arrival"]
+        waits = [s.parent_id for s in spans if s.name == "queue-wait"]
+        assert waits == [arrivals[0], arrivals[2]]
+        for node in schedule.nodes:
+            windows = [s.span_id for s in spans if s.name == "playback"
+                       and s.track == node.spec.name]
+            assert len(windows) == len(node.scheduled)
+            for work, window in zip(node.scheduled, windows):
+                assert [s.parent_id for s in spans if s.name == "served"
+                        and s.args["window"] == window] == [
+                    arrivals[i] for i in work.queries
+                ]
+
+    def test_a_crashed_tie_keeps_its_retry_and_terminal_together(
+        self, mysql_db
+    ):
+        """Two tied arrivals, one lost to a crash mid-window on a node
+        that stays down: its retry and its served terminal share one
+        arrival, and the fault report and the SLA split agree it was
+        the only one affected."""
+        q = selection_workload(1).queries[0]
+        tracer = SpanTracer()
+        m = ClusterSimulator(
+            mysql_db, uniform_fleet(2), RoundRobinRouter(),
+            faults=FaultPlan([FaultSpec("crash", "node00", at_s=1.001)]),
+            retry=RetryPolicy(3, 0.05), tracer=tracer,
+        ).run([Arrival(q, 1.0), Arrival(q, 1.0)])
+        (retry,) = [s for s in tracer.spans if s.name == "retry"]
+        served = {t.parent_id: t for t in tracer.terminal_spans()}
+        assert sorted(served) == [1, 2]
+        assert served[retry.parent_id].start_s > retry.args["ready_s"]
+        assert m.sla_split(10.0)["affected_total"] == m.faults.to_dict()[
+            "affected_queries"
+        ] == 1
 
     def test_tied_queries_in_a_master_batch(self, mysql_db):
         q0, q1 = selection_workload(2).queries

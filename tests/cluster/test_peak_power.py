@@ -70,12 +70,16 @@ def fleets(draw):
         s + value if extends else value
         for s, (extends, value) in zip(start.tolist(), (r[2] for r in rows))
     ], dtype=np.float64)
+    node_idx = np.array([r[0] for r in rows], dtype=np.int64)
     table = ScheduleTable(
-        node_idx=np.array([r[0] for r in rows], dtype=np.int64),
+        node_idx=node_idx,
         trace_idx=np.zeros(n_rows, dtype=np.int64),
         start_s=start, end_s=end,
-        query_sql=np.zeros(0, dtype=np.int64),
-        query_arrival_s=np.zeros(0),
+        query_idx=np.zeros(0, dtype=np.int64),
+        # A loop run's node-major table carries its node offsets, and
+        # the sweep visits its rows in start order.
+        offsets=np.cumsum([0, *np.bincount(node_idx, minlength=n_nodes)])
+        if order == "node-major" else None,
     )
     return nodes, table
 
@@ -103,8 +107,7 @@ def test_cut_ties_and_carried_steps(monkeypatch):
         trace_idx=np.zeros(4, dtype=np.int64),
         start_s=np.array([0.0, 2.0, 2.0, 3.0]),
         end_s=np.array([2.0, 2.0, 3.0, 5.0]),
-        query_sql=np.zeros(0, dtype=np.int64),
-        query_arrival_s=np.zeros(0),
+        query_idx=np.zeros(0, dtype=np.int64),
     )
     want = peak_model_power_w([node], table)
     assert want == 1.0 + 20.0
@@ -131,3 +134,31 @@ def test_both_engines_match_the_oracle_across_blocks(mysql_db,
         ).hex()
         peaks[schedule.engine] = schedule.peak_power_w
     assert peaks["vectorized"] == peaks["loop"]
+
+
+def test_a_loop_table_block_carries_a_bounded_tail(mysql_db, monkeypatch):
+    """On a node-major loop table, each block sorts its own two steps
+    per row plus the few windows still open at its cut -- not every
+    step of the nodes the table has not reached yet."""
+    queries = selection_workload(12).queries
+    stream = poisson_arrivals(
+        [queries[i % 12] for i in range(20000)], 0.002, seed=3
+    )
+    chunk = 4096
+    monkeypatch.setattr(ClusterSimulator, "SCHEDULE_CHUNK", chunk)
+    sim = ClusterSimulator(mysql_db, uniform_fleet(8), RoundRobinRouter())
+    schedule = sim.schedule(stream, vectorized=False)
+    assert schedule.windows.offsets is not None
+    sorted_sizes = []
+    lexsort = np.lexsort
+
+    def recording(keys):
+        sorted_sizes.append(len(keys[0]))
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", recording)
+    peak = sim._peak_model_power_w(schedule.windows)
+    monkeypatch.undo()
+    assert float(peak).hex() == float(schedule.peak_power_w).hex()
+    assert len(sorted_sizes) == -(-20000 // chunk)
+    assert max(sorted_sizes) < 3 * chunk

@@ -167,7 +167,7 @@ class TestEdges:
                 QueryResponse("q", "n0", 0.0, 0.05, 0.1),  # on an edge
                 QueryResponse("q", "n0", 0.2, 0.2, horizon),
             ),
-            shed=[ShedQuery("q", horizon), ShedQuery("q", 0.0)],
+            shed=[ShedQuery("q", horizon, 2), ShedQuery("q", 0.0, 3)],
         )
         windows = assert_matches_scan(m, 0.1)
         assert len(windows) == 3

@@ -21,16 +21,17 @@ from repro.cluster.measure import (
 
 
 def response_columns(*responses: QueryResponse) -> ResponseColumns:
-    """Hand-written responses in the stored (columnar) form."""
+    """Hand-written responses in the stored (columnar) form: response
+    ``k`` answers arrival ``k`` of the stream."""
     sqls = list(dict.fromkeys(r.sql for r in responses))
     nodes = list(dict.fromkeys(r.node for r in responses))
-    return ResponseColumns.in_arrival_order(
-        sqls, nodes,
-        [sqls.index(r.sql) for r in responses],
-        [nodes.index(r.node) for r in responses],
-        [r.arrival_s for r in responses],
-        [r.start_s for r in responses],
-        [r.completion_s for r in responses],
+    return ResponseColumns(
+        tuple(sqls), tuple(nodes),
+        np.array([sqls.index(r.sql) for r in responses], dtype=np.int64),
+        np.array([nodes.index(r.node) for r in responses], dtype=np.int64),
+        *(np.array([getattr(r, name) for r in responses], dtype=np.float64)
+          for name in ("arrival_s", "start_s", "completion_s")),
+        np.arange(len(responses)),
     )
 
 

@@ -45,7 +45,7 @@ class TestQueueProperties:
         queue = QueryQueue(BatchPolicy(threshold=threshold))
         sizes = []
         for i in range(arrivals):
-            batch = queue.submit(f"q{i}", float(i))
+            batch = queue.submit(f"q{i}", float(i), i)
             if batch is not None:
                 sizes.append(batch.size)
         # Every dispatched batch hits the threshold exactly; the
@@ -61,13 +61,13 @@ class TestQueueProperties:
         queue = QueryQueue(BatchPolicy(threshold=1_000_000))
         arrivals = sorted(arrivals)
         for i, t in enumerate(arrivals):
-            queue.submit(f"q{i}", t)
+            queue.submit(f"q{i}", t, i)
         batch = queue.flush(arrivals[-1] + 1.0)
         assert batch.size == len(arrivals)
         assert [q.sql for q in batch.queries] == [
             f"q{i}" for i in range(len(arrivals))
         ]
-        assert all(w >= 0 for w in batch.queue_waits())
+        assert all(q.wait_at(batch.dispatch_s) >= 0 for q in batch.queries)
 
 
 class TestMetricsProperties:

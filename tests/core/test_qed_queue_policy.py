@@ -37,43 +37,23 @@ class TestBatchPolicy:
 class TestQueryQueue:
     def test_fills_then_dispatches(self):
         queue = QueryQueue(BatchPolicy(threshold=3))
-        assert queue.submit("q1", 0.0) is None
-        assert queue.submit("q2", 1.0) is None
-        batch = queue.submit("q3", 2.0)
+        assert queue.submit("q1", 0.0, 0) is None
+        assert queue.submit("q2", 1.0, 1) is None
+        batch = queue.submit("q3", 2.0, 2)
         assert batch is not None
         assert batch.sqls == ["q1", "q2", "q3"]
         assert len(queue) == 0
 
-    def test_queue_waits_recorded(self):
-        queue = QueryQueue(BatchPolicy(threshold=2))
-        queue.submit("q1", 0.0)
-        batch = queue.submit("q2", 4.0)
-        assert batch.queue_waits() == [4.0, 0.0]
-
-    def test_timeout_via_tick(self):
-        queue = QueryQueue(BatchPolicy(threshold=10, max_wait_s=2.0))
-        queue.submit("q1", 0.0)
-        assert queue.tick(1.0) is None
-        batch = queue.tick(2.5)
-        assert batch is not None and batch.size == 1
-
     def test_flush(self):
         queue = QueryQueue(BatchPolicy(threshold=100))
-        queue.submit("q1", 0.0)
-        queue.submit("q2", 0.5)
+        queue.submit("q1", 0.0, 0)
+        queue.submit("q2", 0.5, 1)
         batch = queue.flush(1.0)
         assert batch.size == 2
         assert queue.flush(2.0) is None
 
-    def test_dispatch_history(self):
-        queue = QueryQueue(BatchPolicy(threshold=1))
-        queue.submit("a", 0.0)
-        queue.submit("b", 1.0)
-        assert len(queue.dispatched) == 2
-
-    def test_query_ids_monotone(self):
+    def test_query_ids_are_the_callers(self):
         queue = QueryQueue(BatchPolicy(threshold=2))
-        queue.submit("a", 0.0)
-        batch = queue.submit("b", 0.0)
-        ids = [q.query_id for q in batch.queries]
-        assert ids == [0, 1]
+        queue.submit("a", 0.0, 7)
+        batch = queue.submit("a", 0.0, 3)
+        assert [q.query_id for q in batch.queries] == [7, 3]

@@ -31,9 +31,9 @@ class TestQueueToSplitPipeline:
         queue = QueryQueue(BatchPolicy(threshold=10))
         batches = []
         now = 0.0
-        for quantity in quantities:
+        for i, quantity in enumerate(quantities):
             now += 1.0
-            batch = queue.submit(selection_query(quantity), now)
+            batch = queue.submit(selection_query(quantity), now, i)
             if batch is not None:
                 batches.append(batch)
         assert len(batches) == 3

@@ -25,7 +25,8 @@ QUERIES = [f"SELECT {i} FROM t WHERE a = {i}" for i in range(20)]
 def drain_through_queue(arrivals, queue) -> list:
     """Feed arrivals into ``queue``; return the dispatched batches (a
     trailing partial batch stays queued, as in a live system)."""
-    batches = [queue.submit(a.sql, a.time_s) for a in arrivals]
+    batches = [queue.submit(a.sql, a.time_s, i)
+               for i, a in enumerate(arrivals)]
     return [batch for batch in batches if batch is not None]
 
 
@@ -134,8 +135,8 @@ class TestDrainThroughQueue:
         assert len(batches) == 4
         # each batch completes within its burst window
         for batch in batches:
-            waits = batch.queue_waits()
-            assert max(waits) < 1.0
+            assert max(q.wait_at(batch.dispatch_s)
+                       for q in batch.queries) < 1.0
 
     @given(
         threshold=st.integers(min_value=1, max_value=10),
