@@ -10,8 +10,10 @@
 #   scripts/ci.sh --stage perf     # event-core identity smoke bench
 #                                  # + BENCH_perf.json regenerates at
 #                                  # SF 0.05 (floats to 1e-9)
-#                                  # + a 400k-arrival cluster run
-#                                  # prints its golden report
+#                                  # + a 400k-arrival cluster run and
+#                                  # an 8k-arrival master-QED/fault/
+#                                  # placement run print their golden
+#                                  # reports
 #   scripts/ci.sh --stage cluster  # diurnal + qed + fault smoke benches
 #                                  # + a trace store shared by two runs
 #   scripts/ci.sh --stage replication  # placement + re-replication smoke
@@ -124,6 +126,18 @@ run_perf() {
         --distinct 50 --mean-interarrival 0.01 --seed 0 --window 30 \
         --sla 7.5 --policy spread \
         | diff tests/cluster/golden/fleet_vectorized_cluster.txt -
+    echo "== 8k arrivals x 16 nodes, every loop feature, cold: the golden report =="
+    # Master QED, dynamic consolidation, a 4x2 placement and an ~800 s
+    # fault plan: every decision of the per-arrival loop shows in the
+    # run id, the per-node energies, the QED and fault lines and the
+    # phase rows, which must print exactly as pinned.
+    python -m repro cluster --sf 0.05 --nodes 16 --arrivals 8000 \
+        --distinct 20 --mean-interarrival 0.1 --seed 0 --window 30 \
+        --sla 7.5 --policy dynamic --qed master --qed-threshold 16 \
+        --qed-max-wait 2.0 --qed-placement consolidate \
+        --faults tests/cluster/golden/featured_fault_plan.json \
+        --retry-max 4 --retry-backoff 0.25 --shards 4 --replicas 2 \
+        | diff tests/cluster/golden/fleet_featured_cluster.txt -
 }
 
 run_cluster() {

@@ -28,11 +28,7 @@ from repro.cluster.faults import (
     RetryPolicy,
     load_fault_plan,
 )
-from repro.cluster.master_queue import (
-    DispatchedBatch,
-    MasterQueue,
-    PASSTHROUGH,
-)
+from repro.cluster.master_queue import MasterQueue, PASSTHROUGH
 from repro.cluster.measure import (
     ClusterMeasurement,
     FaultReport,
@@ -89,7 +85,6 @@ __all__ = [
     "ConsolidatePlacement",
     "ConsolidateRouter",
     "Decision",
-    "DispatchedBatch",
     "DynamicConsolidateRouter",
     "FaultPlan",
     "FaultReport",

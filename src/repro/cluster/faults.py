@@ -162,9 +162,10 @@ class FaultPlan:
         self.specs = tuple(specs)
         self.seed = seed
         self._external_rng: np.random.Generator | None = None
-        self._by_node: dict[str, list[FaultSpec]] = {}
+        #: Each kind's specs by node, in plan order.
+        self._index: dict = {kind: {} for kind in FAULT_KINDS}
         for spec in self.specs:
-            self._by_node.setdefault(spec.node, []).append(spec)
+            self._index[spec.kind].setdefault(spec.node, []).append(spec)
         self.begin_run()
 
     @property
@@ -180,16 +181,16 @@ class FaultPlan:
         else:
             self._rng = np.random.default_rng(self.seed)
 
-    def _for(self, node: str, kind: str) -> list[FaultSpec]:
-        return [
-            s for s in self._by_node.get(node, ()) if s.kind == kind
-        ]
+    def specs_for(self, node: str, kind: str) -> list[FaultSpec]:
+        """The node's specs of ``kind``, in plan order (a node the plan
+        does not name there is one dict miss)."""
+        return self._index[kind].get(node, [])
 
     # -- the decision hooks ------------------------------------------------
 
     def crashes_for(self, node: str) -> list[FaultSpec]:
         """The node's crash specs, in time order."""
-        return sorted(self._for(node, "crash"), key=lambda s: s.at_s)
+        return sorted(self.specs_for(node, "crash"), key=lambda s: s.at_s)
 
     def wake_attempt(self, node: str, now_s: float) -> bool:
         """Outcome of one wake call at ``now_s`` (True = success).
@@ -198,7 +199,7 @@ class FaultPlan:
         *matching* attempt, so outcomes are deterministic given the
         call sequence -- which the simulator's event order fixes.
         """
-        for spec in self._for(node, "wake-failure"):
+        for spec in self.specs_for(node, "wake-failure"):
             if not spec.in_window(now_s):
                 continue
             if spec.probability >= 1.0:
@@ -211,16 +212,15 @@ class FaultPlan:
         """Service-time multiplier on ``node`` at ``t`` (1.0 = healthy);
         overlapping straggler windows compound."""
         factor = 1.0
-        for spec in self._for(node, "straggler"):
+        for spec in self.specs_for(node, "straggler"):
             if spec.in_window(t):
                 factor *= spec.slowdown
         return factor
 
     def available(self, node: str, t: float) -> bool:
         """False inside any transient-unavailability window."""
-        return not any(
-            spec.in_window(t) for spec in self._for(node, "unavailable")
-        )
+        specs = self._index["unavailable"].get(node)
+        return specs is None or not any(spec.in_window(t) for spec in specs)
 
     # -- serialization -----------------------------------------------------
 

@@ -40,24 +40,16 @@ they read (``ClusterSimulator._shard_groups``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.cluster.routing import BatchPlacement, LeastLoadedPlacement
 from repro.core.qed.aggregator import PartitionKey, partition_key
 from repro.core.qed.policy import BatchPolicy
-from repro.core.qed.queue import Batch, QueryQueue, QueuedQuery
+from repro.core.qed.queue import QueryQueue
 
 #: Label of the non-mergeable (singleton) partition in reports.
 PASSTHROUGH = "passthrough"
 
-
-@dataclass(frozen=True)
-class DispatchedBatch:
-    """One batch leaving the master queue, tagged with its partition."""
-
-    partition: str
-    mergeable: bool
-    batch: Batch
+#: A statement code whose partition is not known yet this run.
+_UNSEEN = object()
 
 
 def partition_label(key: PartitionKey) -> str:
@@ -76,8 +68,13 @@ class MasterQueue:
     that queue itself, so a partition's timeout is one expiry event in
     the loop's time-ordered heap: it fires *at its expiry*, never at the
     next arrival's clock, and same-instant expiries fire in partition
-    order.  A non-mergeable arrival leaves at once through
-    :meth:`passthrough`.
+    order.  A non-mergeable arrival has no partition: it leaves at once,
+    as a singleton -- it never waits on a threshold it cannot help
+    reach.
+
+    An arrival's statement is its code in the run's ``distinct`` tuple
+    (given to :meth:`reset`): each statement's template key is derived
+    once per run, and its partition opens when it first arrives.
     """
 
     def __init__(self, policy: BatchPolicy,
@@ -86,13 +83,16 @@ class MasterQueue:
         self.placement = (
             placement if placement is not None else LeastLoadedPlacement()
         )
-        self.reset()
+        self.reset(())
 
-    def reset(self) -> None:
-        """Fresh per-run state (pending queries, partition queues)."""
+    def reset(self, distinct: tuple[str, ...]) -> None:
+        """Fresh per-run state (pending queries, partition queues) for a
+        stream of the statements ``distinct``."""
         self.queues: list[QueryQueue] = []
         self._labels: list[str] = []
         self._index: dict[PartitionKey, int] = {}
+        self._keys = [partition_key(sql) for sql in distinct]
+        self._by_code: list = [_UNSEEN] * len(distinct)
 
     def depths(self) -> dict[str, int]:
         """Pending queries per mergeable partition, by label (the
@@ -104,29 +104,22 @@ class MasterQueue:
 
     # -- event-loop hooks -------------------------------------------------
 
-    def partition(self, sql: str) -> int | None:
-        """The index in ``queues`` of ``sql``'s mergeable partition
-        (created on first sight), or None for a pass-through query."""
-        key = partition_key(sql)
-        if key is None:
-            return None
-        index = self._index.get(key)
-        if index is None:
-            index = self._index[key] = len(self.queues)
-            self.queues.append(QueryQueue(self.policy))
-            self._labels.append(partition_label(key))
+    def partition(self, code: int) -> int | None:
+        """The index in ``queues`` of statement ``code``'s mergeable
+        partition (opened on first sight), or None for a pass-through
+        statement."""
+        index = self._by_code[code]
+        if index is _UNSEEN:
+            key = self._keys[code]
+            index = self._by_code[code] = (
+                None if key is None
+                else self._index.setdefault(key, len(self.queues))
+            )
+            if index == len(self.queues):  # a new template
+                self.queues.append(QueryQueue(self.policy))
+                self._labels.append(partition_label(key))
         return index
 
-    def passthrough(self, sql: str, now_s: float,
-                    query_id: int) -> DispatchedBatch:
-        """A non-mergeable arrival, dispatched immediately as a
-        singleton -- it never waits on a threshold it cannot help
-        reach."""
-        query = QueuedQuery(sql, now_s, query_id)
-        return DispatchedBatch(
-            PASSTHROUGH, False, Batch([query], dispatch_s=now_s),
-        )
-
-    def dispatched(self, index: int, batch: Batch) -> DispatchedBatch:
-        """``batch`` leaving partition ``index``, tagged with its label."""
-        return DispatchedBatch(self._labels[index], True, batch)
+    def label(self, index: int | None) -> str:
+        """Partition ``index``'s name in reports (None: pass-through)."""
+        return PASSTHROUGH if index is None else self._labels[index]

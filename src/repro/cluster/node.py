@@ -273,13 +273,6 @@ class TimelineAccounting:
         starting the run asleep is provisioning, not a re-sleep."""
         return sum(1 for start, _ in self.sleep_log if start > 0.0)
 
-    # -- single-transition compatibility views ---------------------------
-
-    @property
-    def wake_called_s(self) -> float | None:
-        """First wake call (None if the node never woke)."""
-        return self.wake_log[0][0] if self.wake_log else None
-
     @property
     def wake_ready_s(self) -> float:
         """End of the latest wake transition (0.0 if none)."""
@@ -348,6 +341,8 @@ class SimulatedNode(TimelineAccounting):
         #: ``faults``; re-replication after a crash grows the set of
         #: the copy's destination mid-run.
         self.shards: set[tuple[str, int]] | None = None
+        #: The ``placement.QuorumCounts`` told when ``awake`` changes.
+        self.quorum = None
         self.reset(awake=True)
 
     # -- life cycle -------------------------------------------------------
@@ -362,6 +357,9 @@ class SimulatedNode(TimelineAccounting):
         self.busy_until = 0.0
         self.scheduled: list[ScheduledWork] = []
         self.setting = self.spec.setting
+        #: The simulator's index of the node's (hw, setting) pair; None
+        #: until it looks the pair up, and again after each retune.
+        self.pair: int | None = None
         self.setting_log: list[tuple[float, PvcSetting]] = [
             (0.0, self.spec.setting)
         ]
@@ -411,6 +409,8 @@ class SimulatedNode(TimelineAccounting):
                 raise ValueError("cannot wake a node before it slept")
             self.sleep_log[-1] = (start, now_s)
             self.wake_log.append((now_s, now_s + self.spec.wake_latency_s))
+            if self.quorum is not None:
+                self.quorum.moved(self, 1)
         return self.wake_ready_s
 
     def set_setting(self, setting: PvcSetting, now_s: float) -> None:
@@ -423,6 +423,7 @@ class SimulatedNode(TimelineAccounting):
         if self.setting_log and now_s < self.setting_log[-1][0]:
             raise ValueError("setting changes must move forward in time")
         self.setting = setting
+        self.pair = None
         self.setting_log.append((now_s, setting))
 
     def drained(self, now_s: float) -> bool:
@@ -444,6 +445,8 @@ class SimulatedNode(TimelineAccounting):
                 f"cannot sleep node {self.spec.name!r} with pending work"
             )
         self.sleep_log.append((now_s, None))
+        if self.quorum is not None:
+            self.quorum.moved(self, -1)
 
     def crash(self, at_s: float) -> tuple[list[int], float]:
         """Kill the node at ``at_s``; returns ``(lost, wasted_s)``.
@@ -481,6 +484,8 @@ class SimulatedNode(TimelineAccounting):
             self.wake_log[-1] = (called, at_s)
         if self.awake:
             self.sleep_log.append((at_s, None))
+            if self.quorum is not None:
+                self.quorum.moved(self, -1)
         self.crashed_s = at_s
         self.crash_log.append(at_s)
         return lost, wasted

@@ -35,13 +35,12 @@ from repro.hardware.trace import CompiledTrace, CpuWork, DiskAccess, Trace
 
 __all__ = [
     "PlacementMap",
+    "QuorumCounts",
     "TablePlacement",
     "generate_placement",
     "load_placement",
     "quorum_cover",
-    "quorum_wake_candidates",
     "replication_copy_trace",
-    "sleep_would_break_quorum",
     "stable_hash",
 ]
 
@@ -111,9 +110,6 @@ class TablePlacement:
         if self.kind == "range":
             return bisect_right(self.bounds, value)
         return stable_hash(value) % self.shards
-
-    def nodes_for(self, shard: int) -> tuple[str, ...]:
-        return self.replica_map[shard]
 
     def to_dict(self) -> dict:
         out = {
@@ -241,10 +237,6 @@ class PlacementMap:
 
     def for_table(self, name: str) -> TablePlacement | None:
         return self.tables.get(name)
-
-    def quorum_for(self, table: str) -> int:
-        tp = self.tables.get(table)
-        return tp.quorum if tp is not None else 0
 
     def shards_of(self, node_name: str) -> frozenset[tuple[str, int]]:
         """The ``(table, shard)`` pairs ``node_name`` initially holds."""
@@ -412,36 +404,6 @@ def load_placement(path: str) -> PlacementMap:
 # -- quorum constraints for consolidating routers ---------------------
 
 
-def _holds(node, key: tuple[str, int]) -> bool:
-    shards = getattr(node, "shards", None)
-    return shards is not None and key in shards
-
-
-def sleep_would_break_quorum(placement, node, fleet, now_s: float) -> bool:
-    """Whether sleeping ``node`` leaves one of its shards with fewer
-    than quorum awake serviceable replicas among the rest of ``fleet``.
-
-    The guard consolidating routers run before every re-sleep: a hot
-    shard's last awake replica can never be put to sleep, no matter how
-    low the measured demand is.
-    """
-    if placement is None:
-        return False
-    shards = getattr(node, "shards", None)
-    if not shards:
-        return False
-    for key in shards:
-        quorum = placement.quorum_for(key[0])
-        awake = sum(
-            1 for other in fleet
-            if other is not node and other.awake
-            and other.can_serve(now_s) and _holds(other, key)
-        )
-        if awake < quorum:
-            return True
-    return False
-
-
 def quorum_cover(placement, nodes) -> set[str]:
     """A deterministic set of node names keeping >= quorum replicas of
     every shard awake; always includes the first node (matching the
@@ -451,7 +413,7 @@ def quorum_cover(placement, nodes) -> set[str]:
     for name in sorted(placement.tables):
         tp = placement.tables[name]
         for shard in range(tp.shards):
-            holders = [h for h in tp.nodes_for(shard) if h in fleet]
+            holders = [h for h in tp.replica_map[shard] if h in fleet]
             need = tp.quorum - sum(1 for h in holders if h in cover)
             for holder in holders:
                 if need <= 0:
@@ -462,40 +424,78 @@ def quorum_cover(placement, nodes) -> set[str]:
     return cover
 
 
-def quorum_wake_candidates(placement, fleet, now_s: float) -> list:
-    """Sleeping serviceable nodes whose wake is needed to restore
-    >= quorum awake replicas for some shard (crashes and failed wakes
-    open such gaps mid-run).  Ordered deterministically by fleet order;
-    each candidate is counted against the gaps it closes so the list is
-    minimal, not the whole sleeping holder set."""
-    if placement is None:
-        return []
-    # Liveness is per node, not per (shard, node): ask each node once.
-    serving = [
-        node for node in fleet if node.awake and node.can_serve(now_s)
-    ]
-    deficits: dict[tuple[str, int], int] = {}
-    for name in sorted(placement.tables):
-        tp = placement.tables[name]
-        for shard in range(tp.shards):
-            key = (tp.table, shard)
-            awake = sum(1 for node in serving if _holds(node, key))
-            if awake < tp.quorum:
-                deficits[key] = tp.quorum - awake
-    if not deficits:
-        return []
-    candidates = []
-    for node in fleet:
-        if node.awake or not node.can_serve(now_s):
-            continue
-        closed = False
-        for key, need in deficits.items():
-            if need > 0 and _holds(node, key):
-                deficits[key] = need - 1
-                closed = True
-        if closed:
-            candidates.append(node)
-    return candidates
+class QuorumCounts:
+    """Awake replicas per shard (numbered in ``(table, shard)`` order),
+    kept as counts, so a consolidating router's quorum checks walk no
+    fleet.  Built after the run's node resets, the counts install
+    themselves on every node of ``fleet`` (``SimulatedNode.quorum``),
+    which then reports each wake, sleep and crash that moves it.  A
+    crashed node is asleep, so never counted; an awake node inside an
+    unavailability window comes off the counts at the instant asked
+    about.
+    """
+
+    def __init__(self, placement: PlacementMap, fleet):
+        keys = [(name, shard) for name in sorted(placement.tables)
+                for shard in range(placement.tables[name].shards)]
+        self._code = {key: k for k, key in enumerate(keys)}
+        self.quorum = [placement.tables[name].quorum for name, _ in keys]
+        self.awake = [0] * len(keys)
+        self._held: dict = {}  # node -> its shard codes, in fleet order
+        for node in fleet:
+            node.quorum = self
+            self._held[node] = sorted(map(self._code.get, node.shards or ()))
+            self.moved(node, node.awake)
+        self._flaky = [n for n in self._held if n.faults is not None
+                       and n.faults.specs_for(n.spec.name, "unavailable")]
+
+    def moved(self, node, step: int) -> None:
+        """``node`` woke (``step`` 1) or went to sleep (-1)."""
+        for k in self._held[node]:
+            self.awake[k] += step
+
+    def hold(self, node, key: tuple[str, int]) -> None:
+        """``node`` holds shard ``key`` from now on."""
+        self._held[node].append(self._code[key])
+        self.awake[self._code[key]] += node.awake
+
+    def _serving(self, now_s: float) -> list[int]:
+        """Per shard, the awake replicas serviceable at ``now_s``."""
+        serving = list(self.awake)
+        for node in self._flaky:
+            if node.awake and not node.can_serve(now_s):
+                for k in self._held[node]:
+                    serving[k] -= 1
+        return serving
+
+    def sleep_would_break(self, node, now_s: float) -> bool:
+        """Whether sleeping ``node`` leaves one of its shards with fewer
+        than quorum awake serviceable replicas on the other nodes: a
+        hot shard's last awake replica never sleeps, however low the
+        demand."""
+        serving = self._serving(now_s)
+        mine = node.awake and node.can_serve(now_s)
+        return any(serving[k] - mine < self.quorum[k]
+                   for k in self._held[node])
+
+    def wake_candidates(self, now_s: float) -> list:
+        """The sleeping serviceable nodes to wake so that every shard
+        has >= quorum awake replicas again, in fleet order; each closes
+        the gaps it holds, so the list is minimal, not every sleeping
+        holder."""
+        need = [q - n for q, n in zip(self.quorum, self._serving(now_s))]
+        if max(need, default=0) <= 0:
+            return []
+        candidates = []
+        for node in self._held:
+            if node.awake or not node.can_serve(now_s):
+                continue
+            gaps = [k for k in self._held[node] if need[k] > 0]
+            for k in gaps:
+                need[k] -= 1
+            if gaps:
+                candidates.append(node)
+        return candidates
 
 
 # -- re-replication copy work -----------------------------------------

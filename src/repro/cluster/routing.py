@@ -44,12 +44,7 @@ from typing import Callable
 import numpy as np
 
 from repro.cluster.node import SimulatedNode
-from repro.cluster.placement import (
-    quorum_cover,
-    quorum_wake_candidates,
-    sleep_would_break_quorum,
-    stable_hash,
-)
+from repro.cluster.placement import QuorumCounts, quorum_cover, stable_hash
 from repro.core.pvc.adaptive import DEFAULT_LADDER, ladder_step
 from repro.workloads.arrivals import RateSchedule
 
@@ -366,17 +361,18 @@ class ConsolidateRouter(Router):
             )
         self.max_backlog_s = max_backlog_s
 
+    #: The fleet's first nodes start the run awake.
+    min_awake = 1
+
     def prepare(self, nodes: list[SimulatedNode]) -> None:
-        if not nodes:
-            raise ValueError("router needs at least one node")
-        self._fleet = list(nodes)
-        if self.placement is None:
-            awake_names = {nodes[0].spec.name}
-        else:
+        if len(nodes) < self.min_awake:
+            raise ValueError("min_awake exceeds the fleet size")
+        awake_names = {n.spec.name for n in nodes[:self.min_awake]}
+        if self.placement is not None:
             # Quorum cover: the run starts with every shard's quorum of
-            # replicas awake instead of a single node, so consolidation
-            # never begins with a shard entirely asleep.
-            awake_names = quorum_cover(self.placement, nodes)
+            # replicas awake too, so consolidation never begins with a
+            # shard entirely asleep.
+            awake_names |= quorum_cover(self.placement, nodes)
         for node in nodes:
             node.reset(awake=node.spec.name in awake_names)
 
@@ -462,14 +458,11 @@ class DynamicConsolidateRouter(ConsolidateRouter):
         self.min_awake = min_awake
 
     def prepare(self, nodes: list[SimulatedNode]) -> None:
-        if len(nodes) < self.min_awake:
-            raise ValueError("min_awake exceeds the fleet size")
-        self._fleet = list(nodes)
-        awake_names = {n.spec.name for n in nodes[:self.min_awake]}
-        if self.placement is not None:
-            awake_names |= quorum_cover(self.placement, nodes)
-        for node in nodes:
-            node.reset(awake=node.spec.name in awake_names)
+        super().prepare(nodes)
+        self._quorum = (
+            None if self.placement is None
+            else QuorumCounts(self.placement, nodes)
+        )
         self._last_arrival_s: float | None = None
         self._gap_ewma: float | None = None
         self._service_ewma: float | None = None
@@ -541,10 +534,8 @@ class DynamicConsolidateRouter(ConsolidateRouter):
         # The check runs over the whole fleet (``prepare``'s node
         # list), not the eligible subset this arrival routed over --
         # the gap may be on shards this arrival never touches.
-        if self.placement is not None:
-            for node in quorum_wake_candidates(
-                self.placement, self._fleet, now_s
-            ):
+        if self._quorum is not None:
+            for node in self._quorum.wake_candidates(now_s):
                 node.wake(now_s)
                 if node in sleepers:
                     sleepers.remove(node)
@@ -580,9 +571,8 @@ class DynamicConsolidateRouter(ConsolidateRouter):
             )
             if (
                 surplus_ok and node.drained(now_s)
-                and not sleep_would_break_quorum(
-                    self.placement, node, self._fleet, now_s
-                )
+                and not (self._quorum is not None
+                         and self._quorum.sleep_would_break(node, now_s))
             ):
                 node.sleep(now_s)
                 awake_cap -= node.spec.capacity

@@ -48,7 +48,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.cluster.faults import FaultPlan, RetryPolicy
-from repro.cluster.master_queue import DispatchedBatch, MasterQueue
+from repro.cluster.master_queue import MasterQueue
 from repro.cluster.measure import (
     ClusterMeasurement,
     FaultReport,
@@ -278,6 +278,8 @@ class ClusterSimulator:
             db, SUT_FACTORIES[specs[0].hw](), trace_cache=trace_cache,
         )
         self.machines: dict[CostKey, SystemUnderTest] = {}
+        #: Each (hw, setting) pair's index (``node.pair``).
+        self.pairs: dict[CostKey, int] = {}
         self.nodes = [
             SimulatedNode(spec, self.machine((spec.hw, spec.setting)))
             for spec in specs
@@ -500,7 +502,11 @@ class ClusterSimulator:
 
         table = self._table = self._execute_once_table(distinct)
         durations, _costed = self._precost(table, workload_class)
-        self._durations = durations
+        # Service times by pair index, then trace key.
+        self._durations = {
+            self.pairs.setdefault(pair, len(self.pairs)): per
+            for pair, per in durations.items()
+        }
         self._workload_class = workload_class
         # One service-time callable per distinct statement, shared by
         # its arrivals; routers only call it.
@@ -539,7 +545,7 @@ class ClusterSimulator:
         master = self.master_queue
         qed: QedReport | None = None
         if master is not None:
-            master.reset()
+            master.reset(distinct)
             master.placement.prepare(self.router, self.nodes)
             self._queues = master.queues
             qed = QedReport(mode="master")
@@ -549,12 +555,13 @@ class ClusterSimulator:
             if any(queue is not None for queue in self._queues):
                 qed = QedReport(mode="node")
         self._qed = qed
-        # A query is its arrival's index ``i`` in the stream from here
-        # to its terminal; its statement and time are read off these.
-        sqls = self._sqls = list(
-            map(arrivals.distinct.__getitem__, arrivals.sql_idx.tolist())
-        )
+        # A query is its arrival's index ``i`` in the stream from here to
+        # its terminal; its statement code, statement and time are these.
+        codes = self._codes = arrivals.sql_idx.tolist()
+        sqls = self._sqls = list(map(arrivals.distinct.__getitem__, codes))
         times = arrivals.times.tolist()
+        #: Each merged batch's statement, by its members' codes.
+        self._merges: dict = {}
         for i, now in enumerate(times):
             sql = sqls[i]
             if tracing:
@@ -565,9 +572,11 @@ class ClusterSimulator:
             if master is not None:
                 # Every arrival queues centrally; dispatched batches go
                 # to the queue's batch-placement policy, not the router.
-                order = master.partition(sql)
-                if order is None:
-                    self._place_dispatched(master.passthrough(sql, now, i))
+                order = master.partition(codes[i])
+                if order is None:  # leaves at once, alone
+                    self._place_dispatched(
+                        None, Batch([QueuedQuery(sql, now, i)], now)
+                    )
                 else:
                     self._enqueue(order, sql, now, i)
                 continue
@@ -930,12 +939,10 @@ class ClusterSimulator:
             tp = self.placement.for_table(tname)
             if tp is None:
                 continue
-            holders = [
+            live = [
                 n for n in self.nodes
-                if n is not crashed and n.shards is not None
-                and key in n.shards
+                if n.crashed_s is None and key in (n.shards or ())
             ]
-            live = [n for n in holders if n.crashed_s is None]
             if len(live) >= tp.replicas:
                 continue  # replication target still met
             source = self._copy_endpoint(live, at_s)
@@ -962,6 +969,8 @@ class ClusterSimulator:
                     endpoint.power_estimate().busy_wall_w * service
                 )
             dest.shards.add(key)
+            if dest.quorum is not None:
+                dest.quorum.hold(dest, key)
             self._owner_gen += 1
             report.re_replications += 1
             if self.tracer.enabled:
@@ -1044,7 +1053,7 @@ class ClusterSimulator:
         partition's goes to the batch-placement policy, a node queue's
         runs on its node."""
         if self.master_queue is not None:
-            self._place_dispatched(self.master_queue.dispatched(order, batch))
+            self._place_dispatched(order, batch)
             return
         node = self.nodes[order]
         stats = self._record_dispatch(f"node:{node.spec.name}", batch)
@@ -1068,10 +1077,10 @@ class ClusterSimulator:
         stats.max_batch = max(stats.max_batch, batch.size)
         return stats
 
-    def _place_dispatched(self, dispatched: DispatchedBatch) -> None:
-        """Hand one master-queue batch to the placement policy."""
-        batch = dispatched.batch
-        stats = self._record_dispatch(dispatched.partition, batch)
+    def _place_dispatched(self, order: int | None, batch: Batch) -> None:
+        """Hand one batch of master partition ``order`` (None: a
+        pass-through singleton) to the placement policy."""
+        stats = self._record_dispatch(self.master_queue.label(order), batch)
         # Under a placement map the batch first splits by shard
         # signature -- each piece is servable by one replica set -- and
         # each piece is placed over its owning replicas only.  With no
@@ -1087,8 +1096,8 @@ class ClusterSimulator:
             else:
                 # Merged after the split, so only a piece that is
                 # actually placed pays for its disjunction.
-                if dispatched.mergeable and group_batch.size > 1:
-                    group_merged = merge_queries(group_batch.sqls)
+                if order is not None and group_batch.size > 1:
+                    group_merged = self._merged(group_batch)
                 assignments = self.master_queue.placement.place(
                     group_batch, group_merged, group_batch.dispatch_s,
                     self._services[group_batch.queries[0].sql],
@@ -1111,10 +1120,7 @@ class ClusterSimulator:
                     group_batch if len(queries) == group_batch.size
                     else Batch(list(queries), group_batch.dispatch_s)
                 )
-                self._schedule_batch(
-                    node, shard, stats,
-                    merged=group_merged if shard is group_batch else None,
-                )
+                self._schedule_batch(node, shard, stats)
 
     def _pool_for_shards(self, required) -> list[SimulatedNode] | None:
         """Nodes holding every ``(table, shard)`` in ``required``; None
@@ -1179,7 +1185,9 @@ class ClusterSimulator:
         could not know about -- merged-batch SQL, retuned nodes.
         """
         pair = (node.spec.hw, node.setting)
-        per_key = self._durations.setdefault(pair, {})
+        if node.pair is None:
+            node.pair = self.pairs.setdefault(pair, len(self.pairs))
+        per_key = self._durations.setdefault(node.pair, {})
         if key not in per_key:
             per_key[key] = self.machine(pair).run_compiled(
                 self._table[key], self._workload_class
@@ -1190,23 +1198,35 @@ class ClusterSimulator:
         """``sql``'s service time on a node under the setting the node
         holds when asked, so a router that retunes a node mid-stream
         (``AdaptivePvcRouter``) sees -- and the simulator schedules --
-        the new setting's time at once."""
+        the new setting's time at once: a retune clears the node's
+        pair index, so the next call looks the new pair up."""
         durations = self._durations
 
         def service(node: SimulatedNode) -> float:
             try:
-                return durations[(node.spec.hw, node.setting)][sql]
+                return durations[node.pair][sql]
             except KeyError:
                 return self._duration_for(node, sql)
 
         return service
+
+    def _merged(self, batch: Batch):
+        """:func:`merge_queries` of ``batch`` (None: not mergeable),
+        once per run per sequence of member statements."""
+        codes = self._codes
+        key = tuple([codes[q.query_id] for q in batch.queries])
+        if key not in self._merges:
+            try:
+                self._merges[key] = merge_queries(batch.sqls)
+            except NotMergeableError:
+                self._merges[key] = None
+        return self._merges[key]
 
     def _schedule_batch(
         self,
         node: SimulatedNode,
         batch: Batch,
         stats: QedPartitionStats,
-        merged=None,
     ) -> None:
         """Serve a dispatched QED batch as one merged execution.
 
@@ -1232,16 +1252,12 @@ class ClusterSimulator:
             self._assign_singletons(node, batch.queries, batch.dispatch_s)
             stats.singleton_windows += 1
             return
+        merged = self._merged(batch)
         if merged is None:
-            try:
-                merged = merge_queries(batch.sqls)
-            except NotMergeableError:
-                self._assign_singletons(
-                    node, batch.queries, batch.dispatch_s
-                )
-                stats.fallback_batches += 1
-                stats.singleton_windows += batch.size
-                return
+            self._assign_singletons(node, batch.queries, batch.dispatch_s)
+            stats.fallback_batches += 1
+            stats.singleton_windows += batch.size
+            return
         key = merged.sql
         if key not in self._table:
             self._table[key] = merged_batch_trace(self.runner, merged)

@@ -10,6 +10,13 @@ eight former walks, kept verbatim as overrides of the current classes,
 so a test can drive old and new on twin fleets and demand the same
 node, the same ``wake()`` calls in the same order, and the same
 rotation state.
+
+It also keeps the two fleet scans the quorum checks used to make --
+``sleep_would_break_quorum`` and ``quorum_wake_candidates``, which
+``placement.QuorumCounts`` answers from per-shard counts -- and the
+fault plan's hooks as they read before the plan was indexed by
+``(node, kind)``: a fresh filtered list of the node's specs per call
+(``FilteredFaultPlan``).
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 import math
 
 from repro.cluster import routing
+from repro.cluster.faults import FaultPlan
 from repro.cluster.placement import stable_hash
 from repro.cluster.routing import Decision
 
@@ -258,3 +266,110 @@ def copy_endpoint(candidates, at_s: float):
                 continue
         return node
     return None
+
+
+# -- the quorum scans ---------------------------------------------------
+
+
+def _holds(node, key: tuple[str, int]) -> bool:
+    shards = getattr(node, "shards", None)
+    return shards is not None and key in shards
+
+
+def sleep_would_break_quorum(placement, node, fleet, now_s: float) -> bool:
+    """Whether sleeping ``node`` leaves one of its shards with fewer
+    than quorum awake serviceable replicas among the rest of ``fleet``.
+    """
+    if placement is None:
+        return False
+    shards = getattr(node, "shards", None)
+    if not shards:
+        return False
+    for key in shards:
+        quorum = placement.tables[key[0]].quorum
+        awake = sum(
+            1 for other in fleet
+            if other is not node and other.awake
+            and other.can_serve(now_s) and _holds(other, key)
+        )
+        if awake < quorum:
+            return True
+    return False
+
+
+def quorum_wake_candidates(placement, fleet, now_s: float) -> list:
+    """Sleeping serviceable nodes whose wake is needed to restore
+    >= quorum awake replicas for some shard, in fleet order; each
+    candidate is counted against the gaps it closes."""
+    if placement is None:
+        return []
+    # Liveness is per node, not per (shard, node): ask each node once.
+    serving = [
+        node for node in fleet if node.awake and node.can_serve(now_s)
+    ]
+    deficits: dict[tuple[str, int], int] = {}
+    for name in sorted(placement.tables):
+        tp = placement.tables[name]
+        for shard in range(tp.shards):
+            key = (tp.table, shard)
+            awake = sum(1 for node in serving if _holds(node, key))
+            if awake < tp.quorum:
+                deficits[key] = tp.quorum - awake
+    if not deficits:
+        return []
+    candidates = []
+    for node in fleet:
+        if node.awake or not node.can_serve(now_s):
+            continue
+        closed = False
+        for key, need in deficits.items():
+            if need > 0 and _holds(node, key):
+                deficits[key] = need - 1
+                closed = True
+        if closed:
+            candidates.append(node)
+    return candidates
+
+
+# -- the fault plan's filtered lists ------------------------------------
+
+
+class FilteredFaultPlan(FaultPlan):
+    """The decision hooks over one spec list per node, filtered by kind
+    on every call."""
+
+    def __init__(self, specs=(), seed: int = 0):
+        super().__init__(specs, seed)
+        self._by_node: dict = {}
+        for spec in self.specs:
+            self._by_node.setdefault(spec.node, []).append(spec)
+
+    def _for(self, node, kind):
+        return [
+            s for s in self._by_node.get(node, ()) if s.kind == kind
+        ]
+
+    def crashes_for(self, node):
+        return sorted(self._for(node, "crash"), key=lambda s: s.at_s)
+
+    def wake_attempt(self, node, now_s):
+        for spec in self._for(node, "wake-failure"):
+            if not spec.in_window(now_s):
+                continue
+            if spec.probability >= 1.0:
+                return False
+            if float(self._rng.uniform()) < spec.probability:
+                return False
+        return True
+
+    def slowdown(self, node, t):
+        factor = 1.0
+        for spec in self._for(node, "straggler"):
+            if spec.in_window(t):
+                factor *= spec.slowdown
+        return factor
+
+    def available(self, node, t):
+        return not any(
+            spec.in_window(t) for spec in self._for(node, "unavailable")
+        )

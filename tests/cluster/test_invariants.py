@@ -113,11 +113,11 @@ class TestConsolidateSleepWake:
         schedule = sim.schedule(_stream(mean_s=0.01))
         woken = [
             n for n in schedule.nodes
-            if not n.started_awake and n.wake_called_s is not None
+            if not n.started_awake and n.wake_log
         ]
         assert woken, "the load should wake at least one node"
         for node in woken:
-            ready = node.wake_called_s + wake_latency
+            ready = node.wake_log[0][0] + wake_latency
             assert node.wake_ready_s == pytest.approx(ready)
             for work in node.scheduled:
                 assert work.start_s >= ready - 1e-12

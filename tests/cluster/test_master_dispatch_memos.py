@@ -1,4 +1,4 @@
-"""Master-QED dispatch: parse once, merge once, execute once (ISSUE 15).
+"""Master-QED dispatch: parse once, merge once, execute once.
 
 Exact-count guards (no timing) on a small master-QED + placement
 scenario, plus the two properties the merged-trace memo must keep: a
@@ -103,11 +103,13 @@ class TestExactCounts:
         assert len(parsed) <= len(schedule.table)  # nothing re-parsed
 
     def test_no_merge_is_discarded(self, memory_db, monkeypatch):
-        merges = []
+        merges = {}
 
         def counting(sqls):
-            merges.append(len(sqls))
-            return merge_queries(sqls)
+            merged = merge_queries(sqls)
+            assert tuple(sqls) not in merges  # once per member sequence
+            merges[tuple(sqls)] = merged
+            return merged
 
         monkeypatch.setattr(simulator_module, "merge_queries", counting)
         schedule = _sim(memory_db).schedule(_stream())
@@ -115,8 +117,27 @@ class TestExactCounts:
         # the map splits batches, so pieces outnumber dispatches
         assert qed.merged_windows + qed.singleton_windows > qed.batches
         assert qed.fallback_batches == 0
-        assert len(merges) == qed.merged_windows
-        assert all(size > 1 for size in merges)
+        statements = schedule.arrivals.distinct
+        codes = schedule.arrivals.sql_idx
+        windows = [
+            work for node in schedule.nodes for work in node.scheduled
+            if len(work.queries) > 1
+        ]
+        assert len(windows) == qed.merged_windows
+        members = [
+            tuple(statements[codes[i]] for i in work.queries)
+            for work in windows
+        ]
+        # one merge per distinct member sequence, each one used
+        assert set(merges) == set(members)
+        assert len(merges) < qed.merged_windows
+        for work, sqls in zip(windows, members):
+            fresh = merge_queries(list(sqls))
+            merged = merges[sqls]
+            assert work.trace_key == merged.sql == fresh.sql
+            assert merged.predicates == fresh.predicates
+            assert merged.routing_column == fresh.routing_column
+            assert merged.routing_values == fresh.routing_values
 
     def test_second_schedule_executes_nothing(self, memory_db):
         sim = _sim(memory_db)
